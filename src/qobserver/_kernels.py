@@ -1,40 +1,15 @@
-"""Numeric inner loops, JIT-compiled with numba when available.
+"""Numeric inner loops in plain numpy.
 
-The three kernels below dominate runtime: the matrix exponential and the
-sequential scans that push an output row (or the full propagator) across a
-uniform time grid.  Each has a single implementation that runs either as
-plain numpy or compiled with ``numba.njit``.
-
-Backend selection: numba is used when importable unless the environment
-variable ``QOBSERVER_DISABLE_NUMBA=1`` is set, which forces the pure-numpy
-path.  Both paths execute the same statements, so results agree to roundoff.
-``benchmarks/bench_kernels.py`` times the two paths side by side.
+The two kernels below dominate runtime: the matrix exponential and the
+sequential scan that pushes an output row across a uniform time grid.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-ENV_FLAG = "QOBSERVER_DISABLE_NUMBA"
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and os.environ.get(ENV_FLAG, "0").lower() not in (
-    "1",
-    "true",
-    "yes",
-)
-
-
-def _expm_impl(a):
+def expm(a):
     """exp(a) by scaling and squaring with a Taylor series run to roundoff.
 
     The input is scaled by 2**-s until its max-abs entry is <= 0.25, the
@@ -64,7 +39,7 @@ def _expm_impl(a):
     return acc
 
 
-def _row_scan_impl(row0, step, count):
+def row_scan(row0, step, count):
     """Rows row0 @ step**k for k = 0..count, shape (count+1, n)."""
     n = row0.shape[0]
     out = np.empty((count + 1, n))
@@ -74,43 +49,3 @@ def _row_scan_impl(row0, step, count):
         r = r @ step
         out[k] = r
     return out
-
-
-def _mat_scan_impl(start, step, count):
-    """Matrices start @ step**k for k = 0..count, shape (count+1, n, n)."""
-    n = start.shape[0]
-    out = np.empty((count + 1, n, n))
-    m = start.copy()
-    out[0] = m
-    for k in range(1, count + 1):
-        m = m @ step
-        out[k] = m
-    return out
-
-
-expm_numpy = _expm_impl
-row_scan_numpy = _row_scan_impl
-mat_scan_numpy = _mat_scan_impl
-
-if HAVE_NUMBA:
-    expm_numba = njit(cache=True)(_expm_impl)
-    row_scan_numba = njit(cache=True)(_row_scan_impl)
-    mat_scan_numba = njit(cache=True)(_mat_scan_impl)
-else:  # pragma: no cover
-    expm_numba = None
-    row_scan_numba = None
-    mat_scan_numba = None
-
-if USE_NUMBA:
-    expm = expm_numba
-    row_scan = row_scan_numba
-    mat_scan = mat_scan_numba
-else:
-    expm = expm_numpy
-    row_scan = row_scan_numpy
-    mat_scan = mat_scan_numpy
-
-
-def backend() -> str:
-    """Name of the active kernel backend, 'numba' or 'numpy'."""
-    return "numba" if USE_NUMBA else "numpy"

@@ -276,8 +276,8 @@ def _validate_config(cfg: RunConfig) -> None:
     if cfg.omega_ref is not None and cfg.omega_ref <= 0.0:
         raise ConfigError(f"--omega-ref: must be positive, got {cfg.omega_ref}")
     if cfg.horizons is not None:
-        if any(t <= 0.0 for t in cfg.horizons):
-            raise ConfigError("--horizons: all horizons must be positive")
+        if not all(math.isfinite(t) and t > 0.0 for t in cfg.horizons):
+            raise ConfigError("--horizons: all horizons must be positive and finite")
         if any(b <= a for a, b in zip(cfg.horizons, cfg.horizons[1:])):
             raise ConfigError("--horizons: horizons must be strictly increasing")
     if cfg.command in ("design", "verify") and "json" not in cfg.formats:

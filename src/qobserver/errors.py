@@ -31,10 +31,6 @@ class StructureError(QObserverError, ValueError):
     """A matrix violates the structure required by the transformation."""
 
 
-class QuadratureError(QObserverError, RuntimeError):
-    """Numerical quadrature failed to converge under step halving."""
-
-
 class PipelineError(QObserverError, RuntimeError):
     """A stage of the design pipeline failed; carries the stage name."""
 

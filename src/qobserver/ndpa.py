@@ -52,7 +52,12 @@ from .errors import (
     StructureError,
     ZeroCouplingError,
 )
-from .observer import ObserverDesign, PlantSpec, synthesize_observer
+from .observer import (
+    ObserverDesign,
+    PlantSpec,
+    augmented_energy_matrix,
+    synthesize_observer,
+)
 
 # Trusted squeezing-to-damping ratio for the linearized NDPA model.
 EPS_RATIO_TRUSTED_MAX = 0.6
@@ -429,7 +434,7 @@ def design_ndpa(
     arg_c = math.atan2(plant.c_p[1], plant.c_p[0])
     psi, phi = stage("solve_phases", solve_phases, arg_c, delta)
     epsilon = gamma * eps_ratio * cmath.exp(1j * psi)
-    alpha = alpha_parameter(gamma, theta, phi)
+    alpha = stage("alpha_parameter", alpha_parameter, gamma, theta, phi)
 
     r_c = stage("coupling_block", coupling_block, epsilon, alpha)
     beta = stage("extract_beta", extract_beta, r_c, plant.c_p)
@@ -440,10 +445,7 @@ def design_ndpa(
     m = stage("hamiltonian_from_drift", hamiltonian_from_drift, f)
     r_physical = stage("quadrature_hamiltonian", quadrature_hamiltonian, m)
 
-    r_abstract = np.zeros((4, 4))
-    r_abstract[:2, 2:] = observer.r_c
-    r_abstract[2:, :2] = observer.r_c.T
-    r_abstract[2:, 2:] = observer.r_o
+    r_abstract = augmented_energy_matrix(observer)
     cross_defect = maxabs(r_physical - r_abstract)
     if cross_defect > 1e-9 * max(1.0, maxabs(r_abstract)):
         raise ConsistencyError(

@@ -186,6 +186,15 @@ def validate_observer(design: ObserverDesign, tol: float = 1e-9) -> ObserverDiag
     )
 
 
+def augmented_energy_matrix(design: ObserverDesign) -> np.ndarray:
+    """Joint plant-observer energy matrix R = [[0, R_c], [R_c^T, R_o]]."""
+    r_aug = np.zeros((4, 4))
+    r_aug[:2, 2:] = design.r_c
+    r_aug[2:, :2] = design.r_c.T
+    r_aug[2:, 2:] = design.r_o
+    return r_aug
+
+
 def augment(plant: PlantSpec, design: ObserverDesign) -> LinearQuantumSystem:
     """Closed two-mode plant-observer system.
 
@@ -198,11 +207,7 @@ def augment(plant: PlantSpec, design: ObserverDesign) -> LinearQuantumSystem:
     if not np.array_equal(plant.c_p, design.c_p):
         raise DimensionError("plant selector differs from the one in the design")
     space: SymplecticSpace = make_symplectic_space(2)
-    r_aug = np.zeros((4, 4))
-    r_aug[:2, 2:] = design.r_c
-    r_aug[2:, :2] = design.r_c.T
-    r_aug[2:, 2:] = design.r_o
-    ham = QuadraticHamiltonian(r_aug, space)
+    ham = QuadraticHamiltonian(augmented_energy_matrix(design), space)
     c_p_aug = np.concatenate([design.c_p, np.zeros(2)])
     c_o_aug = np.concatenate([np.zeros(2), design.c_o])
     return generator_from_hamiltonian(ham).with_outputs(np.vstack([c_p_aug, c_o_aug]))

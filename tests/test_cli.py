@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from qobserver import cli
-from qobserver.errors import PipelineError
+from qobserver import PlantSpec, cli, synthesize_observer
+from qobserver.errors import ModelValidityWarning, PipelineError
+from oracles import averaged_error_row
 
 
 def run_cli(args):
@@ -138,6 +139,31 @@ class TestVerifyCommand:
         assert run_cli(["verify", "--horizons", "8,4", "--out", str(tmp_path)]) == 2
         assert run_cli(["verify", "--horizons", "-1,4", "--out", str(tmp_path)]) == 2
 
+    def test_nonfinite_horizons_exit_2(self, tmp_path, capsys):
+        for ladder in ("5,inf", "5,nan"):
+            assert run_cli(["verify", "--horizons", ladder, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "finite" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_long_horizons_match_oracle(self, tmp_path):
+        code = run_cli(["verify", "--horizons", "1e5,1e6", "--out", str(tmp_path)])
+        assert code == 0
+        data = json.loads((tmp_path / "report.json").read_text())
+        design = synthesize_observer(
+            PlantSpec([1.0, 0.0]),
+            data["design"]["omega_o"],
+            data["design"]["beta"],
+            data["design"]["c_o"],
+        )
+        conv = data["convergence"]
+        assert conv["horizons"] == [1e5, 1e6]
+        for t_hor, error in zip(conv["horizons"], conv["errors"]):
+            assert math.isfinite(error)
+            oracle = float(np.max(np.abs(averaged_error_row(design, t_hor))))
+            assert error == pytest.approx(oracle, rel=1e-11)
+
 
 class TestSimulateCommand:
     def test_csv_shape_and_finiteness(self, tmp_path):
@@ -192,3 +218,12 @@ class TestExitCodes:
         code = run_cli(["design", "--out", str(tmp_path)])
         assert code == 1
         assert "extract_beta" in capsys.readouterr().err
+
+    def test_underflowing_beamsplitter_exits_1(self, tmp_path, capsys):
+        # theta = 2 arctan(1e-9) leaves 1 - cos(theta) = 0 in floating point
+        with pytest.warns(ModelValidityWarning):
+            code = run_cli(["design", "--eps-ratio", "1e9", "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pipeline failure: [alpha_parameter]")
+        assert len(err.strip().splitlines()) == 1

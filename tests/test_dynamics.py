@@ -134,16 +134,20 @@ class TestTimeAverageError:
 
     def test_nonpositive_horizon_rejected(self, example):
         _, sys = example
-        with pytest.raises(ValueError):
-            time_average_error(sys, sys.c[0], sys.c[1], 0.0)
+        for t_hor in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                time_average_error(sys, sys.c[0], sys.c[1], t_hor)
 
-    def test_unit_mixing_guarded(self):
-        # a lab-scale generator with a nondimensional-scale horizon would
-        # need ~1e10 panels; refuse instead of thrashing
-        design = synthesize_observer(PlantSpec([1.0, 0.0]), 1e8, [2e7, 0.0])
-        sys = augment(PlantSpec([1.0, 0.0]), design)
-        with pytest.raises(ValueError, match="nondimensionalize"):
-            time_average_error(sys, sys.c[0], sys.c[1], 80.0)
+    def test_many_periods_match_oracle(self):
+        # a lab-scale generator at T = 80 and nondimensional horizons of 1e5
+        # and 1e6 span ~6e4 to ~5e9 periods; each is still one exponential
+        cases = ((1e8, [2e7, 0.0], 80.0), (1.0, [0.2, 0.0], 1e5), (1.0, [0.2, 0.0], 1e6))
+        for omega_o, beta, t_hor in cases:
+            design = synthesize_observer(PlantSpec([1.0, 0.0]), omega_o, beta)
+            sys = augment(PlantSpec([1.0, 0.0]), design)
+            value = time_average_error(sys, sys.c[0], sys.c[1], t_hor)
+            oracle = float(np.max(np.abs(averaged_error_row(design, t_hor))))
+            assert value == pytest.approx(oracle, rel=1e-12)
 
 
 class TestVerifyConvergence:

@@ -12,19 +12,19 @@ def random_matrices(count, n, seed):
 
 class TestExpm:
     def test_zero_matrix(self):
-        np.testing.assert_array_equal(_kernels.expm_numpy(np.zeros((3, 3))), np.eye(3))
+        np.testing.assert_array_equal(_kernels.expm(np.zeros((3, 3))), np.eye(3))
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_against_scipy(self, n):
         for a in random_matrices(10, n, seed=n):
             expected = scipy_expm(a)
             scale = max(1.0, np.max(np.abs(expected)))
-            got = _kernels.expm_numpy(np.ascontiguousarray(a))
+            got = _kernels.expm(np.ascontiguousarray(a))
             assert np.max(np.abs(got - expected)) <= 1e-12 * scale
 
     def test_large_norm_argument(self):
         a = np.array([[0.0, 4.0], [-4.0, 0.0]]) * 80.0
-        got = _kernels.expm_numpy(a)
+        got = _kernels.expm(a)
         expected = scipy_expm(a)
         assert np.max(np.abs(got - expected)) <= 1e-11
 
@@ -34,49 +34,8 @@ class TestScans:
         rng = np.random.default_rng(0)
         step = np.eye(4) + 0.01 * rng.normal(size=(4, 4))
         row0 = rng.normal(size=4)
-        rows = _kernels.row_scan_numpy(row0, step, 50)
+        rows = _kernels.row_scan(row0, step, 50)
         acc = row0.copy()
         for k in range(51):
             np.testing.assert_allclose(rows[k], acc, atol=1e-13)
             acc = acc @ step
-
-    def test_mat_scan_matches_powers(self):
-        rng = np.random.default_rng(1)
-        step = np.eye(3) + 0.05 * rng.normal(size=(3, 3))
-        mats = _kernels.mat_scan_numpy(np.eye(3), step, 20)
-        for k in range(21):
-            np.testing.assert_allclose(mats[k], np.linalg.matrix_power(step, k), atol=1e-12)
-
-
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
-class TestBackendAgreement:
-    def test_expm_paths_agree(self):
-        for a in random_matrices(10, 4, seed=42):
-            a = np.ascontiguousarray(a)
-            got_jit = _kernels.expm_numba(a)
-            got_np = _kernels.expm_numpy(a)
-            scale = max(1.0, np.max(np.abs(got_np)))
-            assert np.max(np.abs(got_jit - got_np)) <= 1e-13 * scale
-
-    def test_row_scan_paths_agree(self):
-        rng = np.random.default_rng(3)
-        step = np.ascontiguousarray(np.eye(4) + 0.002 * rng.normal(size=(4, 4)))
-        row0 = np.ascontiguousarray(rng.normal(size=4))
-        np.testing.assert_allclose(
-            _kernels.row_scan_numba(row0, step, 2000),
-            _kernels.row_scan_numpy(row0, step, 2000),
-            atol=1e-12,
-        )
-
-    def test_mat_scan_paths_agree(self):
-        rng = np.random.default_rng(4)
-        step = np.ascontiguousarray(np.eye(4) + 0.002 * rng.normal(size=(4, 4)))
-        start = np.ascontiguousarray(np.eye(4))
-        np.testing.assert_allclose(
-            _kernels.mat_scan_numba(start, step, 500),
-            _kernels.mat_scan_numpy(start, step, 500),
-            atol=1e-12,
-        )
-
-    def test_backend_name(self):
-        assert _kernels.backend() in ("numba", "numpy")
