@@ -12,6 +12,7 @@ byte-identical files; trajectories are emitted as plot-ready CSV.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -496,12 +497,13 @@ def _run_design(cfg: RunConfig) -> DesignResult:
 def run(cfg: RunConfig) -> int:
     """Execute one command; returns the process exit status."""
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    scale = _scale_factor(cfg)
-
     if cfg.command == "reproduce-example":
-        return _cmd_reproduce(cfg)
-
+        cfg = dataclasses.replace(
+            REFERENCE_CONFIG, output_dir=cfg.output_dir, formats=cfg.formats
+        )
+    scale = _scale_factor(cfg)
     result = _run_design(cfg)
+    status = 0
 
     if "json" in cfg.formats:
         payload = design_payload(cfg, result, scale)
@@ -522,35 +524,14 @@ def run(cfg: RunConfig) -> int:
                 t / result.observer.omega_o for t in DEFAULT_HORIZON_LADDER
             )
             write_trajectory_csv(cfg.output_dir / "trajectory.csv", sys_aug, max(ladder))
+    elif cfg.command == "reproduce-example":
+        status = _check_golden(result, scale)
     for message in result.report.warnings:
         print(f"warning: {message}", file=sys.stderr)
-    return 0
+    return status
 
 
-def _cmd_reproduce(cfg: RunConfig) -> int:
-    ref = REFERENCE_CONFIG
-    scale = _scale_factor(ref)
-    result = design_ndpa(
-        np.asarray(ref.plant_c_p),
-        ref.omega_o / scale,
-        ref.gamma / scale,
-        ref.eps_ratio,
-        None,
-    )
-    if "json" in cfg.formats:
-        out_cfg = RunConfig(
-            command="reproduce-example",
-            plant_c_p=ref.plant_c_p,
-            omega_o=ref.omega_o,
-            gamma=ref.gamma,
-            eps_ratio=ref.eps_ratio,
-            units=ref.units,
-            output_dir=cfg.output_dir,
-            formats=cfg.formats,
-        )
-        payload = design_payload(out_cfg, result, scale)
-        (cfg.output_dir / "design.json").write_text(emit_json(payload))
-
+def _check_golden(result: DesignResult, scale: float) -> int:
     values = reference_values(result, scale)
     mismatches = []
     for name, golden, tol in GOLDEN:

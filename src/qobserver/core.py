@@ -45,12 +45,10 @@ def _frozen_array(x, dtype=float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TolerancePolicy:
-    """Numerical tolerances: `exact` for algebraic identities that should
-    hold to machine precision, `dynamic` for quantities propagated through
-    matrix exponentials and quadrature."""
+    """Numerical tolerance `exact` for algebraic identities that should hold
+    to machine precision."""
 
     exact: float = 1e-12
-    dynamic: float = 1e-9
 
 
 @dataclass(frozen=True, eq=False)

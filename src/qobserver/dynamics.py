@@ -12,9 +12,11 @@ O(1/T) with an oscillatory prefactor:
 
 For a linear system that integral is exact: int_0^T exp(As) ds is the
 top-right block of one augmented exponential, so `time_average_error` needs
-no quadrature and no step control at any horizon.  The decay rate is a
-property of the R_o = 2 omega_o I construction; the underlying guarantee is
-only that the average tends to zero.
+no quadrature and no step control at any horizon.  The oscillation frequency
+is exact too: `dominant_frequency` reads it from the derivative row C A and
+two more products with A, so verification runs no trajectory.  The decay
+rate is a property of the R_o = 2 omega_o I construction; the underlying
+guarantee is only that the average tends to zero.
 """
 
 from __future__ import annotations
@@ -97,13 +99,18 @@ def _scan_rows(g: np.ndarray, row0: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.vstack([row0 @ _kernels.expm(g * tk) for tk in t])
 
 
-def coefficient_trajectory(sys: LinearQuantumSystem, c_row, t_grid) -> Trajectory:
-    """Rows C exp(A t_k) over an increasing time grid."""
+def _output_row(sys: LinearQuantumSystem, c_row) -> np.ndarray:
     c_row = np.asarray(c_row, dtype=float).reshape(-1)
     if c_row.shape != (sys.space.n,):
         raise DimensionError(
             f"output row has {c_row.shape[0]} entries, state dimension is {sys.space.n}"
         )
+    return c_row
+
+
+def coefficient_trajectory(sys: LinearQuantumSystem, c_row, t_grid) -> Trajectory:
+    """Rows C exp(A t_k) over an increasing time grid."""
+    c_row = _output_row(sys, c_row)
     t = _validate_grid(t_grid)
     rows = _scan_rows(sys.a, c_row, t)
     if not np.all(np.isfinite(rows)):
@@ -116,8 +123,7 @@ def time_average_error(sys: LinearQuantumSystem, c_p_row, c_o_row, T: float) -> 
 
     The integral int_0^T exp(As) ds is the top-right block of
     exp([[A T, T I], [0, 0]]) (Van Loan, IEEE TAC 23(3), 1978), so each
-    horizon costs one 2n x 2n exponential however many oscillation periods
-    it spans.
+    horizon costs one 2n x 2n exponential however long it is.
     """
     T = float(T)
     if not math.isfinite(T) or T <= 0.0:
@@ -172,39 +178,26 @@ def running_average(trajectory: Trajectory) -> np.ndarray:
     return out
 
 
-def dominant_frequency(
-    sys: LinearQuantumSystem,
-    c_row,
-    expected_omega: float,
-    periods: int = 16,
-    samples: int = 4096,
-) -> float:
-    """Dominant angular frequency of the row C exp(A t).
+def dominant_frequency(sys: LinearQuantumSystem, c_row) -> float:
+    """Exact angular frequency Omega of the row C exp(A t).
 
-    The row is sampled over an integer number of expected periods so a
-    signal at `expected_omega` (or an exact harmonic of it) lands on a DFT
-    bin; a three-point parabolic refinement handles nearby frequencies.
+    If z = const + a cos(Omega t) + b sin(Omega t), the derivative row
+    g = C A satisfies g A^2 = -Omega^2 g, so Omega^2 = -(g A^2 . g)/(g . g).
+    C and g are normalized by their max-abs entries, so the result does not
+    depend on the scale of the row.  A row with g = 0 or Omega^2 <= 0 does
+    not oscillate and gives 0.0.
     """
-    expected_omega = float(expected_omega)
-    if expected_omega <= 0.0:
-        raise ValueError("expected frequency must be positive")
-    window = periods * 2.0 * math.pi / expected_omega
-    h = window / samples
-    grid = np.arange(samples) * h
-    rows = coefficient_trajectory(sys, c_row, grid).coefficient_rows
-    centered = rows - rows.mean(axis=0)
-    component = int(np.argmax(np.max(np.abs(centered), axis=0)))
-    spectrum = np.abs(np.fft.rfft(centered[:, component]))
-    k = int(np.argmax(spectrum[1:])) + 1
-    k_hat = float(k)
-    if 1 <= k < spectrum.size - 1:
-        y1, y2, y3 = spectrum[k - 1], spectrum[k], spectrum[k + 1]
-        denom = y1 - 2.0 * y2 + y3
-        if denom != 0.0:
-            offset = 0.5 * (y1 - y3) / denom
-            if abs(offset) <= 1.0:
-                k_hat = k + offset
-    return 2.0 * math.pi * k_hat / window
+    c_row = _output_row(sys, c_row)
+    scale = maxabs(c_row)
+    if scale == 0.0:
+        return 0.0
+    g = (c_row / scale) @ sys.a
+    scale = maxabs(g)
+    if scale == 0.0:
+        return 0.0
+    g = g / scale
+    omega_sq = -float((g @ sys.a @ sys.a) @ g) / float(g @ g)
+    return math.sqrt(omega_sq) if omega_sq > 0.0 else 0.0
 
 
 def _fit_decay_rate(horizons: np.ndarray, errors: np.ndarray) -> float:
@@ -224,7 +217,8 @@ def verify_convergence(design: ObserverDesign, horizons=None) -> ConvergenceRepo
     b. the time-average error decays over the horizon ladder: strictly
        decreasing with fitted rate >= 0.9, and the closed-form limit
        -C_o R_o^{-1} beta^T = 1 holds to 1e-12;
-    c. the observer row oscillates within 1% of 4 omega_o.
+    c. the observer row oscillates within 1% of 4 omega_o (exact frequency
+       from `dominant_frequency`).
 
     The default ladder is {5, 10, 20, 40, 80} / omega_o.  Always returns a
     report; failed checks are named in `failures` rather than raised.
@@ -253,7 +247,7 @@ def verify_convergence(design: ObserverDesign, horizons=None) -> ConvergenceRepo
         limit_defect = math.inf
 
     expected = 4.0 * design.omega_o
-    freq = dominant_frequency(sys, c_o_aug, expected)
+    freq = dominant_frequency(sys, c_o_aug)
     freq_rel = abs(freq - expected) / expected
 
     decreasing = all(b < a for a, b in zip(errors, errors[1:]))

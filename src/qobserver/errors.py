@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the toolkit."""
+"""Exception types shared across the toolkit."""
 
 from __future__ import annotations
 
@@ -44,7 +44,3 @@ class ConsistencyError(PipelineError):
 
     def __init__(self, message: str):
         super().__init__("cross_check", message)
-
-
-class ModelValidityWarning(UserWarning):
-    """Parameters outside the regime where the linearized model is trusted."""

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +45,6 @@ from .errors import (
     DesignError,
     DimensionError,
     FactorizationError,
-    ModelValidityWarning,
     PipelineError,
     SingularBeamsplitterError,
     StructureError,
@@ -197,19 +195,13 @@ def solve_theta(eps_ratio: float) -> float:
     """Beamsplitter angle with sin(theta)/(1 - cos(theta)) = eps_ratio.
 
     On (0, pi) the left side equals cot(theta/2), so the unique solution is
-    theta = 2 arctan(1/eps_ratio).  Ratios above 0.6 are accepted but flagged:
-    the linearized amplifier model degrades there.
+    theta = 2 arctan(1/eps_ratio).  Ratios above 0.6 are accepted here;
+    `design_ndpa` flags them in `DesignReport.warnings`, since the linearized
+    amplifier model degrades there.
     """
     eps_ratio = float(eps_ratio)
     if eps_ratio <= 0.0:
         raise DesignError(f"squeezing ratio must be positive, got {eps_ratio}")
-    if eps_ratio > EPS_RATIO_TRUSTED_MAX:
-        warnings.warn(
-            f"squeezing ratio {eps_ratio} above {EPS_RATIO_TRUSTED_MAX}: "
-            "linearized amplifier model is not trusted",
-            ModelValidityWarning,
-            stacklevel=2,
-        )
     return 2.0 * math.atan(1.0 / eps_ratio)
 
 
@@ -372,7 +364,12 @@ def extract_beta(r_c: np.ndarray, c_p, tol: float = 1e-9) -> np.ndarray:
     scale = maxabs(r_c)
     if scale == 0.0:
         raise ZeroCouplingError("coupling block is zero: observer is decoupled")
-    beta = (c_p @ r_c) / float(c_p @ c_p)
+    norm_sq = float(c_p @ c_p)
+    if norm_sq == 0.0:
+        raise DesignError(f"plant output selector {c_p.tolist()} underflows: |C_p|^2 = 0")
+    beta = (c_p @ r_c) / norm_sq
+    if not np.all(np.isfinite(beta)):
+        raise DesignError(f"factor beta = {beta.tolist()} is not finite")
     residual = maxabs(r_c - np.outer(c_p, beta))
     if residual > tol * scale:
         raise FactorizationError(

@@ -9,8 +9,8 @@ horizon ladder {5, 10, 20, 40, 80} decrease with successive ratios inside
 oscillation the fixed ladder samples at arbitrary phase (exact ratios
 0.913, 0.333, 0.890, 0.108).  The decay itself, the fitted rate and the
 closed-form limit all hold and are asserted first; the ratio-band assertion
-is kept as stated and is expected to fail.  See notes/decisions.md at the
-repository root of the working tree for the full analysis.
+is kept as stated and is expected to fail.  See the README section "One
+expected acceptance failure" for the full analysis.
 """
 
 import cmath

@@ -1,11 +1,12 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from qobserver import PlantSpec, cli, synthesize_observer
-from qobserver.errors import ModelValidityWarning, PipelineError
+from qobserver.errors import PipelineError
 from oracles import averaged_error_row
 
 
@@ -101,12 +102,23 @@ class TestDesignCommand:
         assert "epsilon_ratio" in capsys.readouterr().err
 
     def test_untrusted_ratio_warning_in_report(self, tmp_path, capsys):
-        with pytest.warns(Warning):
-            code = run_cli(["design", "--eps-ratio", "0.7", "--out", str(tmp_path)])
+        code = run_cli(["design", "--eps-ratio", "0.7", "--out", str(tmp_path)])
         assert code == 0
         data = json.loads((tmp_path / "design.json").read_text())
         assert data["warnings"]
         assert not data["checks"]["linearization_trusted"]
+        assert capsys.readouterr().err == f"warning: {data['warnings'][0]}\n"
+
+    def test_untrusted_ratio_warns_once(self, tmp_path, capsys):
+        # one route: a `warning:` line on stderr, no Python warning as well
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(["design", "--eps-ratio", "5", "--out", str(tmp_path)])
+        assert code == 0
+        assert caught == []
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith("warning: squeezing ratio 5 above trusted range")
 
 
 class TestVerifyCommand:
@@ -221,9 +233,18 @@ class TestExitCodes:
 
     def test_underflowing_beamsplitter_exits_1(self, tmp_path, capsys):
         # theta = 2 arctan(1e-9) leaves 1 - cos(theta) = 0 in floating point
-        with pytest.warns(ModelValidityWarning):
-            code = run_cli(["design", "--eps-ratio", "1e9", "--out", str(tmp_path)])
+        code = run_cli(["design", "--eps-ratio", "1e9", "--out", str(tmp_path)])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("pipeline failure: [alpha_parameter]")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["design", "verify"])
+    def test_underflowing_selector_exits_1(self, tmp_path, capsys, command):
+        # |C_p|^2 = 1e-400 rounds to 0; beta would be infinite
+        code = run_cli([command, "--cp", "1e-200,0", "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pipeline failure: [extract_beta]")
+        assert len(err.strip().splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []

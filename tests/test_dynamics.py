@@ -10,6 +10,7 @@ from qobserver import (
     augment,
     ccr_defect,
     coefficient_trajectory,
+    design_ndpa,
     dominant_frequency,
     propagator,
     running_average,
@@ -18,6 +19,7 @@ from qobserver import (
     time_average_error,
     verify_convergence,
 )
+from qobserver import _kernels, dynamics
 from oracles import averaged_error_row, rotation
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -159,7 +161,7 @@ class TestVerifyConvergence:
         assert report.averaged_limit_defect <= 1e-12
         assert report.fitted_rate >= 0.9
         assert all(b < a for a, b in zip(report.errors, report.errors[1:]))
-        assert report.oscillation_frequency_estimate == pytest.approx(4.0, rel=1e-6)
+        assert report.oscillation_frequency_estimate == pytest.approx(4.0, rel=1e-12)
         assert report.horizons == (5.0, 10.0, 20.0, 40.0, 80.0)
 
     def test_scaled_c_o_detected(self, example):
@@ -176,7 +178,7 @@ class TestVerifyConvergence:
         design = synthesize_observer(PlantSpec([1.0, 0.0]), 2.0, [0.4, 0.0])
         report = verify_convergence(design)
         assert report.expected_frequency == pytest.approx(8.0)
-        assert report.oscillation_frequency_estimate == pytest.approx(8.0, rel=1e-6)
+        assert report.oscillation_frequency_estimate == pytest.approx(8.0, rel=1e-12)
         assert report.horizons == tuple(t / 2.0 for t in (5.0, 10.0, 20.0, 40.0, 80.0))
 
     def test_ccr_preserved_on_grid(self, example):
@@ -190,6 +192,30 @@ class TestVerifyConvergence:
             verify_convergence(design, horizons=[5.0])
         with pytest.raises(ValueError):
             verify_convergence(design, horizons=[5.0, 4.0])
+
+    def test_runs_no_trajectory(self, example, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("verify_convergence simulated a trajectory")
+
+        monkeypatch.setattr(_kernels, "row_scan", boom)
+        monkeypatch.setattr(dynamics, "coefficient_trajectory", boom)
+        design, _ = example
+        assert verify_convergence(design).passed
+
+    def test_detuned_observer_fails_frequency_check(self, example):
+        # R_o = 2 rho I oscillates at 4 rho; 2.4% off must not read as within 1%
+        design, _ = example
+        detuned = dataclasses.replace(design, r_o=2.0 * 0.976 * np.eye(2))
+        report = verify_convergence(detuned)
+        assert report.oscillation_frequency_estimate == pytest.approx(3.904, rel=1e-12)
+        assert "observer oscillation frequency" in report.failures
+
+    def test_slightly_detuned_observer_passes_frequency_check(self, example):
+        design, _ = example
+        detuned = dataclasses.replace(design, r_o=2.0 * 1.005 * np.eye(2))
+        report = verify_convergence(detuned)
+        assert report.oscillation_frequency_estimate == pytest.approx(4.02, rel=1e-12)
+        assert "observer oscillation frequency" not in report.failures
 
 
 class TestSimulateMeans:
@@ -259,15 +285,50 @@ class TestRunningAverage:
 
 
 class TestDominantFrequency:
-    def test_detects_off_expected_signal(self, example):
-        # a design at omega_o = 2 probed with the omega_o = 1 window still
-        # lands on an exact bin (integer harmonic) and reads 8
+    def test_detects_off_expected_signal(self):
+        # a design at omega_o = 2 reads 8, whatever a caller expects
         design = synthesize_observer(PlantSpec([1.0, 0.0]), 2.0, [0.4, 0.0])
         sys = augment(PlantSpec([1.0, 0.0]), design)
-        est = dominant_frequency(sys, sys.c[1], expected_omega=4.0)
-        assert est == pytest.approx(8.0, rel=1e-6)
+        assert dominant_frequency(sys, sys.c[1]) == pytest.approx(8.0, rel=1e-12)
 
-    def test_invalid_expected_rejected(self, example):
+    def test_valid_designs_oscillate_at_four_omega_o(self):
+        rng = np.random.default_rng(4)
+        for _ in range(40):
+            arg_c = float(rng.uniform(-math.pi, math.pi))
+            omega = float(10 ** rng.uniform(-2, 8))
+            result = design_ndpa(
+                [math.cos(arg_c), math.sin(arg_c)], omega,
+                float(10 ** rng.uniform(-1, 1)) * omega, float(rng.uniform(0.01, 0.6)),
+            )
+            sys = augment(PlantSpec(result.observer.c_p), result.observer)
+            freq = dominant_frequency(sys, sys.c[1])
+            assert freq == pytest.approx(4.0 * omega, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-300, 1e150])
+    def test_independent_of_row_scale(self, example, scale):
         _, sys = example
-        with pytest.raises(ValueError):
-            dominant_frequency(sys, sys.c[1], 0.0)
+        unscaled = dominant_frequency(sys, sys.c[1])
+        assert dominant_frequency(sys, scale * sys.c[1]) == pytest.approx(unscaled, rel=1e-15)
+
+    def test_non_oscillating_rows_read_zero(self, example):
+        _, sys = example
+        assert dominant_frequency(sys, sys.c[0]) == 0.0  # frozen plant row
+        assert dominant_frequency(sys, np.zeros(4)) == 0.0
+
+    def test_indefinite_observer_reads_zero(self, example):
+        # R_o = diag(2, -2) makes the observer hyperbolic: no oscillation
+        design, _ = example
+        indefinite = dataclasses.replace(design, r_o=np.diag([2.0, -2.0]))
+        sys = augment(PlantSpec(design.c_p), indefinite)
+        assert dominant_frequency(sys, sys.c[1]) == 0.0
+        report = verify_convergence(indefinite)
+        check = next(c for c in report.checks if c.name == "observer oscillation frequency")
+        assert not check.passed
+        assert (check.value, check.threshold) == (0.0, 4.0)
+        assert check.detail == "relative deviation 1.000e+00 from 4*omega_o"
+        assert all(math.isfinite(v) for v in report.errors + report.ratios)
+
+    def test_row_dimension_checked(self, example):
+        _, sys = example
+        with pytest.raises(DimensionError):
+            dominant_frequency(sys, [1.0, 0.0])

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from qobserver import (
     DesignError,
     FactorizationError,
-    ModelValidityWarning,
     SingularBeamsplitterError,
     StructureError,
     ZeroCouplingError,
@@ -42,8 +42,7 @@ class TestSolveTheta:
         assert solve_theta(1e-9) == pytest.approx(math.pi, abs=1e-6)
 
     def test_unit_ratio_is_right_angle(self):
-        with pytest.warns(ModelValidityWarning):
-            theta = solve_theta(1.0)
+        theta = solve_theta(1.0)
         assert theta == pytest.approx(math.pi / 2.0, rel=1e-15)
         assert ratio_residual(theta, 1.0) <= 1e-12
 
@@ -53,8 +52,10 @@ class TestSolveTheta:
         with pytest.raises(DesignError):
             solve_theta(-0.2)
 
-    def test_untrusted_ratio_warns_but_solves(self):
-        with pytest.warns(ModelValidityWarning):
+    def test_untrusted_ratio_solves_without_warning(self):
+        # the untrusted range is flagged in DesignReport.warnings only
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             theta = solve_theta(0.7)
         assert ratio_residual(theta, 0.7) <= 1e-12
 
@@ -249,6 +250,11 @@ class TestExtractBeta:
         with pytest.raises(DesignError):
             extract_beta(np.eye(2), [0.0, 0.0])
 
+    def test_underflowing_selector_rejected(self):
+        # |C_p|^2 = 1e-400 rounds to 0, which would make beta infinite
+        with pytest.raises(DesignError, match="underflows"):
+            extract_beta(np.outer([1e-200, 0.0], [0.2, 0.0]), [1e-200, 0.0])
+
 
 class TestDesignPipeline:
     def test_reference_example_si(self):
@@ -270,9 +276,9 @@ class TestDesignPipeline:
         assert result.report.cross_check_defect <= 1e-9
 
     def test_untrusted_ratio_warns_and_succeeds(self):
-        with pytest.warns(ModelValidityWarning):
-            result = design_ndpa([1.0, 0.0], 1.0, 1.0, 0.7)
-        assert result.report.warnings
+        result = design_ndpa([1.0, 0.0], 1.0, 1.0, 0.7)
+        assert len(result.report.warnings) == 1
+        assert "above trusted range" in result.report.warnings[0]
         assert not result.ndpa.params.linearization_trusted
         assert result.report.cross_check_defect <= 1e-9
 
