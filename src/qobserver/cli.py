@@ -28,7 +28,7 @@ from .dynamics import (
     running_average,
     verify_convergence,
 )
-from .errors import PipelineError, QObserverError
+from .errors import NonFiniteError, PipelineError, QObserverError
 from .ndpa import DesignResult, design_ndpa
 from .observer import PlantSpec, augment
 
@@ -50,7 +50,7 @@ class ConfigError(ValueError):
 @dataclass
 class RunConfig:
     command: str
-    plant_c_p: tuple[float, float] = (1.0, 0.0)
+    cp: tuple[float, float] = (1.0, 0.0)
     omega_o: float = 1.0
     gamma: float = 1.0
     eps_ratio: float = 0.1
@@ -58,8 +58,8 @@ class RunConfig:
     omega_ref: float | None = None
     delta: float | None = None
     horizons: tuple[float, ...] | None = None
-    output_dir: Path = Path("qobserver-out")
-    formats: tuple[str, ...] = ("json",)
+    out: Path = Path("qobserver-out")
+    format: tuple[str, ...] = ("json",)
 
 
 # --------------------------------------------------------------------------
@@ -70,11 +70,10 @@ def fmt_float(x: float) -> str:
     """12 significant digits; lowercase scientific outside [1e-4, 1e6)."""
     x = float(x)
     if not math.isfinite(x):
-        raise ValueError(f"non-finite value {x!r} in report")
+        raise NonFiniteError(f"non-finite value {x!r} in report")
     if x == 0.0:
         return "0"
-    ax = abs(x)
-    if ax < 1e-4 or ax >= 1e6:
+    if not 1e-4 <= abs(x) < 1e6:
         return f"{x:.11e}"
     return f"{x:.12g}"
 
@@ -138,44 +137,72 @@ def _angle(rad: float) -> dict:
 # Configuration
 # --------------------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "cp", "omega_o", "gamma", "eps_ratio", "units", "omega_ref",
-    "delta", "horizons", "out", "format",
-}
-
-
-def _parse_pair(text, where: str) -> tuple[float, float]:
-    if isinstance(text, str):
-        parts = [p for p in text.replace(",", " ").split() if p]
-    else:
-        parts = list(text)
-    if len(parts) != 2:
-        raise ConfigError(f"{where}: expected two numbers, got {text!r}")
+def _split(value, where: str, convert, expected: str) -> tuple:
+    """Items of '1,2' / '1 2' text or of a JSON list, each run through convert."""
+    parts = value.replace(",", " ").split() if isinstance(value, str) else value
     try:
-        return (float(parts[0]), float(parts[1]))
+        return tuple(convert(p) for p in parts)
     except (TypeError, ValueError):
-        raise ConfigError(f"{where}: expected two numbers, got {text!r}") from None
+        raise ConfigError(f"{where}: expected {expected}, got {value!r}") from None
 
 
-def _parse_floats(text, where: str) -> tuple[float, ...]:
-    if isinstance(text, str):
-        parts = [p for p in text.replace(",", " ").split() if p]
-    else:
-        parts = list(text)
-    try:
-        values = tuple(float(p) for p in parts)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: expected a list of numbers, got {text!r}") from None
-    if not values:
+def _number(ok, rule: str):
+    """Parser of one finite number x that must satisfy ok(x), else `rule`."""
+
+    def parse(value, where: str) -> float:
+        try:
+            x = float(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+        if not math.isfinite(x):
+            raise ConfigError(f"{where}: value must be finite, got {value!r}")
+        if not ok(x):
+            raise ConfigError(f"{where}: {rule}, got {x}")
+        return x
+
+    return parse
+
+
+_parse_positive = _number(lambda x: x > 0.0, "must be positive")
+_parse_delta = _number(lambda x: 0.0 < x < math.pi, "must lie in (0, pi)")
+
+
+def _parse_selector(value, where: str) -> tuple[float, float]:
+    pair = _split(value, where, float, "two numbers")
+    if len(pair) != 2:
+        raise ConfigError(f"{where}: expected two numbers, got {value!r}")
+    if not all(math.isfinite(x) for x in pair):
+        raise ConfigError(f"{where}: entries must be finite, got {value!r}")
+    if pair == (0.0, 0.0):
+        raise ConfigError(f"{where}: plant output selector is zero")
+    return pair
+
+
+def _parse_horizons(value, where: str) -> tuple[float, ...]:
+    ladder = _split(value, where, float, "a list of numbers")
+    if not ladder:
         raise ConfigError(f"{where}: empty list")
-    return values
+    if not all(math.isfinite(t) and t > 0.0 for t in ladder):
+        raise ConfigError(f"{where}: all horizons must be positive and finite")
+    if any(b <= a for a, b in zip(ladder, ladder[1:])):
+        raise ConfigError(f"{where}: horizons must be strictly increasing")
+    return ladder
 
 
-def _parse_formats(text, where: str) -> tuple[str, ...]:
-    if isinstance(text, str):
-        parts = [p.strip() for p in text.split(",") if p.strip()]
-    else:
-        parts = [str(p) for p in text]
+def _parse_units(value, where: str) -> str:
+    if value not in UNIT_CHOICES:
+        raise ConfigError(f"{where}: units must be one of {UNIT_CHOICES}, got {value!r}")
+    return value
+
+
+def _parse_out(value, where: str) -> Path:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where}: expected a directory path, got {value!r}")
+    return Path(value)
+
+
+def _parse_formats(value, where: str) -> tuple[str, ...]:
+    parts = _split(value, where, str, "a list of formats")
     for p in parts:
         if p not in FORMAT_CHOICES:
             raise ConfigError(f"{where}: unknown format {p!r} (choose from {FORMAT_CHOICES})")
@@ -185,104 +212,74 @@ def _parse_formats(text, where: str) -> tuple[str, ...]:
     return tuple(f for f in FORMAT_CHOICES if f in parts)
 
 
+# Config key -> (parser and validator, help text), in the order values are
+# read and flags listed.  The flag is "--" + key with "_" turned into "-";
+# IO_KEYS are the flags every subcommand takes, the others the physics of a
+# design.
+FIELDS = {
+    "cp": (_parse_selector, "plant output selector, e.g. '1,0'"),
+    "omega_o": (_parse_positive, "observer detuning"),
+    "gamma": (_parse_positive, "mirror coupling rate"),
+    "eps_ratio": (_parse_positive, "|epsilon|/gamma"),
+    "delta": (_parse_delta, "phase family offset in (0, pi)"),
+    "units": (_parse_units, "units of omega_o and gamma: nondimensional or rad/s"),
+    "omega_ref": (_parse_positive, "reference frequency of rad/s inputs (default omega_o)"),
+    "horizons": (_parse_horizons, "nondimensional horizon ladder, e.g. '5,10,20'"),
+    "out": (_parse_out, "output directory (default qobserver-out)"),
+    "format": (_parse_formats, "comma-separated subset of json,csv"),
+}
+IO_KEYS = ("out", "format")
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _read_config_file(path) -> dict:
+    if not path:
+        return {}
+    try:
+        data = json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: top level must be a JSON object")
+    for key in data:
+        if key not in FIELDS:
+            raise ConfigError(f"{path}: unknown config key {key!r}")
+    return data
+
+
 def load_config(args: argparse.Namespace) -> RunConfig:
-    """Merge config file and flag overrides into a validated RunConfig."""
+    """Merge config file and flag overrides into a validated RunConfig.
+
+    Each value is parsed and checked once, by its field's parser, and an
+    error names where the value came from: the flag or the config key.
+    """
     cfg = RunConfig(command=args.command)
     if args.command == "simulate":
-        cfg.formats = ("json", "csv")
-
-    file_data = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        try:
-            file_data = json.loads(Path(config_path).read_text())
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {config_path}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{config_path}: invalid JSON ({exc})") from None
-        if not isinstance(file_data, dict):
-            raise ConfigError(f"{config_path}: top level must be a JSON object")
-        for key in file_data:
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"{config_path}: unknown config key {key!r}")
-
-    def pick(flag_name: str, file_key: str):
-        flag_value = getattr(args, flag_name, None)
-        if flag_value is not None:
-            return flag_value, f"--{flag_name.replace('_', '-')}"
-        if file_key in file_data:
-            return file_data[file_key], f"config key {file_key!r}"
-        return None, None
-
-    value, where = pick("cp", "cp")
-    if value is not None:
-        cfg.plant_c_p = _parse_pair(value, where)
-    value, where = pick("omega_o", "omega_o")
-    if value is not None:
-        cfg.omega_o = _as_float(value, where)
-    value, where = pick("gamma", "gamma")
-    if value is not None:
-        cfg.gamma = _as_float(value, where)
-    value, where = pick("eps_ratio", "eps_ratio")
-    if value is not None:
-        cfg.eps_ratio = _as_float(value, where)
-    value, where = pick("units", "units")
-    if value is not None:
-        if value not in UNIT_CHOICES:
-            raise ConfigError(f"{where}: units must be one of {UNIT_CHOICES}, got {value!r}")
-        cfg.units = value
-    value, where = pick("omega_ref", "omega_ref")
-    if value is not None:
-        cfg.omega_ref = _as_float(value, where)
-    value, where = pick("delta", "delta")
-    if value is not None:
-        cfg.delta = _as_float(value, where)
-    value, where = pick("horizons", "horizons")
-    if value is not None:
-        cfg.horizons = _parse_floats(value, where)
-    value, where = pick("out", "out")
-    if value is not None:
-        cfg.output_dir = Path(value)
-    value, where = pick("format", "format")
-    if value is not None:
-        cfg.formats = _parse_formats(value, where)
-
-    _validate_config(cfg)
+        cfg.format = ("json", "csv")
+    file_data = _read_config_file(getattr(args, "config", None))
+    sources = {}
+    for key, (parse, _) in FIELDS.items():
+        value, where = getattr(args, key, None), _flag(key)
+        if value is None:
+            value, where = file_data.get(key), f"config key {key!r}"
+        if value is not None:
+            setattr(cfg, key, parse(value, where))
+            sources[key] = where
+    _validate_config(cfg, sources)
     return cfg
 
 
-def _as_float(value, where: str) -> float:
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
-    if not math.isfinite(x):
-        raise ConfigError(f"{where}: value must be finite, got {value!r}")
-    return x
-
-
-def _validate_config(cfg: RunConfig) -> None:
-    if cfg.command == "reproduce-example":
-        return
-    if cfg.plant_c_p == (0.0, 0.0):
-        raise ConfigError("--cp: plant output selector is zero")
-    if cfg.omega_o <= 0.0:
-        raise ConfigError(f"--omega-o: must be positive, got {cfg.omega_o}")
-    if cfg.gamma <= 0.0:
-        raise ConfigError(f"--gamma: must be positive, got {cfg.gamma}")
-    if cfg.eps_ratio <= 0.0:
-        raise ConfigError(f"--eps-ratio: must be positive, got {cfg.eps_ratio}")
-    if cfg.delta is not None and not 0.0 < cfg.delta < math.pi:
-        raise ConfigError(f"--delta: must lie in (0, pi), got {cfg.delta}")
-    if cfg.omega_ref is not None and cfg.omega_ref <= 0.0:
-        raise ConfigError(f"--omega-ref: must be positive, got {cfg.omega_ref}")
-    if cfg.horizons is not None:
-        if not all(math.isfinite(t) and t > 0.0 for t in cfg.horizons):
-            raise ConfigError("--horizons: all horizons must be positive and finite")
-        if any(b <= a for a, b in zip(cfg.horizons, cfg.horizons[1:])):
-            raise ConfigError("--horizons: horizons must be strictly increasing")
-    if cfg.command in ("design", "verify") and "json" not in cfg.formats:
-        raise ConfigError(f"--format: {cfg.command} produces JSON; include 'json'")
+def _validate_config(cfg: RunConfig, sources: dict[str, str]) -> None:
+    """Rules that span fields; `sources` names where each given value came from."""
+    if cfg.command in ("design", "verify") and "json" not in cfg.format:
+        raise ConfigError(f"{sources['format']}: {cfg.command} produces JSON; include 'json'")
+    if cfg.command == "verify" and cfg.horizons is not None and len(cfg.horizons) < 2:
+        raise ConfigError(f"{sources['horizons']}: verify needs at least two horizons")
 
 
 # --------------------------------------------------------------------------
@@ -313,7 +310,7 @@ def design_payload(cfg: RunConfig, result: DesignResult, scale: float) -> dict:
         "toolkit_version": __version__,
         "units": _units_payload(cfg, scale),
         "inputs": {
-            "c_p": list(cfg.plant_c_p),
+            "c_p": list(cfg.cp),
             "omega_o": cfg.omega_o,
             "gamma": cfg.gamma,
             "eps_ratio": cfg.eps_ratio,
@@ -406,22 +403,11 @@ def write_trajectory_csv(path: Path, sys_aug, t_max: float) -> None:
     traj_p = coefficient_trajectory(sys_aug, sys_aug.c[0], grid)
     traj_o = coefficient_trajectory(sys_aug, sys_aug.c[1], grid)
     avg_o = running_average(traj_o)
-    names = ("qp", "pp", "qo", "po")
-    header = (
-        ["t"]
-        + [f"zp_{n}" for n in names]
-        + [f"zo_{n}" for n in names]
-        + [f"zo_avg_{n}" for n in names]
-    )
-    lines = [",".join(header)]
-    for k in range(grid.size):
-        cells = (
-            [grid[k]]
-            + list(traj_p.coefficient_rows[k])
-            + list(traj_o.coefficient_rows[k])
-            + list(avg_o[k])
-        )
-        lines.append(",".join(fmt_float(c) for c in cells))
+    header = ["t"] + [
+        f"{row}_{n}" for row in ("zp", "zo", "zo_avg") for n in ("qp", "pp", "qo", "po")
+    ]
+    table = np.column_stack([grid, traj_p.coefficient_rows, traj_o.coefficient_rows, avg_o])
+    lines = [",".join(header)] + [",".join(fmt_float(c) for c in row) for row in table]
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
@@ -432,7 +418,7 @@ def write_trajectory_csv(path: Path, sys_aug, t_max: float) -> None:
 
 REFERENCE_CONFIG = RunConfig(
     command="reproduce-example",
-    plant_c_p=(1.0, 0.0),
+    cp=(1.0, 0.0),
     omega_o=1e8,
     gamma=1e8,
     eps_ratio=0.1,
@@ -483,47 +469,36 @@ def reference_values(result: DesignResult, scale: float) -> dict[str, float]:
 # Commands
 # --------------------------------------------------------------------------
 
-def _run_design(cfg: RunConfig) -> DesignResult:
-    scale = _scale_factor(cfg)
-    return design_ndpa(
-        np.asarray(cfg.plant_c_p),
-        cfg.omega_o / scale,
-        cfg.gamma / scale,
-        cfg.eps_ratio,
-        cfg.delta,
-    )
-
-
 def run(cfg: RunConfig) -> int:
     """Execute one command; returns the process exit status."""
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    cfg.out.mkdir(parents=True, exist_ok=True)
     if cfg.command == "reproduce-example":
-        cfg = dataclasses.replace(
-            REFERENCE_CONFIG, output_dir=cfg.output_dir, formats=cfg.formats
-        )
+        cfg = dataclasses.replace(REFERENCE_CONFIG, out=cfg.out, format=cfg.format)
     scale = _scale_factor(cfg)
-    result = _run_design(cfg)
+    result = design_ndpa(
+        np.asarray(cfg.cp), cfg.omega_o / scale, cfg.gamma / scale, cfg.eps_ratio, cfg.delta
+    )
     status = 0
 
-    if "json" in cfg.formats:
+    if "json" in cfg.format:
         payload = design_payload(cfg, result, scale)
-        (cfg.output_dir / "design.json").write_text(emit_json(payload))
+        (cfg.out / "design.json").write_text(emit_json(payload))
 
     if cfg.command == "verify":
         report = verify_convergence(result.observer, horizons=cfg.horizons)
         payload = verify_payload(cfg, result, report, scale)
-        (cfg.output_dir / "report.json").write_text(emit_json(payload))
+        (cfg.out / "report.json").write_text(emit_json(payload))
         print(
             f"verify: passed={report.passed} fitted_rate={report.fitted_rate:.4f} "
             f"frequency={report.oscillation_frequency_estimate:.6g}"
         )
     elif cfg.command == "simulate":
-        if "csv" in cfg.formats:
-            sys_aug = augment(PlantSpec(np.asarray(cfg.plant_c_p)), result.observer)
+        if "csv" in cfg.format:
+            sys_aug = augment(PlantSpec(np.asarray(cfg.cp)), result.observer)
             ladder = cfg.horizons or tuple(
                 t / result.observer.omega_o for t in DEFAULT_HORIZON_LADDER
             )
-            write_trajectory_csv(cfg.output_dir / "trajectory.csv", sys_aug, max(ladder))
+            write_trajectory_csv(cfg.out / "trajectory.csv", sys_aug, max(ladder))
     elif cfg.command == "reproduce-example":
         status = _check_golden(result, scale)
     for message in result.report.warnings:
@@ -561,37 +536,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     physics = argparse.ArgumentParser(add_help=False)
     physics.add_argument("--config", help="JSON config file")
-    physics.add_argument("--cp", help="plant output selector, e.g. '1,0'")
-    physics.add_argument("--omega-o", dest="omega_o", help="observer detuning")
-    physics.add_argument("--gamma", help="mirror coupling rate")
-    physics.add_argument("--eps-ratio", dest="eps_ratio", help="|epsilon|/gamma")
-    physics.add_argument("--delta", help="phase family offset in (0, pi)")
-    physics.add_argument(
-        "--units", choices=UNIT_CHOICES, default=None,
-        help="units of omega_o and gamma",
-    )
-    physics.add_argument(
-        "--omega-ref", dest="omega_ref",
-        help="reference frequency for nondimensionalization (default omega_o)",
-    )
-    physics.add_argument("--horizons", help="nondimensional horizon ladder, e.g. '5,10,20'")
-
     io_flags = argparse.ArgumentParser(add_help=False)
-    io_flags.add_argument("--out", help="output directory (default qobserver-out)")
-    io_flags.add_argument("--format", help="comma-separated subset of json,csv")
+    for key, (_, help_text) in FIELDS.items():
+        (io_flags if key in IO_KEYS else physics).add_argument(_flag(key), help=help_text)
 
-    sub.add_parser(
-        "design", parents=[physics, io_flags],
-        help="solve the design equations and emit design.json",
-    )
-    sub.add_parser(
-        "simulate", parents=[physics, io_flags],
-        help="design plus plot-ready trajectory.csv",
-    )
-    sub.add_parser(
-        "verify", parents=[physics, io_flags],
-        help="design plus convergence verification report.json",
-    )
+    for name, help_text in (
+        ("design", "solve the design equations and emit design.json"),
+        ("simulate", "design plus plot-ready trajectory.csv"),
+        ("verify", "design plus convergence verification report.json"),
+    ):
+        sub.add_parser(name, parents=[physics, io_flags], help=help_text)
     sub.add_parser(
         "reproduce-example", parents=[io_flags],
         help="run the reference design and diff against golden values",

@@ -28,8 +28,8 @@ import numpy as np
 
 from . import _kernels
 from .core import LinearQuantumSystem, maxabs
-from .errors import DimensionError
-from .observer import ObserverDesign, PlantSpec, augment
+from .errors import DimensionError, NonFiniteError
+from .observer import ObserverDesign, PlantSpec, augment, validate_observer
 
 DEFAULT_HORIZON_LADDER = (5.0, 10.0, 20.0, 40.0, 80.0)
 
@@ -114,7 +114,7 @@ def coefficient_trajectory(sys: LinearQuantumSystem, c_row, t_grid) -> Trajector
     t = _validate_grid(t_grid)
     rows = _scan_rows(sys.a, c_row, t)
     if not np.all(np.isfinite(rows)):
-        raise ValueError("trajectory rows overflowed to non-finite values")
+        raise NonFiniteError("trajectory rows overflowed to non-finite values")
     return Trajectory(times=t, coefficient_rows=rows)
 
 
@@ -238,13 +238,8 @@ def verify_convergence(design: ObserverDesign, horizons=None) -> ConvergenceRepo
     ratios = tuple(b / a if a > 0.0 else math.inf for a, b in zip(errors, errors[1:]))
     rate = _fit_decay_rate(np.asarray(horizons), np.asarray(errors))
 
-    beta_sq = float(design.beta @ design.beta)
-    if beta_sq > 0.0 and float(np.min(np.linalg.eigvalsh(design.r_o))) > 0.0:
-        limit_defect = abs(
-            -float(design.c_o @ np.linalg.solve(design.r_o, design.beta)) - 1.0
-        )
-    else:
-        limit_defect = math.inf
+    # |-C_o R_o^{-1} beta^T - 1|, inf when beta = 0 or R_o is not definite
+    limit_defect = validate_observer(design).normalized_constraint_defect
 
     expected = 4.0 * design.omega_o
     freq = dominant_frequency(sys, c_o_aug)

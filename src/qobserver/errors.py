@@ -31,6 +31,10 @@ class StructureError(QObserverError, ValueError):
     """A matrix violates the structure required by the transformation."""
 
 
+class NonFiniteError(QObserverError, ValueError):
+    """A computed result overflowed to inf or nan, so it cannot be reported."""
+
+
 class PipelineError(QObserverError, RuntimeError):
     """A stage of the design pipeline failed; carries the stage name."""
 

@@ -17,6 +17,7 @@ this Cesaro-mean agreement: z_o oscillates forever at angular frequency
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,13 +119,17 @@ def synthesize_observer(
         raise DesignError(
             f"omega_o must be positive for a positive definite R_o, got {omega_o}"
         )
-    beta_sq = float(beta @ beta)
-    if beta_sq == 0.0:
+    scale = maxabs(beta)
+    if scale == 0.0:
         raise DesignError(
             "beta is zero: no output selector C_o can satisfy C_o beta^T = -2 omega_o"
         )
     if c_o is None:
-        c_o = (-2.0 * omega_o / beta_sq) * beta
+        # Scaled by 2^k ~ maxabs(beta), |beta|^2 cannot overflow, and in the
+        # normal range C_o equals the unscaled formula to the last bit.
+        k = math.frexp(scale)[1]
+        unit = np.ldexp(beta, -k)
+        c_o = np.ldexp((-2.0 * omega_o / float(unit @ unit)) * unit, -k)
     else:
         c_o = np.asarray(c_o, dtype=float).reshape(-1)
         defect = abs(float(c_o @ beta) / (2.0 * omega_o) + 1.0)

@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,6 +122,74 @@ class TestDesignCommand:
         assert err_lines[0].startswith("warning: squeezing ratio 5 above trusted range")
 
 
+class TestConfigFields:
+    """One table declares every field: its flag, its config key and its parser."""
+
+    VALID = {
+        "cp": ([0.0, 1.0], (0.0, 1.0)),
+        "omega_o": (2.0, 2.0),
+        "gamma": (3.0, 3.0),
+        "eps_ratio": (0.2, 0.2),
+        "delta": (1.0, 1.0),
+        "units": ("rad/s", "rad/s"),
+        "omega_ref": (5.0, 5.0),
+        "horizons": ([4, 8], (4.0, 8.0)),
+        "out": ("somewhere", Path("somewhere")),
+        "format": (["json", "csv"], ("json", "csv")),
+    }
+
+    def test_every_field_is_a_flag_and_a_config_key(self, tmp_path):
+        assert list(self.VALID) == list(cli.FIELDS)
+        parser = cli.build_parser()
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({k: v for k, (v, _) in self.VALID.items()}))
+        from_file = cli.load_config(parser.parse_args(["simulate", "--config", str(config)]))
+        for key, (_, parsed) in self.VALID.items():
+            args = parser.parse_args(["simulate", "--" + key.replace("_", "-"), "x"])
+            assert getattr(args, key) == "x"
+            assert getattr(from_file, key) == parsed
+
+    @pytest.mark.parametrize("where", ["flag", "file"])
+    def test_nonfinite_selector_exits_2(self, tmp_path, capsys, where):
+        if where == "flag":
+            argv = ["design", "--cp=inf,0"]
+        else:
+            config = tmp_path / "run.json"
+            config.write_text('{"cp": [Infinity, 0]}')
+            argv = ["design", "--config", str(config)]
+        assert run_cli(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "finite" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_file_value_errors_name_the_config_key(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"omega_o": -1}))
+        assert run_cli(["design", "--config", str(config), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: config key 'omega_o': must be positive, got -1.0\n"
+
+    @pytest.mark.parametrize("where", ["flag", "file"])
+    def test_invalid_units_is_a_config_error(self, tmp_path, capsys, where):
+        if where == "flag":
+            argv = ["design", "--units", "bogus"]
+        else:
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps({"units": "bogus"}))
+            argv = ["design", "--config", str(config)]
+        assert run_cli(argv + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "units must be one of" in err
+
+    @pytest.mark.parametrize("key", ["cp", "horizons", "out", "format"])
+    def test_wrongly_typed_file_values_exit_2(self, tmp_path, capsys, key):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: 5}))
+        assert run_cli(["design", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: config key {key!r}:")
+
+
 class TestVerifyCommand:
     def test_report_contents(self, tmp_path, capsys):
         code = run_cli(["verify", "--out", str(tmp_path)])
@@ -158,6 +227,18 @@ class TestVerifyCommand:
         assert "finite" in err
         assert "Traceback" not in err
         assert not (tmp_path / "report.json").exists()
+
+    def test_single_horizon_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"horizons": [5]}))
+        assert run_cli(["verify", "--horizons", "5", "--out", str(tmp_path)]) == 2
+        assert run_cli(["verify", "--config", str(config), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: --horizons: verify needs at least two horizons",
+            "config error: config key 'horizons': verify needs at least two horizons",
+        ]
+        assert not (tmp_path / "report.json").exists()
+        assert run_cli(["simulate", "--horizons", "5", "--out", str(tmp_path)]) == 0
 
     def test_long_horizons_match_oracle(self, tmp_path):
         code = run_cli(["verify", "--horizons", "1e5,1e6", "--out", str(tmp_path)])
@@ -248,3 +329,43 @@ class TestExitCodes:
         assert err.startswith("pipeline failure: [extract_beta]")
         assert len(err.strip().splitlines()) == 1
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--omega-o", "1e200"],
+            ["verify", "--omega-o", "1e-300"],
+            ["design", "--cp=27189.5,7.8e-05", "--omega-o", "2.4e-05",
+             "--gamma", "1.1e196", "--eps-ratio", "1.9e-07"],
+            ["simulate", "--cp=6.09e-04,1.84e-10", "--omega-o", "3.67e-148",
+             "--gamma", "1.96e-114", "--eps-ratio", "24.9"],
+        ],
+        ids=["verify_inf", "verify_nan", "design_minus_inf", "simulate_overflow"],
+    )
+    def test_nonfinite_result_exits_1(self, tmp_path, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = run_cli(argv + ["--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite value") or err.startswith(
+            "error: trajectory rows overflowed"
+        )
+        assert len(err.strip().splitlines()) == 1
+        for path in tmp_path.iterdir():
+            assert path.name == "design.json"
+            assert "inf" not in path.read_text() and "nan" not in path.read_text()
+
+    @pytest.mark.parametrize("command", ["design", "verify"])
+    def test_huge_beta_keeps_observer_selector(self, tmp_path, capsys, command):
+        # |C_p|^2 = 1e-310 is subnormal; beta ~ 1e154 would overflow |beta|^2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli([command, "--cp=1e-155,0", "--out", str(tmp_path)])
+        assert code == 0
+        design = json.loads((tmp_path / "design.json").read_text())
+        c_o = design["nondimensional"]["c_o"]
+        assert c_o[0] != 0.0 and abs(c_o[1]) <= 1e-15 * abs(c_o[0])
+        assert c_o[0] * design["nondimensional"]["beta"][0] == pytest.approx(-2.0, rel=1e-12)
+        if command == "verify":
+            assert json.loads((tmp_path / "report.json").read_text())["convergence"]["passed"]

@@ -1,0 +1,83 @@
+"""Property test over the command-line input domain.
+
+Every argv built from the config domain ends in a documented exit code with
+no traceback, and every JSON file it leaves parses to finite numbers.
+"""
+
+import contextlib
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from qobserver import cli
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+SPECIALS = ("0", "inf", "-inf", "nan")
+
+
+def _number(kind, sign, mantissa, exponent):
+    """Kind 0: a special value; 1-4: magnitude 1e-320..1e308; 5-9: 1e-3..1e4."""
+    if kind == 0:
+        return SPECIALS[exponent % len(SPECIALS)]
+    if kind >= 5:
+        exponent = exponent % 7 - 3
+    return f"{sign}{mantissa:.4g}e{exponent}"
+
+
+# Log-uniform magnitudes from 1e-320 to 1e308, or in the everyday range,
+# negative one time in eight, and the non-finite spellings float() accepts.
+NUMBERS = st.builds(
+    _number,
+    st.integers(0, 9),
+    st.sampled_from(["", "", "", "", "", "", "", "-"]),
+    st.floats(1.0, 9.999),
+    st.integers(-320, 308),
+)
+
+
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text} in JSON")
+    return value
+
+
+@st.composite
+def argvs(draw):
+    argv = [draw(st.sampled_from(["design", "verify", "simulate"]))]
+    argv.append(f"--cp={draw(NUMBERS)},{draw(NUMBERS)}")
+    for key in ("omega_o", "gamma", "eps_ratio"):
+        argv.append(f"--{key.replace('_', '-')}={draw(NUMBERS)}")
+    if draw(st.booleans()):
+        argv.append("--units=rad/s")
+    if draw(st.booleans()):
+        argv.append(f"--delta={draw(st.one_of(NUMBERS, st.floats(0.01, 3.13).map(repr)))}")
+    if draw(st.booleans()):
+        ladder = draw(st.lists(NUMBERS, min_size=1, max_size=3))
+        argv.append("--horizons=" + ",".join(ladder))
+    return argv
+
+
+# No shrinking: every example runs the whole pipeline, and a failing argv
+# reads well as drawn.
+@hypothesis.settings(
+    max_examples=60, deadline=None, derandomize=True, database=None,
+    phases=[hypothesis.Phase.explicit, hypothesis.Phase.generate],
+    suppress_health_check=[hypothesis.HealthCheck.too_slow],
+)
+@hypothesis.given(argvs())
+def test_every_input_ends_in_a_documented_outcome(argv):
+    with tempfile.TemporaryDirectory() as out:
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv + ["--out", out])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in stderr.getvalue()
+        for path in Path(out).glob("*.json"):
+            json.loads(path.read_text(), parse_float=_finite, parse_constant=_finite)

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +85,25 @@ class TestSynthesize:
             d2 = synthesize_observer(PlantSpec(c_p), omega, s * beta)
             np.testing.assert_allclose(d2.c_o, d1.c_o / s, rtol=1e-12)
             assert float(d2.c_o @ d2.beta) == pytest.approx(-2.0 * omega, rel=1e-12)
+
+    @pytest.mark.parametrize("size", [1e155, 1e300, 1e-160, 1e-300])
+    def test_extreme_beta_keeps_the_constraint(self, size):
+        # |beta|^2 overflows or underflows, C_o beta^T = -2 omega_o still holds
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            design = synthesize_observer(PlantSpec([1.0, 0.0]), 1.5, [size, 0.3 * size])
+            assert validate_observer(design).passed
+        assert float(design.c_o @ design.beta) == pytest.approx(-3.0, rel=1e-14)
+
+    def test_c_o_matches_unscaled_formula_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            beta = rng.normal(size=2) * 10.0 ** rng.uniform(-100, 100)
+            omega = float(10.0 ** rng.uniform(-3, 3))
+            design = synthesize_observer(PlantSpec([1.0, 0.0]), omega, beta)
+            np.testing.assert_array_equal(
+                design.c_o, (-2.0 * omega / float(beta @ beta)) * beta
+            )
 
 
 class TestValidate:
