@@ -1,7 +1,7 @@
 """Numeric inner loops in plain numpy.
 
 The two kernels below dominate runtime: the matrix exponential and the
-sequential scan that pushes an output row across a uniform time grid.
+blocked scan that pushes an output row across a uniform time grid.
 """
 
 from __future__ import annotations
@@ -39,13 +39,28 @@ def expm(a):
     return acc
 
 
+# Rows per block of `row_scan`: B - 1 products form the powers and about
+# count / B products the anchors, against count products for a plain scan.
+SCAN_BLOCK = 64
+
+
 def row_scan(row0, step, count):
-    """Rows row0 @ step**k for k = 0..count, shape (count+1, n)."""
+    """Rows row0 @ step**k for k = 0..count, shape (count+1, n).
+
+    Blocked: the powers step**0..step**(B-1) are formed once, the anchors
+    row0 @ step**(B j) are scanned with step**B, and one einsum multiplies
+    every anchor by every power.  Row k = B j + i is anchor j times power i.
+    """
     n = row0.shape[0]
-    out = np.empty((count + 1, n))
-    r = row0.copy()
-    out[0] = r
-    for k in range(1, count + 1):
-        r = r @ step
-        out[k] = r
-    return out
+    width = min(SCAN_BLOCK, count + 1)
+    powers = np.empty((width, n, n))
+    powers[0] = np.eye(n)
+    for i in range(1, width):
+        powers[i] = powers[i - 1] @ step
+    anchors = np.empty((-(-(count + 1) // width), n))
+    anchors[0] = row0
+    if anchors.shape[0] > 1:
+        jump = powers[-1] @ step
+        for j in range(1, anchors.shape[0]):
+            anchors[j] = anchors[j - 1] @ jump
+    return np.einsum("ji,kil->jkl", anchors, powers).reshape(-1, n)[: count + 1]

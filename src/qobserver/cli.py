@@ -18,6 +18,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -66,6 +67,15 @@ class RunConfig:
 # Deterministic JSON emission
 # --------------------------------------------------------------------------
 
+def _fixed_notation(magnitude):
+    """True where a nonzero |x| prints as %.12g: in [1e-4, 1e6).
+
+    Works on a float and elementwise on an array, so `fmt_float` and
+    `fmt_table` share the one rule.
+    """
+    return (magnitude >= 1e-4) & (magnitude < 1e6)
+
+
 def fmt_float(x: float) -> str:
     """12 significant digits; lowercase scientific outside [1e-4, 1e6)."""
     x = float(x)
@@ -73,9 +83,46 @@ def fmt_float(x: float) -> str:
         raise NonFiniteError(f"non-finite value {x!r} in report")
     if x == 0.0:
         return "0"
-    if not 1e-4 <= abs(x) < 1e6:
-        return f"{x:.11e}"
-    return f"{x:.12g}"
+    return f"{x:.12g}" if _fixed_notation(abs(x)) else f"{x:.11e}"
+
+
+# Cell text by kind: 0 zero, 1 fixed, 2 scientific; see `fmt_table`.
+_CELL_FORMATS = ("0", "%.12g", "%.11e")
+# Rows per `%` in `fmt_table`.  A `%` needs every cell of its block as a
+# Python float at once; 256 rows of 13 cells keep that near 3300 floats,
+# where one `%` over a 2001-row table would hold 26000.
+TABLE_BLOCK_ROWS = 256
+
+
+def fmt_table(table: np.ndarray) -> Iterator[str]:
+    """Text of the rows of `fmt_float` cells, comma-separated, in blocks.
+
+    Every cell is checked to be finite before this returns, so a caller can
+    open its file after the call.  Each block of TABLE_BLOCK_ROWS rows is one
+    string with one row per line.
+    """
+    table = np.asarray(table, dtype=float)
+    if table.ndim != 2 or table.shape[1] > 39:
+        raise ValueError(f"expected a table of at most 39 columns, got shape {table.shape}")
+    finite = np.isfinite(table)
+    if not finite.all():
+        raise NonFiniteError(f"non-finite value {float(table[~finite][0])!r} in report")
+    starts = range(0, table.shape[0], TABLE_BLOCK_ROWS)
+    return (_fmt_block(table[k:k + TABLE_BLOCK_ROWS]) for k in starts)
+
+
+def _fmt_block(block: np.ndarray) -> str:
+    """Finite rows formatted with one `%`.
+
+    Each cell is classified with numpy as zero, fixed or scientific, the
+    row patterns of kinds are read as base-3 codes (an int64 holds 39
+    columns), and one row format string is built per distinct code.
+    """
+    kinds = np.where(block == 0.0, 0, np.where(_fixed_notation(np.abs(block)), 1, 2))
+    codes = kinds @ 3 ** np.arange(block.shape[1])
+    _, first, which = np.unique(codes, return_index=True, return_inverse=True)
+    row_formats = [",".join(_CELL_FORMATS[c] for c in kinds[k]) for k in first]
+    return "\n".join([row_formats[i] for i in which]) % tuple(block[kinds != 0].tolist())
 
 
 def emit_json(obj) -> str:
@@ -402,13 +449,16 @@ def write_trajectory_csv(path: Path, sys_aug, t_max: float) -> None:
     grid = np.linspace(0.0, t_max, SIMULATE_POINTS)
     traj_p = coefficient_trajectory(sys_aug, sys_aug.c[0], grid)
     traj_o = coefficient_trajectory(sys_aug, sys_aug.c[1], grid)
-    avg_o = running_average(traj_o)
+    avg_o = running_average(sys_aug, traj_o)
     header = ["t"] + [
         f"{row}_{n}" for row in ("zp", "zo", "zo_avg") for n in ("qp", "pp", "qo", "po")
     ]
     table = np.column_stack([grid, traj_p.coefficient_rows, traj_o.coefficient_rows, avg_o])
-    lines = [",".join(header)] + [",".join(fmt_float(c) for c in row) for row in table]
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    blocks = fmt_table(table)
+    with path.open("w", newline="\n") as out:
+        out.write(",".join(header) + "\n")
+        for block in blocks:
+            out.write(block + "\n")
 
 
 # --------------------------------------------------------------------------
@@ -565,7 +615,10 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        return run(cfg)
+        # The one place numpy floating-point warnings are silenced: overflow
+        # yields inf or nan, which the finite checks turn into a typed error.
+        with np.errstate(all="ignore"):
+            return run(cfg)
     except PipelineError as exc:
         print(f"pipeline failure: {exc}", file=sys.stderr)
         return 1

@@ -170,7 +170,11 @@ class NdpaDesign:
 
 @dataclass(frozen=True)
 class DesignReport:
-    """Residuals and flags collected while running the design pipeline."""
+    """Residuals and flags collected while running the design pipeline.
+
+    `det_r_c` is det(R_c / max|R_c|): scale-free, so it stays finite for any
+    finite block, and 0 up to roundoff when R_c is rank one.
+    """
 
     arg_c: float
     delta: float
@@ -478,7 +482,7 @@ def design_ndpa(
         theta_residual=theta_residual,
         phase_residual=phase_residual,
         arg_identity_residual=arg_identity_residual,
-        det_r_c=float(np.linalg.det(r_c)),
+        det_r_c=float(np.linalg.det(r_c / maxabs(r_c))),
         alpha_magnitude_defect=abs(abs(alpha) - abs(epsilon)),
         factorization_residual=maxabs(r_c - np.outer(plant.c_p, beta)),
         cross_check_defect=cross_defect,

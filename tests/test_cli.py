@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qobserver import PlantSpec, cli, synthesize_observer
-from qobserver.errors import PipelineError
+from qobserver.errors import NonFiniteError, PipelineError
 from oracles import averaged_error_row
 
 
@@ -21,10 +21,13 @@ class TestFloatFormat:
         assert cli.fmt_float(0.0001) == "0.0001"
         assert cli.fmt_float(-10.0) == "-10"
         assert cli.fmt_float(168.57881372500074) == "168.578813725"
+        assert cli.fmt_float(999999.5) == "999999.5"
 
     def test_scientific_outside_range(self):
         assert cli.fmt_float(1e-5) == "1.00000000000e-05"
         assert cli.fmt_float(2e7) == "2.00000000000e+07"
+        assert cli.fmt_float(1e6) == "1.00000000000e+06"
+        assert cli.fmt_float(9.99999e-5) == "9.99999000000e-05"
         assert cli.fmt_float(0.0) == "0"
         assert cli.fmt_float(-0.0) == "0"
 
@@ -33,6 +36,24 @@ class TestFloatFormat:
             cli.fmt_float(float("nan"))
         with pytest.raises(ValueError):
             cli.fmt_float(float("inf"))
+
+    def test_table_blocks_join_to_the_cell_by_cell_text(self):
+        rng = np.random.default_rng(7)
+        rows = 2 * cli.TABLE_BLOCK_ROWS + 3
+        table = rng.normal(size=(rows, 13)) * 10.0 ** rng.integers(-9, 9, size=(rows, 13))
+        table[::5, 3] = 0.0
+        blocks = list(cli.fmt_table(table))
+        assert len(blocks) == 3
+        assert "\n".join(blocks) == "\n".join(
+            ",".join(cli.fmt_float(x) for x in row) for row in table
+        )
+
+    def test_table_rejects_nonfinite(self):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            table = np.zeros((3, 13))
+            table[2, 5] = bad
+            with pytest.raises(NonFiniteError, match=f"non-finite value {bad!r} in report"):
+                cli.fmt_table(table)
 
     def test_emit_json_round_trips(self):
         doc = {"a": [1, 2.5, None, True], "b": {"c": "x", "d": 1e-7}}
@@ -278,6 +299,23 @@ class TestSimulateCommand:
         # running average of z_o approaches z_p coefficient
         assert data[-1, 9] == pytest.approx(1.0, abs=0.05)
 
+    def test_average_columns_are_exact(self, tmp_path):
+        # zo_avg = C_p,aug - (1/t) int_0^t (C_p,aug - C_o,aug exp(As)) ds
+        assert run_cli(["simulate", "--out", str(tmp_path)]) == 0
+        data = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1)
+        observer = synthesize_observer(PlantSpec([1.0, 0.0]), 1.0, [0.2, 0.0])
+        plant_row = np.array([1.0, 0.0, 0.0, 0.0])
+        for row in data[1::50]:
+            expected = plant_row - averaged_error_row(observer, row[0])
+            np.testing.assert_allclose(row[9:], expected, rtol=0.0, atol=1e-10)
+
+    def test_tiny_detuning_stays_finite(self, tmp_path):
+        # int_0^h exp(As) ds overflows here while the average does not
+        code = run_cli(["simulate", "--omega-o", "3.67e-148", "--out", str(tmp_path)])
+        assert code == 0
+        data = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1)
+        assert np.all(np.isfinite(data))
+
     def test_design_json_also_written(self, tmp_path):
         assert run_cli(["simulate", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "design.json").exists()
@@ -335,17 +373,16 @@ class TestExitCodes:
         [
             ["verify", "--omega-o", "1e200"],
             ["verify", "--omega-o", "1e-300"],
-            ["design", "--cp=27189.5,7.8e-05", "--omega-o", "2.4e-05",
-             "--gamma", "1.1e196", "--eps-ratio", "1.9e-07"],
             ["simulate", "--cp=6.09e-04,1.84e-10", "--omega-o", "3.67e-148",
              "--gamma", "1.96e-114", "--eps-ratio", "24.9"],
         ],
-        ids=["verify_inf", "verify_nan", "design_minus_inf", "simulate_overflow"],
+        ids=["verify_inf", "verify_nan", "simulate_overflow"],
     )
     def test_nonfinite_result_exits_1(self, tmp_path, capsys, argv):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = run_cli(argv + ["--out", str(tmp_path)])
+        assert [str(w.message) for w in caught] == []
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: non-finite value") or err.startswith(
@@ -355,6 +392,21 @@ class TestExitCodes:
         for path in tmp_path.iterdir():
             assert path.name == "design.json"
             assert "inf" not in path.read_text() and "nan" not in path.read_text()
+
+    def test_huge_coupling_design_exits_0(self, tmp_path, capsys):
+        # det R_c would overflow in the units of R_c (~2e189); it is reported
+        # for the block scaled by its max-abs entry
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli([
+                "design", "--cp=27189.5,7.8e-05", "--omega-o", "2.4e-05",
+                "--gamma", "1.1e196", "--eps-ratio", "1.9e-07", "--out", str(tmp_path),
+            ])
+        assert [str(w.message) for w in caught] == []
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        design = json.loads((tmp_path / "design.json").read_text())
+        assert abs(design["checks"]["det_r_c"]) <= 1e-9
 
     @pytest.mark.parametrize("command", ["design", "verify"])
     def test_huge_beta_keeps_observer_selector(self, tmp_path, capsys, command):

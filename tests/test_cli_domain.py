@@ -1,7 +1,8 @@
-"""Property test over the command-line input domain.
+"""Property tests of the command line: its input domain and its CSV table.
 
 Every argv built from the config domain ends in a documented exit code with
-no traceback, and every JSON file it leaves parses to finite numbers.
+no traceback and no warning, and every JSON file it leaves parses to finite
+numbers.  The one-`%` table formatter writes every cell as `fmt_float` does.
 """
 
 import contextlib
@@ -9,8 +10,10 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qobserver import cli
@@ -75,9 +78,41 @@ def argvs(draw):
 def test_every_input_ends_in_a_documented_outcome(argv):
     with tempfile.TemporaryDirectory() as out:
         stderr = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-            code = cli.main(argv + ["--out", out])
+        # Python shows a warning once per code location unless told otherwise
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                code = cli.main(argv + ["--out", out])
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in stderr.getvalue()
+        assert [str(w.message) for w in caught] == []
         for path in Path(out).glob("*.json"):
             json.loads(path.read_text(), parse_float=_finite, parse_constant=_finite)
+
+
+# Zero, subnormals, both edges of the fixed range [1e-4, 1e6) and the largest
+# float, each with either sign.
+EDGE_CELLS = (
+    0.0, 5e-324, 2.2250738585072014e-308, np.nextafter(1e-4, 0.0), 1e-4,
+    99999.99999995, 999999.9999999, np.nextafter(1e6, 0.0), 1e6, 1.7976931348623157e308,
+)
+CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(EDGE_CELLS).flatmap(lambda x: st.sampled_from([x, -x])),
+)
+
+
+@st.composite
+def tables(draw):
+    width = draw(st.integers(1, 13))
+    row = st.lists(CELLS, min_size=width, max_size=width)
+    return draw(st.lists(row, min_size=1, max_size=12))
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@hypothesis.given(tables())
+def test_table_format_matches_fmt_float_cell_by_cell(rows):
+    text = "\n".join(cli.fmt_table(np.array(rows)))
+    assert [line.split(",") for line in text.split("\n")] == [
+        [cli.fmt_float(x) for x in row] for row in rows
+    ]

@@ -268,20 +268,35 @@ class TestSimulateMeans:
 
 
 class TestRunningAverage:
+    @staticmethod
+    def assert_matches_oracle(design, sys, grid):
+        traj = coefficient_trajectory(sys, sys.c[1], grid)
+        avg = running_average(sys, traj)
+        for k in np.unique(np.linspace(1, grid.size - 1, 40).astype(int)):
+            expected = sys.c[0] - averaged_error_row(design, grid[k])
+            np.testing.assert_allclose(avg[k], expected, rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(avg[0], traj.coefficient_rows[0])
+
     def test_matches_closed_form(self, example):
         design, sys = example
-        grid = np.linspace(0.0, 30.0, 6001)
-        traj = coefficient_trajectory(sys, sys.c[1], grid)
-        avg = running_average(traj)
-        t_end = grid[-1]
-        expected = sys.c[0] - averaged_error_row(design, t_end)
-        np.testing.assert_allclose(avg[-1], expected, atol=1e-5)
+        self.assert_matches_oracle(design, sys, np.linspace(0.0, 30.0, 6001))
+
+    def test_matches_closed_form_on_nonuniform_grid(self, example):
+        design, sys = example
+        steps = np.random.default_rng(6).uniform(0.001, 0.1, 400)
+        self.assert_matches_oracle(design, sys, np.concatenate([[0.0], np.cumsum(steps)]))
 
     def test_first_point_is_instantaneous(self, example):
         _, sys = example
         traj = coefficient_trajectory(sys, sys.c[1], np.linspace(0.0, 1.0, 11))
-        avg = running_average(traj)
+        avg = running_average(sys, traj)
         np.testing.assert_array_equal(avg[0], traj.coefficient_rows[0])
+
+    def test_row_dimension_checked(self, example):
+        _, sys = example
+        traj = dynamics.Trajectory(times=np.array([0.0, 1.0]), coefficient_rows=np.eye(2))
+        with pytest.raises(DimensionError):
+            running_average(sys, traj)
 
 
 class TestDominantFrequency:

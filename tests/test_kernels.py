@@ -39,3 +39,16 @@ class TestScans:
         for k in range(51):
             np.testing.assert_allclose(rows[k], acc, atol=1e-13)
             acc = acc @ step
+
+    @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 2000])
+    def test_blocked_row_scan_matches_direct_powers(self, count):
+        # count + 1 rows: 64 fill one block exactly, 65 and 66 spill into a second
+        rng = np.random.default_rng(count)
+        a = rng.normal(size=(4, 4))
+        step = scipy_expm(0.04 * (a - a.T))  # orthogonal: rows keep their size
+        row0 = rng.normal(size=4)
+        rows = _kernels.row_scan(row0, step, count)
+        assert rows.shape == (count + 1, 4)
+        np.testing.assert_array_equal(rows[0], row0)
+        direct = [row0 @ np.linalg.matrix_power(step, k) for k in range(count + 1)]
+        np.testing.assert_allclose(rows, direct, rtol=0.0, atol=1e-12)
