@@ -17,7 +17,6 @@ by a reference frequency before touching this module.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,9 +85,9 @@ def make_symplectic_space(modes: int, tol: TolerancePolicy | None = None) -> Sym
 class QuadraticHamiltonian:
     """Energy matrix R of H = (1/2) x^T R x.
 
-    R is symmetrized on construction; the asymmetry of the input is kept in
-    `asymmetry` and a warning is raised if it exceeds the exact tolerance,
-    since a visibly asymmetric R usually means corrupted input.
+    R is symmetrized on construction.  The max-abs asymmetry of the input is
+    kept, silently, in `asymmetry`: a value above the space's exact
+    tolerance usually means corrupted input, and callers that care check it.
     """
 
     r: np.ndarray
@@ -104,16 +103,8 @@ class QuadraticHamiltonian:
             )
         if not np.all(np.isfinite(r)):
             raise ValueError("energy matrix has non-finite entries")
-        asym = maxabs(r - r.T)
-        if asym > self.space.tol.exact:
-            warnings.warn(
-                f"energy matrix asymmetry {asym:.3e} exceeds "
-                f"{self.space.tol.exact:.1e}; symmetrizing",
-                UserWarning,
-                stacklevel=2,
-            )
         object.__setattr__(self, "r", _frozen_array((r + r.T) / 2.0))
-        object.__setattr__(self, "asymmetry", asym)
+        object.__setattr__(self, "asymmetry", maxabs(r - r.T))
 
 
 @dataclass(frozen=True, eq=False)

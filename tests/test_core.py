@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -67,7 +68,8 @@ class TestSymplecticSpace:
 class TestQuadraticHamiltonian:
     def test_symmetrized_and_asymmetry_recorded(self):
         space = make_symplectic_space(1)
-        with pytest.warns(UserWarning, match="asymmetry"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             h = QuadraticHamiltonian(np.array([[1.0, 0.5], [0.2, 1.0]]), space)
         assert np.array_equal(h.r, h.r.T)
         assert h.asymmetry == pytest.approx(0.3)

@@ -6,6 +6,7 @@ import pytest
 
 from qobserver import (
     DimensionError,
+    ObserverDesign,
     PlantSpec,
     augment,
     ccr_defect,
@@ -20,6 +21,7 @@ from qobserver import (
     verify_convergence,
 )
 from qobserver import _kernels, dynamics
+from qobserver.core import maxabs
 from oracles import averaged_error_row, rotation
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -202,6 +204,42 @@ class TestVerifyConvergence:
         design, _ = example
         assert verify_convergence(design).passed
 
+    def test_runs_no_exponential(self, example, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("verify_convergence ran a matrix exponential")
+
+        monkeypatch.setattr(_kernels, "expm", boom)
+        design, _ = example
+        assert verify_convergence(design).passed
+        tampered = verify_convergence(dataclasses.replace(design, c_o=2.0 * design.c_o))
+        assert tampered.failures == ("time-average error decays",)
+        detuned = verify_convergence(dataclasses.replace(design, r_o=2.0 * 0.976 * np.eye(2)))
+        assert detuned.failures == (
+            "time-average error decays", "observer oscillation frequency"
+        )
+
+    def test_reference_errors_are_exact(self, example):
+        # the README's closed form (2.5 / T) max(|sin 4T|, 1 - cos 4T)
+        design, _ = example
+        horizons = (5.0, 7.3, 10.0, 20.0, 40.0, 80.0, 1e3, 1e5)
+        report = verify_convergence(design, horizons)
+        for t_hor, err in zip(horizons, report.errors):
+            exact = 2.5 / t_hor * max(abs(math.sin(4.0 * t_hor)), 1.0 - math.cos(4.0 * t_hor))
+            assert err == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+    def test_fit_decay_rate_matches_polyfit(self):
+        rng = np.random.default_rng(11)
+        for k in range(60):
+            n = int(rng.integers(2, 9))
+            horizons = np.cumsum(rng.uniform(0.01, 50.0, n))
+            errors = 10.0 ** rng.uniform(-12.0, 2.0, n)
+            if k % 3 == 0:
+                errors[rng.integers(n)] = 0.0  # read at the 1e-300 floor
+            floored = np.log(np.maximum(errors, 1e-300))
+            expected = -np.polyfit(np.log(horizons), floored, 1)[0]
+            rate = dynamics._fit_decay_rate(horizons, errors)
+            assert rate == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     def test_detuned_observer_fails_frequency_check(self, example):
         # R_o = 2 rho I oscillates at 4 rho; 2.4% off must not read as within 1%
         design, _ = example
@@ -216,6 +254,49 @@ class TestVerifyConvergence:
         report = verify_convergence(detuned)
         assert report.oscillation_frequency_estimate == pytest.approx(4.02, rel=1e-12)
         assert "observer oscillation frequency" not in report.failures
+
+
+LADDER_VARIANTS = {
+    "reference": {},
+    "tampered_c_o": {"c_o": np.array([-20.0, 0.0])},  # 2 C_o
+    "nondiagonal_r_o": {"r_o": np.array([[2.0, 0.3], [0.3, 1.5]])},
+    "indefinite_r_o": {"r_o": np.diag([2.0, -2.0])},
+    "singular_r_o": {"r_o": np.diag([2.0, 0.0])},  # w = 0: the series branch
+    "zero_beta": {"beta": np.zeros(2), "r_c": np.zeros((2, 2))},
+}
+
+
+class TestLadderErrors:
+    """`verify_convergence` errors against Van Loan and the rotation-integral oracle."""
+
+    @pytest.mark.parametrize("name", LADDER_VARIANTS)
+    def test_closed_form_matches_other_routes(self, example, name):
+        design = dataclasses.replace(example[0], **LADDER_VARIANTS[name])
+        sys = augment(PlantSpec(design.c_p), design)
+        # past 4 T = 700 the hyperbolic ladder leaves the closed form (sinh overflows)
+        top = 2.0 if name == "indefinite_r_o" else 6.0
+        horizons = tuple(np.logspace(-4.0, top, 31))
+        errors = verify_convergence(design, horizons).errors
+        assert np.array_equal(errors, dynamics._ladder_errors(sys, horizons))
+        for t_hor, err in zip(horizons, errors):
+            # the two other routes lose about 1e-14 of the phase 4 T each
+            close = pytest.approx(err, rel=1e-12 * max(1.0, t_hor), abs=0.0)
+            assert time_average_error(sys, sys.c[0], sys.c[1], t_hor) == close
+            if name != "singular_r_o":  # the oracle inverts R_o
+                assert maxabs(averaged_error_row(design, t_hor)) == close
+
+    def test_full_rank_coupling_takes_van_loan(self, example):
+        ref = example[0]
+        design = ObserverDesign(
+            c_p=ref.c_p, omega_o=1.0, r_o=ref.r_o, r_c=np.array([[0.2, 0.05], [0.1, 0.3]]),
+            beta=ref.beta, c_o=ref.c_o,
+        )
+        sys = augment(PlantSpec(design.c_p), design)
+        report = verify_convergence(design)
+        assert dynamics._ladder_errors(sys, report.horizons) is None
+        assert report.errors == tuple(
+            time_average_error(sys, sys.c[0], sys.c[1], t) for t in report.horizons
+        )
 
 
 class TestSimulateMeans:
