@@ -33,6 +33,13 @@ from .errors import NonFiniteError, PipelineError, QObserverError
 from .ndpa import DesignResult, design_ndpa
 from .observer import PlantSpec, augment
 
+# Command -> one-line description for `--help`.
+COMMANDS = {
+    "design": "solve the design equations and emit design.json",
+    "simulate": "design plus plot-ready trajectory.csv",
+    "verify": "design plus convergence verification report.json",
+    "reproduce-example": "run the reference design and diff against golden values",
+}
 UNIT_CHOICES = ("nondimensional", "rad/s")
 FORMAT_CHOICES = ("json", "csv")
 SIMULATE_POINTS = 2001
@@ -126,7 +133,11 @@ def _fmt_block(block: np.ndarray) -> str:
 
 
 def emit_json(obj) -> str:
-    """Serialize nested dict/list/scalar data with stable formatting."""
+    """Serialize nested dict/list/scalar data with stable formatting.
+
+    A numpy array is rendered as its nested lists, and a complex number as
+    {"re": ..., "im": ...}.
+    """
 
     def render(node, indent: int) -> str:
         pad = "  " * indent
@@ -154,26 +165,13 @@ def emit_json(obj) -> str:
             return str(int(node))
         if isinstance(node, (float, np.floating)):
             return fmt_float(float(node))
+        if isinstance(node, (complex, np.complexfloating)):
+            return render({"re": node.real, "im": node.imag}, indent)
+        if isinstance(node, np.ndarray):
+            return render(node.tolist(), indent)
         raise TypeError(f"cannot serialize {type(node)!r}")
 
     return render(obj, 0) + "\n"
-
-
-def _mat(m: np.ndarray) -> list:
-    return [[float(v) for v in row] for row in np.asarray(m, dtype=float)]
-
-
-def _vec(v: np.ndarray) -> list:
-    return [float(x) for x in np.asarray(v, dtype=float).reshape(-1)]
-
-
-def _cplx(z: complex) -> dict:
-    return {"re": float(z.real), "im": float(z.imag)}
-
-
-def _cmat(m: np.ndarray) -> dict:
-    m = np.asarray(m, dtype=complex)
-    return {"re": _mat(m.real), "im": _mat(m.imag)}
 
 
 def _angle(rad: float) -> dict:
@@ -261,8 +259,8 @@ def _parse_formats(value, where: str) -> tuple[str, ...]:
 
 # Config key -> (parser and validator, help text), in the order values are
 # read and flags listed.  The flag is "--" + key with "_" turned into "-";
-# IO_KEYS are the flags every subcommand takes, the others the physics of a
-# design.
+# IO_KEYS are the flags every command takes, the others the physics of a
+# design, which reproduce-example fixes.
 FIELDS = {
     "cp": (_parse_selector, "plant output selector, e.g. '1,0'"),
     "omega_o": (_parse_positive, "observer detuning"),
@@ -276,6 +274,7 @@ FIELDS = {
     "format": (_parse_formats, "comma-separated subset of json,csv"),
 }
 IO_KEYS = ("out", "format")
+IO_ONLY_RULE = "reproduce-example takes only --out and --format"
 
 
 def _flag(key: str) -> str:
@@ -305,13 +304,17 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     Each value is parsed and checked once, by its field's parser, and an
     error names where the value came from: the flag or the config key.
     """
+    if args.command == "reproduce-example":
+        for key in ("config", *FIELDS):
+            if key not in IO_KEYS and getattr(args, key) is not None:
+                raise ConfigError(f"{_flag(key)}: {IO_ONLY_RULE}")
     cfg = RunConfig(command=args.command)
     if args.command == "simulate":
         cfg.format = ("json", "csv")
-    file_data = _read_config_file(getattr(args, "config", None))
+    file_data = _read_config_file(args.config)
     sources = {}
     for key, (parse, _) in FIELDS.items():
-        value, where = getattr(args, key, None), _flag(key)
+        value, where = getattr(args, key), _flag(key)
         if value is None:
             value, where = file_data.get(key), f"config key {key!r}"
         if value is not None:
@@ -373,25 +376,25 @@ def design_payload(cfg: RunConfig, result: DesignResult, scale: float) -> dict:
         "nondimensional": {
             "gamma": p.gamma,
             "omega_o": p.omega_o,
-            "epsilon": _cplx(p.epsilon),
-            "alpha": _cplx(ndpa.alpha),
-            "beta": _vec(ndpa.beta),
-            "c_o": _vec(ndpa.c_o),
-            "r_c": _mat(obs.r_c),
-            "r_o": _mat(obs.r_o),
-            "r": _mat(ndpa.r),
-            "f": _cmat(ndpa.f),
-            "m": _cmat(ndpa.m),
+            "epsilon": p.epsilon,
+            "alpha": ndpa.alpha,
+            "beta": ndpa.beta,
+            "c_o": ndpa.c_o,
+            "r_c": obs.r_c,
+            "r_o": obs.r_o,
+            "r": ndpa.r,
+            "f": {"re": ndpa.f.real, "im": ndpa.f.imag},
+            "m": {"re": ndpa.m.real, "im": ndpa.m.imag},
         },
         "dimensional": {
             "gamma": p.gamma * scale,
             "omega_o": p.omega_o * scale,
-            "epsilon": _cplx(p.epsilon * scale),
-            "alpha": _cplx(ndpa.alpha * scale),
-            "beta": _vec(ndpa.beta * scale),
-            "c_o": _vec(ndpa.c_o),
-            "r_c": _mat(obs.r_c * scale),
-            "r_o": _mat(obs.r_o * scale),
+            "epsilon": p.epsilon * scale,
+            "alpha": ndpa.alpha * scale,
+            "beta": ndpa.beta * scale,
+            "c_o": ndpa.c_o,
+            "r_c": obs.r_c * scale,
+            "r_o": obs.r_o * scale,
         },
         "checks": {
             "linearization_trusted": p.linearization_trusted,
@@ -413,8 +416,8 @@ def verify_payload(cfg: RunConfig, result: DesignResult, report, scale: float) -
         "toolkit_version": __version__,
         "units": _units_payload(cfg, scale),
         "design": {
-            "beta": _vec(result.ndpa.beta),
-            "c_o": _vec(result.ndpa.c_o),
+            "beta": result.ndpa.beta,
+            "c_o": result.ndpa.c_o,
             "omega_o": result.observer.omega_o,
         },
         "convergence": {
@@ -578,28 +581,19 @@ def _check_golden(result: DesignResult, scale: float) -> int:
 # --------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser for every command; `load_config` applies the per-command rules."""
     parser = argparse.ArgumentParser(
         prog="qobserver",
         description="Design and verify direct-coupled coherent quantum observers.",
+        epilog="commands:\n"
+        + "".join(f"  {name:19s} {text}\n" for name, text in COMMANDS.items())
+        + f"\n{IO_ONLY_RULE}.",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    physics = argparse.ArgumentParser(add_help=False)
-    physics.add_argument("--config", help="JSON config file")
-    io_flags = argparse.ArgumentParser(add_help=False)
+    parser.add_argument("command", choices=COMMANDS, help="what to run; see commands below")
+    parser.add_argument("--config", help="JSON config file")
     for key, (_, help_text) in FIELDS.items():
-        (io_flags if key in IO_KEYS else physics).add_argument(_flag(key), help=help_text)
-
-    for name, help_text in (
-        ("design", "solve the design equations and emit design.json"),
-        ("simulate", "design plus plot-ready trajectory.csv"),
-        ("verify", "design plus convergence verification report.json"),
-    ):
-        sub.add_parser(name, parents=[physics, io_flags], help=help_text)
-    sub.add_parser(
-        "reproduce-example", parents=[io_flags],
-        help="run the reference design and diff against golden values",
-    )
+        parser.add_argument(_flag(key), help=help_text)
     return parser
 
 

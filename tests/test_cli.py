@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -11,8 +14,20 @@ from qobserver.errors import NonFiniteError, PipelineError
 from oracles import averaged_error_row
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def run_cli(args):
     return cli.main(args)
+
+
+def run_module(args, cwd):
+    """`python -m qobserver.cli` in a subprocess, importing from this tree's src."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, "-m", "qobserver.cli", *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120, check=False,
+    )
 
 
 class TestFloatFormat:
@@ -59,6 +74,16 @@ class TestFloatFormat:
         doc = {"a": [1, 2.5, None, True], "b": {"c": "x", "d": 1e-7}}
         text = cli.emit_json(doc)
         assert json.loads(text) == {"a": [1, 2.5, None, True], "b": {"c": "x", "d": 1e-7}}
+
+    def test_emit_json_renders_numpy_values_as_lists_and_dicts(self):
+        m = np.array([[2e7, -0.0], [1.5e-9, 0.25]])
+        v = np.array([1.0, -10.0, 3e-5])
+        z = complex(-1.5e-300, 1e7)
+        assert cli.emit_json({"m": m, "v": v, "e": np.zeros(0), "z": z}) == cli.emit_json(
+            {"m": [[2e7, -0.0], [1.5e-9, 0.25]], "v": [1.0, -10.0, 3e-5], "e": [],
+             "z": {"re": -1.5e-300, "im": 1e7}}
+        )
+        assert cli.emit_json(np.complex128(z)) == cli.emit_json({"re": z.real, "im": z.imag})
 
 
 class TestDesignCommand:
@@ -339,6 +364,20 @@ class TestReproduceExample:
         assert code == 3
         assert "MISMATCH" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--cp", "1,0"), ("--omega-o", "2"), ("--config", "run.json")]
+    )
+    def test_design_flags_exit_2_naming_the_flag(self, tmp_path, capsys, flag, value):
+        (tmp_path / "run.json").write_text('{"cp": [0, 1]}')
+        out = tmp_path / "out"
+        code = run_cli(["reproduce-example", flag, value, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (
+            f"config error: {flag}: reproduce-example takes only --out and --format\n"
+        )
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_pipeline_failure_exits_1(self, tmp_path, monkeypatch, capsys):
@@ -421,3 +460,21 @@ class TestExitCodes:
         assert c_o[0] * design["nondimensional"]["beta"][0] == pytest.approx(-2.0, rel=1e-12)
         if command == "verify":
             assert json.loads((tmp_path / "report.json").read_text())["convergence"]["passed"]
+
+
+class TestEntryPoint:
+    def test_help_lists_each_command_with_its_description(self, tmp_path):
+        proc = run_module(["--help"], tmp_path)
+        assert proc.returncode == 0
+        lines = [line.strip() for line in proc.stdout.splitlines()]
+        assert set(cli.COMMANDS) == {"design", "simulate", "verify", "reproduce-example"}
+        for name, text in cli.COMMANDS.items():
+            assert any(line.startswith(name) and line.endswith(text) for line in lines), name
+
+    def test_design_matches_in_process_bytes(self, tmp_path):
+        proc = run_module(["design", "--cp", "1,0", "--out", "sub"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert run_cli(["design", "--cp", "1,0", "--out", str(tmp_path / "inproc")]) == 0
+        assert (tmp_path / "sub" / "design.json").read_bytes() == (
+            tmp_path / "inproc" / "design.json"
+        ).read_bytes()

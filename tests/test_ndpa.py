@@ -173,6 +173,24 @@ class TestHamiltonianFromDrift:
             f = -1j * J_PM @ m0
             np.testing.assert_allclose(hamiltonian_from_drift(f), m0, atol=1e-14)
 
+    def test_exactly_hermitian_on_extreme_drifts(self):
+        # Entry magnitudes from 1e-320 to 1e308; one draw in seven carries an
+        # inf or nan entry.  Equality is exact (+0 == -0), nan where mirrored.
+        rng = np.random.default_rng(29)
+        specials = (complex(np.inf, 0.0), complex(0.0, -np.inf), complex(np.nan, 1.0))
+        nonfinite = 0
+        for _ in range(4000):
+            signs = rng.choice([-1.0, 1.0], size=(2, 4, 4))
+            parts = signs * 10.0 ** rng.uniform(-320, 308, size=(2, 4, 4))
+            f = parts[0] + 1j * parts[1]
+            if rng.random() < 1.0 / 7.0:
+                f[tuple(rng.integers(4, size=2))] = specials[rng.integers(len(specials))]
+            with np.errstate(all="ignore"):
+                m = hamiltonian_from_drift(f)
+            nonfinite += not np.isfinite(m).all()
+            assert np.array_equal(m, m.conj().T, equal_nan=True)
+        assert nonfinite > 0
+
 
 class TestQuadratureHamiltonian:
     def test_reference_block_form(self):
