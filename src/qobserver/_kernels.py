@@ -1,7 +1,8 @@
 """Numeric inner loops in plain numpy.
 
-The two kernels below dominate runtime: the matrix exponential and the
-blocked scan that pushes an output row across a uniform time grid.
+The matrix exponential and the blocked scan that pushes an output row
+across a uniform time grid.  `simulate` runs both, `design` and `verify`
+neither; even in `simulate` they cost less than writing the CSV table.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ from .dynamics import (
 )
 from .errors import NonFiniteError, PipelineError, QObserverError
 from .ndpa import DesignResult, design_ndpa
-from .observer import PlantSpec, augment
+from .observer import augment
 
 # Command -> one-line description for `--help`.
 COMMANDS = {
@@ -547,7 +547,7 @@ def run(cfg: RunConfig) -> int:
         )
     elif cfg.command == "simulate":
         if "csv" in cfg.format:
-            sys_aug = augment(PlantSpec(np.asarray(cfg.cp)), result.observer)
+            sys_aug = augment(result.observer)
             ladder = cfg.horizons or tuple(
                 t / result.observer.omega_o for t in DEFAULT_HORIZON_LADDER
             )

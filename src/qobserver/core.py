@@ -28,6 +28,12 @@ from .errors import DimensionError
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 J2.setflags(write=False)
 
+# Tolerances of the toolkit's checks: EXACT_TOL for algebraic
+# identities that hold to roundoff, DESIGN_TOL for the design cross-check,
+# the coupling factorization and the observer's design conditions.
+EXACT_TOL = 1e-12
+DESIGN_TOL = 1e-9
+
 
 def maxabs(m: NDArray) -> float:
     """Max-abs entry norm; zero for empty arrays."""
@@ -42,20 +48,11 @@ def _frozen_array(x, dtype=float) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class TolerancePolicy:
-    """Numerical tolerance `exact` for algebraic identities that should hold
-    to machine precision."""
-
-    exact: float = 1e-12
-
-
 @dataclass(frozen=True, eq=False)
 class SymplecticSpace:
     """Phase space of `modes` oscillators with commutation matrix Theta."""
 
     modes: int
-    tol: TolerancePolicy = field(default_factory=TolerancePolicy)
     theta: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -74,20 +71,13 @@ class SymplecticSpace:
         return 2 * self.modes
 
 
-def make_symplectic_space(modes: int, tol: TolerancePolicy | None = None) -> SymplecticSpace:
-    """Build the phase space for `modes` oscillators (rejects modes < 1)."""
-    if tol is None:
-        return SymplecticSpace(modes)
-    return SymplecticSpace(modes, tol)
-
-
 @dataclass(frozen=True, eq=False)
 class QuadraticHamiltonian:
     """Energy matrix R of H = (1/2) x^T R x.
 
     R is symmetrized on construction.  The max-abs asymmetry of the input is
-    kept, silently, in `asymmetry`: a value above the space's exact
-    tolerance usually means corrupted input, and callers that care check it.
+    kept, silently, in `asymmetry`: a value above EXACT_TOL usually means
+    corrupted input, and callers that care check it.
     """
 
     r: np.ndarray
@@ -109,16 +99,11 @@ class QuadraticHamiltonian:
 
 @dataclass(frozen=True, eq=False)
 class LinearQuantumSystem:
-    """State-space form x' = A x with optional output rows z = C x.
-
-    `hamiltonian` is set when the generator was produced as A = 2 Theta R;
-    such systems are physically realizable by construction.
-    """
+    """State-space form x' = A x with optional output rows z = C x."""
 
     a: np.ndarray
     c: np.ndarray
     space: SymplecticSpace
-    hamiltonian: QuadraticHamiltonian | None = None
 
     def __post_init__(self):
         a = np.array(self.a, dtype=float)
@@ -137,24 +122,20 @@ class LinearQuantumSystem:
         object.__setattr__(self, "a", _frozen_array(a))
         object.__setattr__(self, "c", _frozen_array(c))
 
-    @property
-    def origin(self) -> str:
-        return "from_hamiltonian" if self.hamiltonian is not None else "raw"
-
     def with_outputs(self, c) -> "LinearQuantumSystem":
         """Same dynamics with the given output rows attached."""
-        return LinearQuantumSystem(self.a, np.atleast_2d(np.asarray(c, dtype=float)),
-                                   self.space, self.hamiltonian)
+        return LinearQuantumSystem(self.a, np.atleast_2d(np.asarray(c, dtype=float)), self.space)
 
 
 def generator_from_hamiltonian(h: QuadraticHamiltonian) -> LinearQuantumSystem:
     """Generator A = 2 Theta R of the Heisenberg equations of H = x^T R x / 2.
 
-    Output rows start empty; attach them with `with_outputs`.
+    Such a system is physically realizable by construction.  Output rows
+    start empty; attach them with `with_outputs`.
     """
     a = 2.0 * (h.space.theta @ h.r)
     c = np.zeros((0, h.space.n))
-    return LinearQuantumSystem(a, c, h.space, hamiltonian=h)
+    return LinearQuantumSystem(a, c, h.space)
 
 
 def realizability_defect(sys: LinearQuantumSystem) -> float:

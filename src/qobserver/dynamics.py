@@ -29,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import LinearQuantumSystem, maxabs
+from .core import EXACT_TOL, LinearQuantumSystem, maxabs
 from .errors import DimensionError, NonFiniteError
-from .observer import ObserverDesign, PlantSpec, augment, validate_observer
+from .observer import ObserverDesign, augment, validate_observer
 
 DEFAULT_HORIZON_LADDER = (5.0, 10.0, 20.0, 40.0, 80.0)
 
@@ -108,18 +108,17 @@ def _scan_rows(g: np.ndarray, row0: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.vstack([row0 @ _kernels.expm(g * tk) for tk in t])
 
 
-def _van_loan(a: np.ndarray, T: float, corner: float) -> np.ndarray:
-    """(corner / T) int_0^T exp(As) ds, the top-right block of exp([[A T, corner I], [0, 0]]).
+def _van_loan(a: np.ndarray, T: float) -> np.ndarray:
+    """(1/T) int_0^T exp(As) ds, the top-right block of exp([[A T, I], [0, 0]]).
 
-    Van Loan, IEEE TAC 23(3), 1978: one 2n x 2n exponential for any T.
-    corner = T gives the integral itself; corner = 1 gives the average,
-    whose block does not grow with T, so it stays finite where the integral
-    would overflow.
+    Van Loan, IEEE TAC 23(3), 1978: one 2n x 2n exponential for any T.  The
+    average does not grow with T the way the integral does, so it stays
+    finite where the integral would overflow.
     """
     n = a.shape[0]
     block = np.zeros((2 * n, 2 * n))
     block[:n, :n] = a * T
-    block[:n, n:] = corner * np.eye(n)
+    block[:n, n:] = np.eye(n)
     return _kernels.expm(block)[:n, n:]
 
 
@@ -145,7 +144,7 @@ def coefficient_trajectory(sys: LinearQuantumSystem, c_row, t_grid) -> Trajector
 def time_average_error(sys: LinearQuantumSystem, c_p_row, c_o_row, T: float) -> float:
     """Max-abs norm of (1/T) int_0^T (c_p_row - c_o_row exp(As)) ds, exactly.
 
-    The integral int_0^T exp(As) ds comes from `_van_loan`, so each
+    The average (1/T) int_0^T exp(As) ds comes from `_van_loan`, so each
     horizon costs one 2n x 2n exponential however long it is.
     """
     T = float(T)
@@ -156,8 +155,7 @@ def time_average_error(sys: LinearQuantumSystem, c_p_row, c_o_row, T: float) -> 
     n = sys.space.n
     if c_p_row.shape != (n,) or c_o_row.shape != (n,):
         raise DimensionError("output rows do not match the state dimension")
-    # corner T: the errors of report.json are pinned to this rounding
-    return maxabs(c_p_row - c_o_row @ _van_loan(sys.a, T, T) / T)
+    return maxabs(c_p_row - c_o_row @ _van_loan(sys.a, T))
 
 
 def simulate_means(sys: LinearQuantumSystem, x0_means, t_grid) -> Trajectory:
@@ -180,7 +178,7 @@ def running_average(sys: LinearQuantumSystem, trajectory: Trajectory) -> np.ndar
     """Running time average (1/(t - t_0)) int_{t_0}^t of the coefficient rows, exactly.
 
     Between grid points the row is rows[k] exp(A s), so interval k adds
-    rows[k] @ W_k with W_k = int_0^h_k exp(As) ds = h_k `_van_loan`(A, h_k, 1):
+    rows[k] @ W_k with W_k = int_0^h_k exp(As) ds = h_k `_van_loan`(A, h_k):
     one W on a uniform grid, one per interval otherwise.  The value at the
     first grid point is the instantaneous row there.
     """
@@ -199,9 +197,9 @@ def running_average(sys: LinearQuantumSystem, trajectory: Trajectory) -> np.ndar
     steps = np.diff(t)
     h = _uniform_step(t)
     if h is not None:
-        averages = rows[:-1] @ _van_loan(sys.a, h, 1.0)
+        averages = rows[:-1] @ _van_loan(sys.a, h)
     else:
-        w = np.stack([_van_loan(sys.a, hk, 1.0) for hk in steps])
+        w = np.stack([_van_loan(sys.a, hk) for hk in steps])
         averages = np.einsum("ki,kil->kl", rows[:-1], w)
     out[1:] = np.cumsum(averages * steps[:, None], axis=0) / (t[1:] - t[0])[:, None]
     return out
@@ -288,26 +286,33 @@ def verify_convergence(design: ObserverDesign, horizons=None) -> ConvergenceRepo
     Checks, on the augmented system built from `design`:
 
     a. the plant output row annihilates the generator (z_p is constant),
-       to within the space's exact tolerance;
+       to within EXACT_TOL;
     b. the time-average error decays over the horizon ladder: strictly
        decreasing with fitted rate >= 0.9, and the closed-form limit
-       -C_o R_o^{-1} beta^T = 1 holds to 1e-12.  The errors come from
+       -C_o R_o^{-1} beta^T = 1 holds to EXACT_TOL.  The errors come from
        `_ladder_errors`, or from `time_average_error` where it does not apply;
     c. the observer row oscillates within 1% of 4 omega_o (exact frequency
        from `dominant_frequency`).
 
-    The default ladder is {5, 10, 20, 40, 80} / omega_o.  Always returns a
-    report; failed checks are named in `failures` rather than raised.
+    The default ladder is {5, 10, 20, 40, 80} / omega_o.  A ladder that is
+    not at least 2 positive, finite, strictly increasing horizons raises
+    ValueError before any error is computed; otherwise this always returns a
+    report, and failed checks are named in `failures` rather than raised.
     """
-    sys = augment(PlantSpec(design.c_p), design)
     if horizons is None:
         horizons = tuple(t / design.omega_o for t in DEFAULT_HORIZON_LADDER)
     horizons = tuple(float(t) for t in horizons)
-    if len(horizons) < 2 or any(b <= a for a, b in zip(horizons, horizons[1:])):
-        raise ValueError("horizon ladder must be increasing with at least 2 entries")
+    if (
+        len(horizons) < 2
+        or not all(0.0 < t < math.inf for t in horizons)
+        or any(b <= a for a, b in zip(horizons, horizons[1:]))
+    ):
+        raise ValueError(
+            f"horizon ladder must be at least 2 positive, finite, increasing values, got {horizons}"
+        )
 
+    sys = augment(design)
     c_p_aug, c_o_aug = sys.c[0], sys.c[1]
-    exact_tol = sys.space.tol.exact
 
     row_defect = maxabs(c_p_aug @ sys.a)
     errors = _ladder_errors(sys, horizons)
@@ -328,14 +333,14 @@ def verify_convergence(design: ObserverDesign, horizons=None) -> ConvergenceRepo
     checks = (
         CheckResult(
             name="plant output row constant",
-            passed=row_defect <= exact_tol,
+            passed=row_defect <= EXACT_TOL,
             value=row_defect,
-            threshold=exact_tol,
+            threshold=EXACT_TOL,
             detail="max-abs of C_p,aug @ A_aug",
         ),
         CheckResult(
             name="time-average error decays",
-            passed=decreasing and rate >= 0.9 and limit_defect <= exact_tol,
+            passed=decreasing and rate >= 0.9 and limit_defect <= EXACT_TOL,
             value=rate,
             threshold=0.9,
             detail=(

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _frozen_array, maxabs
+from .core import DESIGN_TOL, EXACT_TOL, _frozen_array, maxabs
 from .errors import (
     ConsistencyError,
     DesignError,
@@ -130,21 +130,17 @@ class NdpaParams:
 class OpenNdpaModel:
     """NDPA before loop closure, in doubled-up (a, b, a*, b*) ordering.
 
-    `drift` is the deterministic part of the open dynamics.  `input_gain`
-    (-sqrt(gamma) I on the a, b rows) and `output_map` (sqrt(gamma) I) hold
-    the couplings to the formal noise increments; the toolkit only ever
-    eliminates those increments algebraically, it never integrates them.
+    `drift` is the deterministic part of the open dynamics.  Its couplings
+    to the formal noise increments are sqrt(gamma) I in and out; the toolkit
+    only ever eliminates those increments algebraically (`close_loop`), it
+    never integrates them.
     """
 
     drift: np.ndarray
-    input_gain: np.ndarray
-    output_map: np.ndarray
     gamma: float
 
     def __post_init__(self):
         object.__setattr__(self, "drift", _frozen_array(self.drift, dtype=complex))
-        object.__setattr__(self, "input_gain", _frozen_array(self.input_gain))
-        object.__setattr__(self, "output_map", _frozen_array(self.output_map))
         object.__setattr__(self, "gamma", float(self.gamma))
 
 
@@ -255,13 +251,7 @@ def build_open_ndpa(gamma: float, epsilon: complex, omega_o: float) -> OpenNdpaM
     damp = -np.array([[gamma / 2.0, 0.0], [0.0, gamma / 2.0 + 1j * omega_o]])
     squeeze = np.array([[0.0, epsilon / 2.0], [epsilon / 2.0, 0.0]])
     drift = np.block([[damp, squeeze], [squeeze.conj(), damp.conj()]])
-    sqg = math.sqrt(gamma)
-    return OpenNdpaModel(
-        drift=drift,
-        input_gain=-sqg * np.eye(2),
-        output_map=sqg * np.eye(2),
-        gamma=gamma,
-    )
+    return OpenNdpaModel(drift=drift, gamma=gamma)
 
 
 def close_loop(model: OpenNdpaModel, theta: float, phi: float) -> np.ndarray:
@@ -312,11 +302,11 @@ def hamiltonian_from_drift(f: np.ndarray) -> np.ndarray:
     return 0.5j * (J_PM @ f - f.conj().T @ J_PM)
 
 
-def quadrature_hamiltonian(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def quadrature_hamiltonian(m: np.ndarray) -> np.ndarray:
     """Real quadrature energy matrix R = Phi^dag M Phi.
 
-    The imaginary residue is required to stay below `tol` relative to the
-    scale of M; anything larger means M is not a valid doubled-up
+    The imaginary residue is required to stay below EXACT_TOL relative to
+    the scale of M; anything larger means M is not a valid doubled-up
     Hamiltonian (e.g. wrong ordering or a non-Hermitian block).
     """
     m = np.asarray(m, dtype=complex)
@@ -324,7 +314,7 @@ def quadrature_hamiltonian(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         raise DimensionError(f"Hamiltonian matrix must be 4x4, got {m.shape}")
     r = PHI.conj().T @ m @ PHI
     imag = maxabs(r.imag)
-    if imag > tol * max(1.0, maxabs(m)):
+    if imag > EXACT_TOL * max(1.0, maxabs(m)):
         raise StructureError(
             f"quadrature form has imaginary residue {imag:.3e}; input is not a "
             "valid doubled-up Hamiltonian"
@@ -349,12 +339,12 @@ def coupling_block(epsilon: complex, alpha: complex) -> np.ndarray:
     )
 
 
-def extract_beta(r_c: np.ndarray, c_p, tol: float = 1e-9) -> np.ndarray:
+def extract_beta(r_c: np.ndarray, c_p) -> np.ndarray:
     """Factor R_c = C_p^T beta and return beta.
 
     beta is the least-squares factor (C_p R_c) / |C_p|^2; the factorization
-    must reproduce R_c to `tol` relative to its size, otherwise the design
-    equations were not satisfied.
+    must reproduce R_c to DESIGN_TOL relative to its size, otherwise the
+    design equations were not satisfied.
     """
     r_c = np.asarray(r_c, dtype=float)
     c_p = np.asarray(c_p, dtype=float).reshape(-1)
@@ -372,10 +362,10 @@ def extract_beta(r_c: np.ndarray, c_p, tol: float = 1e-9) -> np.ndarray:
     if not np.all(np.isfinite(beta)):
         raise DesignError(f"factor beta = {beta.tolist()} is not finite")
     residual = maxabs(r_c - np.outer(c_p, beta))
-    if residual > tol * scale:
+    if residual > DESIGN_TOL * scale:
         raise FactorizationError(
             f"coupling block is not rank one along the plant selector "
-            f"(residual {residual:.3e} vs {tol:.1e} * {scale:.3e})"
+            f"(residual {residual:.3e} vs {DESIGN_TOL:.1e} * {scale:.3e})"
         )
     if maxabs(beta) == 0.0:
         raise ZeroCouplingError("factorization produced beta = 0")
@@ -394,19 +384,18 @@ def design_ndpa(
     Solves the two design equations, forms eps and alpha, reads off beta and
     C_o from the coupling block, and independently rebuilds R through the
     physical route (open model -> loop closure -> M -> quadratures).  The two
-    routes must agree to 1e-9 relative per entry or the result is rejected.
-    All inputs are taken in one consistent frequency unit.
+    routes must agree to DESIGN_TOL relative per entry or the result is
+    rejected.  All inputs are taken in one consistent frequency unit.
     """
     plant = PlantSpec(c_p)
     omega_o = float(omega_o)
     gamma = float(gamma)
     eps_ratio = float(eps_ratio)
-    if omega_o <= 0.0:
-        raise DesignError(f"omega_o must be positive, got {omega_o}")
-    if gamma <= 0.0:
-        raise DesignError(f"gamma must be positive, got {gamma}")
-    if eps_ratio <= 0.0:
-        raise DesignError(f"squeezing ratio must be positive, got {eps_ratio}")
+    for name, value in (("omega_o", omega_o), ("gamma", gamma), ("squeezing ratio", eps_ratio)):
+        if not math.isfinite(value):
+            raise DesignError(f"{name} must be finite, got {value}")
+        if value <= 0.0:
+            raise DesignError(f"{name} must be positive, got {value}")
 
     notes: list[str] = []
     if eps_ratio > EPS_RATIO_TRUSTED_MAX:
@@ -445,7 +434,7 @@ def design_ndpa(
 
     r_abstract = augmented_energy_matrix(observer)
     cross_defect = maxabs(r_physical - r_abstract)
-    if cross_defect > 1e-9 * max(1.0, maxabs(r_abstract)):
+    if cross_defect > DESIGN_TOL * max(1.0, maxabs(r_abstract)):
         raise ConsistencyError(
             f"physical route disagrees with abstract design "
             f"(max entry defect {cross_defect:.3e})"

@@ -23,12 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    DESIGN_TOL,
     LinearQuantumSystem,
     QuadraticHamiltonian,
     SymplecticSpace,
     _frozen_array,
     generator_from_hamiltonian,
-    make_symplectic_space,
     maxabs,
 )
 from .errors import DesignError, DimensionError
@@ -91,7 +91,6 @@ class ObserverDiagnostics:
     constraint_defect: float
     normalized_constraint_defect: float
     beta_is_zero: bool
-    tol: float
     passed: bool
     failures: tuple[str, ...]
 
@@ -133,7 +132,7 @@ def synthesize_observer(
     else:
         c_o = np.asarray(c_o, dtype=float).reshape(-1)
         defect = abs(float(c_o @ beta) / (2.0 * omega_o) + 1.0)
-        if defect > 1e-9:
+        if defect > DESIGN_TOL:
             raise DesignError(
                 f"supplied C_o violates C_o beta^T = -2 omega_o "
                 f"(normalized defect {defect:.3e})"
@@ -148,12 +147,13 @@ def synthesize_observer(
     )
 
 
-def validate_observer(design: ObserverDesign, tol: float = 1e-9) -> ObserverDiagnostics:
+def validate_observer(design: ObserverDesign) -> ObserverDiagnostics:
     """Check the three design conditions and report each defect.
 
-    The coupling defect is measured relative to the size of R_c and the
-    output constraint in its scale-free form |C_o R_o^{-1} beta^T + 1| so the
-    verdict does not depend on the frequency unit.
+    Both defects are held to DESIGN_TOL: the coupling defect relative to the
+    size of R_c and the output constraint in its scale-free form
+    |C_o R_o^{-1} beta^T + 1|, so the verdict does not depend on the
+    frequency unit.
     """
     failures: list[str] = []
 
@@ -162,7 +162,7 @@ def validate_observer(design: ObserverDesign, tol: float = 1e-9) -> ObserverDiag
         failures.append("observer energy matrix R_o is not positive definite")
 
     coupling_defect = maxabs(design.r_c - np.outer(design.c_p, design.beta))
-    if coupling_defect > tol * max(1.0, maxabs(design.r_c)):
+    if coupling_defect > DESIGN_TOL * max(1.0, maxabs(design.r_c)):
         failures.append("coupling block R_c differs from C_p^T beta")
 
     beta_is_zero = maxabs(design.beta) == 0.0
@@ -176,7 +176,7 @@ def validate_observer(design: ObserverDesign, tol: float = 1e-9) -> ObserverDiag
         )
     else:
         normalized = float("inf")
-    if normalized > tol:
+    if normalized > DESIGN_TOL:
         failures.append("output constraint C_o R_o^{-1} beta^T = -1 violated")
 
     return ObserverDiagnostics(
@@ -185,7 +185,6 @@ def validate_observer(design: ObserverDesign, tol: float = 1e-9) -> ObserverDiag
         constraint_defect=constraint_defect,
         normalized_constraint_defect=normalized,
         beta_is_zero=beta_is_zero,
-        tol=tol,
         passed=not failures,
         failures=tuple(failures),
     )
@@ -200,7 +199,7 @@ def augmented_energy_matrix(design: ObserverDesign) -> np.ndarray:
     return r_aug
 
 
-def augment(plant: PlantSpec, design: ObserverDesign) -> LinearQuantumSystem:
+def augment(design: ObserverDesign) -> LinearQuantumSystem:
     """Closed two-mode plant-observer system.
 
     The joint energy matrix is R = [[0, R_c], [R_c^T, R_o]] and the
@@ -209,10 +208,7 @@ def augment(plant: PlantSpec, design: ObserverDesign) -> LinearQuantumSystem:
     assembled as given; run `validate_observer` first if you need the
     convergence guarantees.
     """
-    if not np.array_equal(plant.c_p, design.c_p):
-        raise DimensionError("plant selector differs from the one in the design")
-    space: SymplecticSpace = make_symplectic_space(2)
-    ham = QuadraticHamiltonian(augmented_energy_matrix(design), space)
+    ham = QuadraticHamiltonian(augmented_energy_matrix(design), SymplecticSpace(2))
     c_p_aug = np.concatenate([design.c_p, np.zeros(2)])
     c_o_aug = np.concatenate([np.zeros(2), design.c_o])
     return generator_from_hamiltonian(ham).with_outputs(np.vstack([c_p_aug, c_o_aug]))

@@ -28,8 +28,8 @@ from qobserver import (
     build_open_ndpa,
     ccr_defect,
     close_loop,
+    SymplecticSpace,
     design_ndpa,
-    make_symplectic_space,
     propagator,
     synthesize_observer,
     verify_convergence,
@@ -141,7 +141,7 @@ def test_criterion_3_plant_output_constant(capsys):
             synthesize_observer(PlantSpec(c_p), float(rng.uniform(0.2, 5.0)), beta)
         )
     for design in designs:
-        sys = augment(PlantSpec(design.c_p), design)
+        sys = augment(design)
         worst = max(worst, float(np.max(np.abs(sys.c[0] @ sys.a))))
     ok = worst <= 1e-12
     with capsys.disabled():
@@ -205,7 +205,7 @@ def test_criterion_5_ccr_preservation(capsys):
     grid = np.linspace(0.0, 80.0, 50)
     worst = 0.0
     for design in designs:
-        sys = augment(PlantSpec(design.c_p), design)
+        sys = augment(design)
         for t in grid:
             worst = max(worst, ccr_defect(sys, float(t)))
     ok = worst <= 1e-9
@@ -218,7 +218,7 @@ def test_criterion_5_ccr_preservation(capsys):
 def test_criterion_6_oracle_equivalence(capsys):
     # propagator against fixed-step RK4 integration
     design = synthesize_observer(PlantSpec([1.0, 0.0]), 1.0, [0.2, 0.0])
-    sys_aug = augment(PlantSpec([1.0, 0.0]), design)
+    sys_aug = augment(design)
     worst_prop = 0.0
     for t in (0.1, 0.5, 2.0, 5.0):
         worst_prop = max(
@@ -226,7 +226,7 @@ def test_criterion_6_oracle_equivalence(capsys):
             float(np.max(np.abs(propagator(sys_aug, t) - rk4_expm(sys_aug.a, t)))),
         )
     one_mode = LinearQuantumSystem(1.7 * np.array([[0.0, 1.0], [-1.0, 0.0]]),
-                                   np.zeros((0, 2)), make_symplectic_space(1))
+                                   np.zeros((0, 2)), SymplecticSpace(1))
     for t in (0.5, 3.0):
         worst_prop = max(
             worst_prop,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qobserver import PlantSpec, cli, synthesize_observer
+from qobserver import PlantSpec, cli, design_ndpa, synthesize_observer, verify_convergence
 from qobserver.errors import NonFiniteError, PipelineError
 from oracles import averaged_error_row
 
@@ -302,6 +303,17 @@ class TestVerifyCommand:
             assert math.isfinite(error)
             oracle = float(np.max(np.abs(averaged_error_row(design, t_hor))))
             assert error == pytest.approx(oracle, rel=1e-11)
+
+    def test_indefinite_observer_report_is_refused(self):
+        # A library-built R_o that is not positive definite has no closed-form
+        # limit, so its report carries inf, which the emitter refuses typed.
+        result = design_ndpa([1.0, 0.0], 1.0, 1.0, 0.1)
+        indefinite = dataclasses.replace(result.observer, r_o=np.diag([2.0, -2.0]))
+        report = verify_convergence(indefinite)
+        assert report.averaged_limit_defect == math.inf
+        payload = cli.verify_payload(cli.RunConfig(command="verify"), result, report, 1.0)
+        with pytest.raises(NonFiniteError, match="non-finite value inf in report"):
+            cli.emit_json(payload)
 
 
 class TestSimulateCommand:

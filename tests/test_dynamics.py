@@ -30,7 +30,7 @@ J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 @pytest.fixture(scope="module")
 def example():
     design = synthesize_observer(PlantSpec([1.0, 0.0]), 1.0, [0.2, 0.0])
-    return design, augment(PlantSpec([1.0, 0.0]), design)
+    return design, augment(design)
 
 
 def closed_form_observer_row(design, t):
@@ -57,7 +57,7 @@ class TestCoefficientTrajectory:
         design = dataclasses.replace(
             design, r_c=np.zeros((2, 2)), r_o=np.zeros((2, 2)), beta=np.zeros(2)
         )
-        sys = augment(PlantSpec([1.0, 0.0]), design)
+        sys = augment(design)
         traj = coefficient_trajectory(sys, sys.c[1], np.linspace(0.0, 5.0, 11))
         np.testing.assert_array_equal(traj.coefficient_rows, np.tile(sys.c[1], (11, 1)))
 
@@ -130,7 +130,7 @@ class TestTimeAverageError:
     def test_decoupled_design_plateaus(self):
         design = synthesize_observer(PlantSpec([1.0, 0.0]), 1.0, [0.2, 0.0])
         broken = dataclasses.replace(design, beta=np.zeros(2), r_c=np.zeros((2, 2)))
-        sys = augment(PlantSpec([1.0, 0.0]), broken)
+        sys = augment(broken)
         values = [time_average_error(sys, sys.c[0], sys.c[1], t) for t in (20.0, 40.0, 80.0)]
         for v in values:
             assert v == pytest.approx(1.0, abs=0.3)
@@ -148,7 +148,7 @@ class TestTimeAverageError:
         cases = ((1e8, [2e7, 0.0], 80.0), (1.0, [0.2, 0.0], 1e5), (1.0, [0.2, 0.0], 1e6))
         for omega_o, beta, t_hor in cases:
             design = synthesize_observer(PlantSpec([1.0, 0.0]), omega_o, beta)
-            sys = augment(PlantSpec([1.0, 0.0]), design)
+            sys = augment(design)
             value = time_average_error(sys, sys.c[0], sys.c[1], t_hor)
             oracle = float(np.max(np.abs(averaged_error_row(design, t_hor))))
             assert value == pytest.approx(oracle, rel=1e-12)
@@ -188,12 +188,17 @@ class TestVerifyConvergence:
         for t in np.linspace(0.0, 80.0, 50):
             assert ccr_defect(sys, t) <= 1e-9
 
-    def test_bad_ladder_rejected(self, example):
+    def test_bad_ladder_rejected(self, example, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("an error was computed on a bad ladder")
+
+        monkeypatch.setattr(dynamics, "_ladder_errors", boom)
+        monkeypatch.setattr(dynamics, "time_average_error", boom)
         design, _ = example
-        with pytest.raises(ValueError):
-            verify_convergence(design, horizons=[5.0])
-        with pytest.raises(ValueError):
-            verify_convergence(design, horizons=[5.0, 4.0])
+        ladders = ([5.0], [5.0, 4.0], [-1.0, 1.0], [0.0, 1.0], [1.0, math.inf], [1.0, math.nan])
+        for ladder in ladders:
+            with pytest.raises(ValueError):
+                verify_convergence(design, horizons=ladder)
 
     def test_runs_no_trajectory(self, example, monkeypatch):
         def boom(*args, **kwargs):
@@ -272,7 +277,7 @@ class TestLadderErrors:
     @pytest.mark.parametrize("name", LADDER_VARIANTS)
     def test_closed_form_matches_other_routes(self, example, name):
         design = dataclasses.replace(example[0], **LADDER_VARIANTS[name])
-        sys = augment(PlantSpec(design.c_p), design)
+        sys = augment(design)
         # past 4 T = 700 the hyperbolic ladder leaves the closed form (sinh overflows)
         top = 2.0 if name == "indefinite_r_o" else 6.0
         horizons = tuple(np.logspace(-4.0, top, 31))
@@ -291,7 +296,7 @@ class TestLadderErrors:
             c_p=ref.c_p, omega_o=1.0, r_o=ref.r_o, r_c=np.array([[0.2, 0.05], [0.1, 0.3]]),
             beta=ref.beta, c_o=ref.c_o,
         )
-        sys = augment(PlantSpec(design.c_p), design)
+        sys = augment(design)
         report = verify_convergence(design)
         assert dynamics._ladder_errors(sys, report.horizons) is None
         assert report.errors == tuple(
@@ -384,7 +389,7 @@ class TestDominantFrequency:
     def test_detects_off_expected_signal(self):
         # a design at omega_o = 2 reads 8, whatever a caller expects
         design = synthesize_observer(PlantSpec([1.0, 0.0]), 2.0, [0.4, 0.0])
-        sys = augment(PlantSpec([1.0, 0.0]), design)
+        sys = augment(design)
         assert dominant_frequency(sys, sys.c[1]) == pytest.approx(8.0, rel=1e-12)
 
     def test_valid_designs_oscillate_at_four_omega_o(self):
@@ -396,7 +401,7 @@ class TestDominantFrequency:
                 [math.cos(arg_c), math.sin(arg_c)], omega,
                 float(10 ** rng.uniform(-1, 1)) * omega, float(rng.uniform(0.01, 0.6)),
             )
-            sys = augment(PlantSpec(result.observer.c_p), result.observer)
+            sys = augment(result.observer)
             freq = dominant_frequency(sys, sys.c[1])
             assert freq == pytest.approx(4.0 * omega, rel=1e-12)
 
@@ -415,7 +420,7 @@ class TestDominantFrequency:
         # R_o = diag(2, -2) makes the observer hyperbolic: no oscillation
         design, _ = example
         indefinite = dataclasses.replace(design, r_o=np.diag([2.0, -2.0]))
-        sys = augment(PlantSpec(design.c_p), indefinite)
+        sys = augment(indefinite)
         assert dominant_frequency(sys, sys.c[1]) == 0.0
         report = verify_convergence(indefinite)
         check = next(c for c in report.checks if c.name == "observer oscillation frequency")

@@ -23,6 +23,7 @@ from qobserver import (
     solve_theta,
     wrap_angle,
 )
+from qobserver import ndpa
 from oracles import close_loop_by_inversion
 
 J_PM = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
@@ -106,11 +107,6 @@ class TestOpenModel:
     def test_zero_squeezing_decouples(self):
         model = build_open_ndpa(1.0, 0.0, 1.0)
         assert np.max(np.abs(model.drift[:2, 2:])) == 0.0
-
-    def test_output_map(self):
-        model = build_open_ndpa(4.0, 0.1j, 1.0)
-        np.testing.assert_allclose(model.output_map, 2.0 * np.eye(2))
-        np.testing.assert_allclose(model.input_gain, -2.0 * np.eye(2))
 
     def test_nonpositive_gamma_rejected(self):
         with pytest.raises(DesignError):
@@ -332,6 +328,17 @@ class TestDesignPipeline:
             design_ndpa([1.0, 0.0], -1.0, 1.0, 0.1)
         with pytest.raises(DesignError):
             design_ndpa([1.0, 0.0], 1.0, 1.0, -0.1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["omega_o", "gamma", "eps_ratio"])
+    def test_nonfinite_inputs_rejected_before_any_stage(self, monkeypatch, name, value):
+        def boom(*args, **kwargs):
+            raise AssertionError("a design stage ran on a non-finite input")
+
+        monkeypatch.setattr(ndpa, "solve_theta", boom)
+        inputs = {"omega_o": 1.0, "gamma": 1.0, "eps_ratio": 0.1, name: value}
+        with pytest.raises(DesignError, match="must be finite"):
+            design_ndpa([1.0, 0.0], **inputs)
 
 
 class TestAngles:

@@ -135,21 +135,21 @@ class TestValidate:
 class TestAugment:
     def test_coupling_block_structure(self):
         design = example_design_nondim()
-        sys = augment(PlantSpec([1.0, 0.0]), design)
+        sys = augment(design)
         j = np.array([[0.0, 1.0], [-1.0, 0.0]])
         np.testing.assert_array_equal(sys.a[:2, 2:], 2.0 * j @ design.r_c)
         np.testing.assert_array_equal(sys.a[:2, :2], np.zeros((2, 2)))
 
     def test_outputs_attached(self):
         design = example_design_nondim()
-        sys = augment(PlantSpec([1.0, 0.0]), design)
+        sys = augment(design)
         np.testing.assert_array_equal(sys.c[0], [1.0, 0.0, 0.0, 0.0])
         np.testing.assert_array_equal(sys.c[1], [0.0, 0.0, -10.0, 0.0])
 
     def test_zero_beta_decouples(self):
         design = dataclasses.replace(example_design_nondim(), beta=np.zeros(2),
                                      r_c=np.zeros((2, 2)))
-        sys = augment(PlantSpec([1.0, 0.0]), design)
+        sys = augment(design)
         assert np.array_equal(sys.a[:2, 2:], np.zeros((2, 2)))
         assert np.array_equal(sys.a[2:, :2], np.zeros((2, 2)))
 
@@ -163,11 +163,11 @@ class TestAugment:
             if np.max(np.abs(beta)) == 0.0:
                 continue
             design = synthesize_observer(PlantSpec(c_p), float(rng.uniform(0.2, 4.0)), beta)
-            sys = augment(PlantSpec(c_p), design)
+            sys = augment(design)
             assert np.max(np.abs(sys.c[0] @ sys.a)) <= 1e-12
 
     def test_augmented_is_realizable(self):
-        sys = augment(PlantSpec([1.0, 0.0]), example_design_nondim())
+        sys = augment(example_design_nondim())
         assert realizability_defect(sys) <= 1e-15
 
     def test_rank_one_coupling_determinant(self):
@@ -178,8 +178,3 @@ class TestAugment:
             design = synthesize_observer(PlantSpec(c_p), 1.0, beta)
             # rank-one by construction: det(C_p^T beta) = 0 exactly
             assert np.linalg.det(design.r_c) == pytest.approx(0.0, abs=1e-16)
-
-    def test_selector_mismatch_rejected(self):
-        design = example_design_nondim()
-        with pytest.raises(DimensionError):
-            augment(PlantSpec([0.0, 1.0]), design)
