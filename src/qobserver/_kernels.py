@@ -1,8 +1,10 @@
 """Numeric inner loops in plain numpy.
 
-The matrix exponential and the blocked scan that pushes an output row
-across a uniform time grid.  `simulate` runs both, `design` and `verify`
-neither; even in `simulate` they cost less than writing the CSV table.
+The matrix exponential and the blocked scan that pushes a row across a
+uniform time grid.  `dynamics.coefficient_trajectory` runs both on the Van
+Loan block of the generator, so one scan yields an output row and its
+running average.  `simulate` runs them, `design` and `verify` do not; even
+in `simulate` they cost less than writing the CSV table.
 """
 
 from __future__ import annotations
@@ -49,8 +51,9 @@ def row_scan(row0, step, count):
     """Rows row0 @ step**k for k = 0..count, shape (count+1, n).
 
     Blocked: the powers step**0..step**(B-1) are formed once, the anchors
-    row0 @ step**(B j) are scanned with step**B, and one einsum multiplies
-    every anchor by every power.  Row k = B j + i is anchor j times power i.
+    row0 @ step**(B j) are scanned with step**B, and one matrix product
+    multiplies every anchor by every power, laid side by side as an
+    n x (B n) matrix.  Row k = B j + i is anchor j times power i.
     """
     n = row0.shape[0]
     width = min(SCAN_BLOCK, count + 1)
@@ -64,4 +67,5 @@ def row_scan(row0, step, count):
         jump = powers[-1] @ step
         for j in range(1, anchors.shape[0]):
             anchors[j] = anchors[j - 1] @ jump
-    return np.einsum("ji,kil->jkl", anchors, powers).reshape(-1, n)[: count + 1]
+    side_by_side = powers.transpose(1, 0, 2).reshape(n, width * n)
+    return (anchors @ side_by_side).reshape(-1, n)[: count + 1]

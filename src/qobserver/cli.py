@@ -23,12 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from . import __version__
-from .dynamics import (
-    DEFAULT_HORIZON_LADDER,
-    coefficient_trajectory,
-    running_average,
-    verify_convergence,
-)
+from .dynamics import coefficient_trajectory, default_horizons, verify_convergence
 from .errors import NonFiniteError, PipelineError, QObserverError
 from .ndpa import DesignResult, design_ndpa
 from .observer import augment
@@ -330,6 +325,15 @@ def _validate_config(cfg: RunConfig, sources: dict[str, str]) -> None:
         raise ConfigError(f"{sources['format']}: {cfg.command} produces JSON; include 'json'")
     if cfg.command == "verify" and cfg.horizons is not None and len(cfg.horizons) < 2:
         raise ConfigError(f"{sources['horizons']}: verify needs at least two horizons")
+    # design_ndpa gets omega_o and gamma divided by the reference frequency
+    scale, scale_key = _scale_factor(cfg), "omega_ref" if cfg.omega_ref is not None else "omega_o"
+    for key in ("omega_o", "gamma"):
+        ratio = getattr(cfg, key) / scale
+        if not 0.0 < ratio < math.inf:
+            names = " / ".join(sources.get(k, f"default {k}") for k in (key, scale_key))
+            raise ConfigError(
+                f"{names}: {key} / {scale_key} must be finite and nonzero, got {ratio}"
+            )
 
 
 # --------------------------------------------------------------------------
@@ -452,11 +456,12 @@ def write_trajectory_csv(path: Path, sys_aug, t_max: float) -> None:
     grid = np.linspace(0.0, t_max, SIMULATE_POINTS)
     traj_p = coefficient_trajectory(sys_aug, sys_aug.c[0], grid)
     traj_o = coefficient_trajectory(sys_aug, sys_aug.c[1], grid)
-    avg_o = running_average(sys_aug, traj_o)
     header = ["t"] + [
         f"{row}_{n}" for row in ("zp", "zo", "zo_avg") for n in ("qp", "pp", "qo", "po")
     ]
-    table = np.column_stack([grid, traj_p.coefficient_rows, traj_o.coefficient_rows, avg_o])
+    table = np.column_stack(
+        [grid, traj_p.coefficient_rows, traj_o.coefficient_rows, traj_o.running_average]
+    )
     blocks = fmt_table(table)
     with path.open("w", newline="\n") as out:
         out.write(",".join(header) + "\n")
@@ -548,9 +553,7 @@ def run(cfg: RunConfig) -> int:
     elif cfg.command == "simulate":
         if "csv" in cfg.format:
             sys_aug = augment(result.observer)
-            ladder = cfg.horizons or tuple(
-                t / result.observer.omega_o for t in DEFAULT_HORIZON_LADDER
-            )
+            ladder = cfg.horizons or default_horizons(result.observer.omega_o)
             write_trajectory_csv(cfg.out / "trajectory.csv", sys_aug, max(ladder))
     elif cfg.command == "reproduce-example":
         status = _check_golden(result, scale)

@@ -10,11 +10,14 @@ O(1/T) with an oscillatory prefactor:
 
     (1/T) int_0^T (C_p,aug - C_o,aug exp(As)) ds  =  O(1/T).
 
-For a linear system that integral is exact: int_0^T exp(As) ds is the
-top-right block of one augmented exponential, so `time_average_error` needs
-no quadrature and no step control at any horizon.  For the observer's own
-block structure it is a closed form in sin and cos, so `verify_convergence`
-gets the whole ladder without an exponential.  The oscillation frequency
+For a linear system that integral is exact: (1/h) int_0^h exp(As) ds is
+the top-right block of exp([[A h, I], [0, 0]]) (Van Loan), so one scan of
+the row [C, 0] under that exponential gives `coefficient_trajectory` the
+rows and their running average together, and `time_average_error` is that
+average on the grid (0, T): no quadrature and no step control at any
+horizon.  For the observer's own block structure the average is a closed
+form in sin and cos, so `verify_convergence` gets the whole ladder without
+an exponential.  The oscillation frequency
 is exact too: `dominant_frequency` reads it from the derivative row C A and
 two more products with A, so verification runs no trajectory.  The decay
 rate is a property of the R_o = 2 omega_o I construction; the underlying
@@ -33,21 +36,19 @@ from .core import EXACT_TOL, LinearQuantumSystem, maxabs
 from .errors import DimensionError, NonFiniteError
 from .observer import ObserverDesign, augment, validate_observer
 
-DEFAULT_HORIZON_LADDER = (5.0, 10.0, 20.0, 40.0, 80.0)
-
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Time grid plus per-time output data.
+    """Rows C exp(A t_k) of one output row C over a time grid, with their running average.
 
-    `coefficient_rows` holds C exp(A t) for one designated row C (shape
-    (nt, n)); `mean_values` holds z_i(t) = C_i exp(A t) x0 for every output
-    row of a system when an initial mean vector was supplied (shape (nt, m)).
+    `coefficient_rows[k]` is C exp(A t_k) and `running_average[k]` is
+    (1/(t_k - t_0)) int_{t_0}^{t_k} C exp(As) ds, the row itself at k = 0;
+    both have shape (nt, n).
     """
 
     times: np.ndarray
-    coefficient_rows: np.ndarray | None = None
-    mean_values: np.ndarray | None = None
+    coefficient_rows: np.ndarray
+    running_average: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -76,6 +77,20 @@ class ConvergenceReport:
     failures: tuple[str, ...]
 
 
+def default_horizons(omega_o: float) -> tuple[float, ...]:
+    """The default horizon ladder {5, 10, 20, 40, 80} / omega_o.
+
+    NonFiniteError (a ValueError) if it overflows, as it does for a
+    subnormal omega_o.
+    """
+    horizons = tuple(t / omega_o for t in (5.0, 10.0, 20.0, 40.0, 80.0))
+    if not all(math.isfinite(t) for t in horizons):
+        raise NonFiniteError(
+            f"default horizon ladder {{5..80}}/omega_o is not finite for omega_o = {omega_o!r}"
+        )
+    return horizons
+
+
 def _validate_grid(t_grid) -> np.ndarray:
     t = np.asarray(t_grid, dtype=float).reshape(-1)
     if t.size == 0:
@@ -88,38 +103,43 @@ def _validate_grid(t_grid) -> np.ndarray:
 
 
 def _uniform_step(t: np.ndarray) -> float | None:
-    """The common step of a validated increasing grid, or None if it varies."""
+    """The common step of a validated increasing grid, or None if it varies.
+
+    Also None for fewer than 3 points, where a scan would save no product.
+    """
     steps = np.diff(t)
-    if steps.size and np.max(np.abs(steps - steps[0])) <= 1e-12 * max(1.0, abs(steps[0])):
+    if steps.size > 1 and np.max(np.abs(steps - steps[0])) <= 1e-12 * max(1.0, abs(steps[0])):
         return float(steps[0])
     return None
 
 
-def _scan_rows(g: np.ndarray, row0: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Rows row0 exp(g t_k) over a validated increasing grid t.
+def _rows_and_averages(a: np.ndarray, c_row: np.ndarray, t: np.ndarray):
+    """Rows C exp(A t_k) and their running averages over a validated grid, unchecked.
 
-    Uniform grids start from row0 exp(g t_0) and advance by the blocked
-    scan with exp(g h); any other grid takes one exponential per point.
-    """
-    h = _uniform_step(t)
-    if h is not None:
-        start = row0 if t[0] == 0.0 else row0 @ _kernels.expm(g * t[0])
-        return _kernels.row_scan(start, _kernels.expm(g * h), t.size - 1)
-    return np.vstack([row0 @ _kernels.expm(g * tk) for tk in t])
-
-
-def _van_loan(a: np.ndarray, T: float) -> np.ndarray:
-    """(1/T) int_0^T exp(As) ds, the top-right block of exp([[A T, I], [0, 0]]).
-
-    Van Loan, IEEE TAC 23(3), 1978: one 2n x 2n exponential for any T.  The
-    average does not grow with T the way the integral does, so it stays
-    finite where the integral would overflow.
+    exp([[A h, I], [0, 0]]) = [[exp(Ah), W], [0, I]] with the average
+    W = (1/h) int_0^h exp(As) ds (Van Loan, IEEE TAC 23(3), 1978), which
+    stays finite where the integral would overflow.  So [r, 0] times it is
+    [r exp(Ah), r W]: the row h later and its average over those h.  A
+    uniform grid scans [C exp(A t_0), 0] under one such exponential, and
+    the second half at step k is the sum of k one-step averages; any other
+    grid takes one per point after t_0, with h = t_k - t_0.
     """
     n = a.shape[0]
-    block = np.zeros((2 * n, 2 * n))
-    block[:n, :n] = a * T
-    block[:n, n:] = np.eye(n)
-    return _kernels.expm(block)[:n, n:]
+    start = c_row if t[0] == 0.0 else c_row @ _kernels.expm(a * t[0])
+
+    def van_loan(h):
+        return _kernels.expm(np.block([[a * h, np.eye(n)], [np.zeros((n, 2 * n))]]))
+
+    h = _uniform_step(t)
+    if h is None:
+        tops = [van_loan(tk - t[0])[:n] for tk in t[1:]]
+        rows = np.array([start, *(start @ e[:, :n] for e in tops)])
+        return rows, np.array([start, *(start @ e[:, n:] for e in tops)])
+    scanned = _kernels.row_scan(np.concatenate([start, np.zeros(n)]), van_loan(h), t.size - 1)
+    rows = scanned[:, :n]
+    averages = scanned[:, n:] / np.maximum(np.arange(t.size), 1)[:, None]
+    averages[0] = rows[0]
+    return rows, averages
 
 
 def _output_row(sys: LinearQuantumSystem, c_row) -> np.ndarray:
@@ -132,34 +152,37 @@ def _output_row(sys: LinearQuantumSystem, c_row) -> np.ndarray:
 
 
 def coefficient_trajectory(sys: LinearQuantumSystem, c_row, t_grid) -> Trajectory:
-    """Rows C exp(A t_k) over an increasing time grid."""
+    """Rows C exp(A t_k) and their exact running average over an increasing time grid.
+
+    One Van Loan exponential covers a uniform grid from t_0 = 0; a grid
+    from t_0 > 0 adds one for C exp(A t_0), and any other grid takes one
+    per point.
+    """
     c_row = _output_row(sys, c_row)
     t = _validate_grid(t_grid)
-    rows = _scan_rows(sys.a, c_row, t)
-    if not np.all(np.isfinite(rows)):
+    rows, averages = _rows_and_averages(sys.a, c_row, t)
+    if not (np.all(np.isfinite(rows)) and np.all(np.isfinite(averages))):
         raise NonFiniteError("trajectory rows overflowed to non-finite values")
-    return Trajectory(times=t, coefficient_rows=rows)
+    return Trajectory(times=t, coefficient_rows=rows, running_average=averages)
 
 
 def time_average_error(sys: LinearQuantumSystem, c_p_row, c_o_row, T: float) -> float:
     """Max-abs norm of (1/T) int_0^T (c_p_row - c_o_row exp(As)) ds, exactly.
 
-    The average (1/T) int_0^T exp(As) ds comes from `_van_loan`, so each
-    horizon costs one 2n x 2n exponential however long it is.
+    The average is the running average of c_o_row on the grid (0, T): one
+    Van Loan exponential however long T is.  An overflow is returned as inf
+    or nan for the caller's finite check.
     """
     T = float(T)
     if not math.isfinite(T) or T <= 0.0:
         raise ValueError(f"averaging horizon must be positive and finite, got {T}")
-    c_p_row = np.asarray(c_p_row, dtype=float).reshape(-1)
-    c_o_row = np.asarray(c_o_row, dtype=float).reshape(-1)
-    n = sys.space.n
-    if c_p_row.shape != (n,) or c_o_row.shape != (n,):
-        raise DimensionError("output rows do not match the state dimension")
-    return maxabs(c_p_row - c_o_row @ _van_loan(sys.a, T))
+    c_p_row = _output_row(sys, c_p_row)
+    _, averages = _rows_and_averages(sys.a, _output_row(sys, c_o_row), np.array([0.0, T]))
+    return maxabs(c_p_row - averages[-1])
 
 
-def simulate_means(sys: LinearQuantumSystem, x0_means, t_grid) -> Trajectory:
-    """Mean trajectories z_i(t) = C_i exp(A t) x0 for every output row."""
+def simulate_means(sys: LinearQuantumSystem, x0_means, t_grid) -> np.ndarray:
+    """Means z_i(t_k) = C_i exp(A t_k) x0 of every output row, shape (nt, m)."""
     x0 = np.asarray(x0_means, dtype=float).reshape(-1)
     if x0.shape != (sys.space.n,):
         raise DimensionError(
@@ -168,41 +191,9 @@ def simulate_means(sys: LinearQuantumSystem, x0_means, t_grid) -> Trajectory:
         )
     if sys.c.shape[0] == 0:
         raise DimensionError("system has no output rows attached")
-    t = _validate_grid(t_grid)
-    # x(t)^T = x0^T exp(A^T t): the state means are a row scan under A^T.
-    states = _scan_rows(sys.a.T, x0, t)
-    return Trajectory(times=t, mean_values=states @ sys.c.T)
-
-
-def running_average(sys: LinearQuantumSystem, trajectory: Trajectory) -> np.ndarray:
-    """Running time average (1/(t - t_0)) int_{t_0}^t of the coefficient rows, exactly.
-
-    Between grid points the row is rows[k] exp(A s), so interval k adds
-    rows[k] @ W_k with W_k = int_0^h_k exp(As) ds = h_k `_van_loan`(A, h_k):
-    one W on a uniform grid, one per interval otherwise.  The value at the
-    first grid point is the instantaneous row there.
-    """
-    rows = trajectory.coefficient_rows
-    if rows is None:
-        raise ValueError("trajectory has no coefficient rows")
-    if rows.shape[1] != sys.space.n:
-        raise DimensionError(
-            f"trajectory rows have {rows.shape[1]} entries, state dimension is {sys.space.n}"
-        )
-    t = trajectory.times
-    out = np.empty_like(rows)
-    out[0] = rows[0]
-    if rows.shape[0] == 1:
-        return out
-    steps = np.diff(t)
-    h = _uniform_step(t)
-    if h is not None:
-        averages = rows[:-1] @ _van_loan(sys.a, h)
-    else:
-        w = np.stack([_van_loan(sys.a, hk) for hk in steps])
-        averages = np.einsum("ki,kil->kl", rows[:-1], w)
-    out[1:] = np.cumsum(averages * steps[:, None], axis=0) / (t[1:] - t[0])[:, None]
-    return out
+    return np.column_stack(
+        [coefficient_trajectory(sys, c, t_grid).coefficient_rows @ x0 for c in sys.c]
+    )
 
 
 def dominant_frequency(sys: LinearQuantumSystem, c_row) -> float:
@@ -294,13 +285,13 @@ def verify_convergence(design: ObserverDesign, horizons=None) -> ConvergenceRepo
     c. the observer row oscillates within 1% of 4 omega_o (exact frequency
        from `dominant_frequency`).
 
-    The default ladder is {5, 10, 20, 40, 80} / omega_o.  A ladder that is
+    The default ladder is `default_horizons(omega_o)`.  A ladder that is
     not at least 2 positive, finite, strictly increasing horizons raises
     ValueError before any error is computed; otherwise this always returns a
     report, and failed checks are named in `failures` rather than raised.
     """
     if horizons is None:
-        horizons = tuple(t / design.omega_o for t in DEFAULT_HORIZON_LADDER)
+        horizons = default_horizons(design.omega_o)
     horizons = tuple(float(t) for t in horizons)
     if (
         len(horizons) < 2

@@ -229,6 +229,45 @@ class TestConfigFields:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "units must be one of" in err
 
+    @pytest.mark.parametrize("where", ["flag", "file"])
+    @pytest.mark.parametrize(
+        "key, value, omega_ref, got",
+        [
+            ("omega_o", 1e300, 1e-300, "inf"),
+            ("omega_o", 1e-300, 1e300, "0.0"),
+            ("gamma", 1e300, 1e-300, "inf"),
+            ("gamma", 1e-300, 1e300, "0.0"),
+        ],
+        ids=["omega_o_overflow", "omega_o_underflow", "gamma_overflow", "gamma_underflow"],
+    )
+    def test_rescaled_input_out_of_range_exits_2(
+        self, tmp_path, capsys, where, key, value, omega_ref, got
+    ):
+        # each value is valid, but design_ndpa would get value / omega_ref
+        out = tmp_path / "out"
+        if where == "flag":
+            argv = ["design", "--units", "rad/s", cli._flag(key), str(value),
+                    "--omega-ref", str(omega_ref)]
+            names = f"{cli._flag(key)} / --omega-ref"
+        else:
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps({"units": "rad/s", key: value, "omega_ref": omega_ref}))
+            argv = ["design", "--config", str(config)]
+            names = f"config key {key!r} / config key 'omega_ref'"
+        assert run_cli(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {names}: {key} / omega_ref must be finite and nonzero, got {got}\n"
+        )
+        assert not out.exists()
+
+    def test_rescaled_gamma_names_omega_o_as_reference(self, tmp_path, capsys):
+        argv = ["design", "--units", "rad/s", "--omega-o", "1e-300", "--gamma", "1e300"]
+        assert run_cli(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: --gamma / --omega-o: gamma / omega_o must be finite and nonzero, "
+            "got inf\n"
+        )
+
     @pytest.mark.parametrize("key", ["cp", "horizons", "out", "format"])
     def test_wrongly_typed_file_values_exit_2(self, tmp_path, capsys, key):
         config = tmp_path / "run.json"
@@ -443,6 +482,20 @@ class TestExitCodes:
         for path in tmp_path.iterdir():
             assert path.name == "design.json"
             assert "inf" not in path.read_text() and "nan" not in path.read_text()
+
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    def test_overflowing_default_ladder_exits_1(self, tmp_path, capsys, command):
+        # {5..80} / 1e-310 overflows to inf
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli([command, "--omega-o", "1e-310", "--out", str(tmp_path)])
+        assert [str(w.message) for w in caught] == []
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: default horizon ladder {5..80}/omega_o is not finite "
+            "for omega_o = 1e-310\n"
+        )
+        assert [path.name for path in tmp_path.iterdir()] == ["design.json"]
 
     def test_huge_coupling_design_exits_0(self, tmp_path, capsys):
         # det R_c would overflow in the units of R_c (~2e189); it is reported

@@ -6,6 +6,7 @@ import pytest
 
 from qobserver import (
     DimensionError,
+    NonFiniteError,
     ObserverDesign,
     PlantSpec,
     augment,
@@ -14,7 +15,6 @@ from qobserver import (
     design_ndpa,
     dominant_frequency,
     propagator,
-    running_average,
     simulate_means,
     synthesize_observer,
     time_average_error,
@@ -200,6 +200,12 @@ class TestVerifyConvergence:
             with pytest.raises(ValueError):
                 verify_convergence(design, horizons=ladder)
 
+    def test_overflowing_default_ladder_is_typed(self, example):
+        design, _ = example
+        assert dynamics.default_horizons(2.0) == (2.5, 5.0, 10.0, 20.0, 40.0)
+        with pytest.raises(NonFiniteError, match="default horizon ladder"):
+            verify_convergence(dataclasses.replace(design, omega_o=1e-310))
+
     def test_runs_no_trajectory(self, example, monkeypatch):
         def boom(*args, **kwargs):
             raise AssertionError("verify_convergence simulated a trajectory")
@@ -307,16 +313,16 @@ class TestLadderErrors:
 class TestSimulateMeans:
     def test_zero_initial_state(self, example):
         _, sys = example
-        traj = simulate_means(sys, np.zeros(4), np.linspace(0.0, 10.0, 101))
-        np.testing.assert_array_equal(traj.mean_values, np.zeros((101, 2)))
+        means = simulate_means(sys, np.zeros(4), np.linspace(0.0, 10.0, 101))
+        np.testing.assert_array_equal(means, np.zeros((101, 2)))
 
     def test_plant_position_excited(self, example):
         # z_p mean frozen at 1; running average of z_o mean converges to it
         _, sys = example
         grid = np.linspace(0.0, 50.0, 4001)
-        traj = simulate_means(sys, [1.0, 0.0, 0.0, 0.0], grid)
-        np.testing.assert_allclose(traj.mean_values[:, 0], np.ones(grid.size), atol=1e-10)
-        z_o = traj.mean_values[:, 1]
+        means = simulate_means(sys, [1.0, 0.0, 0.0, 0.0], grid)
+        np.testing.assert_allclose(means[:, 0], np.ones(grid.size), atol=1e-10)
+        z_o = means[:, 1]
         np.testing.assert_allclose(z_o, 1.0 - np.cos(4.0 * grid), atol=1e-9)
         running = np.cumsum(0.5 * np.diff(grid) * (z_o[1:] + z_o[:-1])) / grid[1:]
         assert running[-1] == pytest.approx(1.0, abs=0.01)
@@ -327,25 +333,26 @@ class TestSimulateMeans:
         _, sys = example
         sys_pp = sys.with_outputs([[0.0, 1.0, 0.0, 0.0]])
         grid = np.linspace(0.0, 40.0, 2001)
-        traj = simulate_means(sys_pp, [1.0, 0.0, 0.0, 0.0], grid)
+        means = simulate_means(sys_pp, [1.0, 0.0, 0.0, 0.0], grid)
         expected = 0.04 * grid - 0.01 * np.sin(4.0 * grid)
-        np.testing.assert_allclose(traj.mean_values[:, 0], expected, atol=1e-9)
+        np.testing.assert_allclose(means[:, 0], expected, atol=1e-9)
 
     def test_conjugate_excitation_stays_silent(self, example):
         # a mean only in the unmeasured quadrature never reaches the observer
         _, sys = example
         grid = np.linspace(0.0, 20.0, 201)
-        traj = simulate_means(sys, [0.0, 1.0, 0.0, 0.0], grid)
-        np.testing.assert_allclose(traj.mean_values, np.zeros((201, 2)), atol=1e-12)
+        means = simulate_means(sys, [0.0, 1.0, 0.0, 0.0], grid)
+        np.testing.assert_allclose(means, np.zeros((201, 2)), atol=1e-12)
 
     def test_consistency_with_coefficient_rows(self, example):
         _, sys = example
         grid = np.linspace(0.0, 7.0, 57)
         x0 = np.array([0.3, -1.2, 0.7, 0.05])
-        traj = simulate_means(sys, x0, grid)
+        means = simulate_means(sys, x0, grid)
+        assert means.shape == (grid.size, 2)
         for idx in range(2):
             rows = coefficient_trajectory(sys, sys.c[idx], grid).coefficient_rows
-            np.testing.assert_allclose(traj.mean_values[:, idx], rows @ x0, atol=1e-12)
+            np.testing.assert_allclose(means[:, idx], rows @ x0, atol=1e-12)
 
     def test_dimension_mismatch(self, example):
         _, sys = example
@@ -356,12 +363,19 @@ class TestSimulateMeans:
 class TestRunningAverage:
     @staticmethod
     def assert_matches_oracle(design, sys, grid):
+        # (1/(T - t_0)) int_t_0^T = (T avg(T) - t_0 avg(t_0)) / (T - t_0)
         traj = coefficient_trajectory(sys, sys.c[1], grid)
-        avg = running_average(sys, traj)
+
+        def integral(t_hor):
+            return t_hor * (sys.c[0] - averaged_error_row(design, t_hor)) if t_hor else 0.0
+
+        t_0 = grid[0]
         for k in np.unique(np.linspace(1, grid.size - 1, 40).astype(int)):
-            expected = sys.c[0] - averaged_error_row(design, grid[k])
-            np.testing.assert_allclose(avg[k], expected, rtol=0.0, atol=1e-12)
-        np.testing.assert_array_equal(avg[0], traj.coefficient_rows[0])
+            expected = (integral(grid[k]) - integral(t_0)) / (grid[k] - t_0)
+            np.testing.assert_allclose(traj.running_average[k], expected, rtol=0.0, atol=1e-12)
+        row_0 = closed_form_observer_row(design, t_0)
+        np.testing.assert_allclose(traj.coefficient_rows[0], row_0, atol=1e-13)
+        np.testing.assert_array_equal(traj.running_average[0], traj.coefficient_rows[0])
 
     def test_matches_closed_form(self, example):
         design, sys = example
@@ -372,17 +386,33 @@ class TestRunningAverage:
         steps = np.random.default_rng(6).uniform(0.001, 0.1, 400)
         self.assert_matches_oracle(design, sys, np.concatenate([[0.0], np.cumsum(steps)]))
 
+    def test_grid_from_later_start(self, example):
+        design, sys = example
+        self.assert_matches_oracle(design, sys, np.linspace(2.5, 30.0, 2001))
+
+    def test_nonuniform_grid_from_later_start(self, example):
+        design, sys = example
+        steps = np.random.default_rng(8).uniform(0.001, 0.1, 300)
+        grid = 2.5 + np.concatenate([[0.0], np.cumsum(steps)])
+        self.assert_matches_oracle(design, sys, grid)
+
     def test_first_point_is_instantaneous(self, example):
         _, sys = example
         traj = coefficient_trajectory(sys, sys.c[1], np.linspace(0.0, 1.0, 11))
-        avg = running_average(sys, traj)
-        np.testing.assert_array_equal(avg[0], traj.coefficient_rows[0])
+        np.testing.assert_array_equal(traj.running_average[0], traj.coefficient_rows[0])
 
-    def test_row_dimension_checked(self, example):
+    def test_uniform_grid_takes_one_exponential(self, example, monkeypatch):
         _, sys = example
-        traj = dynamics.Trajectory(times=np.array([0.0, 1.0]), coefficient_rows=np.eye(2))
-        with pytest.raises(DimensionError):
-            running_average(sys, traj)
+        calls = []
+        expm = _kernels.expm
+
+        def counted(a):
+            calls.append(a.shape)
+            return expm(a)
+
+        monkeypatch.setattr(_kernels, "expm", counted)
+        coefficient_trajectory(sys, sys.c[1], np.linspace(0.0, 80.0, 2001))
+        assert calls == [(8, 8)]
 
 
 class TestDominantFrequency:

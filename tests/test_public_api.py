@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qobserver
-from qobserver import core
+from qobserver import core, dynamics
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -40,11 +40,12 @@ def test_every_public_name_resolves_once():
         assert getattr(qobserver, name) is not None
 
 
-@pytest.mark.parametrize("name", ["TolerancePolicy", "make_symplectic_space"])
+@pytest.mark.parametrize("name", ["TolerancePolicy", "make_symplectic_space", "running_average"])
 def test_removed_names_are_gone(name):
     assert name not in qobserver.__all__
     assert not hasattr(qobserver, name)
     assert not hasattr(core, name)
+    assert not hasattr(dynamics, name)
 
 
 def test_tolerances_are_the_documented_constants():
@@ -60,4 +61,5 @@ def test_models_carry_only_the_fields_that_are_read():
     assert fields(qobserver.SymplecticSpace) == ("modes", "theta")
     assert fields(qobserver.LinearQuantumSystem) == ("a", "c", "space")
     assert fields(qobserver.OpenNdpaModel) == ("drift", "gamma")
+    assert fields(qobserver.Trajectory) == ("times", "coefficient_rows", "running_average")
     assert "tol" not in fields(qobserver.ObserverDiagnostics)
