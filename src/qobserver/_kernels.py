@@ -1,35 +1,34 @@
-"""Numeric inner loops in plain numpy.
-
-The matrix exponential and the blocked scan that pushes a row across a
-uniform time grid.  `dynamics.coefficient_trajectory` runs both on the Van
-Loan block of the generator, so one scan yields an output row and its
-running average.  `simulate` runs them, `design` and `verify` do not; even
-in `simulate` they cost less than writing the CSV table.
+"""The matrix exponential in plain numpy, for `core.propagator` and the Van
+Loan route of `dynamics`; the observer's own system needs none.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .errors import NonFiniteError
 
 
 def expm(a):
     """exp(a) by scaling and squaring with a Taylor series run to roundoff.
 
-    The input is scaled by 2**-s until its max-abs entry is <= 0.25, the
-    series is summed until terms fall below 1e-18 of the partial sum, and
-    the result is squared s times.  For the small generator matrices used
-    here this meets a 1e-12 relative accuracy budget per entry.
+    The input is scaled by 2**-s, the least s >= 0 that brings its max-abs
+    entry to <= 0.25 (read from `math.frexp`), the series is summed until
+    terms fall below 1e-18 of the partial sum, and the result is squared s
+    times: a 1e-12 relative accuracy per entry for the small generators
+    used here.  NonFiniteError on an input entry that is inf or nan.
     """
     n = a.shape[0]
     mu = np.max(np.abs(a))
+    if not math.isfinite(mu):
+        raise NonFiniteError(f"matrix exponential of a matrix with entry {mu!r}")
     if mu == 0.0:
         return np.eye(n)
-    s = 0
-    scale = mu
-    while scale > 0.25:
-        scale *= 0.5
-        s += 1
-    b = a / (2.0**s)
+    mantissa, exponent = math.frexp(mu)
+    s = max(0, exponent + 1 if mantissa == 0.5 else exponent + 2)
+    b = np.ldexp(a, -s)
     term = np.eye(n)
     acc = np.eye(n)
     for k in range(1, 40):
@@ -40,32 +39,3 @@ def expm(a):
     for _ in range(s):
         acc = acc @ acc
     return acc
-
-
-# Rows per block of `row_scan`: B - 1 products form the powers and about
-# count / B products the anchors, against count products for a plain scan.
-SCAN_BLOCK = 64
-
-
-def row_scan(row0, step, count):
-    """Rows row0 @ step**k for k = 0..count, shape (count+1, n).
-
-    Blocked: the powers step**0..step**(B-1) are formed once, the anchors
-    row0 @ step**(B j) are scanned with step**B, and one matrix product
-    multiplies every anchor by every power, laid side by side as an
-    n x (B n) matrix.  Row k = B j + i is anchor j times power i.
-    """
-    n = row0.shape[0]
-    width = min(SCAN_BLOCK, count + 1)
-    powers = np.empty((width, n, n))
-    powers[0] = np.eye(n)
-    for i in range(1, width):
-        powers[i] = powers[i - 1] @ step
-    anchors = np.empty((-(-(count + 1) // width), n))
-    anchors[0] = row0
-    if anchors.shape[0] > 1:
-        jump = powers[-1] @ step
-        for j in range(1, anchors.shape[0]):
-            anchors[j] = anchors[j - 1] @ jump
-    side_by_side = powers.transpose(1, 0, 2).reshape(n, width * n)
-    return (anchors @ side_by_side).reshape(-1, n)[: count + 1]

@@ -325,14 +325,15 @@ def _validate_config(cfg: RunConfig, sources: dict[str, str]) -> None:
         raise ConfigError(f"{sources['format']}: {cfg.command} produces JSON; include 'json'")
     if cfg.command == "verify" and cfg.horizons is not None and len(cfg.horizons) < 2:
         raise ConfigError(f"{sources['horizons']}: verify needs at least two horizons")
-    # design_ndpa gets omega_o and gamma divided by the reference frequency
+    # design_ndpa gets omega_o / scale and gamma / scale: finite, nonzero, normal if given so
     scale, scale_key = _scale_factor(cfg), "omega_ref" if cfg.omega_ref is not None else "omega_o"
     for key in ("omega_o", "gamma"):
         ratio = getattr(cfg, key) / scale
-        if not 0.0 < ratio < math.inf:
+        if not 0.0 < ratio < math.inf or ratio < sys.float_info.min <= getattr(cfg, key):
             names = " / ".join(sources.get(k, f"default {k}") for k in (key, scale_key))
             raise ConfigError(
-                f"{names}: {key} / {scale_key} must be finite and nonzero, got {ratio}"
+                f"{names}: {key} / {scale_key} must be finite and at least "
+                f"{sys.float_info.min!r}, got {ratio}"
             )
 
 

@@ -10,18 +10,12 @@ O(1/T) with an oscillatory prefactor:
 
     (1/T) int_0^T (C_p,aug - C_o,aug exp(As)) ds  =  O(1/T).
 
-For a linear system that integral is exact: (1/h) int_0^h exp(As) ds is
-the top-right block of exp([[A h, I], [0, 0]]) (Van Loan), so one scan of
-the row [C, 0] under that exponential gives `coefficient_trajectory` the
-rows and their running average together, and `time_average_error` is that
-average on the grid (0, T): no quadrature and no step control at any
-horizon.  For the observer's own block structure the average is a closed
-form in sin and cos, so `verify_convergence` gets the whole ladder without
-an exponential.  The oscillation frequency
-is exact too: `dominant_frequency` reads it from the derivative row C A and
-two more products with A, so verification runs no trajectory.  The decay
-rate is a property of the R_o = 2 omega_o I construction; the underlying
-guarantee is only that the average tends to zero.
+Every row and running average comes from `_rows_and_averages`: for the
+observer's generator a closed form in cos and sin of w t (w^2 = det Om),
+exact to roundoff at any horizon and with no exponential; for any other
+generator the Van Loan exponential.  The decay rate is a property of the
+R_o = 2 omega_o I construction; the underlying guarantee is only that the
+average tends to zero.
 """
 
 from __future__ import annotations
@@ -102,27 +96,15 @@ def _validate_grid(t_grid) -> np.ndarray:
     return t
 
 
-def _uniform_step(t: np.ndarray) -> float | None:
-    """The common step of a validated increasing grid, or None if it varies.
-
-    Also None for fewer than 3 points, where a scan would save no product.
-    """
-    steps = np.diff(t)
-    if steps.size > 1 and np.max(np.abs(steps - steps[0])) <= 1e-12 * max(1.0, abs(steps[0])):
-        return float(steps[0])
-    return None
-
-
-def _rows_and_averages(a: np.ndarray, c_row: np.ndarray, t: np.ndarray):
-    """Rows C exp(A t_k) and their running averages over a validated grid, unchecked.
+def _van_loan_rows(a: np.ndarray, c_row: np.ndarray, t: np.ndarray):
+    """`_rows_and_averages` for any generator.
 
     exp([[A h, I], [0, 0]]) = [[exp(Ah), W], [0, I]] with the average
     W = (1/h) int_0^h exp(As) ds (Van Loan, IEEE TAC 23(3), 1978), which
-    stays finite where the integral would overflow.  So [r, 0] times it is
-    [r exp(Ah), r W]: the row h later and its average over those h.  A
-    uniform grid scans [C exp(A t_0), 0] under one such exponential, and
-    the second half at step k is the sum of k one-step averages; any other
-    grid takes one per point after t_0, with h = t_k - t_0.
+    stays finite where the integral would overflow.  A uniform grid of 3 or
+    more points scans [C exp(A t_0), 0] under one such exponential, and the
+    second half at step k is the sum of k one-step averages; any other grid
+    takes one per point, with h = t_k - t_0.
     """
     n = a.shape[0]
     start = c_row if t[0] == 0.0 else c_row @ _kernels.expm(a * t[0])
@@ -130,16 +112,102 @@ def _rows_and_averages(a: np.ndarray, c_row: np.ndarray, t: np.ndarray):
     def van_loan(h):
         return _kernels.expm(np.block([[a * h, np.eye(n)], [np.zeros((n, 2 * n))]]))
 
-    h = _uniform_step(t)
-    if h is None:
+    steps = np.diff(t)
+    if steps.size < 2 or np.max(np.abs(steps - steps[0])) > 1e-12 * max(1.0, steps[0]):
         tops = [van_loan(tk - t[0])[:n] for tk in t[1:]]
         rows = np.array([start, *(start @ e[:, :n] for e in tops)])
         return rows, np.array([start, *(start @ e[:, n:] for e in tops)])
-    scanned = _kernels.row_scan(np.concatenate([start, np.zeros(n)]), van_loan(h), t.size - 1)
+    step = van_loan(steps[0])
+    scanned = np.empty((t.size, 2 * n))
+    scanned[0] = np.concatenate([start, np.zeros(n)])
+    for k in range(1, t.size):
+        scanned[k] = scanned[k - 1] @ step
     rows = scanned[:, :n]
     averages = scanned[:, n:] / np.maximum(np.arange(t.size), 1)[:, None]
     averages[0] = rows[0]
     return rows, averages
+
+
+def _observer_blocks(a: np.ndarray):
+    """(P, D, Om, s = max|Om| or 1, det(Om / s)) of A = [[0, P], [D, Om]], or None.
+
+    None unless A has the structure `augment` builds from a rank-one R_c:
+    4 x 4, a zero plant block, a traceless Om and D P = 0, the last two to
+    1e-14 of max|Om| and of max|D| max|P|.  Then A^4 = -det(Om) A^2.
+    """
+    if a.shape != (4, 4) or np.any(a[:2, :2]):
+        return None
+    p, d, om = a[:2, 2:], a[2:, :2], a[2:, 2:]
+    s = maxabs(om) or 1.0
+    d_scale, p_scale = maxabs(d), maxabs(p)
+    dp_zero = not (d_scale and p_scale) or maxabs((d / d_scale) @ (p / p_scale)) <= 1e-14
+    if abs(om[0, 0] + om[1, 1]) > 1e-14 * s or not dp_zero:
+        return None
+    om_s = om / s
+    return p, d, om, s, float(om_s[0, 0] * om_s[1, 1] - om_s[0, 1] * om_s[1, 0])
+
+
+# Row k holds (-1)^k / (2k + m)!, the Taylor coefficients in x^2 of f_m,
+# m = 0..4.  Ten terms reach roundoff for x^2 <= 1, where the recurrence cancels.
+_SERIES = np.array([[(-1) ** k / math.factorial(2 * k + m) for m in range(5)] for k in range(10)])
+
+
+def _weights(det: float, y: np.ndarray):
+    """y^m f_m(x) and y^m f_(m+1)(x) for m = 0..3 at x^2 = det y^2, each (nt, 4).
+
+    f_0 = cos x, f_1 = sin x / x and f_(k+2) = (1/k! - f_k) / x^2 (cosh and
+    sinh of |x| when det < 0).  Where |x| > 1, y^2 f_(k+2) is formed as
+    (1/k! - f_k) / det, so no power beyond y itself can overflow early.
+    """
+    root = math.sqrt(abs(det))
+    big = root * y > 1.0
+    rows, averages = np.empty((y.size, 4)), np.empty((y.size, 4))
+    ys = y[~big][:, None]
+    f = (math.copysign(1.0, det) * (root * ys) ** 2) ** np.arange(len(_SERIES)) @ _SERIES
+    powers = ys ** np.arange(4)
+    rows[~big], averages[~big] = powers * f[:, :4], powers * f[:, 1:]
+    yb = y[big]
+    x = root * yb
+    f0, f1 = (np.cos(x), np.sin(x) / x) if det > 0.0 else (np.cosh(x), np.sinh(x) / x)
+    q2, q3 = (1.0 - f0) / det, (1.0 - f1) / det  # y^2 f_2, y^2 f_3
+    q4 = (0.5 - q2 / yb / yb) / det  # y^2 f_4
+    rows[big] = np.column_stack([f0, yb * f1, q2, yb * q3])
+    averages[big] = np.column_stack([f1, q2 / yb, q3, yb * q4])
+    return rows, averages
+
+
+def _closed_form(blocks: tuple, c_row: np.ndarray, t: np.ndarray):
+    """Rows [u0, v0] exp(A t_k) and their running averages from t = 0.
+
+    With y = s t, the row is [u0, 0] + sum_m y^m f_m R_m and its average
+    [u0, 0] + sum_m y^m f_(m+1) R_m, where R_m = [c_m D/s, c_(m+1)] for the
+    chain c = (0, v0, b, g Om/s, 0), g = u0 P/s and b = v0 Om/s + g.  Rows
+    meet P and D before the division by s: D/s alone overflows when |beta|
+    is far above omega_o, while C_o D/s is of the order of C_p.
+    """
+    p, d, om, s, det = blocks
+    om = om / s
+    u0, v0 = c_row[:2], c_row[2:]
+    g = u0 @ p / s
+    chain = np.array([np.zeros(2), v0, v0 @ om + g, g @ om, np.zeros(2)])
+    r = np.hstack([chain[:4] @ d / s, chain[1:]])
+    base = np.concatenate([u0, np.zeros(2)])
+    rows, averages = _weights(det, s * t)
+    return base + rows @ r, base + averages @ r
+
+
+def _rows_and_averages(a: np.ndarray, c_row: np.ndarray, t: np.ndarray):
+    """Rows C exp(A t_k) and (1/(t_k - t_0)) int_{t_0}^{t_k} C exp(As) ds, unchecked.
+
+    The closed form for the observer's structure, restarted from its row at
+    t_0 > 0; Van Loan otherwise.  The average at k = 0 is the row itself.
+    """
+    blocks = _observer_blocks(a)
+    if blocks is None:
+        return _van_loan_rows(a, c_row, t)
+    if t[0] != 0.0:
+        c_row = _closed_form(blocks, c_row, t[:1])[0][0]
+    return _closed_form(blocks, c_row, t - t[0])
 
 
 def _output_row(sys: LinearQuantumSystem, c_row) -> np.ndarray:
@@ -154,9 +222,8 @@ def _output_row(sys: LinearQuantumSystem, c_row) -> np.ndarray:
 def coefficient_trajectory(sys: LinearQuantumSystem, c_row, t_grid) -> Trajectory:
     """Rows C exp(A t_k) and their exact running average over an increasing time grid.
 
-    One Van Loan exponential covers a uniform grid from t_0 = 0; a grid
-    from t_0 > 0 adds one for C exp(A t_0), and any other grid takes one
-    per point.
+    No exponential for an observer system.  Any other takes one for a
+    uniform grid, one more when t_0 > 0, and one per point otherwise.
     """
     c_row = _output_row(sys, c_row)
     t = _validate_grid(t_grid)
@@ -169,9 +236,8 @@ def coefficient_trajectory(sys: LinearQuantumSystem, c_row, t_grid) -> Trajector
 def time_average_error(sys: LinearQuantumSystem, c_p_row, c_o_row, T: float) -> float:
     """Max-abs norm of (1/T) int_0^T (c_p_row - c_o_row exp(As)) ds, exactly.
 
-    The average is the running average of c_o_row on the grid (0, T): one
-    Van Loan exponential however long T is.  An overflow is returned as inf
-    or nan for the caller's finite check.
+    The running average of c_o_row on the grid (0, T), at any T; an
+    overflow is returned as inf or nan for the caller's finite check.
     """
     T = float(T)
     if not math.isfinite(T) or T <= 0.0:
@@ -226,51 +292,6 @@ def _fit_decay_rate(horizons: np.ndarray, errors: np.ndarray) -> float:
     return float(-(x @ (y - y.mean())) / (x @ x))
 
 
-# Row k holds (-1)^k / (2k + j)! for j = 1, 2, 3: the Taylor coefficients in
-# x^2 of sin x / x, (1 - cos x) / x^2 and (x - sin x) / x^3.  Ten terms reach
-# roundoff for x^2 <= 1, where the direct quotients cancel.
-_SERIES = np.array([[(-1) ** k / math.factorial(2 * k + j) for j in (1, 2, 3)] for k in range(10)])
-
-
-def _ladder_errors(sys: LinearQuantumSystem, horizons: tuple[float, ...]) -> np.ndarray | None:
-    """`time_average_error` at every horizon in closed form, or None where it does not apply.
-
-    `sys` is the system `augment` builds: A = [[0, P], [D, Om]] with a
-    traceless Om, so Om^2 = -w^2 I with w^2 = det Om, and output rows
-    [C_p, 0] and [0, C_o].  When D P = 0 (a rank-one R_c), the observer row
-    is [C_o int_0^s exp(Om u) du D, C_o exp(Om s)], and with x = w T
-
-        (1/T) int_0^T exp(Om s) ds = (sin x / x) I + T ((1 - cos x) / x^2) Om,
-        (1/T) int_0^T int_0^s exp(Om u) du ds
-            = T ((1 - cos x) / x^2) I + T^2 ((x - sin x) / x^3) Om,
-
-    with sinh and cosh through x = i y when w^2 < 0.  None when D P exceeds
-    roundoff (1e-14 of max|D| max|P|), w^2 is subnormal, or some w^2 T^2 is
-    not finite or overflows sinh.
-    """
-    p, d, om = sys.a[:2, 2:], sys.a[2:, :2], sys.a[2:, 2:]
-    d_scale, p_scale = maxabs(d), maxabs(p)
-    if d_scale and p_scale and maxabs((d / d_scale) @ (p / p_scale)) > 1e-14:
-        return None
-    w2 = om[0, 0] * om[1, 1] - om[0, 1] * om[1, 0]
-    t = np.asarray(horizons)
-    x2 = w2 * t * t
-    if 0.0 < abs(w2) < np.finfo(float).tiny or not np.all((-700.0**2 < x2) & (x2 < math.inf)):
-        return None
-    big = np.abs(x2) > 1.0
-    x2_big = np.where(big, x2, 1.0)
-    x = np.sqrt(x2_big.astype(complex))
-    sinc = (np.sin(x) / x).real
-    direct = np.stack([sinc, (1.0 - np.cos(x)).real / x2_big, (1.0 - sinc) / x2_big], axis=1)
-    series = np.where(big, 0.0, x2)[:, None] ** np.arange(len(_SERIES)) @ _SERIES
-    sinc, versine, sine_gap = np.where(big[:, None], direct, series).T
-    c_o = sys.c[1, 2:]
-    # the average row: sinc [0, C_o] + T versine [C_o D, C_o Om] + T^2 sine_gap [C_o Om D, 0]
-    rows = np.array([[0.0, 0.0, *c_o], [*(c_o @ d), *(c_o @ om)], [*(c_o @ om @ d), 0.0, 0.0]])
-    average = np.column_stack([sinc, t * versine, t * (t * sine_gap)]) @ rows
-    return np.max(np.abs(sys.c[0] - average), axis=1)
-
-
 def verify_convergence(design: ObserverDesign, horizons=None) -> ConvergenceReport:
     """Verify the two defining properties of a direct-coupled observer.
 
@@ -280,10 +301,11 @@ def verify_convergence(design: ObserverDesign, horizons=None) -> ConvergenceRepo
        to within EXACT_TOL;
     b. the time-average error decays over the horizon ladder: strictly
        decreasing with fitted rate >= 0.9, and the closed-form limit
-       -C_o R_o^{-1} beta^T = 1 holds to EXACT_TOL.  The errors come from
-       `_ladder_errors`, or from `time_average_error` where it does not apply;
-    c. the observer row oscillates within 1% of 4 omega_o (exact frequency
-       from `dominant_frequency`).
+       -C_o R_o^{-1} beta^T = 1 holds to EXACT_TOL.  The errors are read
+       from the running average of the observer row on the grid
+       (0, *horizons);
+    c. the observer row oscillates within 1% of 4 omega_o: at w, read from
+       Om, for the observer's structure, else at `dominant_frequency`.
 
     The default ladder is `default_horizons(omega_o)`.  A ladder that is
     not at least 2 positive, finite, strictly increasing horizons raises
@@ -306,10 +328,8 @@ def verify_convergence(design: ObserverDesign, horizons=None) -> ConvergenceRepo
     c_p_aug, c_o_aug = sys.c[0], sys.c[1]
 
     row_defect = maxabs(c_p_aug @ sys.a)
-    errors = _ladder_errors(sys, horizons)
-    if errors is None:
-        errors = [time_average_error(sys, c_p_aug, c_o_aug, T) for T in horizons]
-    errors = tuple(float(e) for e in errors)
+    _, averages = _rows_and_averages(sys.a, c_o_aug, np.array([0.0, *horizons]))
+    errors = tuple(float(e) for e in np.max(np.abs(c_p_aug - averages[1:]), axis=1))
     ratios = tuple(b / a if a > 0.0 else math.inf for a, b in zip(errors, errors[1:]))
     rate = _fit_decay_rate(np.asarray(horizons), np.asarray(errors))
 
@@ -317,7 +337,11 @@ def verify_convergence(design: ObserverDesign, horizons=None) -> ConvergenceRepo
     limit_defect = validate_observer(design).normalized_constraint_defect
 
     expected = 4.0 * design.omega_o
-    freq = dominant_frequency(sys, c_o_aug)
+    blocks = _observer_blocks(sys.a)
+    if blocks is None:
+        freq = dominant_frequency(sys, c_o_aug)
+    else:  # w = s sqrt(det(Om / s)), 0.0 when det <= 0
+        freq = blocks[3] * math.sqrt(max(blocks[4], 0.0))
     freq_rel = abs(freq - expected) / expected
 
     decreasing = all(b < a for a, b in zip(errors, errors[1:]))

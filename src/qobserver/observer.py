@@ -31,7 +31,7 @@ from .core import (
     generator_from_hamiltonian,
     maxabs,
 )
-from .errors import DesignError, DimensionError
+from .errors import DesignError, DimensionError, NonFiniteError
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +107,8 @@ def synthesize_observer(
     minimum-norm solution of C_o beta^T = -2 omega_o is chosen,
     C_o = -2 omega_o beta / |beta|^2; a caller-supplied C_o is accepted but
     must satisfy the same constraint (any point of its solution line works).
-    Deliberately invalid bundles for negative controls can still be built
+    NonFiniteError when the minimum-norm C_o overflows (omega_o far above
+    |beta|).  Deliberately invalid bundles for negative controls can still be built
     through ObserverDesign directly.
     """
     omega_o = float(omega_o)
@@ -128,7 +129,10 @@ def synthesize_observer(
         # normal range C_o equals the unscaled formula to the last bit.
         k = math.frexp(scale)[1]
         unit = np.ldexp(beta, -k)
-        c_o = np.ldexp((-2.0 * omega_o / float(unit @ unit)) * unit, -k)
+        with np.errstate(over="ignore"):
+            c_o = np.ldexp((-2.0 * omega_o / float(unit @ unit)) * unit, -k)
+        if not np.all(np.isfinite(c_o)):
+            raise NonFiniteError(f"C_o = -2 omega_o beta / |beta|^2 overflows: {c_o.tolist()}")
     else:
         c_o = np.asarray(c_o, dtype=float).reshape(-1)
         defect = abs(float(c_o @ beta) / (2.0 * omega_o) + 1.0)

@@ -43,6 +43,29 @@ def rotation(omega: float, t: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]])
 
 
+def rotation_observer_row(design, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row C_o,aug exp(At) and its running average for R_o = 2 omega_o I.
+
+    Then Om = w J with w = 4 omega_o, so exp(Om t) = rotation(w, t) and
+    int_0^t exp(Om s) ds = Om^{-1} (exp(Om t) - I); with D = 2 J beta^T C_p,
+
+        C_o,aug exp(At) = [C_o Om^{-1} (exp(Om t) - I) D,  C_o exp(Om t)].
+
+    Only sin and cos of w t enter, so this holds at any horizon.
+    """
+    omega = 4.0 * design.omega_o
+    om_inv = -J2 / omega
+    d_mat = 2.0 * J2 @ np.outer(design.beta, design.c_p)
+    c_o = design.c_o
+    e_t = rotation(omega, t)
+    row = np.concatenate([c_o @ om_inv @ (e_t - np.eye(2)) @ d_mat, c_o @ e_t])
+    if t == 0.0:
+        return row, row
+    mean_e = om_inv @ (e_t - np.eye(2)) / t  # (1/t) int_0^t exp(Om s) ds
+    average = np.concatenate([c_o @ om_inv @ (mean_e - np.eye(2)) @ d_mat, c_o @ mean_e])
+    return row, average
+
+
 def averaged_error_row(design, T: float) -> np.ndarray:
     """Exact (1/T) int_0^T (C_p,aug - C_o,aug exp(As)) ds for A_p = 0.
 

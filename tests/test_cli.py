@@ -10,9 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qobserver import PlantSpec, cli, design_ndpa, synthesize_observer, verify_convergence
+from qobserver import (
+    PlantSpec, _kernels, augment, cli, design_ndpa, synthesize_observer, verify_convergence,
+)
+from qobserver.dynamics import default_horizons
 from qobserver.errors import NonFiniteError, PipelineError
-from oracles import averaged_error_row
+from oracles import averaged_error_row, rotation_observer_row
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -237,13 +240,18 @@ class TestConfigFields:
             ("omega_o", 1e-300, 1e300, "0.0"),
             ("gamma", 1e300, 1e-300, "inf"),
             ("gamma", 1e-300, 1e300, "0.0"),
+            ("omega_o", 1e-10, 1e300, "1e-310"),
         ],
-        ids=["omega_o_overflow", "omega_o_underflow", "gamma_overflow", "gamma_underflow"],
+        ids=[
+            "omega_o_overflow", "omega_o_underflow", "gamma_overflow", "gamma_underflow",
+            "omega_o_subnormal",
+        ],
     )
     def test_rescaled_input_out_of_range_exits_2(
         self, tmp_path, capsys, where, key, value, omega_ref, got
     ):
-        # each value is valid, but design_ndpa would get value / omega_ref
+        # each value is valid, but design_ndpa would get value / omega_ref,
+        # which overflows, underflows to 0 or is subnormal
         out = tmp_path / "out"
         if where == "flag":
             argv = ["design", "--units", "rad/s", cli._flag(key), str(value),
@@ -256,7 +264,8 @@ class TestConfigFields:
             names = f"config key {key!r} / config key 'omega_ref'"
         assert run_cli(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            f"config error: {names}: {key} / omega_ref must be finite and nonzero, got {got}\n"
+            f"config error: {names}: {key} / omega_ref must be finite and at least "
+            f"2.2250738585072014e-308, got {got}\n"
         )
         assert not out.exists()
 
@@ -264,8 +273,8 @@ class TestConfigFields:
         argv = ["design", "--units", "rad/s", "--omega-o", "1e-300", "--gamma", "1e300"]
         assert run_cli(argv + ["--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == (
-            "config error: --gamma / --omega-o: gamma / omega_o must be finite and nonzero, "
-            "got inf\n"
+            "config error: --gamma / --omega-o: gamma / omega_o must be finite and at least "
+            "2.2250738585072014e-308, got inf\n"
         )
 
     @pytest.mark.parametrize("key", ["cp", "horizons", "out", "format"])
@@ -392,6 +401,46 @@ class TestSimulateCommand:
         data = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1)
         assert np.all(np.isfinite(data))
 
+    @pytest.mark.parametrize("t_max", ["1e3", "1e6", "1e10", "1e15"])
+    @pytest.mark.parametrize("cp", ["1,0", "0.3,-0.8"])
+    def test_cells_exact_at_long_horizons(self, tmp_path, monkeypatch, t_max, cp):
+        # the table before formatting: z_o and its average against the rotation
+        # integral; z_p against the drift bound that README states
+        tables, fmt_table = [], cli.fmt_table
+        monkeypatch.setattr(cli, "fmt_table", lambda t: tables.append(t) or fmt_table(t))
+        assert run_cli(["simulate", "--cp", cp, "--horizons", t_max, "--out", str(tmp_path)]) == 0
+        (table,) = tables
+        observer = design_ndpa([float(c) for c in cp.split(",")], 1.0, 1.0, 0.1).observer
+        sys_aug = augment(observer)
+        for t, zp, zo, zo_avg in zip(table[:, 0], table[:, 1:5], table[:, 5:9], table[:, 9:]):
+            row, average = rotation_observer_row(observer, t)
+            for got, want in ((zo, row), (zo_avg, average)):
+                bound = 1e-12 * np.maximum(1.0, np.abs(got))
+                assert np.all(np.abs(got - want) <= bound), (t, got, want)
+        delta = np.linalg.norm(sys_aug.c[0] @ sys_aug.a)
+        coupling = np.linalg.norm(observer.beta) * np.linalg.norm(observer.c_p)
+        drift = delta * (1.0 + coupling + table[:, 0] * coupling) / observer.omega_o
+        plant_row = np.concatenate([observer.c_p, np.zeros(2)])
+        deviation = np.max(np.abs(table[:, 1:5] - plant_row), axis=1)
+        if cp == "1,0":
+            assert delta == 0.0 and np.all(deviation == 0.0)
+        else:
+            assert delta > 0.0 and np.all(deviation <= drift + 1e-15)
+
+    def test_simulate_and_verify_run_no_exponential(self, tmp_path, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("a matrix exponential ran")
+
+        monkeypatch.setattr(_kernels, "expm", boom)
+        rng = np.random.default_rng(5)
+        for k in range(20):
+            arg_c, omega = rng.uniform(-math.pi, math.pi), 10.0 ** rng.uniform(-100, 100)
+            gamma, ratio = omega * 10.0 ** rng.uniform(-3, 3), rng.uniform(0.01, 0.6)
+            argv = [f"--cp={math.cos(arg_c)},{math.sin(arg_c)}", f"--omega-o={omega!r}",
+                    f"--gamma={gamma!r}", f"--eps-ratio={ratio!r}", f"--out={tmp_path / str(k)}"]
+            assert run_cli(["verify", *argv]) == 0
+            assert run_cli(["simulate", *argv]) == 0
+
     def test_design_json_also_written(self, tmp_path):
         assert run_cli(["simulate", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "design.json").exists()
@@ -461,14 +510,15 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["verify", "--omega-o", "1e200"],
-            ["verify", "--omega-o", "1e-300"],
-            ["simulate", "--cp=6.09e-04,1.84e-10", "--omega-o", "3.67e-148",
-             "--gamma", "1.96e-114", "--eps-ratio", "24.9"],
+            ["verify", "--horizons", "1e300,1e308"],
+            ["simulate", "--horizons", "1e308"],
+            ["verify", "--omega-o", "1e-160", "--gamma", "1e160"],
         ],
-        ids=["verify_inf", "verify_nan", "simulate_overflow"],
+        ids=["verify_phase_overflow", "simulate_phase_overflow", "verify_subnormal_c_o"],
     )
     def test_nonfinite_result_exits_1(self, tmp_path, capsys, argv):
+        # w t = 4e308 overflows; C_o = -1e-319 is subnormal and R_o^{-1} beta^T
+        # overflows in the limit defect
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = run_cli(argv + ["--out", str(tmp_path)])
@@ -482,6 +532,41 @@ class TestExitCodes:
         for path in tmp_path.iterdir():
             assert path.name == "design.json"
             assert "inf" not in path.read_text() and "nan" not in path.read_text()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--omega-o", "1e200"],
+            ["verify", "--omega-o", "1e-300"],
+            ["simulate", "--cp=6.09e-04,1.84e-10", "--omega-o", "3.67e-148",
+             "--gamma", "1.96e-114", "--eps-ratio", "24.9"],
+        ],
+        ids=["verify_large_omega_o", "verify_small_omega_o", "simulate_tiny_scales"],
+    )
+    def test_extreme_scales_match_oracle(self, tmp_path, argv):
+        # C_o A A, int_0^h exp(As) ds or w^2 overflowed or underflowed here;
+        # the closed form works in units of s = max|Om| and needs none of them
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(argv + ["--out", str(tmp_path)])
+        assert [str(w.message) for w in caught] == []
+        assert code == 0
+        cfg = cli.load_config(cli.build_parser().parse_args(argv))
+        observer = design_ndpa(np.asarray(cfg.cp), cfg.omega_o, cfg.gamma, cfg.eps_ratio).observer
+        if argv[0] == "verify":
+            conv = json.loads((tmp_path / "report.json").read_text())["convergence"]
+            assert conv["passed"]
+            for t_hor, error in zip(conv["horizons"], conv["errors"]):
+                oracle = float(np.max(np.abs(averaged_error_row(observer, t_hor))))
+                assert error == pytest.approx(oracle, rel=1e-10)
+            return
+        data = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1)
+        grid = np.linspace(0.0, max(default_horizons(observer.omega_o)), cli.SIMULATE_POINTS)
+        plant_row = np.concatenate([observer.c_p, np.zeros(2)])
+        for k in range(0, grid.size, 100):
+            expected = plant_row - averaged_error_row(observer, grid[k]) if k else data[0, 5:9]
+            scale = float(np.max(np.abs(expected)))
+            np.testing.assert_allclose(data[k, 9:], expected, rtol=1e-10, atol=1e-10 * scale)
 
     @pytest.mark.parametrize("command", ["verify", "simulate"])
     def test_overflowing_default_ladder_exits_1(self, tmp_path, capsys, command):

@@ -1,8 +1,9 @@
 """Property tests of the command line: its input domain and its CSV table.
 
 Every argv built from the config domain ends in a documented exit code with
-no traceback and no warning, and every JSON file it leaves parses to finite
-numbers.  The one-`%` table formatter writes every cell as `fmt_float` does.
+no traceback and no warning, within a wall-clock bound, and every JSON file
+it leaves parses to finite numbers.  The one-`%` table formatter writes
+every cell as `fmt_float` does.
 """
 
 import contextlib
@@ -16,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from deadline import deadline
 from qobserver import cli
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -75,8 +77,15 @@ def argvs(draw):
     suppress_health_check=[hypothesis.HealthCheck.too_slow],
 )
 @hypothesis.given(argvs())
+# Inputs that once hung, raised a traceback, wrote a wrong table or named a
+# value the user never gave.
+@hypothesis.example(["verify", "--horizons", "1e300,1e308"])
+@hypothesis.example(["verify", "--omega-o", "1e-160", "--gamma", "1e160"])
+@hypothesis.example(["simulate", "--omega-o", "1e-150", "--gamma", "1e160"])
+@hypothesis.example(["simulate", "--horizons", "1e15"])
+@hypothesis.example(["verify", "--units", "rad/s", "--omega-o", "1e-10", "--omega-ref", "1e300"])
 def test_every_input_ends_in_a_documented_outcome(argv):
-    with tempfile.TemporaryDirectory() as out:
+    with tempfile.TemporaryDirectory() as out, deadline(30):
         stderr = io.StringIO()
         # Python shows a warning once per code location unless told otherwise
         with warnings.catch_warnings(record=True) as caught:

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
 
+from deadline import deadline
 from qobserver import (
     DimensionError,
     LinearQuantumSystem,
+    NonFiniteError,
     QuadraticHamiltonian,
     ccr_defect,
     SymplecticSpace,
@@ -174,6 +176,15 @@ class TestPropagator:
             propagator(sys, np.inf)
         with pytest.raises(ValueError):
             propagator(sys, np.nan)
+
+    def test_overflowing_argument_neither_hangs_nor_raises_overflow(self):
+        # A t is inf for the augmented system (max|A| = 4); for A = J it is
+        # finite, and its 1025 squarings no longer start from 2.0**1025
+        unit = LinearQuantumSystem(J, np.zeros((0, 2)), SymplecticSpace(1))
+        with deadline(10), np.errstate(all="ignore"):
+            with pytest.raises(NonFiniteError):
+                propagator(example_augmented(), 1e308)
+            assert propagator(unit, 1e308).shape == (2, 2)
 
 
 class TestCcrDefect:

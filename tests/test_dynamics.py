@@ -7,7 +7,6 @@ import pytest
 from qobserver import (
     DimensionError,
     NonFiniteError,
-    ObserverDesign,
     PlantSpec,
     augment,
     ccr_defect,
@@ -22,25 +21,13 @@ from qobserver import (
 )
 from qobserver import _kernels, dynamics
 from qobserver.core import maxabs
-from oracles import averaged_error_row, rotation
-
-J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+from oracles import averaged_error_row, rotation_observer_row
 
 
 @pytest.fixture(scope="module")
 def example():
     design = synthesize_observer(PlantSpec([1.0, 0.0]), 1.0, [0.2, 0.0])
     return design, augment(design)
-
-
-def closed_form_observer_row(design, t):
-    """[c_o Om^{-1}(e^{Om t} - I) D, c_o e^{Om t}] for the 2 omega_o I observer."""
-    omega = 4.0 * design.omega_o
-    e_t = rotation(omega, t)
-    om_inv = -J / omega
-    d_mat = 2.0 * J @ np.outer(design.beta, design.c_p)
-    left = design.c_o @ om_inv @ (e_t - np.eye(2)) @ d_mat
-    return np.concatenate([left, design.c_o @ e_t])
 
 
 class TestCoefficientTrajectory:
@@ -65,7 +52,7 @@ class TestCoefficientTrajectory:
         design, sys = example
         grid = np.linspace(0.0, 80.0, 1601)
         traj = coefficient_trajectory(sys, sys.c[1], grid)
-        expected = np.vstack([closed_form_observer_row(design, t) for t in grid])
+        expected = np.vstack([rotation_observer_row(design, t)[0] for t in grid])
         np.testing.assert_allclose(traj.coefficient_rows, expected, atol=1e-9)
 
     def test_observer_row_period(self, example):
@@ -84,6 +71,16 @@ class TestCoefficientTrajectory:
             np.testing.assert_allclose(
                 traj.coefficient_rows[k], sys.c[1] @ propagator(sys, t), atol=1e-13
             )
+
+    def test_uniform_full_rank_grid_matches_propagator(self, example):
+        # the Van Loan scan, step by step, against one propagator per point
+        sys = augment(full_rank_design(example[0]))
+        grid = np.linspace(0.0, 40.0, 2001)
+        traj = coefficient_trajectory(sys, sys.c[1], grid)
+        for k in range(0, grid.size, 50):
+            expected = sys.c[1] @ propagator(sys, grid[k])
+            atol = 1e-11 * max(1.0, maxabs(expected))
+            np.testing.assert_allclose(traj.coefficient_rows[k], expected, rtol=0.0, atol=atol)
 
     def test_bad_grids_rejected(self, example):
         _, sys = example
@@ -192,8 +189,7 @@ class TestVerifyConvergence:
         def boom(*args, **kwargs):
             raise AssertionError("an error was computed on a bad ladder")
 
-        monkeypatch.setattr(dynamics, "_ladder_errors", boom)
-        monkeypatch.setattr(dynamics, "time_average_error", boom)
+        monkeypatch.setattr(dynamics, "_rows_and_averages", boom)
         design, _ = example
         ladders = ([5.0], [5.0, 4.0], [-1.0, 1.0], [0.0, 1.0], [1.0, math.inf], [1.0, math.nan])
         for ladder in ladders:
@@ -210,7 +206,7 @@ class TestVerifyConvergence:
         def boom(*args, **kwargs):
             raise AssertionError("verify_convergence simulated a trajectory")
 
-        monkeypatch.setattr(_kernels, "row_scan", boom)
+        monkeypatch.setattr(dynamics, "_van_loan_rows", boom)
         monkeypatch.setattr(dynamics, "coefficient_trajectory", boom)
         design, _ = example
         assert verify_convergence(design).passed
@@ -277,6 +273,30 @@ LADDER_VARIANTS = {
 }
 
 
+class TestClosedForm:
+    """The observer systems' closed form against the Van Loan route, for any row."""
+
+    @pytest.mark.parametrize("name", [*LADDER_VARIANTS, "zero_r_o"])
+    def test_matches_van_loan(self, example, name):
+        changes = {"r_o": np.zeros((2, 2))} if name == "zero_r_o" else LADDER_VARIANTS[name]
+        sys = augment(dataclasses.replace(example[0], **changes))
+        assert dynamics._observer_blocks(sys.a) is not None
+        # both parts of the row nonzero; times on the series and direct branches
+        c_row = np.array([0.7, -0.4, 1.3, 0.2])
+        top = 0.5 if name == "indefinite_r_o" else 1.0
+        grid = np.concatenate([[0.0], np.logspace(-3.0, top, 40)])
+        got = dynamics._rows_and_averages(sys.a, c_row, grid)
+        want = dynamics._van_loan_rows(sys.a, c_row, grid)
+        for closed, van_loan in zip(got, want):
+            scale = max(1.0, maxabs(van_loan))
+            np.testing.assert_allclose(closed, van_loan, rtol=0.0, atol=1e-12 * scale)
+
+
+def full_rank_design(design):
+    """`design` with a full-rank coupling block, which only a library caller can build."""
+    return dataclasses.replace(design, r_c=np.array([[0.2, 0.05], [0.1, 0.3]]))
+
+
 class TestLadderErrors:
     """`verify_convergence` errors against Van Loan and the rotation-integral oracle."""
 
@@ -284,27 +304,23 @@ class TestLadderErrors:
     def test_closed_form_matches_other_routes(self, example, name):
         design = dataclasses.replace(example[0], **LADDER_VARIANTS[name])
         sys = augment(design)
-        # past 4 T = 700 the hyperbolic ladder leaves the closed form (sinh overflows)
+        # hyperbolic: past 4 T = 700 sinh overflows
         top = 2.0 if name == "indefinite_r_o" else 6.0
         horizons = tuple(np.logspace(-4.0, top, 31))
         errors = verify_convergence(design, horizons).errors
-        assert np.array_equal(errors, dynamics._ladder_errors(sys, horizons))
         for t_hor, err in zip(horizons, errors):
             # the two other routes lose about 1e-14 of the phase 4 T each
             close = pytest.approx(err, rel=1e-12 * max(1.0, t_hor), abs=0.0)
-            assert time_average_error(sys, sys.c[0], sys.c[1], t_hor) == close
+            _, averages = dynamics._van_loan_rows(sys.a, sys.c[1], np.array([0.0, t_hor]))
+            assert maxabs(sys.c[0] - averages[-1]) == close
             if name != "singular_r_o":  # the oracle inverts R_o
                 assert maxabs(averaged_error_row(design, t_hor)) == close
 
     def test_full_rank_coupling_takes_van_loan(self, example):
-        ref = example[0]
-        design = ObserverDesign(
-            c_p=ref.c_p, omega_o=1.0, r_o=ref.r_o, r_c=np.array([[0.2, 0.05], [0.1, 0.3]]),
-            beta=ref.beta, c_o=ref.c_o,
-        )
+        design = full_rank_design(example[0])
         sys = augment(design)
         report = verify_convergence(design)
-        assert dynamics._ladder_errors(sys, report.horizons) is None
+        assert dynamics._observer_blocks(sys.a) is None
         assert report.errors == tuple(
             time_average_error(sys, sys.c[0], sys.c[1], t) for t in report.horizons
         )
@@ -373,7 +389,7 @@ class TestRunningAverage:
         for k in np.unique(np.linspace(1, grid.size - 1, 40).astype(int)):
             expected = (integral(grid[k]) - integral(t_0)) / (grid[k] - t_0)
             np.testing.assert_allclose(traj.running_average[k], expected, rtol=0.0, atol=1e-12)
-        row_0 = closed_form_observer_row(design, t_0)
+        row_0 = rotation_observer_row(design, t_0)[0]
         np.testing.assert_allclose(traj.coefficient_rows[0], row_0, atol=1e-13)
         np.testing.assert_array_equal(traj.running_average[0], traj.coefficient_rows[0])
 
@@ -402,7 +418,8 @@ class TestRunningAverage:
         np.testing.assert_array_equal(traj.running_average[0], traj.coefficient_rows[0])
 
     def test_uniform_grid_takes_one_exponential(self, example, monkeypatch):
-        _, sys = example
+        # none for the observer system, one Van Loan exponential for any other
+        design, sys = example
         calls = []
         expm = _kernels.expm
 
@@ -411,8 +428,13 @@ class TestRunningAverage:
             return expm(a)
 
         monkeypatch.setattr(_kernels, "expm", counted)
-        coefficient_trajectory(sys, sys.c[1], np.linspace(0.0, 80.0, 2001))
+        grid = np.linspace(0.0, 80.0, 2001)
+        coefficient_trajectory(sys, sys.c[1], grid)
+        assert calls == []
+        full_rank = augment(full_rank_design(design))
+        coefficient_trajectory(full_rank, full_rank.c[1], grid)
         assert calls == [(8, 8)]
+
 
 
 class TestDominantFrequency:

@@ -7,7 +7,10 @@ import pytest
 from qobserver import (
     DesignError,
     DimensionError,
+    NonFiniteError,
+    PipelineError,
     PlantSpec,
+    design_ndpa,
     augment,
     realizability_defect,
     synthesize_observer,
@@ -94,6 +97,16 @@ class TestSynthesize:
             design = synthesize_observer(PlantSpec([1.0, 0.0]), 1.5, [size, 0.3 * size])
             assert validate_observer(design).passed
         assert float(design.c_o @ design.beta) == pytest.approx(-3.0, rel=1e-14)
+
+    def test_overflowing_c_o_is_typed(self):
+        # omega_o / |beta| = 5e520: C_o would be [-inf, -inf]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="C_o"):
+                synthesize_observer(PlantSpec([1.0, 0.0]), 1.4e224, [2.8e-298, 1.7e-314])
+            with pytest.raises(PipelineError, match=r"\[synthesize_observer\]") as caught:
+                design_ndpa([1.0, 0.0], 1.4e224, 1.4e-297, 0.1)
+        assert isinstance(caught.value.__cause__, NonFiniteError)
 
     def test_c_o_matches_unscaled_formula_bit_for_bit(self):
         rng = np.random.default_rng(11)
