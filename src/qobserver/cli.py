@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -88,24 +89,110 @@ def fmt_float(x: float) -> str:
     return f"{x:.12g}" if _fixed_notation(abs(x)) else f"{x:.11e}"
 
 
-# Cell text by kind: 0 zero, 1 fixed, 2 scientific; see `fmt_table`.
-_CELL_FORMATS = ("0", "%.12g", "%.11e")
-# Rows per `%` in `fmt_table`.  A `%` needs every cell of its block as a
-# Python float at once; 256 rows of 13 cells keep that near 3300 floats,
-# where one `%` over a 2001-row table would hold 26000.
+# Rows per block of `fmt_table`, sized for the cache: at 256 rows of 13
+# cells each of the kernel's temporaries holds 27 KB.  On a 2-vCPU x86-64
+# host a 2001 x 13 table took 5.6 ms at 256 or 512 rows, 8.1 at 128 and
+# 8.8 at 2048.
 TABLE_BLOCK_ROWS = 256
+# Cells whose fraction beyond the 12th digit is this close to 1/2 go to `%`.
+# The kernel's fraction is off by less than 2**-52, its last rounding, so
+# every cell it rounds itself lies on the side of the tie that it reads.
+TIE_TOLERANCE = 2.0**-40
+# Magnitudes whose double-double product with 10**(11 - exponent) neither
+# under- nor overflows in its splits; the other cells go to `%`.
+KERNEL_RANGE = (1e-270, 1e290)
+# Exponents k of the powers 10**k: 11 minus the decimal exponents of
+# KERNEL_RANGE, one wider each way for a log10 that rounds across an integer.
+_POWER_MIN, _POWER_MAX = -280, 282
+# Veltkamp's constant 2**27 + 1: splits a double into two 26-bit halves.
+_SPLIT = 134217729.0
+
+# Offsets of the glyph sections in `_format_tables().glyphs`.  A glyph is
+# 4 bytes of text; nul bytes are padding, dropped after the block is joined.
+_DIGITS = 0  # 10000: "dddd"
+_LEADING = 10000  # 10000: leading zeros as nul, at least one digit kept
+_TRAILING = 20000  # 10000: trailing zeros as nul, 0 all nul
+_POINT = 30000  # 1000: "." and 3 digits
+_POINT_TRAILING = 31000  # 1000: the same with trailing zeros as nul, 0 all nul
+_SIGN_HIGH = 32000  # 2 x 1000: sign, then 3 digits with leading zeros as nul
+_SIGN_LEAD = 34000  # 2 x 100: sign, digit, ".", digit
+_LAST_EXP = 34200  # 2 x 100: 2 digits, "e", exponent sign
+_EXPONENT = 34400  # 1000: 2 or 3 digits of the exponent
+_COMMA, _NEWLINE, _NUL = 35400, 35401, 35402
+# Per fixed-notation exponent -4..6: the divisor that leaves the integer
+# part of a 12-digit significand, and the scale that left-aligns the rest
+# into 15 fractional digits.
+_FIXED_DIVISOR = 10.0 ** np.array([12, 12, 12, 12, 11, 10, 9, 8, 7, 6, 5])
+_FIXED_SCALE = 10.0 ** np.arange(11)
+
+
+class _Tables(NamedTuple):
+    glyphs: np.ndarray
+    power: np.ndarray
+    power_head: np.ndarray
+    power_tail: np.ndarray
+    power_low: np.ndarray
+
+
+@functools.cache
+def _format_tables() -> _Tables:
+    """Glyphs and double-double powers of ten of `fmt_table`, on first use.
+
+    10**k is power + power_low to about 2**-106 relative, and power splits
+    into power_head + power_tail, for k in _POWER_MIN.._POWER_MAX.
+    """
+    n = np.arange(10000)
+    digits = 48 + np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1)
+    zero = digits == 48
+    leading_zero = np.logical_and.accumulate(zero, axis=1)
+    leading = np.where(leading_zero & (np.arange(4) < 3), 0, digits)
+    trailing = np.where(np.logical_and.accumulate(zero[:, ::-1], axis=1)[:, ::-1], 0, digits)
+    three, hundred = digits[:1000, 1:], digits[:100, 2:]
+
+    def col(value, rows):
+        return np.full((rows, 1), value)
+
+    def signs(rows):
+        return [col(0, rows), col(ord("-"), rows)]
+
+    sections = [
+        digits, leading, trailing,
+        np.hstack([col(ord("."), 1000), three]),
+        np.hstack([np.where(n[:1000, None] > 0, ord("."), 0), trailing[:1000, 1:]]),
+        *(np.hstack([sign, np.where(leading_zero, 0, digits)[:1000, 1:]]) for sign in signs(1000)),
+        *(np.hstack([sign, hundred[:, :1], col(ord("."), 100), hundred[:, 1:]]) for sign in signs(100)),
+        *(np.hstack([hundred, col(ord("e"), 100), col(ord(c), 100)]) for c in "+-"),
+        np.hstack([np.where(n[:1000, None] < 100, 0, three[:, :1]), three[:, 1:], col(0, 1000)]),
+        np.array([[ord(","), 0, 0, 0], [ord("\n"), 0, 0, 0], [0, 0, 0, 0]]),
+    ]
+    glyphs = np.vstack(sections).astype(np.uint8).view(np.uint32).ravel()
+
+    # 10**k = num / den exactly; a quotient of ints is correctly rounded.
+    power, low = [], []
+    for k in range(_POWER_MIN, _POWER_MAX + 1):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        p, q = (num / den).as_integer_ratio()
+        power.append(num / den)
+        low.append((num * q - p * den) / (den * q))
+    power = np.array(power)
+    head = _SPLIT * power - (_SPLIT * power - power)
+    return _Tables(glyphs, power, head, power - head, np.array(low))
 
 
 def fmt_table(table: np.ndarray) -> Iterator[str]:
     """Text of the rows of `fmt_float` cells, comma-separated, in blocks.
 
-    Every cell is checked to be finite before this returns, so a caller can
-    open its file after the call.  Each block of TABLE_BLOCK_ROWS rows is one
-    string with one row per line.
+    The text matches `fmt_float` cell by cell, byte for byte.  Every cell is
+    checked to be finite before this returns, so a caller can open its file
+    after the call.  Each block of TABLE_BLOCK_ROWS rows is one string with
+    one row per line.  The cells the kernel leaves undecided, those within
+    TIE_TOLERANCE of a rounding tie or next to a power of ten where log10
+    rounds up, and the magnitudes outside KERNEL_RANGE, are formatted by
+    one `%` per block.
     """
     table = np.asarray(table, dtype=float)
-    if table.ndim != 2 or table.shape[1] > 39:
-        raise ValueError(f"expected a table of at most 39 columns, got shape {table.shape}")
+    if table.ndim != 2 or table.shape[1] == 0:
+        raise ValueError(f"expected a 2-d table with columns, got shape {table.shape}")
     finite = np.isfinite(table)
     if not finite.all():
         raise NonFiniteError(f"non-finite value {float(table[~finite][0])!r} in report")
@@ -114,17 +201,116 @@ def fmt_table(table: np.ndarray) -> Iterator[str]:
 
 
 def _fmt_block(block: np.ndarray) -> str:
-    """Finite rows formatted with one `%`.
+    """Finite rows as text: 7 glyphs per cell, padding dropped at the end."""
+    values = block.ravel()
+    magnitude = np.abs(values)
+    exact = (magnitude >= KERNEL_RANGE[0]) & (magnitude <= KERNEL_RANGE[1])
+    digits, exp10, undecided = _decimal12(np.where(exact, magnitude, 1.0))
+    fixed = _fixed_notation(magnitude)
+    negative = values < 0
+    # Every cell starts in the fixed layout, zeros and the cells left to `%`
+    # with significand 0, which spells "0"; the scientific cells are then
+    # overwritten, and `%` overwrites its cells.
+    digits[~exact | undecided] = 0.0
+    glyph = np.empty((values.size, 7))
+    for j, column in enumerate(_fixed_glyphs(digits, np.where(fixed, exp10, 0), negative)):
+        glyph[:, j] = column
+    cells = np.flatnonzero(exact & ~fixed)
+    for j, column in enumerate(_scientific_glyphs(digits[cells], exp10[cells], negative[cells])):
+        glyph[cells, j] = column
+    glyph[:, 6] = _COMMA
+    glyph.reshape(*block.shape, 7)[:, -1, 6] = _NEWLINE
+    text = _format_tables().glyphs[glyph.astype(np.intp)]
 
-    Each cell is classified with numpy as zero, fixed or scientific, the
-    row patterns of kinds are read as base-3 codes (an int64 holds 39
-    columns), and one row format string is built per distinct code.
+    cells = np.flatnonzero(undecided | ~exact & (magnitude > 0))
+    if cells.size:
+        text[cells, :6] = _fallback_text(values[cells]).view(np.uint32).reshape(-1, 6)
+    return text.tobytes().translate(None, b"\0")[:-1].decode("ascii")
+
+
+def _fallback_text(values: np.ndarray) -> np.ndarray:
+    """`fmt_float` text of nonzero cells by one `%`, nul-padded to 24 bytes."""
+    formats = np.where(_fixed_notation(np.abs(values)), "%.12g", "%.11e")
+    spelled = "\n".join(formats.tolist()) % tuple(values.tolist())
+    return np.array(spelled.split("\n"), dtype="S24")
+
+
+def _decimal12(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Significands, exponents and undecided cells of magnitudes in KERNEL_RANGE.
+
+    Each magnitude rounds half-to-even to significand * 10**(exponent - 11)
+    with 10**11 <= significand < 10**12, unless it is undecided: within
+    TIE_TOLERANCE of a tie, or scaled outside [10**11, 10**12] by a log10
+    that rounded across an integer.  The significand is a float holding an
+    integer.
     """
-    kinds = np.where(block == 0.0, 0, np.where(_fixed_notation(np.abs(block)), 1, 2))
-    codes = kinds @ 3 ** np.arange(block.shape[1])
-    _, first, which = np.unique(codes, return_index=True, return_inverse=True)
-    row_formats = [",".join(_CELL_FORMATS[c] for c in kinds[k]) for k in first]
-    return "\n".join([row_formats[i] for i in which]) % tuple(block[kinds != 0].tolist())
+    exp10 = np.floor(np.log10(magnitude)).astype(np.int64)
+    whole, fraction = _scaled(magnitude, exp10)
+    digits = whole + (fraction > 0.5)
+    undecided = (np.abs(fraction - 0.5) < TIE_TOLERANCE) | (digits > 1e12)
+    undecided |= (whole - 1e11) + fraction < 0
+    carry = digits == 1e12
+    digits[carry] = 1e11
+    exp10 += carry
+    return digits, exp10, undecided
+
+
+def _scaled(magnitude: np.ndarray, exp10: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """magnitude * 10**(11 - exp10) as an integer part and a fraction.
+
+    Dekker's product without FMA: magnitude * power is exact as p + error,
+    and magnitude * power_low adds the tail of the power.  The fraction may
+    lie a little outside [0, 1); its error is less than 2**-52.
+    """
+    tables = _format_tables()
+    k = 11 - exp10 - _POWER_MIN
+    power, head, tail = tables.power[k], tables.power_head[k], tables.power_tail[k]
+    split = _SPLIT * magnitude
+    m_head = split - (split - magnitude)
+    m_tail = magnitude - m_head
+    product = magnitude * power
+    error = ((m_head * head - product) + m_head * tail + m_tail * head) + m_tail * tail
+    whole = np.floor(product)
+    return whole, (product - whole) + (error + magnitude * tables.power_low[k])
+
+
+def _divmod(n: np.ndarray, d) -> tuple[np.ndarray, np.ndarray]:
+    """Quotient and remainder of integers below 2**53 held as floats, exact."""
+    quotient = np.floor(n / d)
+    return quotient, n - quotient * d
+
+
+def _fixed_glyphs(digits, exp10, negative) -> list:
+    """Glyph columns of %.12g cells: sign, 7 integer and 15 fraction digits."""
+    whole, fraction = _divmod(digits, _FIXED_DIVISOR[exp10 + 4])
+    fraction *= _FIXED_SCALE[exp10 + 4]
+    high, low = _divmod(whole, 1e4)
+    point, rest = _divmod(fraction, 1e12)
+    first, rest8 = _divmod(rest, 1e8)
+    second, third = _divmod(rest8, 1e4)
+    return [
+        _SIGN_HIGH + 1000 * negative + high,
+        np.where(high > 0, _DIGITS, _LEADING) + low,
+        np.where(rest > 0, _POINT, _POINT_TRAILING) + point,
+        np.where(rest8 > 0, _DIGITS, _TRAILING) + first,
+        np.where(third > 0, _DIGITS, _TRAILING) + second,
+        _TRAILING + third,
+    ]
+
+
+def _scientific_glyphs(digits, exp10, negative) -> list:
+    """Glyph columns of %.11e cells: sign, d.d, 8 digits, dde and exponent."""
+    head, last = _divmod(digits, 1e2)
+    lead, middle = _divmod(head, 1e8)
+    first, second = _divmod(middle, 1e4)
+    return [
+        _SIGN_LEAD + 100 * negative + lead,
+        _DIGITS + first,
+        _DIGITS + second,
+        _LAST_EXP + 100 * (exp10 < 0) + last,
+        _EXPONENT + np.abs(exp10),
+        _NUL,
+    ]
 
 
 def emit_json(obj) -> str:

@@ -18,6 +18,7 @@ this Cesaro-mean agreement: z_o oscillates forever at angular frequency
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,8 +109,9 @@ def synthesize_observer(
     C_o = -2 omega_o beta / |beta|^2; a caller-supplied C_o is accepted but
     must satisfy the same constraint (any point of its solution line works).
     NonFiniteError when the minimum-norm C_o overflows (omega_o far above
-    |beta|).  Deliberately invalid bundles for negative controls can still be built
-    through ObserverDesign directly.
+    |beta|), DesignError when it underflows to subnormal from a normal
+    omega_o (omega_o far below |beta|).  Deliberately invalid bundles for
+    negative controls can still be built through ObserverDesign directly.
     """
     omega_o = float(omega_o)
     beta = np.asarray(beta, dtype=float).reshape(-1)
@@ -133,6 +135,14 @@ def synthesize_observer(
             c_o = np.ldexp((-2.0 * omega_o / float(unit @ unit)) * unit, -k)
         if not np.all(np.isfinite(c_o)):
             raise NonFiniteError(f"C_o = -2 omega_o beta / |beta|^2 overflows: {c_o.tolist()}")
+        # C_o underflows when omega_o is far below |beta|: a subnormal C_o has
+        # lost its precision, and R_o^{-1} beta^T, which validation solves
+        # for, overflows beside it.  A subnormal omega_o, which the command
+        # line accepts as given, keeps the C_o as small as itself.
+        if maxabs(c_o) < sys.float_info.min <= omega_o:
+            raise DesignError(
+                f"C_o = -2 omega_o beta / |beta|^2 underflows to subnormal: {c_o.tolist()}"
+            )
     else:
         c_o = np.asarray(c_o, dtype=float).reshape(-1)
         defect = abs(float(c_o @ beta) / (2.0 * omega_o) + 1.0)

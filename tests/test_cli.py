@@ -59,13 +59,38 @@ class TestFloatFormat:
     def test_table_blocks_join_to_the_cell_by_cell_text(self):
         rng = np.random.default_rng(7)
         rows = 2 * cli.TABLE_BLOCK_ROWS + 3
-        table = rng.normal(size=(rows, 13)) * 10.0 ** rng.integers(-9, 9, size=(rows, 13))
-        table[::5, 3] = 0.0
+        for width in (13, 40):
+            table = rng.normal(size=(rows, width)) * 10.0 ** rng.integers(-9, 9, size=(rows, width))
+            table[::5, 3] = 0.0
+            blocks = list(cli.fmt_table(table))
+            assert len(blocks) == 3
+            assert "\n".join(blocks) == "\n".join(
+                ",".join(cli.fmt_float(x) for x in row) for row in table
+            )
+
+    def test_tie_column_takes_one_percent_per_block(self, monkeypatch):
+        # 100000.0078125 * 10**6 ends in .5 exactly: a tie, rounded to even
+        sizes, fallback = [], cli._fallback_text
+        monkeypatch.setattr(cli, "_fallback_text", lambda v: sizes.append(v.size) or fallback(v))
+        table = np.full((2001, 1), -100000.0078125)
         blocks = list(cli.fmt_table(table))
-        assert len(blocks) == 3
-        assert "\n".join(blocks) == "\n".join(
-            ",".join(cli.fmt_float(x) for x in row) for row in table
+        assert "\n".join(blocks).split("\n") == ["-100000.007812"] * 2001
+        assert sizes == [len(block.split("\n")) for block in blocks]
+
+    def test_import_builds_no_format_table(self, tmp_path):
+        # the tables take milliseconds to build; only a run that writes a CSV pays
+        code = "import qobserver.cli as c; print(c._format_tables.cache_info().currsize)"
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120, check=True,
         )
+        assert proc.stdout == "0\n"
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 0), (2, 2, 2)])
+    def test_table_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError, match="expected a 2-d table with columns"):
+            cli.fmt_table(np.zeros(shape))
 
     def test_table_rejects_nonfinite(self):
         for bad in (float("nan"), float("inf"), -float("inf")):
@@ -512,13 +537,11 @@ class TestExitCodes:
         [
             ["verify", "--horizons", "1e300,1e308"],
             ["simulate", "--horizons", "1e308"],
-            ["verify", "--omega-o", "1e-160", "--gamma", "1e160"],
         ],
-        ids=["verify_phase_overflow", "simulate_phase_overflow", "verify_subnormal_c_o"],
+        ids=["verify_phase_overflow", "simulate_phase_overflow"],
     )
     def test_nonfinite_result_exits_1(self, tmp_path, capsys, argv):
-        # w t = 4e308 overflows; C_o = -1e-319 is subnormal and R_o^{-1} beta^T
-        # overflows in the limit defect
+        # w t = 4e308 overflows
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = run_cli(argv + ["--out", str(tmp_path)])
@@ -532,6 +555,21 @@ class TestExitCodes:
         for path in tmp_path.iterdir():
             assert path.name == "design.json"
             assert "inf" not in path.read_text() and "nan" not in path.read_text()
+
+    def test_subnormal_c_o_exits_1(self, tmp_path, capsys):
+        # C_o = -2 omega_o beta / |beta|^2 = [-1e-319, -0] is subnormal, and
+        # R_o^{-1} beta^T would overflow in verify's limit defect
+        argv = ["verify", "--omega-o", "1e-160", "--gamma", "1e160", "--out", str(tmp_path)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(argv)
+        assert [str(w.message) for w in caught] == []
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pipeline failure: [synthesize_observer]")
+        assert "subnormal" in err
+        assert len(err.strip().splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "argv",

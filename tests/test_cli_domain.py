@@ -2,8 +2,8 @@
 
 Every argv built from the config domain ends in a documented exit code with
 no traceback and no warning, within a wall-clock bound, and every JSON file
-it leaves parses to finite numbers.  The one-`%` table formatter writes
-every cell as `fmt_float` does.
+it leaves parses to finite numbers.  The table formatter writes every cell
+as `fmt_float` does.
 """
 
 import contextlib
@@ -99,15 +99,36 @@ def test_every_input_ends_in_a_documented_outcome(argv):
             json.loads(path.read_text(), parse_float=_finite, parse_constant=_finite)
 
 
-# Zero, subnormals, both edges of the fixed range [1e-4, 1e6) and the largest
-# float, each with either sign.
+# Zero, subnormals, both edges of the fixed range [1e-4, 1e6) and values that
+# round up across them, both edges of the formatter's KERNEL_RANGE, near-ties,
+# three-digit exponents and the largest float, each with either sign.  The
+# 12th digit of -0.9596118698535, a workload's --cp, is 8.8e-7 of a unit from
+# a tie; 100000.0078125 and 123456789013.5 are ties, rounded to even down and up.
 EDGE_CELLS = (
-    0.0, 5e-324, 2.2250738585072014e-308, np.nextafter(1e-4, 0.0), 1e-4,
-    99999.99999995, 999999.9999999, np.nextafter(1e6, 0.0), 1e6, 1.7976931348623157e308,
+    0.0, 5e-324, 4.9e-320, 1e-310, 2.2250738585072014e-308, 1e-300, 3.5e-150,
+    np.nextafter(1e-4, 0.0), 1e-4, 9.99999999999996e-05, 9.999999999995e-05,
+    99999.99999995, 999999.9999999, 999999.9999995, np.nextafter(1e6, 0.0), 1e6,
+    *cli.KERNEL_RANGE, *(np.nextafter(x, y) for x, y in zip(cli.KERNEL_RANGE, (0.0, np.inf))),
+    -0.9596118698535, 100000.0078125, 123456789013.5, 1.5e100, 1e300, 1.7976931348623157e308,
+)
+
+
+def _near_power_of_ten(exponent, step):
+    """10**exponent as a float, or its neighbour one ulp away."""
+    x = float(f"1e{exponent}")
+    return float(np.nextafter(x, step * math.inf)) if step else x
+
+
+# 13 significant digits ending in 5: the 12th digit of each lies within about
+# 1e-4 of a unit from a tie, which the rounded product alone cannot resolve.
+NEAR_TIES = st.builds(
+    lambda m, e: float(f"{m}5e{e}"), st.integers(10**11, 10**12 - 1), st.integers(-300, 290)
 )
 CELLS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from(EDGE_CELLS).flatmap(lambda x: st.sampled_from([x, -x])),
+    st.builds(_near_power_of_ten, st.integers(-323, 308), st.sampled_from([-1, 0, 1])),
+    NEAR_TIES,
 )
 
 
