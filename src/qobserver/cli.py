@@ -18,6 +18,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -314,45 +315,50 @@ def _scientific_glyphs(digits, exp10, negative) -> list:
 
 
 def emit_json(obj) -> str:
-    """Serialize nested dict/list/scalar data with stable formatting.
+    """Serialize nested data: two-space indent, one item per line, `{}`/`[]` if empty.
 
-    A numpy array is rendered as its nested lists, and a complex number as
-    {"re": ..., "im": ...}.
+    Keys are `str(k)`; keys and strings get the ASCII escapes of `json.dumps`.
+    Floats are written by `fmt_float`, a numpy array as its nested lists and
+    a complex number as {"re": ..., "im": ...}.  A nan or inf at any depth raises
+    `NonFiniteError`; any other type raises `TypeError` naming it.
     """
+    out = []
+    put = out.append
 
-    def render(node, indent: int) -> str:
-        pad = "  " * indent
-        inner = "  " * (indent + 1)
-        if isinstance(node, dict):
-            if not node:
-                return "{}"
-            items = [
-                f'{inner}{json.dumps(str(k))}: {render(v, indent + 1)}'
-                for k, v in node.items()
-            ]
-            return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-        if isinstance(node, (list, tuple)):
-            if len(node) == 0:
-                return "[]"
-            items = [f"{inner}{render(v, indent + 1)}" for v in node]
-            return "[\n" + ",\n".join(items) + f"\n{pad}]"
-        if isinstance(node, bool) or isinstance(node, np.bool_):
-            return "true" if node else "false"
-        if node is None:
-            return "null"
-        if isinstance(node, str):
-            return json.dumps(node)
-        if isinstance(node, (int, np.integer)):
-            return str(int(node))
-        if isinstance(node, (float, np.floating)):
-            return fmt_float(float(node))
-        if isinstance(node, (complex, np.complexfloating)):
-            return render({"re": node.real, "im": node.imag}, indent)
-        if isinstance(node, np.ndarray):
-            return render(node.tolist(), indent)
-        raise TypeError(f"cannot serialize {type(node)!r}")
+    def walk(node, pad: str, lead: str) -> None:
+        put(lead)
+        kind = type(node)  # exact types first; the isinstance chain takes the rest
+        if kind is float:
+            put(fmt_float(node))
+        elif kind is dict or isinstance(node, dict):
+            lead, inner = "{\n", pad + "  "
+            for key, value in node.items():
+                walk(value, inner, f"{lead}{inner}{_quote(str(key))}: ")
+                lead = ",\n"
+            put(f"\n{pad}}}" if node else "{}")
+        elif kind is list or kind is tuple or isinstance(node, (list, tuple)):
+            lead, inner = "[\n", pad + "  "
+            for value in node:
+                walk(value, inner, lead + inner)
+                lead = ",\n"
+            put(f"\n{pad}]" if node else "[]")
+        elif isinstance(node, np.ndarray):
+            walk(node.tolist(), pad, "")
+        elif node is None or isinstance(node, (bool, np.bool_)):
+            put("null" if node is None else "true" if node else "false")
+        elif isinstance(node, str):
+            put(_quote(node))
+        elif isinstance(node, (int, np.integer)):
+            put(str(int(node)))
+        elif isinstance(node, (float, np.floating)):
+            put(fmt_float(node))
+        elif isinstance(node, (complex, np.complexfloating)):
+            walk({"re": node.real, "im": node.imag}, pad, "")
+        else:
+            raise TypeError(f"cannot serialize {type(node)!r}")
 
-    return render(obj, 0) + "\n"
+    walk(obj, "", "")
+    return "".join(out) + "\n"
 
 
 def _angle(rad: float) -> dict:
@@ -727,12 +733,12 @@ def run(cfg: RunConfig) -> int:
 
     if "json" in cfg.format:
         payload = design_payload(cfg, result, scale)
-        (cfg.out / "design.json").write_text(emit_json(payload))
+        (cfg.out / "design.json").write_text(emit_json(payload), encoding="ascii", newline="\n")
 
     if cfg.command == "verify":
         report = verify_convergence(result.observer, horizons=cfg.horizons)
         payload = verify_payload(cfg, result, report, scale)
-        (cfg.out / "report.json").write_text(emit_json(payload))
+        (cfg.out / "report.json").write_text(emit_json(payload), encoding="ascii", newline="\n")
         print(
             f"verify: passed={report.passed} fitted_rate={report.fitted_rate:.4f} "
             f"frequency={report.oscillation_frequency_estimate:.6g}"

@@ -3,16 +3,23 @@
 Everything here deliberately avoids the code paths under test: propagators
 are integrated with fixed-step RK4 instead of scaling-and-squaring, the
 feedback loop is eliminated with a numerical 2x2 inversion instead of the
-closed-form adjugate, and time averages come from the exact rotation
-integral int_0^T exp(w J s) ds = (exp(w J T) - I) J^{-1} / w.
+closed-form adjugate, time averages come from the exact rotation
+integral int_0^T exp(w J s) ds = (exp(w J T) - I) J^{-1} / w, and JSON
+reports are laid out by `json.dumps` instead of the one-pass emitter (their
+floats still take `fmt_float`, the one float rule).
 """
 
 from __future__ import annotations
 
 import cmath
+import json
 import math
+import re
+import uuid
 
 import numpy as np
+
+from qobserver.cli import fmt_float
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -124,3 +131,36 @@ def close_loop_by_inversion(
     noise_coeff = np.linalg.solve(elim, math.sqrt(gamma) * np.eye(2))
     f_ab = drift_ab - math.sqrt(gamma) * noise_coeff
     return np.block([[f_ab, squeeze], [squeeze.conj(), f_ab.conj()]])
+
+
+def emit_json_by_stdlib(obj) -> str:
+    """`cli.emit_json` text by `json.dumps(..., indent=2)` with the floats spliced in.
+
+    Numpy arrays become lists, numpy scalars Python ones, complex values
+    {"re": ..., "im": ...} and keys `str(k)`.  Every float is swapped for a
+    unique placeholder string, the tree is dumped by the standard library,
+    and each quoted placeholder is then replaced by `fmt_float` of its float.
+    """
+    token = uuid.uuid4().hex
+    floats = []
+
+    def plain(node):
+        if isinstance(node, np.ndarray):
+            return plain(node.tolist())
+        if isinstance(node, dict):
+            return {str(k): plain(v) for k, v in node.items()}
+        if isinstance(node, (list, tuple)):
+            return [plain(v) for v in node]
+        if isinstance(node, (bool, np.bool_)):
+            return bool(node)
+        if isinstance(node, (int, np.integer)):
+            return int(node)
+        if isinstance(node, (float, np.floating)):
+            floats.append(float(node))
+            return f"{token}-{len(floats) - 1}"
+        if isinstance(node, (complex, np.complexfloating)):
+            return {"re": plain(node.real), "im": plain(node.imag)}
+        return node
+
+    text = json.dumps(plain(obj), indent=2)
+    return re.sub(f'"{token}-(\\d+)"', lambda m: fmt_float(floats[int(m[1])]), text) + "\n"

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -113,6 +114,22 @@ class TestFloatFormat:
              "z": {"re": -1.5e-300, "im": 1e7}}
         )
         assert cli.emit_json(np.complex128(z)) == cli.emit_json({"re": z.real, "im": z.imag})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("place", ["nested list", "array entry", "imaginary part"])
+    def test_emit_json_refuses_nonfinite_at_any_depth(self, bad, place):
+        value = {
+            "nested list": [1.0, [2.0, {"x": [bad]}]],
+            "array entry": np.array([[1.0, 2.0], [3.0, bad]]),
+            "imaginary part": [complex(1.0, bad), np.complex128(complex(1.0, bad))],
+        }[place]
+        with pytest.raises(NonFiniteError, match=f"non-finite value {bad!r} in report"):
+            cli.emit_json({"a": {"b": value}})
+
+    @pytest.mark.parametrize("bad", [{1, 2}, b"bytes", object()])
+    def test_emit_json_names_an_unsupported_type(self, bad):
+        with pytest.raises(TypeError, match=re.escape(f"cannot serialize {type(bad)!r}")):
+            cli.emit_json({"a": [1.0, {"b": bad}]})
 
 
 class TestDesignCommand:

@@ -1,9 +1,9 @@
-"""Property tests of the command line: its input domain and its CSV table.
+"""Property tests of the command line: its input domain and its emitters.
 
 Every argv built from the config domain ends in a documented exit code with
 no traceback and no warning, within a wall-clock bound, and every JSON file
 it leaves parses to finite numbers.  The table formatter writes every cell
-as `fmt_float` does.
+as `fmt_float` does, and the JSON emitter writes what `json.dumps` lays out.
 """
 
 import contextlib
@@ -18,10 +18,12 @@ import numpy as np
 import pytest
 
 from deadline import deadline
+from oracles import emit_json_by_stdlib
 from qobserver import cli
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
+hnp = pytest.importorskip("hypothesis.extra.numpy")
 
 SPECIALS = ("0", "inf", "-inf", "nan")
 
@@ -146,3 +148,57 @@ def test_table_format_matches_fmt_float_cell_by_cell(rows):
     assert [line.split(",") for line in text.split("\n")] == [
         [cli.fmt_float(x) for x in row] for row in rows
     ]
+
+
+FINITE = {"allow_nan": False, "allow_infinity": False}
+# Quotes, backslashes, control characters and non-ASCII text, BMP or not.
+TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\U0001f600'), st.characters()))
+# The table test's cells: ±0.0, subnormals and both edges of [1e-4, 1e6) among them.
+JSON_SCALARS = st.one_of(
+    CELLS,
+    CELLS.map(np.float64),
+    st.floats(width=32, **FINITE).map(np.float32),
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.none(),
+    st.complex_numbers(**FINITE),
+    st.complex_numbers(**FINITE).map(np.complex128),
+    TEXT,
+)
+# Arrays of 0 to 2 dimensions, empty ones included, of every dtype a report holds.
+JSON_ARRAYS = hnp.arrays(
+    st.sampled_from([np.float64, np.complex128, np.int64, np.bool_]),
+    hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3),
+    elements=FINITE,
+)
+
+
+def _unique_keys(mapping):
+    """True when no two keys share their text, as 1 and "1" do."""
+    return len({str(k) for k in mapping}) == len(mapping)
+
+
+JSON_TREES = st.recursive(
+    st.one_of(JSON_SCALARS, JSON_ARRAYS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.integers(), TEXT), children, max_size=4).filter(_unique_keys),
+    ),
+    max_leaves=24,
+)
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@hypothesis.given(JSON_TREES)
+@hypothesis.example({
+    "empty": [{}, [], (), np.zeros(0), np.zeros((2, 0)), {"x": {}}],
+    7: [np.float64(-0.0), np.float32(0.1), np.int64(-3), np.bool_(True), True, None],
+    "z": [complex(1e-4, -1e6), np.complex128(5e-324), np.array([[1 + 2j], [0j]])],
+    "a\"b\\c\x01\u00e9\U0001f600": np.array(2.5),
+    "edges": [*EDGE_CELLS, *(-x for x in EDGE_CELLS)],
+})
+def test_emit_json_matches_stdlib_layout(tree):
+    assert cli.emit_json(tree) == emit_json_by_stdlib(tree)
