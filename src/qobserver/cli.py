@@ -607,6 +607,11 @@ def design_payload(cfg: RunConfig, result: DesignResult, scale: float) -> dict:
     }
 
 
+def _fields(obj) -> dict:
+    """A dataclass's fields in declared order, values as they are (no deep copy)."""
+    return {field.name: getattr(obj, field.name) for field in dataclasses.fields(obj)}
+
+
 def verify_payload(cfg: RunConfig, result: DesignResult, report, scale: float) -> dict:
     return {
         "command": "verify",
@@ -618,26 +623,8 @@ def verify_payload(cfg: RunConfig, result: DesignResult, report, scale: float) -
             "omega_o": result.observer.omega_o,
         },
         "convergence": {
-            "horizons": list(report.horizons),
-            "errors": list(report.errors),
-            "ratios": list(report.ratios),
-            "fitted_rate": report.fitted_rate,
-            "oscillation_frequency_estimate": report.oscillation_frequency_estimate,
-            "expected_frequency": report.expected_frequency,
-            "output_row_defect": report.output_row_defect,
-            "averaged_limit_defect": report.averaged_limit_defect,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "value": c.value,
-                    "threshold": c.threshold,
-                    "detail": c.detail,
-                }
-                for c in report.checks
-            ],
-            "passed": report.passed,
-            "failures": list(report.failures),
+            **_fields(report),
+            "checks": [_fields(check) for check in report.checks],
             "rate_note": RATE_NOTE,
         },
         "warnings": list(result.report.warnings),
@@ -677,6 +664,8 @@ REFERENCE_CONFIG = RunConfig(
 )
 
 # (name, golden value, absolute tolerance); tolerance 0 means bit-exact.
+# A name is <field>_<part> of the design payload: an angle and its unit, or a
+# dimensional value and its re/im part or the digits of its index.
 GOLDEN = (
     ("theta_deg", 168.58, 0.05),
     ("psi_rad", -math.pi / 2.0, 0.0),
@@ -694,26 +683,14 @@ GOLDEN = (
 )
 
 
-def reference_values(result: DesignResult, scale: float) -> dict[str, float]:
-    p = result.ndpa.params
-    eps_si = p.epsilon * scale
-    r_c_si = result.observer.r_c * scale
-    beta_si = result.ndpa.beta * scale
-    return {
-        "theta_deg": math.degrees(p.theta),
-        "psi_rad": math.atan2(p.epsilon.imag, p.epsilon.real),
-        "phi_rad": p.phi,
-        "epsilon_re": float(eps_si.real),
-        "epsilon_im": float(eps_si.imag),
-        "r_c_00": float(r_c_si[0, 0]),
-        "r_c_01": float(r_c_si[0, 1]),
-        "r_c_10": float(r_c_si[1, 0]),
-        "r_c_11": float(r_c_si[1, 1]),
-        "beta_0": float(beta_si[0]),
-        "beta_1": float(beta_si[1]),
-        "c_o_0": float(result.ndpa.c_o[0]),
-        "c_o_1": float(result.ndpa.c_o[1]),
-    }
+def _golden_value(payload: dict, name: str) -> float:
+    field, part = name.rsplit("_", 1)
+    if field in payload["angles"]:
+        return payload["angles"][field][part]
+    value = payload["dimensional"][field]
+    if isinstance(value, complex):
+        return value.real if part == "re" else value.imag
+    return float(value[tuple(int(digit) for digit in part)])
 
 
 # --------------------------------------------------------------------------
@@ -731,14 +708,14 @@ def run(cfg: RunConfig) -> int:
     )
     status = 0
 
+    payload = design_payload(cfg, result, scale)
     if "json" in cfg.format:
-        payload = design_payload(cfg, result, scale)
         (cfg.out / "design.json").write_text(emit_json(payload), encoding="ascii", newline="\n")
 
     if cfg.command == "verify":
         report = verify_convergence(result.observer, horizons=cfg.horizons)
-        payload = verify_payload(cfg, result, report, scale)
-        (cfg.out / "report.json").write_text(emit_json(payload), encoding="ascii", newline="\n")
+        report_json = emit_json(verify_payload(cfg, result, report, scale))
+        (cfg.out / "report.json").write_text(report_json, encoding="ascii", newline="\n")
         print(
             f"verify: passed={report.passed} fitted_rate={report.fitted_rate:.4f} "
             f"frequency={report.oscillation_frequency_estimate:.6g}"
@@ -749,17 +726,16 @@ def run(cfg: RunConfig) -> int:
             ladder = cfg.horizons or default_horizons(result.observer.omega_o)
             write_trajectory_csv(cfg.out / "trajectory.csv", sys_aug, max(ladder))
     elif cfg.command == "reproduce-example":
-        status = _check_golden(result, scale)
+        status = _check_golden(payload)
     for message in result.report.warnings:
         print(f"warning: {message}", file=sys.stderr)
     return status
 
 
-def _check_golden(result: DesignResult, scale: float) -> int:
-    values = reference_values(result, scale)
+def _check_golden(payload: dict) -> int:
     mismatches = []
     for name, golden, tol in GOLDEN:
-        got = values[name]
+        got = _golden_value(payload, name)
         ok = got == golden if tol == 0.0 else abs(got - golden) <= tol
         status = "ok" if ok else "MISMATCH"
         print(f"reproduce-example {status:8s} {name} = {got!r} (golden {golden!r}, tol {tol:g})")

@@ -196,13 +196,13 @@ def _closed_form(blocks: tuple, c_row: np.ndarray, t: np.ndarray):
     return base + rows @ r, base + averages @ r
 
 
-def _rows_and_averages(a: np.ndarray, c_row: np.ndarray, t: np.ndarray):
+def _rows_and_averages(a: np.ndarray, blocks, c_row: np.ndarray, t: np.ndarray):
     """Rows C exp(A t_k) and (1/(t_k - t_0)) int_{t_0}^{t_k} C exp(As) ds, unchecked.
 
-    The closed form for the observer's structure, restarted from its row at
-    t_0 > 0; Van Loan otherwise.  The average at k = 0 is the row itself.
+    `blocks` is `_observer_blocks(a)`.  The closed form for the observer's
+    structure, restarted from its row at t_0 > 0; Van Loan otherwise.  The
+    average at k = 0 is the row itself.
     """
-    blocks = _observer_blocks(a)
     if blocks is None:
         return _van_loan_rows(a, c_row, t)
     if t[0] != 0.0:
@@ -227,7 +227,7 @@ def coefficient_trajectory(sys: LinearQuantumSystem, c_row, t_grid) -> Trajector
     """
     c_row = _output_row(sys, c_row)
     t = _validate_grid(t_grid)
-    rows, averages = _rows_and_averages(sys.a, c_row, t)
+    rows, averages = _rows_and_averages(sys.a, _observer_blocks(sys.a), c_row, t)
     if not (np.all(np.isfinite(rows)) and np.all(np.isfinite(averages))):
         raise NonFiniteError("trajectory rows overflowed to non-finite values")
     return Trajectory(times=t, coefficient_rows=rows, running_average=averages)
@@ -239,11 +239,9 @@ def time_average_error(sys: LinearQuantumSystem, c_p_row, c_o_row, T: float) -> 
     The running average of c_o_row on the grid (0, T), at any T; an
     overflow is returned as inf or nan for the caller's finite check.
     """
-    T = float(T)
-    if not math.isfinite(T) or T <= 0.0:
-        raise ValueError(f"averaging horizon must be positive and finite, got {T}")
-    c_p_row = _output_row(sys, c_p_row)
-    _, averages = _rows_and_averages(sys.a, _output_row(sys, c_o_row), np.array([0.0, T]))
+    t = _validate_grid((0.0, T))
+    c_p_row, c_o_row = _output_row(sys, c_p_row), _output_row(sys, c_o_row)
+    _, averages = _rows_and_averages(sys.a, _observer_blocks(sys.a), c_o_row, t)
     return maxabs(c_p_row - averages[-1])
 
 
@@ -315,20 +313,16 @@ def verify_convergence(design: ObserverDesign, horizons=None) -> ConvergenceRepo
     if horizons is None:
         horizons = default_horizons(design.omega_o)
     horizons = tuple(float(t) for t in horizons)
-    if (
-        len(horizons) < 2
-        or not all(0.0 < t < math.inf for t in horizons)
-        or any(b <= a for a, b in zip(horizons, horizons[1:]))
-    ):
-        raise ValueError(
-            f"horizon ladder must be at least 2 positive, finite, increasing values, got {horizons}"
-        )
+    if len(horizons) < 2:
+        raise ValueError(f"horizon ladder needs at least 2 horizons, got {horizons}")
+    grid = _validate_grid((0.0, *horizons))
 
     sys = augment(design)
     c_p_aug, c_o_aug = sys.c[0], sys.c[1]
+    blocks = _observer_blocks(sys.a)
 
     row_defect = maxabs(c_p_aug @ sys.a)
-    _, averages = _rows_and_averages(sys.a, c_o_aug, np.array([0.0, *horizons]))
+    _, averages = _rows_and_averages(sys.a, blocks, c_o_aug, grid)
     errors = tuple(float(e) for e in np.max(np.abs(c_p_aug - averages[1:]), axis=1))
     ratios = tuple(b / a if a > 0.0 else math.inf for a, b in zip(errors, errors[1:]))
     rate = _fit_decay_rate(np.asarray(horizons), np.asarray(errors))
@@ -337,7 +331,6 @@ def verify_convergence(design: ObserverDesign, horizons=None) -> ConvergenceRepo
     limit_defect = validate_observer(design).normalized_constraint_defect
 
     expected = 4.0 * design.omega_o
-    blocks = _observer_blocks(sys.a)
     if blocks is None:
         freq = dominant_frequency(sys, c_o_aug)
     else:  # w = s sqrt(det(Om / s)), 0.0 when det <= 0

@@ -397,23 +397,22 @@ def design_ndpa(
         if value <= 0.0:
             raise DesignError(f"{name} must be positive, got {value}")
 
+    delta = math.pi / 2.0 if delta is None else float(delta)
     notes: list[str] = []
     if eps_ratio > EPS_RATIO_TRUSTED_MAX:
         notes.append(
             f"squeezing ratio {eps_ratio:g} above trusted range "
             f"(0, {EPS_RATIO_TRUSTED_MAX}); linearized model not trusted"
         )
-    if delta is not None and delta != math.pi / 2.0:
+    if delta != math.pi / 2.0:
         notes.append(
             f"non-default phase offset delta = {delta:g}; the phase pair is a "
             "toolkit convention, not uniquely determined"
         )
 
-    def stage(name, fn, *args, **kwargs):
+    def stage(name, fn, *args):
         try:
-            return fn(*args, **kwargs)
-        except ConsistencyError:
-            raise
+            return fn(*args)
         except Exception as exc:
             raise PipelineError(name, str(exc)) from exc
 
@@ -464,7 +463,7 @@ def design_ndpa(
     )
     report = DesignReport(
         arg_c=arg_c,
-        delta=math.pi / 2.0 if delta is None else float(delta),
+        delta=delta,
         theta_residual=theta_residual,
         phase_residual=phase_residual,
         arg_identity_residual=arg_identity_residual,

@@ -14,7 +14,7 @@ import pytest
 from qobserver import (
     PlantSpec, _kernels, augment, cli, design_ndpa, synthesize_observer, verify_convergence,
 )
-from qobserver.dynamics import default_horizons
+from qobserver.dynamics import CheckResult, ConvergenceReport, default_horizons
 from qobserver.errors import NonFiniteError, PipelineError
 from oracles import averaged_error_row, rotation_observer_row
 
@@ -340,6 +340,14 @@ class TestVerifyCommand:
         assert conv["fitted_rate"] == pytest.approx(1.19, abs=0.1)
         assert conv["oscillation_frequency_estimate"] == pytest.approx(4.0, rel=1e-6)
 
+    def test_report_keys_are_the_report_fields(self, tmp_path):
+        assert run_cli(["verify", "--out", str(tmp_path)]) == 0
+        conv = json.loads((tmp_path / "report.json").read_text())["convergence"]
+        fields = [f.name for f in dataclasses.fields(ConvergenceReport)]
+        assert list(conv) == [*fields, "rate_note"]
+        check_fields = [f.name for f in dataclasses.fields(CheckResult)]
+        assert [list(check) for check in conv["checks"]] == [check_fields] * 3
+
     def test_custom_horizons(self, tmp_path):
         code = run_cli(["verify", "--horizons", "4,8,16", "--out", str(tmp_path)])
         assert code == 0
@@ -495,6 +503,12 @@ class TestReproduceExample:
         assert code == 0
         assert "reproduce-example PASSED" in out
         assert (tmp_path / "design.json").exists()
+
+    def test_csv_format_checks_golden_and_writes_no_file(self, tmp_path, capsys):
+        code = run_cli(["reproduce-example", "--format", "csv", "--out", str(tmp_path)])
+        assert code == 0
+        assert capsys.readouterr().out.endswith("reproduce-example PASSED\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_detects_golden_mismatch(self, tmp_path, capsys, monkeypatch):
         tampered = tuple(

@@ -211,6 +211,17 @@ class TestVerifyConvergence:
         design, _ = example
         assert verify_convergence(design).passed
 
+    def test_tests_the_structure_once(self, example, monkeypatch):
+        calls = []
+        observer_blocks = dynamics._observer_blocks
+        monkeypatch.setattr(
+            dynamics, "_observer_blocks", lambda a: calls.append(1) or observer_blocks(a)
+        )
+        design, _ = example
+        assert verify_convergence(design).passed
+        assert verify_convergence(full_rank_design(design)).failures
+        assert len(calls) == 2
+
     def test_runs_no_exponential(self, example, monkeypatch):
         def boom(*args, **kwargs):
             raise AssertionError("verify_convergence ran a matrix exponential")
@@ -280,12 +291,13 @@ class TestClosedForm:
     def test_matches_van_loan(self, example, name):
         changes = {"r_o": np.zeros((2, 2))} if name == "zero_r_o" else LADDER_VARIANTS[name]
         sys = augment(dataclasses.replace(example[0], **changes))
-        assert dynamics._observer_blocks(sys.a) is not None
+        blocks = dynamics._observer_blocks(sys.a)
+        assert blocks is not None
         # both parts of the row nonzero; times on the series and direct branches
         c_row = np.array([0.7, -0.4, 1.3, 0.2])
         top = 0.5 if name == "indefinite_r_o" else 1.0
         grid = np.concatenate([[0.0], np.logspace(-3.0, top, 40)])
-        got = dynamics._rows_and_averages(sys.a, c_row, grid)
+        got = dynamics._rows_and_averages(sys.a, blocks, c_row, grid)
         want = dynamics._van_loan_rows(sys.a, c_row, grid)
         for closed, van_loan in zip(got, want):
             scale = max(1.0, maxabs(van_loan))
