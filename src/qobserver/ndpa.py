@@ -113,7 +113,8 @@ class NdpaParams:
             raise DesignError(f"gamma must be positive, got {self.gamma}")
         if not 0.0 < self.theta < math.pi:
             raise DesignError(
-                f"beamsplitter angle must lie in (0, pi), got {self.theta}"
+                f"beamsplitter angle must lie in (0, pi), got {self.theta}, at squeezing "
+                f"ratio {self.eps_ratio:g}; 2 arctan(1/ratio) rounds to pi below about 1e-16"
             )
 
     @property
@@ -419,8 +420,11 @@ def design_ndpa(
     theta = stage("solve_theta", solve_theta, eps_ratio)
     arg_c = math.atan2(plant.c_p[1], plant.c_p[0])
     psi, phi = stage("solve_phases", solve_phases, arg_c, delta)
+    # alpha_parameter(gamma, theta, phi) without its quotient, which equals
+    # eps_ratio on the design curve: it loses the ratio as theta nears pi and
+    # divides by zero as theta nears 0, where close_loop refuses instead.
     epsilon = gamma * eps_ratio * cmath.exp(1j * psi)
-    alpha = stage("alpha_parameter", alpha_parameter, gamma, theta, phi)
+    alpha = gamma * eps_ratio * cmath.exp(1j * phi)
 
     r_c = stage("coupling_block", coupling_block, epsilon, alpha)
     beta = stage("extract_beta", extract_beta, r_c, plant.c_p)

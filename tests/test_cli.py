@@ -546,11 +546,12 @@ class TestExitCodes:
         assert "extract_beta" in capsys.readouterr().err
 
     def test_underflowing_beamsplitter_exits_1(self, tmp_path, capsys):
-        # theta = 2 arctan(1e-9) leaves 1 - cos(theta) = 0 in floating point
+        # theta = 2 arctan(1e-9) leaves 1 - cos(theta) = 0 in floating point;
+        # alpha is formed without it, so the loop closure's guard refuses
         code = run_cli(["design", "--eps-ratio", "1e9", "--out", str(tmp_path)])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("pipeline failure: [alpha_parameter]")
+        assert err.startswith("pipeline failure: [close_loop] theta = 2e-09 too close")
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("command", ["design", "verify"])

@@ -86,6 +86,13 @@ def argvs(draw):
 @hypothesis.example(["simulate", "--omega-o", "1e-150", "--gamma", "1e160"])
 @hypothesis.example(["simulate", "--horizons", "1e15"])
 @hypothesis.example(["verify", "--units", "rad/s", "--omega-o", "1e-10", "--omega-ref", "1e300"])
+# Squeezing ratios that were refused at alpha or extract_beta, at either end,
+# and the edge of the trusted range.
+@hypothesis.example(["design", "--eps-ratio", "1e-12"])
+@hypothesis.example(["verify", "--eps-ratio", "1e-10"])
+@hypothesis.example(["design", "--eps-ratio", "1e9"])
+@hypothesis.example(["design", "--eps-ratio", "1e-17"])
+@hypothesis.example(["design", "--eps-ratio", "0.6"])
 def test_every_input_ends_in_a_documented_outcome(argv):
     with tempfile.TemporaryDirectory() as out, deadline(30):
         stderr = io.StringIO()

@@ -21,6 +21,7 @@ from qobserver import (
     quadrature_hamiltonian,
     solve_phases,
     solve_theta,
+    verify_convergence,
     wrap_angle,
 )
 from qobserver import ndpa
@@ -299,6 +300,22 @@ class TestDesignPipeline:
     def test_alpha_magnitude_matches_epsilon(self):
         result = design_ndpa([1.0, 0.0], 1.0, 1.0, 0.25)
         assert result.report.alpha_magnitude_defect <= 1e-12
+
+    @pytest.mark.parametrize("ratio", [1e-6, 1e-9, 1e-12, 1e-15])
+    def test_small_ratios_design_and_verify(self, ratio):
+        # theta is near pi, where sin(theta)/(1 - cos(theta)) loses the ratio;
+        # alpha = gamma * ratio * e^{i phi} keeps R_c rank one
+        result = design_ndpa([0.6, -0.8], 1.0, 3.0, ratio, 2.0)
+        alpha = result.ndpa.alpha
+        assert cmath.phase(alpha) == pytest.approx(result.ndpa.params.phi, abs=1e-15)
+        assert abs(alpha) == pytest.approx(3.0 * ratio, rel=1e-15)
+        assert abs(result.report.det_r_c) <= 1e-15
+        assert result.report.cross_check_defect <= 1e-15
+        assert verify_convergence(result.observer).passed
+
+    def test_ratio_whose_angle_rounds_to_pi_names_the_ratio(self):
+        with pytest.raises(DesignError, match=r"at squeezing ratio 1e-17; .* rounds to pi"):
+            design_ndpa([1.0, 0.0], 1.0, 1.0, 1e-17)
 
     def test_r_block_form(self):
         result = design_ndpa([0.3, -0.8], 2.0, 1.5, 0.3)
