@@ -643,7 +643,7 @@ def write_trajectory_csv(path: Path, sys_aug, t_max: float) -> None:
         [grid, traj_p.coefficient_rows, traj_o.coefficient_rows, traj_o.running_average]
     )
     blocks = fmt_table(table)
-    with path.open("w", newline="\n") as out:
+    with path.open("w", encoding="ascii", newline="\n") as out:
         out.write(",".join(header) + "\n")
         for block in blocks:
             out.write(block + "\n")

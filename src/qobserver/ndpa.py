@@ -114,7 +114,7 @@ class NdpaParams:
         if not 0.0 < self.theta < math.pi:
             raise DesignError(
                 f"beamsplitter angle must lie in (0, pi), got {self.theta}, at squeezing "
-                f"ratio {self.eps_ratio:g}; 2 arctan(1/ratio) rounds to pi below about 1e-16"
+                f"ratio {self.eps_ratio:g}; 2 arctan(1/ratio) rounds to pi below about 1.7e-16"
             )
 
     @property
@@ -196,9 +196,10 @@ def solve_theta(eps_ratio: float) -> float:
     """Beamsplitter angle with sin(theta)/(1 - cos(theta)) = eps_ratio.
 
     On (0, pi) the left side equals cot(theta/2), so the unique solution is
-    theta = 2 arctan(1/eps_ratio).  Ratios above 0.6 are accepted here;
-    `design_ndpa` flags them in `DesignReport.warnings`, since the linearized
-    amplifier model degrades there.
+    theta = 2 arctan(1/eps_ratio).  Ratios of 0.6 and above are accepted
+    here; `design_ndpa` flags them in `DesignReport.warnings`, by the rule of
+    `NdpaParams.linearization_trusted`, since the linearized amplifier model
+    degrades there.
     """
     eps_ratio = float(eps_ratio)
     if eps_ratio <= 0.0:
@@ -399,17 +400,6 @@ def design_ndpa(
             raise DesignError(f"{name} must be positive, got {value}")
 
     delta = math.pi / 2.0 if delta is None else float(delta)
-    notes: list[str] = []
-    if eps_ratio > EPS_RATIO_TRUSTED_MAX:
-        notes.append(
-            f"squeezing ratio {eps_ratio:g} above trusted range "
-            f"(0, {EPS_RATIO_TRUSTED_MAX}); linearized model not trusted"
-        )
-    if delta != math.pi / 2.0:
-        notes.append(
-            f"non-default phase offset delta = {delta:g}; the phase pair is a "
-            "toolkit convention, not uniquely determined"
-        )
 
     def stage(name, fn, *args):
         try:
@@ -456,8 +446,21 @@ def design_ndpa(
         wrap_angle(cmath.phase(1j * (epsilon - alpha.conjugate())) - arg_c)
     )
 
+    params = NdpaParams(gamma, epsilon, omega_o, theta, phi)
+    notes: list[str] = []
+    if not params.linearization_trusted:
+        notes.append(
+            f"squeezing ratio {eps_ratio:g} above trusted range "
+            f"(0, {EPS_RATIO_TRUSTED_MAX}); linearized model not trusted"
+        )
+    if delta != math.pi / 2.0:
+        notes.append(
+            f"non-default phase offset delta = {delta:g}; the phase pair is a "
+            "toolkit convention, not uniquely determined"
+        )
+
     ndpa = NdpaDesign(
-        params=NdpaParams(gamma, epsilon, omega_o, theta, phi),
+        params=params,
         alpha=alpha,
         f=f,
         m=m,

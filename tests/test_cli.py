@@ -213,6 +213,16 @@ class TestDesignCommand:
         assert len(err_lines) == 1
         assert err_lines[0].startswith("warning: squeezing ratio 5 above trusted range")
 
+    @pytest.mark.parametrize("ratio, trusted", [(0.6, False), (math.nextafter(0.6, 0.0), True)])
+    def test_warning_follows_the_trust_flag(self, tmp_path, capsys, ratio, trusted):
+        # the trusted range (0, 0.6) is open: 0.6 itself warns
+        code = run_cli(["design", "--eps-ratio", repr(ratio), "--out", str(tmp_path)])
+        assert code == 0
+        data = json.loads((tmp_path / "design.json").read_text())
+        assert data["checks"]["linearization_trusted"] is trusted
+        assert len(data["warnings"]) == (0 if trusted else 1)
+        assert capsys.readouterr().err == "".join(f"warning: {w}\n" for w in data["warnings"])
+
 
 class TestConfigFields:
     """One table declares every field: its flag, its config key and its parser."""
