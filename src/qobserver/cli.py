@@ -96,17 +96,15 @@ def fmt_float(x: float) -> str:
 # 8.8 at 2048.
 TABLE_BLOCK_ROWS = 256
 # Cells whose fraction beyond the 12th digit is this close to 1/2 go to `%`.
-# The kernel's fraction is off by less than 2**-52, its last rounding, so
-# every cell it rounds itself lies on the side of the tie that it reads.
-TIE_TOLERANCE = 2.0**-40
-# Magnitudes whose double-double product with 10**(11 - exponent) neither
-# under- nor overflows in its splits; the other cells go to `%`.
-KERNEL_RANGE = (1e-270, 1e290)
-# Exponents k of the powers 10**k: 11 minus the decimal exponents of
-# KERNEL_RANGE, one wider each way for a log10 that rounds across an integer.
-_POWER_MIN, _POWER_MAX = -280, 282
-# Veltkamp's constant 2**27 + 1: splits a double into two 26-bit halves.
-_SPLIT = 134217729.0
+# The kernel's product is off by less than 2**-52 * 10**12, about 2.2e-4,
+# so every cell it rounds itself lies on the side of the tie that it reads.
+TIE_TOLERANCE = 2.0**-11
+# The smallest magnitude the kernel rounds; below it 10**(11 - exponent)
+# overflows, and the nonzero cells go to `%`.
+KERNEL_MIN = 1e-296
+# Exponents k of the powers 10**k: 11 minus the decimal exponents from the
+# largest float to KERNEL_MIN's, less one for a log10 that rounds down.
+_POWER_MIN, _POWER_MAX = -297, 308
 
 # Offsets of the glyph sections in `_format_tables().glyphs`.  A glyph is
 # 4 bytes of text; nul bytes are padding, dropped after the block is joined.
@@ -130,17 +128,13 @@ _FIXED_SCALE = 10.0 ** np.arange(11)
 class _Tables(NamedTuple):
     glyphs: np.ndarray
     power: np.ndarray
-    power_head: np.ndarray
-    power_tail: np.ndarray
-    power_low: np.ndarray
 
 
 @functools.cache
 def _format_tables() -> _Tables:
-    """Glyphs and double-double powers of ten of `fmt_table`, on first use.
+    """Glyphs and powers of ten of `fmt_table`, on first use.
 
-    10**k is power + power_low to about 2**-106 relative, and power splits
-    into power_head + power_tail, for k in _POWER_MIN.._POWER_MAX.
+    power holds 10**k correctly rounded, for k in _POWER_MIN.._POWER_MAX.
     """
     n = np.arange(10000)
     digits = 48 + np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1)
@@ -168,16 +162,10 @@ def _format_tables() -> _Tables:
     ]
     glyphs = np.vstack(sections).astype(np.uint8).view(np.uint32).ravel()
 
-    # 10**k = num / den exactly; a quotient of ints is correctly rounded.
-    power, low = [], []
-    for k in range(_POWER_MIN, _POWER_MAX + 1):
-        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
-        p, q = (num / den).as_integer_ratio()
-        power.append(num / den)
-        low.append((num * q - p * den) / (den * q))
-    power = np.array(power)
-    head = _SPLIT * power - (_SPLIT * power - power)
-    return _Tables(glyphs, power, head, power - head, np.array(low))
+    # A quotient of ints, and an int converted to float, is correctly rounded.
+    exponents = range(_POWER_MIN, _POWER_MAX + 1)
+    power = np.array([float(10**k) if k >= 0 else 1 / 10**-k for k in exponents])
+    return _Tables(glyphs, power)
 
 
 def fmt_table(table: np.ndarray) -> Iterator[str]:
@@ -188,8 +176,8 @@ def fmt_table(table: np.ndarray) -> Iterator[str]:
     after the call.  Each block of TABLE_BLOCK_ROWS rows is one string with
     one row per line.  The cells the kernel leaves undecided, those within
     TIE_TOLERANCE of a rounding tie or next to a power of ten where log10
-    rounds up, and the magnitudes outside KERNEL_RANGE, are formatted by
-    one `%` per block.
+    rounds up, and the nonzero magnitudes below KERNEL_MIN, are formatted
+    by one `%` per block.
     """
     table = np.asarray(table, dtype=float)
     if table.ndim != 2 or table.shape[1] == 0:
@@ -205,7 +193,7 @@ def _fmt_block(block: np.ndarray) -> str:
     """Finite rows as text: 7 glyphs per cell, padding dropped at the end."""
     values = block.ravel()
     magnitude = np.abs(values)
-    exact = (magnitude >= KERNEL_RANGE[0]) & (magnitude <= KERNEL_RANGE[1])
+    exact = magnitude >= KERNEL_MIN
     digits, exp10, undecided = _decimal12(np.where(exact, magnitude, 1.0))
     fixed = _fixed_notation(magnitude)
     negative = values < 0
@@ -237,42 +225,24 @@ def _fallback_text(values: np.ndarray) -> np.ndarray:
 
 
 def _decimal12(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Significands, exponents and undecided cells of magnitudes in KERNEL_RANGE.
+    """Significands, exponents and undecided cells of magnitudes >= KERNEL_MIN.
 
     Each magnitude rounds half-to-even to significand * 10**(exponent - 11)
     with 10**11 <= significand < 10**12, unless it is undecided: within
     TIE_TOLERANCE of a tie, or scaled outside [10**11, 10**12] by a log10
     that rounded across an integer.  The significand is a float holding an
-    integer.
+    integer, read from one product with a correctly rounded power of ten.
     """
     exp10 = np.floor(np.log10(magnitude)).astype(np.int64)
-    whole, fraction = _scaled(magnitude, exp10)
+    product = magnitude * _format_tables().power[11 - exp10 - _POWER_MIN]
+    whole = np.floor(product)
+    fraction = product - whole
     digits = whole + (fraction > 0.5)
-    undecided = (np.abs(fraction - 0.5) < TIE_TOLERANCE) | (digits > 1e12)
-    undecided |= (whole - 1e11) + fraction < 0
+    undecided = (np.abs(fraction - 0.5) < TIE_TOLERANCE) | (digits > 1e12) | (product < 1e11)
     carry = digits == 1e12
     digits[carry] = 1e11
     exp10 += carry
     return digits, exp10, undecided
-
-
-def _scaled(magnitude: np.ndarray, exp10: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """magnitude * 10**(11 - exp10) as an integer part and a fraction.
-
-    Dekker's product without FMA: magnitude * power is exact as p + error,
-    and magnitude * power_low adds the tail of the power.  The fraction may
-    lie a little outside [0, 1); its error is less than 2**-52.
-    """
-    tables = _format_tables()
-    k = 11 - exp10 - _POWER_MIN
-    power, head, tail = tables.power[k], tables.power_head[k], tables.power_tail[k]
-    split = _SPLIT * magnitude
-    m_head = split - (split - magnitude)
-    m_tail = magnitude - m_head
-    product = magnitude * power
-    error = ((m_head * head - product) + m_head * tail + m_tail * head) + m_tail * tail
-    whole = np.floor(product)
-    return whole, (product - whole) + (error + magnitude * tables.power_low[k])
 
 
 def _divmod(n: np.ndarray, d) -> tuple[np.ndarray, np.ndarray]:

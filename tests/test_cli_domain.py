@@ -109,15 +109,17 @@ def test_every_input_ends_in_a_documented_outcome(argv):
 
 
 # Zero, subnormals, both edges of the fixed range [1e-4, 1e6) and values that
-# round up across them, both edges of the formatter's KERNEL_RANGE, near-ties,
-# three-digit exponents and the largest float, each with either sign.  The
-# 12th digit of -0.9596118698535, a workload's --cp, is 8.8e-7 of a unit from
-# a tie; 100000.0078125 and 123456789013.5 are ties, rounded to even down and up.
+# round up across them, the formatter's KERNEL_MIN and the float below it
+# (which goes to `%`), 1e290 and the float above it (ordinary cells),
+# near-ties, three-digit exponents and the largest float, each with either
+# sign.  The 12th digit of -0.9596118698535, a workload's --cp, is 8.8e-7 of
+# a unit from a tie; 100000.0078125 and 123456789013.5 are ties, rounded to
+# even down and up.
 EDGE_CELLS = (
     0.0, 5e-324, 4.9e-320, 1e-310, 2.2250738585072014e-308, 1e-300, 3.5e-150,
     np.nextafter(1e-4, 0.0), 1e-4, 9.99999999999996e-05, 9.999999999995e-05,
     99999.99999995, 999999.9999999, 999999.9999995, np.nextafter(1e6, 0.0), 1e6,
-    *cli.KERNEL_RANGE, *(np.nextafter(x, y) for x, y in zip(cli.KERNEL_RANGE, (0.0, np.inf))),
+    cli.KERNEL_MIN, np.nextafter(cli.KERNEL_MIN, 0.0), 1e290, np.nextafter(1e290, np.inf),
     -0.9596118698535, 100000.0078125, 123456789013.5, 1.5e100, 1e300, 1.7976931348623157e308,
 )
 
@@ -129,7 +131,7 @@ def _near_power_of_ten(exponent, step):
 
 
 # 13 significant digits ending in 5: the 12th digit of each lies within about
-# 1e-4 of a unit from a tie, which the rounded product alone cannot resolve.
+# 1e-4 of a unit from a tie, inside the kernel's TIE_TOLERANCE, so `%` decides.
 NEAR_TIES = st.builds(
     lambda m, e: float(f"{m}5e{e}"), st.integers(10**11, 10**12 - 1), st.integers(-300, 290)
 )
