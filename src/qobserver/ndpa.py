@@ -234,8 +234,12 @@ def solve_phases(arg_c: float, delta: float | None = None) -> tuple[float, float
 
 
 def alpha_parameter(gamma: float, theta: float, phi: float) -> complex:
-    """Loop-coupling amplitude alpha = gamma e^{i phi} sin(theta)/(1 - cos(theta))."""
-    return gamma * cmath.exp(1j * phi) * math.sin(theta) / (1.0 - math.cos(theta))
+    """Loop-coupling amplitude alpha = gamma e^{i phi} sin(theta)/(1 - cos(theta)).
+
+    The quotient is read as cot(theta/2), which loses no digits as theta
+    nears 0.
+    """
+    return gamma * cmath.exp(1j * phi) / math.tan(theta / 2.0)
 
 
 def build_open_ndpa(gamma: float, epsilon: complex, omega_o: float) -> OpenNdpaModel:
@@ -267,11 +271,13 @@ def close_loop(model: OpenNdpaModel, theta: float, phi: float) -> np.ndarray:
     whose inverse carries the prefactor sqrt(gamma) / (2 (1 - cos(theta))).
     Feeding the solved increments back into the drift cancels the diagonal
     damping and leaves the loop terms -alpha*/2 and alpha/2 off-diagonal.
+    1 - cos(theta) is formed as 2 sin(theta/2)**2, which keeps its digits
+    as theta nears 0, where the subtraction cancels.
     """
     theta = float(theta)
     phi = float(phi)
-    cos_t = math.cos(theta)
-    if abs(1.0 - cos_t) < 1e-9:
+    one_minus_cos = 2.0 * math.sin(theta / 2.0) ** 2
+    if one_minus_cos < 1e-9:
         raise SingularBeamsplitterError(
             f"theta = {theta} too close to full transmission; the feedback "
             "elimination is singular"
@@ -279,11 +285,11 @@ def close_loop(model: OpenNdpaModel, theta: float, phi: float) -> np.ndarray:
     sin_t = math.sin(theta)
     # Closed-form inverse of the elimination matrix times -gamma, added to
     # the open (a, b) drift.
-    pref = model.gamma / (2.0 * (1.0 - cos_t))
+    pref = model.gamma / (2.0 * one_minus_cos)
     correction = -pref * np.array(
         [
-            [cos_t - 1.0, cmath.exp(-1j * phi) * sin_t],
-            [-cmath.exp(1j * phi) * sin_t, cos_t - 1.0],
+            [-one_minus_cos, cmath.exp(-1j * phi) * sin_t],
+            [-cmath.exp(1j * phi) * sin_t, -one_minus_cos],
         ]
     )
     f_ab = model.drift[:2, :2] + correction
@@ -411,8 +417,7 @@ def design_ndpa(
     arg_c = math.atan2(plant.c_p[1], plant.c_p[0])
     psi, phi = stage("solve_phases", solve_phases, arg_c, delta)
     # alpha_parameter(gamma, theta, phi) without its quotient, which equals
-    # eps_ratio on the design curve: it loses the ratio as theta nears pi and
-    # divides by zero as theta nears 0, where close_loop refuses instead.
+    # eps_ratio on the design curve and loses the ratio as theta nears pi.
     epsilon = gamma * eps_ratio * cmath.exp(1j * psi)
     alpha = gamma * eps_ratio * cmath.exp(1j * phi)
 
@@ -433,9 +438,7 @@ def design_ndpa(
             f"(max entry defect {cross_defect:.3e})"
         )
 
-    theta_residual = abs(
-        math.sin(theta) / (1.0 - math.cos(theta)) - eps_ratio
-    )
+    theta_residual = abs(1.0 / math.tan(theta / 2.0) - eps_ratio)
     phase_residual = abs(
         wrap_angle(
             cmath.phase(cmath.exp(1j * psi) - cmath.exp(-1j * phi))

@@ -8,6 +8,7 @@ import pytest
 from qobserver import (
     DesignError,
     FactorizationError,
+    PipelineError,
     SingularBeamsplitterError,
     StructureError,
     ZeroCouplingError,
@@ -312,6 +313,22 @@ class TestDesignPipeline:
         assert abs(result.report.det_r_c) <= 1e-15
         assert result.report.cross_check_defect <= 1e-15
         assert verify_convergence(result.observer).passed
+
+    @pytest.mark.parametrize("k", range(14))
+    def test_large_ratios_design_and_verify(self, k):
+        # theta nears 0, where 1 - cos(theta) by subtraction loses digits and
+        # the cross-check refused 1.12e4 but not 1.41e4; 2 sin(theta/2)**2 does not
+        ratio = 10.0 ** (4 + 0.05 * k)
+        result = design_ndpa([1.0, 0.0], 1.0, 1.0, ratio)
+        assert result.report.cross_check_defect <= 1e-15 * ratio
+        assert result.report.theta_residual <= 1e-15 * ratio
+        assert verify_convergence(result.observer).passed
+
+    def test_next_ratio_is_refused_at_the_loop_closure(self):
+        # 1 - cos(theta) ~ 2 / ratio**2 falls below close_loop's 1e-9 guard
+        with pytest.raises(PipelineError, match=r"^\[close_loop\] theta = .* too close") as info:
+            design_ndpa([1.0, 0.0], 1.0, 1.0, 10.0 ** (4 + 0.05 * 14))
+        assert info.value.stage == "close_loop"
 
     def test_ratio_whose_angle_rounds_to_pi_names_the_ratio(self):
         with pytest.raises(DesignError, match=r"at squeezing ratio 1e-17; .* rounds to pi"):
