@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from qobserver import (
-    PlantSpec, _kernels, augment, cli, design_ndpa, synthesize_observer, verify_convergence,
+    PlantSpec, _kernels, augment, cli, design_ndpa, ndpa, synthesize_observer, verify_convergence,
 )
 from qobserver.dynamics import CheckResult, ConvergenceReport, default_horizons
 from qobserver.errors import NonFiniteError, PipelineError
@@ -336,6 +336,34 @@ class TestConfigFields:
         assert run_cli(["design", "--config", str(config)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: config key {key!r}:")
 
+    @pytest.mark.parametrize(
+        "argv, config_text, message",
+        [
+            (["design", "--format", "xml"], None, "--format: unknown format 'xml'"),
+            (["design", "--format", ","], None, "--format: at least one format required"),
+            (["design", "--format", "csv"], None, "--format: design produces JSON"),
+            (["verify", "--format", "csv"], None, "--format: verify produces JSON"),
+            (["design", "--cp", "1,2,3"], None, "--cp: expected two numbers, got '1,2,3'"),
+            (["verify", "--horizons", ","], None, "--horizons: empty list"),
+            (["design", "--config", "{path}"], None, "config file not found: {path}"),
+            (["design", "--config", "{path}"], "{bad", "{path}: invalid JSON ("),
+            (["design", "--config", "{path}"], "[1,2]", "{path}: top level must be a JSON object"),
+        ],
+        ids=[
+            "unknown_format", "no_format", "design_without_json", "verify_without_json",
+            "three_selector_entries", "no_horizons", "missing_file", "bad_json", "json_list",
+        ],
+    )
+    def test_config_error_names_its_source(self, tmp_path, capsys, argv, config_text, message):
+        out, config = tmp_path / "out", tmp_path / "run.json"
+        if config_text is not None:
+            config.write_text(config_text)
+        assert run_cli([arg.format(path=config) for arg in argv] + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: " + message.format(path=config))
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_report_contents(self, tmp_path, capsys):
@@ -554,6 +582,21 @@ class TestExitCodes:
         code = run_cli(["design", "--out", str(tmp_path)])
         assert code == 1
         assert "extract_beta" in capsys.readouterr().err
+
+    def test_cross_check_refusal_exits_1(self, tmp_path, monkeypatch, capsys):
+        # no known input reaches the cross-check's refusal, so the physical
+        # route is pushed off the abstract design by a relative 1e-6
+        close_loop = ndpa.close_loop
+        monkeypatch.setattr(ndpa, "close_loop", lambda *args: close_loop(*args) * (1 + 1e-6))
+        with pytest.raises(PipelineError) as info:
+            design_ndpa([1.0, 0.0], 1.0, 1.0, 0.1)
+        assert info.value.stage == "cross_check"
+        code = run_cli(["design", "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pipeline failure: [cross_check] physical route disagrees")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "design.json").exists()
 
     def test_underflowing_beamsplitter_exits_1(self, tmp_path, capsys):
         # theta = 2 arctan(1e-9) leaves 1 - cos(theta) = 0 in floating point;

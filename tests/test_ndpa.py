@@ -316,8 +316,8 @@ class TestDesignPipeline:
 
     @pytest.mark.parametrize("k", range(14))
     def test_large_ratios_design_and_verify(self, k):
-        # theta nears 0, where 1 - cos(theta) by subtraction loses digits and
-        # the cross-check refused 1.12e4 but not 1.41e4; 2 sin(theta/2)**2 does not
+        # theta nears 0, where 1 - cos(theta) by subtraction would lose enough
+        # digits to move the physical route off the abstract design
         ratio = 10.0 ** (4 + 0.05 * k)
         result = design_ndpa([1.0, 0.0], 1.0, 1.0, ratio)
         assert result.report.cross_check_defect <= 1e-15 * ratio
