@@ -95,6 +95,13 @@ def digest(main, argv: list[str], out: Path) -> str:
     return h.hexdigest()
 
 
+def replay_lines(main, out: Path, replay: list[list[str]]) -> list[str]:
+    """`<digest> <argv>` for every argv of `replay`, then `total <digest of those lines>`."""
+    lines = [f"{digest(main, argv, out)} {' '.join(argv)}" for argv in replay]
+    total = hashlib.sha256("".join(line + "\n" for line in lines).encode())
+    return [*lines, f"total {total.hexdigest()}"]
+
+
 def main() -> int:
     if len(sys.argv) != 2:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
@@ -106,15 +113,10 @@ def main() -> int:
     if not Path(qobserver.cli.__file__).resolve().is_relative_to(src):
         print(f"qobserver imported from {qobserver.cli.__file__}, not {src}", file=sys.stderr)
         return 2
-    total = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         out.mkdir()
-        for argv in argvs():
-            line = f"{digest(qobserver.cli.main, argv, out)} {' '.join(argv)}"
-            total.update(line.encode() + b"\n")
-            print(line)
-    print(f"total {total.hexdigest()}")
+        print("\n".join(replay_lines(qobserver.cli.main, out, argvs())))
     return 0
 
 
