@@ -1,5 +1,5 @@
-"""The matrix exponential in plain numpy, for `core.propagator` and the Van
-Loan route of `dynamics`; the observer's own system needs none.
+"""The matrix exponential in plain numpy, for `core.propagator`; the
+observer's rows in `dynamics` take a closed form and need none.
 """
 
 from __future__ import annotations

@@ -10,12 +10,12 @@ O(1/T) with an oscillatory prefactor:
 
     (1/T) int_0^T (C_p,aug - C_o,aug exp(As)) ds  =  O(1/T).
 
-Every row and running average comes from `_rows_and_averages`: for the
-observer's generator a closed form in cos and sin of w t (w^2 = det Om),
-exact to roundoff at any horizon and with no exponential; for any other
-generator the Van Loan exponential.  The decay rate is a property of the
-R_o = 2 omega_o I construction; the underlying guarantee is only that the
-average tends to zero.
+Every row and running average comes from one closed form in cos and sin
+of w t (w^2 = det Om), exact to roundoff at any horizon and with no
+exponential.  It holds for the generator `augment` builds from a rank-one
+R_c, and `_observer_blocks` raises StructureError for any other.  The decay
+rate is a property of the R_o = 2 omega_o I construction; the underlying
+guarantee is only that the average tends to zero.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .core import EXACT_TOL, LinearQuantumSystem, maxabs
-from .errors import DimensionError, NonFiniteError
+from .errors import DimensionError, NonFiniteError, StructureError
 from .observer import ObserverDesign, augment, validate_observer
 
 
@@ -96,53 +95,25 @@ def _validate_grid(t_grid) -> np.ndarray:
     return t
 
 
-def _van_loan_rows(a: np.ndarray, c_row: np.ndarray, t: np.ndarray):
-    """`_rows_and_averages` for any generator.
-
-    exp([[A h, I], [0, 0]]) = [[exp(Ah), W], [0, I]] with the average
-    W = (1/h) int_0^h exp(As) ds (Van Loan, IEEE TAC 23(3), 1978), which
-    stays finite where the integral would overflow.  A uniform grid of 3 or
-    more points scans [C exp(A t_0), 0] under one such exponential, and the
-    second half at step k is the sum of k one-step averages; any other grid
-    takes one per point, with h = t_k - t_0.
-    """
-    n = a.shape[0]
-    start = c_row if t[0] == 0.0 else c_row @ _kernels.expm(a * t[0])
-
-    def van_loan(h):
-        return _kernels.expm(np.block([[a * h, np.eye(n)], [np.zeros((n, 2 * n))]]))
-
-    steps = np.diff(t)
-    if steps.size < 2 or np.max(np.abs(steps - steps[0])) > 1e-12 * max(1.0, steps[0]):
-        tops = [van_loan(tk - t[0])[:n] for tk in t[1:]]
-        rows = np.array([start, *(start @ e[:, :n] for e in tops)])
-        return rows, np.array([start, *(start @ e[:, n:] for e in tops)])
-    step = van_loan(steps[0])
-    scanned = np.empty((t.size, 2 * n))
-    scanned[0] = np.concatenate([start, np.zeros(n)])
-    for k in range(1, t.size):
-        scanned[k] = scanned[k - 1] @ step
-    rows = scanned[:, :n]
-    averages = scanned[:, n:] / np.maximum(np.arange(t.size), 1)[:, None]
-    averages[0] = rows[0]
-    return rows, averages
-
-
 def _observer_blocks(a: np.ndarray):
-    """(P, D, Om, s = max|Om| or 1, det(Om / s)) of A = [[0, P], [D, Om]], or None.
+    """(P, D, Om, s = max|Om| or 1, det(Om / s)) of A = [[0, P], [D, Om]].
 
-    None unless A has the structure `augment` builds from a rank-one R_c:
-    4 x 4, a zero plant block, a traceless Om and D P = 0, the last two to
-    1e-14 of max|Om| and of max|D| max|P|.  Then A^4 = -det(Om) A^2.
+    StructureError unless A has the structure `augment` builds from a
+    rank-one R_c: 4 x 4, a zero plant block, a traceless Om and D P = 0, the
+    last two to 1e-14 of max|Om| and of max|D| max|P|.  Then
+    A^4 = -det(Om) A^2.
     """
     if a.shape != (4, 4) or np.any(a[:2, :2]):
-        return None
+        raise StructureError("generator is not 4 x 4 with a zero plant block [[0, P], [D, Om]]")
     p, d, om = a[:2, 2:], a[2:, :2], a[2:, 2:]
     s = maxabs(om) or 1.0
     d_scale, p_scale = maxabs(d), maxabs(p)
     dp_zero = not (d_scale and p_scale) or maxabs((d / d_scale) @ (p / p_scale)) <= 1e-14
     if abs(om[0, 0] + om[1, 1]) > 1e-14 * s or not dp_zero:
-        return None
+        raise StructureError(
+            "generator [[0, P], [D, Om]] has no closed form: it needs a traceless Om and "
+            "D P = 0, which a rank-one R_c gives"
+        )
     om_s = om / s
     return p, d, om, s, float(om_s[0, 0] * om_s[1, 1] - om_s[0, 1] * om_s[1, 0])
 
@@ -196,15 +167,12 @@ def _closed_form(blocks: tuple, c_row: np.ndarray, t: np.ndarray):
     return base + rows @ r, base + averages @ r
 
 
-def _rows_and_averages(a: np.ndarray, blocks, c_row: np.ndarray, t: np.ndarray):
+def _rows_and_averages(blocks: tuple, c_row: np.ndarray, t: np.ndarray):
     """Rows C exp(A t_k) and (1/(t_k - t_0)) int_{t_0}^{t_k} C exp(As) ds, unchecked.
 
-    `blocks` is `_observer_blocks(a)`.  The closed form for the observer's
-    structure, restarted from its row at t_0 > 0; Van Loan otherwise.  The
-    average at k = 0 is the row itself.
+    `blocks` is `_observer_blocks(A)`.  The closed form, restarted from its
+    row at t_0 > 0.  The average at k = 0 is the row itself.
     """
-    if blocks is None:
-        return _van_loan_rows(a, c_row, t)
     if t[0] != 0.0:
         c_row = _closed_form(blocks, c_row, t[:1])[0][0]
     return _closed_form(blocks, c_row, t - t[0])
@@ -222,64 +190,15 @@ def _output_row(sys: LinearQuantumSystem, c_row) -> np.ndarray:
 def coefficient_trajectory(sys: LinearQuantumSystem, c_row, t_grid) -> Trajectory:
     """Rows C exp(A t_k) and their exact running average over an increasing time grid.
 
-    No exponential for an observer system.  Any other takes one for a
-    uniform grid, one more when t_0 > 0, and one per point otherwise.
+    By the closed form, with no exponential; StructureError for a system
+    that is not the observer's (`_observer_blocks`).
     """
     c_row = _output_row(sys, c_row)
     t = _validate_grid(t_grid)
-    rows, averages = _rows_and_averages(sys.a, _observer_blocks(sys.a), c_row, t)
+    rows, averages = _rows_and_averages(_observer_blocks(sys.a), c_row, t)
     if not (np.all(np.isfinite(rows)) and np.all(np.isfinite(averages))):
         raise NonFiniteError("trajectory rows overflowed to non-finite values")
     return Trajectory(times=t, coefficient_rows=rows, running_average=averages)
-
-
-def time_average_error(sys: LinearQuantumSystem, c_p_row, c_o_row, T: float) -> float:
-    """Max-abs norm of (1/T) int_0^T (c_p_row - c_o_row exp(As)) ds, exactly.
-
-    The running average of c_o_row on the grid (0, T), at any T; an
-    overflow is returned as inf or nan for the caller's finite check.
-    """
-    t = _validate_grid((0.0, T))
-    c_p_row, c_o_row = _output_row(sys, c_p_row), _output_row(sys, c_o_row)
-    _, averages = _rows_and_averages(sys.a, _observer_blocks(sys.a), c_o_row, t)
-    return maxabs(c_p_row - averages[-1])
-
-
-def simulate_means(sys: LinearQuantumSystem, x0_means, t_grid) -> np.ndarray:
-    """Means z_i(t_k) = C_i exp(A t_k) x0 of every output row, shape (nt, m)."""
-    x0 = np.asarray(x0_means, dtype=float).reshape(-1)
-    if x0.shape != (sys.space.n,):
-        raise DimensionError(
-            f"initial mean vector has {x0.shape[0]} entries, "
-            f"state dimension is {sys.space.n}"
-        )
-    if sys.c.shape[0] == 0:
-        raise DimensionError("system has no output rows attached")
-    return np.column_stack(
-        [coefficient_trajectory(sys, c, t_grid).coefficient_rows @ x0 for c in sys.c]
-    )
-
-
-def dominant_frequency(sys: LinearQuantumSystem, c_row) -> float:
-    """Exact angular frequency Omega of the row C exp(A t).
-
-    If z = const + a cos(Omega t) + b sin(Omega t), the derivative row
-    g = C A satisfies g A^2 = -Omega^2 g, so Omega^2 = -(g A^2 . g)/(g . g).
-    C and g are normalized by their max-abs entries, so the result does not
-    depend on the scale of the row.  A row with g = 0 or Omega^2 <= 0 does
-    not oscillate and gives 0.0.
-    """
-    c_row = _output_row(sys, c_row)
-    scale = maxabs(c_row)
-    if scale == 0.0:
-        return 0.0
-    g = (c_row / scale) @ sys.a
-    scale = maxabs(g)
-    if scale == 0.0:
-        return 0.0
-    g = g / scale
-    omega_sq = -float((g @ sys.a @ sys.a) @ g) / float(g @ g)
-    return math.sqrt(omega_sq) if omega_sq > 0.0 else 0.0
 
 
 def _fit_decay_rate(horizons: np.ndarray, errors: np.ndarray) -> float:
@@ -302,13 +221,15 @@ def verify_convergence(design: ObserverDesign, horizons=None) -> ConvergenceRepo
        -C_o R_o^{-1} beta^T = 1 holds to EXACT_TOL.  The errors are read
        from the running average of the observer row on the grid
        (0, *horizons);
-    c. the observer row oscillates within 1% of 4 omega_o: at w, read from
-       Om, for the observer's structure, else at `dominant_frequency`.
+    c. the observer row oscillates within 1% of 4 omega_o, at
+       w = sqrt(det Om) read from Om (0.0 when det Om <= 0).
 
     The default ladder is `default_horizons(omega_o)`.  A ladder that is
     not at least 2 positive, finite, strictly increasing horizons raises
-    ValueError before any error is computed; otherwise this always returns a
-    report, and failed checks are named in `failures` rather than raised.
+    ValueError, and a design whose augmented generator lacks the observer's
+    structure (a full-rank R_c) raises StructureError, before any error is
+    computed; otherwise this always returns a report, and failed checks are
+    named in `failures` rather than raised.
     """
     if horizons is None:
         horizons = default_horizons(design.omega_o)
@@ -322,7 +243,7 @@ def verify_convergence(design: ObserverDesign, horizons=None) -> ConvergenceRepo
     blocks = _observer_blocks(sys.a)
 
     row_defect = maxabs(c_p_aug @ sys.a)
-    _, averages = _rows_and_averages(sys.a, blocks, c_o_aug, grid)
+    _, averages = _rows_and_averages(blocks, c_o_aug, grid)
     errors = tuple(float(e) for e in np.max(np.abs(c_p_aug - averages[1:]), axis=1))
     ratios = tuple(b / a if a > 0.0 else math.inf for a, b in zip(errors, errors[1:]))
     rate = _fit_decay_rate(np.asarray(horizons), np.asarray(errors))
@@ -331,10 +252,7 @@ def verify_convergence(design: ObserverDesign, horizons=None) -> ConvergenceRepo
     limit_defect = validate_observer(design).normalized_constraint_defect
 
     expected = 4.0 * design.omega_o
-    if blocks is None:
-        freq = dominant_frequency(sys, c_o_aug)
-    else:  # w = s sqrt(det(Om / s)), 0.0 when det <= 0
-        freq = blocks[3] * math.sqrt(max(blocks[4], 0.0))
+    freq = blocks[3] * math.sqrt(max(blocks[4], 0.0))  # w = s sqrt(det(Om / s))
     freq_rel = abs(freq - expected) / expected
 
     decreasing = all(b < a for a, b in zip(errors, errors[1:]))

@@ -4,7 +4,8 @@ Everything here deliberately avoids the code paths under test: propagators
 are integrated with fixed-step RK4 instead of scaling-and-squaring, the
 feedback loop is eliminated with a numerical 2x2 inversion instead of the
 closed-form adjugate, time averages come from the exact rotation
-integral int_0^T exp(w J s) ds = (exp(w J T) - I) J^{-1} / w, and JSON
+integral int_0^T exp(w J s) ds = (exp(w J T) - I) J^{-1} / w or from Van
+Loan's block exponential through scipy instead of the closed form, and JSON
 reports are laid out by `json.dumps` instead of the one-pass emitter (their
 floats still take `fmt_float`, the one float rule).
 """
@@ -18,6 +19,7 @@ import re
 import uuid
 
 import numpy as np
+from scipy.linalg import expm as scipy_expm
 
 from qobserver.cli import fmt_float
 
@@ -42,6 +44,23 @@ def rk4_expm(a: np.ndarray, t: float, steps: int | None = None) -> np.ndarray:
         k4 = a @ (m + h * k3)
         m = m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return m
+
+
+def van_loan_rows(a: np.ndarray, c_row: np.ndarray, t: np.ndarray):
+    """Rows C exp(A t_k) and (1/(t_k - t_0)) int_{t_0}^{t_k} C exp(As) ds, per point.
+
+    exp([[A h, I], [0, 0]]) = [[exp(Ah), W], [0, I]] with the average
+    W = (1/h) int_0^h exp(As) ds (Van Loan, IEEE TAC 23(3), 1978), one
+    exponential for each h = t_k - t_0; the average at k = 0 is the row.
+    """
+    n = a.shape[0]
+    start = c_row @ scipy_expm(a * t[0])
+    rows, averages = [start], [start]
+    for h in t[1:] - t[0]:
+        e = scipy_expm(np.block([[a * h, np.eye(n)], [np.zeros((n, 2 * n))]]))
+        rows.append(start @ e[:n, :n])
+        averages.append(start @ e[:n, n:])
+    return np.array(rows), np.array(averages)
 
 
 def rotation(omega: float, t: float) -> np.ndarray:

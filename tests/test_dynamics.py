@@ -8,20 +8,21 @@ from qobserver import (
     DimensionError,
     NonFiniteError,
     PlantSpec,
+    QuadraticHamiltonian,
+    StructureError,
+    SymplecticSpace,
     augment,
     ccr_defect,
     coefficient_trajectory,
     design_ndpa,
-    dominant_frequency,
+    generator_from_hamiltonian,
     propagator,
-    simulate_means,
     synthesize_observer,
-    time_average_error,
     verify_convergence,
 )
 from qobserver import _kernels, dynamics
 from qobserver.core import maxabs
-from oracles import averaged_error_row, rotation_observer_row
+from oracles import averaged_error_row, rotation_observer_row, van_loan_rows
 
 
 @pytest.fixture(scope="module")
@@ -72,15 +73,13 @@ class TestCoefficientTrajectory:
                 traj.coefficient_rows[k], sys.c[1] @ propagator(sys, t), atol=1e-13
             )
 
-    def test_uniform_full_rank_grid_matches_propagator(self, example):
-        # the Van Loan scan, step by step, against one propagator per point
+    def test_full_rank_coupling_raises(self, example):
         sys = augment(full_rank_design(example[0]))
-        grid = np.linspace(0.0, 40.0, 2001)
-        traj = coefficient_trajectory(sys, sys.c[1], grid)
-        for k in range(0, grid.size, 50):
-            expected = sys.c[1] @ propagator(sys, grid[k])
-            atol = 1e-11 * max(1.0, maxabs(expected))
-            np.testing.assert_allclose(traj.coefficient_rows[k], expected, rtol=0.0, atol=atol)
+        with pytest.raises(StructureError, match="rank-one R_c"):
+            coefficient_trajectory(sys, sys.c[1], np.linspace(0.0, 40.0, 2001))
+        one_mode = generator_from_hamiltonian(QuadraticHamiltonian(np.eye(2), SymplecticSpace(1)))
+        with pytest.raises(StructureError, match="not 4 x 4"):
+            coefficient_trajectory(one_mode, [1.0, 0.0], [0.0, 1.0])
 
     def test_bad_grids_rejected(self, example):
         _, sys = example
@@ -96,57 +95,48 @@ class TestCoefficientTrajectory:
 
 
 class TestTimeAverageError:
+    """The report's errors max|(1/T) int_0^T (C_p,aug - C_o,aug exp(As)) ds| over a ladder."""
+
     def test_matches_closed_form_oracle(self, example):
-        design, sys = example
-        for t_hor in (3.0, 7.0, 11.5, 40.0):
-            value = time_average_error(sys, sys.c[0], sys.c[1], t_hor)
+        design, _ = example
+        horizons = (3.0, 7.0, 11.5, 40.0)
+        for t_hor, value in zip(horizons, verify_convergence(design, horizons).errors):
             oracle = float(np.max(np.abs(averaged_error_row(design, t_hor))))
             assert value == pytest.approx(oracle, abs=1e-8)
 
     def test_long_horizon_decay(self, example):
-        design, sys = example
-        err5 = time_average_error(sys, sys.c[0], sys.c[1], 5.0)
-        err50 = time_average_error(sys, sys.c[0], sys.c[1], 50.0)
+        design, _ = example
+        err5, err50 = verify_convergence(design, (5.0, 50.0)).errors
         assert err50 <= 0.11 * err5
 
     def test_one_over_t_envelope(self, example):
         # T * error(T) stays bounded by the design constant
-        design, sys = example
-        bound = 0.0
-        for t_hor in np.linspace(2.0, 90.0, 23):
-            bound = max(bound, t_hor * time_average_error(sys, sys.c[0], sys.c[1], t_hor))
-        assert bound <= 2.0 * 2.5 + 1e-6
+        design, _ = example
+        horizons = np.linspace(2.0, 90.0, 23)
+        errors = verify_convergence(design, horizons).errors
+        assert max(horizons * np.array(errors)) <= 2.0 * 2.5 + 1e-6
 
     def test_exact_period_multiples_vanish(self, example):
-        design, sys = example
+        design, _ = example
         period = math.pi / (2.0 * design.omega_o)
-        for k in (4, 20):
-            value = time_average_error(sys, sys.c[0], sys.c[1], k * period)
+        for value in verify_convergence(design, (4 * period, 20 * period)).errors:
             assert value <= 1e-7
 
     def test_decoupled_design_plateaus(self):
         design = synthesize_observer(PlantSpec([1.0, 0.0]), 1.0, [0.2, 0.0])
         broken = dataclasses.replace(design, beta=np.zeros(2), r_c=np.zeros((2, 2)))
-        sys = augment(broken)
-        values = [time_average_error(sys, sys.c[0], sys.c[1], t) for t in (20.0, 40.0, 80.0)]
+        values = verify_convergence(broken, (20.0, 40.0, 80.0)).errors
         for v in values:
             assert v == pytest.approx(1.0, abs=0.3)
         assert values[-1] > 0.5  # no convergence
 
-    def test_nonpositive_horizon_rejected(self, example):
-        _, sys = example
-        for t_hor in (0.0, math.inf, math.nan):
-            with pytest.raises(ValueError):
-                time_average_error(sys, sys.c[0], sys.c[1], t_hor)
-
     def test_many_periods_match_oracle(self):
         # a lab-scale generator at T = 80 and nondimensional horizons of 1e5
-        # and 1e6 span ~6e4 to ~5e9 periods; each is still one exponential
+        # and 1e6 span ~6e4 to ~5e9 periods
         cases = ((1e8, [2e7, 0.0], 80.0), (1.0, [0.2, 0.0], 1e5), (1.0, [0.2, 0.0], 1e6))
         for omega_o, beta, t_hor in cases:
             design = synthesize_observer(PlantSpec([1.0, 0.0]), omega_o, beta)
-            sys = augment(design)
-            value = time_average_error(sys, sys.c[0], sys.c[1], t_hor)
+            value = verify_convergence(design, (t_hor / 2.0, t_hor)).errors[-1]
             oracle = float(np.max(np.abs(averaged_error_row(design, t_hor))))
             assert value == pytest.approx(oracle, rel=1e-12)
 
@@ -206,7 +196,6 @@ class TestVerifyConvergence:
         def boom(*args, **kwargs):
             raise AssertionError("verify_convergence simulated a trajectory")
 
-        monkeypatch.setattr(dynamics, "_van_loan_rows", boom)
         monkeypatch.setattr(dynamics, "coefficient_trajectory", boom)
         design, _ = example
         assert verify_convergence(design).passed
@@ -219,7 +208,8 @@ class TestVerifyConvergence:
         )
         design, _ = example
         assert verify_convergence(design).passed
-        assert verify_convergence(full_rank_design(design)).failures
+        with pytest.raises(StructureError):
+            verify_convergence(full_rank_design(design))
         assert len(calls) == 2
 
     def test_runs_no_exponential(self, example, monkeypatch):
@@ -285,20 +275,19 @@ LADDER_VARIANTS = {
 
 
 class TestClosedForm:
-    """The observer systems' closed form against the Van Loan route, for any row."""
+    """The observer systems' closed form against the Van Loan oracle, for any row."""
 
     @pytest.mark.parametrize("name", [*LADDER_VARIANTS, "zero_r_o"])
     def test_matches_van_loan(self, example, name):
         changes = {"r_o": np.zeros((2, 2))} if name == "zero_r_o" else LADDER_VARIANTS[name]
         sys = augment(dataclasses.replace(example[0], **changes))
-        blocks = dynamics._observer_blocks(sys.a)
-        assert blocks is not None
+        blocks = dynamics._observer_blocks(sys.a)  # StructureError if a control lost it
         # both parts of the row nonzero; times on the series and direct branches
         c_row = np.array([0.7, -0.4, 1.3, 0.2])
         top = 0.5 if name == "indefinite_r_o" else 1.0
         grid = np.concatenate([[0.0], np.logspace(-3.0, top, 40)])
-        got = dynamics._rows_and_averages(sys.a, blocks, c_row, grid)
-        want = dynamics._van_loan_rows(sys.a, c_row, grid)
+        got = dynamics._rows_and_averages(blocks, c_row, grid)
+        want = van_loan_rows(sys.a, c_row, grid)
         for closed, van_loan in zip(got, want):
             scale = max(1.0, maxabs(van_loan))
             np.testing.assert_allclose(closed, van_loan, rtol=0.0, atol=1e-12 * scale)
@@ -323,34 +312,40 @@ class TestLadderErrors:
         for t_hor, err in zip(horizons, errors):
             # the two other routes lose about 1e-14 of the phase 4 T each
             close = pytest.approx(err, rel=1e-12 * max(1.0, t_hor), abs=0.0)
-            _, averages = dynamics._van_loan_rows(sys.a, sys.c[1], np.array([0.0, t_hor]))
+            _, averages = van_loan_rows(sys.a, sys.c[1], np.array([0.0, t_hor]))
             assert maxabs(sys.c[0] - averages[-1]) == close
             if name != "singular_r_o":  # the oracle inverts R_o
                 assert maxabs(averaged_error_row(design, t_hor)) == close
 
-    def test_full_rank_coupling_takes_van_loan(self, example):
-        design = full_rank_design(example[0])
-        sys = augment(design)
-        report = verify_convergence(design)
-        assert dynamics._observer_blocks(sys.a) is None
-        assert report.errors == tuple(
-            time_average_error(sys, sys.c[0], sys.c[1], t) for t in report.horizons
-        )
+    def test_full_rank_coupling_raises(self, example, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("an error was computed without the observer's structure")
+
+        monkeypatch.setattr(dynamics, "_rows_and_averages", boom)
+        with pytest.raises(StructureError, match="rank-one R_c"):
+            verify_convergence(full_rank_design(example[0]))
+
+
+def means(sys, x0, grid) -> np.ndarray:
+    """Means z_i(t_k) = C_i exp(A t_k) x0 of every output row, shape (nt, m)."""
+    rows = [coefficient_trajectory(sys, c, grid).coefficient_rows for c in sys.c]
+    return np.column_stack([r @ x0 for r in rows])
 
 
 class TestSimulateMeans:
     def test_zero_initial_state(self, example):
         _, sys = example
-        means = simulate_means(sys, np.zeros(4), np.linspace(0.0, 10.0, 101))
-        np.testing.assert_array_equal(means, np.zeros((101, 2)))
+        np.testing.assert_array_equal(
+            means(sys, np.zeros(4), np.linspace(0.0, 10.0, 101)), np.zeros((101, 2))
+        )
 
     def test_plant_position_excited(self, example):
         # z_p mean frozen at 1; running average of z_o mean converges to it
         _, sys = example
         grid = np.linspace(0.0, 50.0, 4001)
-        means = simulate_means(sys, [1.0, 0.0, 0.0, 0.0], grid)
-        np.testing.assert_allclose(means[:, 0], np.ones(grid.size), atol=1e-10)
-        z_o = means[:, 1]
+        z = means(sys, np.array([1.0, 0.0, 0.0, 0.0]), grid)
+        np.testing.assert_allclose(z[:, 0], np.ones(grid.size), atol=1e-10)
+        z_o = z[:, 1]
         np.testing.assert_allclose(z_o, 1.0 - np.cos(4.0 * grid), atol=1e-9)
         running = np.cumsum(0.5 * np.diff(grid) * (z_o[1:] + z_o[:-1])) / grid[1:]
         assert running[-1] == pytest.approx(1.0, abs=0.01)
@@ -361,31 +356,26 @@ class TestSimulateMeans:
         _, sys = example
         sys_pp = sys.with_outputs([[0.0, 1.0, 0.0, 0.0]])
         grid = np.linspace(0.0, 40.0, 2001)
-        means = simulate_means(sys_pp, [1.0, 0.0, 0.0, 0.0], grid)
+        z = means(sys_pp, np.array([1.0, 0.0, 0.0, 0.0]), grid)
         expected = 0.04 * grid - 0.01 * np.sin(4.0 * grid)
-        np.testing.assert_allclose(means[:, 0], expected, atol=1e-9)
+        np.testing.assert_allclose(z[:, 0], expected, atol=1e-9)
 
     def test_conjugate_excitation_stays_silent(self, example):
         # a mean only in the unmeasured quadrature never reaches the observer
         _, sys = example
         grid = np.linspace(0.0, 20.0, 201)
-        means = simulate_means(sys, [0.0, 1.0, 0.0, 0.0], grid)
-        np.testing.assert_allclose(means, np.zeros((201, 2)), atol=1e-12)
+        z = means(sys, np.array([0.0, 1.0, 0.0, 0.0]), grid)
+        np.testing.assert_allclose(z, np.zeros((201, 2)), atol=1e-12)
 
     def test_consistency_with_coefficient_rows(self, example):
+        # the means from coefficient rows against C exp(At) x0 by the propagator
         _, sys = example
         grid = np.linspace(0.0, 7.0, 57)
         x0 = np.array([0.3, -1.2, 0.7, 0.05])
-        means = simulate_means(sys, x0, grid)
-        assert means.shape == (grid.size, 2)
-        for idx in range(2):
-            rows = coefficient_trajectory(sys, sys.c[idx], grid).coefficient_rows
-            np.testing.assert_allclose(means[:, idx], rows @ x0, atol=1e-12)
-
-    def test_dimension_mismatch(self, example):
-        _, sys = example
-        with pytest.raises(DimensionError):
-            simulate_means(sys, [1.0, 0.0], [0.0, 1.0])
+        z = means(sys, x0, grid)
+        assert z.shape == (grid.size, 2)
+        for k, t in enumerate(grid):
+            np.testing.assert_allclose(z[k], sys.c @ propagator(sys, t) @ x0, atol=1e-12)
 
 
 class TestRunningAverage:
@@ -429,32 +419,26 @@ class TestRunningAverage:
         traj = coefficient_trajectory(sys, sys.c[1], np.linspace(0.0, 1.0, 11))
         np.testing.assert_array_equal(traj.running_average[0], traj.coefficient_rows[0])
 
-    def test_uniform_grid_takes_one_exponential(self, example, monkeypatch):
-        # none for the observer system, one Van Loan exponential for any other
-        design, sys = example
-        calls = []
-        expm = _kernels.expm
+    def test_takes_no_exponential(self, example, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("coefficient_trajectory ran a matrix exponential")
 
-        def counted(a):
-            calls.append(a.shape)
-            return expm(a)
-
-        monkeypatch.setattr(_kernels, "expm", counted)
-        grid = np.linspace(0.0, 80.0, 2001)
-        coefficient_trajectory(sys, sys.c[1], grid)
-        assert calls == []
-        full_rank = augment(full_rank_design(design))
-        coefficient_trajectory(full_rank, full_rank.c[1], grid)
-        assert calls == [(8, 8)]
-
+        monkeypatch.setattr(_kernels, "expm", boom)
+        _, sys = example
+        for grid in (np.linspace(0.0, 80.0, 2001), np.linspace(2.5, 30.0, 11), [0.1, 0.4, 3.7]):
+            coefficient_trajectory(sys, sys.c[1], grid)
 
 
 class TestDominantFrequency:
-    def test_detects_off_expected_signal(self):
-        # a design at omega_o = 2 reads 8, whatever a caller expects
-        design = synthesize_observer(PlantSpec([1.0, 0.0]), 2.0, [0.4, 0.0])
-        sys = augment(design)
-        assert dominant_frequency(sys, sys.c[1]) == pytest.approx(8.0, rel=1e-12)
+    """The report's oscillation frequency w = sqrt(det Om), read from the generator."""
+
+    def test_detects_off_expected_signal(self, example):
+        # the generator of omega_o = 1 oscillates at 4, whatever omega_o the design claims
+        design, _ = example
+        report = verify_convergence(dataclasses.replace(design, omega_o=2.0))
+        assert report.expected_frequency == 8.0
+        assert report.oscillation_frequency_estimate == pytest.approx(4.0, rel=1e-12)
+        assert "observer oscillation frequency" in report.failures
 
     def test_valid_designs_oscillate_at_four_omega_o(self):
         rng = np.random.default_rng(4)
@@ -465,35 +449,30 @@ class TestDominantFrequency:
                 [math.cos(arg_c), math.sin(arg_c)], omega,
                 float(10 ** rng.uniform(-1, 1)) * omega, float(rng.uniform(0.01, 0.6)),
             )
-            sys = augment(result.observer)
-            freq = dominant_frequency(sys, sys.c[1])
+            freq = verify_convergence(result.observer).oscillation_frequency_estimate
             assert freq == pytest.approx(4.0 * omega, rel=1e-12)
 
     @pytest.mark.parametrize("scale", [1e-150, 1e-300, 1e150])
     def test_independent_of_row_scale(self, example, scale):
-        _, sys = example
-        unscaled = dominant_frequency(sys, sys.c[1])
-        assert dominant_frequency(sys, scale * sys.c[1]) == pytest.approx(unscaled, rel=1e-15)
+        design, _ = example
+        scaled = dataclasses.replace(design, c_o=scale * design.c_o)
+        unscaled = verify_convergence(design).oscillation_frequency_estimate
+        freq = verify_convergence(scaled).oscillation_frequency_estimate
+        assert freq == pytest.approx(unscaled, rel=1e-15)
 
     def test_non_oscillating_rows_read_zero(self, example):
-        _, sys = example
-        assert dominant_frequency(sys, sys.c[0]) == 0.0  # frozen plant row
-        assert dominant_frequency(sys, np.zeros(4)) == 0.0
+        # det Om = 0: the observer row drifts or stays, it does not oscillate
+        for r_o in (np.diag([2.0, 0.0]), np.zeros((2, 2))):
+            report = verify_convergence(dataclasses.replace(example[0], r_o=r_o))
+            assert report.oscillation_frequency_estimate == 0.0
+            assert "observer oscillation frequency" in report.failures
 
     def test_indefinite_observer_reads_zero(self, example):
         # R_o = diag(2, -2) makes the observer hyperbolic: no oscillation
         design, _ = example
-        indefinite = dataclasses.replace(design, r_o=np.diag([2.0, -2.0]))
-        sys = augment(indefinite)
-        assert dominant_frequency(sys, sys.c[1]) == 0.0
-        report = verify_convergence(indefinite)
+        report = verify_convergence(dataclasses.replace(design, r_o=np.diag([2.0, -2.0])))
         check = next(c for c in report.checks if c.name == "observer oscillation frequency")
         assert not check.passed
         assert (check.value, check.threshold) == (0.0, 4.0)
         assert check.detail == "relative deviation 1.000e+00 from 4*omega_o"
         assert all(math.isfinite(v) for v in report.errors + report.ratios)
-
-    def test_row_dimension_checked(self, example):
-        _, sys = example
-        with pytest.raises(DimensionError):
-            dominant_frequency(sys, [1.0, 0.0])

@@ -40,7 +40,10 @@ def test_every_public_name_resolves_once():
         assert getattr(qobserver, name) is not None
 
 
-@pytest.mark.parametrize("name", ["TolerancePolicy", "make_symplectic_space", "running_average"])
+@pytest.mark.parametrize("name", [
+    "TolerancePolicy", "make_symplectic_space", "running_average",
+    "dominant_frequency", "simulate_means", "time_average_error",
+])
 def test_removed_names_are_gone(name):
     assert name not in qobserver.__all__
     assert not hasattr(qobserver, name)
