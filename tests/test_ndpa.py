@@ -386,6 +386,8 @@ class TestAngles:
         assert wrap_angle(math.pi) == math.pi
         assert wrap_angle(-math.pi) == math.pi
         assert wrap_angle(3.0 * math.pi / 2.0) == -math.pi / 2.0
+        # the rounded multiple of 2 pi leaves this one just above pi
+        assert -math.pi < wrap_angle(-1995.0 * math.pi) < -math.pi + 1e-9
 
     def test_alpha_parameter_on_design_curve(self):
         theta = solve_theta(0.37)

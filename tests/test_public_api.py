@@ -1,8 +1,10 @@
-"""The package's public names and the README's library example."""
+"""The package's public names, the refusals of its constructors and the README's
+library example."""
 
 import contextlib
 import dataclasses
 import io
+import math
 import re
 from pathlib import Path
 
@@ -49,6 +51,70 @@ def test_removed_names_are_gone(name):
     assert not hasattr(qobserver, name)
     assert not hasattr(core, name)
     assert not hasattr(dynamics, name)
+
+
+ONE_MODE = qobserver.SymplecticSpace(1)
+GUARDS = {
+    "hamiltonian_nonfinite": (
+        lambda: qobserver.QuadraticHamiltonian([[1.0, math.nan], [math.nan, 1.0]], ONE_MODE),
+        ValueError, "energy matrix has non-finite entries",
+    ),
+    "system_generator_shape": (
+        lambda: qobserver.LinearQuantumSystem(np.zeros((4, 4)), np.zeros((0, 2)), ONE_MODE),
+        qobserver.DimensionError, "generator shape (4, 4) does not match 2x2",
+    ),
+    "system_output_shape": (
+        lambda: qobserver.LinearQuantumSystem(np.zeros((2, 2)), [1.0, 0.0], ONE_MODE),
+        qobserver.DimensionError, "output rows shape (2,) incompatible",
+    ),
+    "system_nonfinite": (
+        lambda: qobserver.LinearQuantumSystem(np.zeros((2, 2)), [[math.inf, 0.0]], ONE_MODE),
+        ValueError, "system matrices have non-finite entries",
+    ),
+    "ndpa_gamma": (
+        lambda: qobserver.NdpaParams(0.0, 0.1, 1.0, 1.0, 0.0),
+        qobserver.DesignError, "gamma must be positive, got 0.0",
+    ),
+    "drift_shape": (
+        lambda: qobserver.hamiltonian_from_drift(np.zeros((2, 2))),
+        qobserver.DimensionError, "drift must be 4x4 doubled-up",
+    ),
+    "quadrature_shape": (
+        lambda: qobserver.quadrature_hamiltonian(np.zeros((2, 2))),
+        qobserver.DimensionError, "Hamiltonian matrix must be 4x4",
+    ),
+    "extract_beta_shape": (
+        lambda: qobserver.extract_beta(np.zeros((2, 2)), [1.0, 0.0, 0.0]),
+        qobserver.DimensionError, "coupling block must be 2x2 and selector length 2",
+    ),
+    "plant_nonfinite": (
+        lambda: qobserver.PlantSpec([math.nan, 1.0]),
+        ValueError, "plant selector has non-finite entries",
+    ),
+    "design_vector_shape": (
+        lambda: qobserver.ObserverDesign(
+            [1.0, 0.0], 1.0, np.eye(2), np.zeros((2, 2)), np.zeros(2), [1.0, 0.0, 0.0]
+        ),
+        qobserver.DimensionError, "c_o must have 2 entries",
+    ),
+    "design_matrix_shape": (
+        lambda: qobserver.ObserverDesign(
+            [1.0, 0.0], 1.0, np.eye(3), np.zeros((2, 2)), np.zeros(2), [1.0, 0.0]
+        ),
+        qobserver.DimensionError, "r_o must be 2x2",
+    ),
+    "synthesize_beta_shape": (
+        lambda: qobserver.synthesize_observer(qobserver.PlantSpec([1.0, 0.0]), 1.0, [0.2]),
+        qobserver.DimensionError, "beta must have 2 entries",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GUARDS)
+def test_public_constructors_refuse_bad_input(name):
+    build, error, fragment = GUARDS[name]
+    with pytest.raises(error, match=re.escape(fragment)):
+        build()
 
 
 def test_tolerances_are_the_documented_constants():
