@@ -722,8 +722,16 @@ def _check_golden(payload: dict) -> int:
 # Argument parsing
 # --------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """One parser for every command; `load_config` applies the per-command rules."""
+    """The process's one parser for every command; `load_config` applies the
+    per-command rules.
+
+    Built on the first call and returned on every later one, so `main` pays
+    for its thirteen arguments once per process.  `parse_args` leaves it
+    unchanged, and it looks up `sys.stdout` and `sys.stderr` only when it
+    prints.  Callers must not mutate it.
+    """
     parser = argparse.ArgumentParser(
         prog="qobserver",
         description="Design and verify direct-coupled coherent quantum observers.",

@@ -751,3 +751,33 @@ class TestEntryPoint:
         assert (tmp_path / "sub" / "design.json").read_bytes() == (
             tmp_path / "inproc" / "design.json"
         ).read_bytes()
+
+
+class TestSharedParser:
+    ARGVS = (
+        ["bogus"],
+        ["--help"],
+        ["design", "--cp=0,0"],
+        ["design", "--eps-ratio", "5", "--format", "json"],
+    )
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_outcomes_do_not_depend_on_earlier_requests(self, tmp_path, capsys):
+        """Each argv ends the same way after each of the others, run forward then back."""
+        def outcome(argv):
+            for stale in tmp_path.iterdir():
+                stale.unlink()
+            code = run_cli([*argv, "--out", str(tmp_path)])
+            captured = capsys.readouterr()
+            files = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+            return code, captured.out, captured.err, files
+
+        forward = [outcome(argv) for argv in self.ARGVS]
+        backward = [outcome(argv) for argv in reversed(self.ARGVS)][::-1]
+        assert backward == forward
+        assert [code for code, *_ in forward] == [2, 0, 2, 0]
+        assert forward[1][1].startswith("usage: qobserver")
+        assert forward[3][2].startswith("warning: squeezing ratio 5")
+        assert list(forward[3][3]) == ["design.json"]
