@@ -90,11 +90,13 @@ def fmt_float(x: float) -> str:
     return f"{x:.12g}" if _fixed_notation(abs(x)) else f"{x:.11e}"
 
 
-# Rows per block of `fmt_table`, sized for the cache: at 256 rows of 13
-# cells each of the kernel's temporaries holds 27 KB.  On a 2-vCPU x86-64
-# host a 2001 x 13 table took 5.6 ms at 256 or 512 rows, 8.1 at 128 and
-# 8.8 at 2048.
-TABLE_BLOCK_ROWS = 256
+# Rows per block of `fmt_table`, sized for the cache: at 512 rows of 13
+# cells each of the kernel's float temporaries holds 53 KB.  On a 2-vCPU
+# x86-64 host (48 KB L1d and 2 MB L2 per core), the 2001 x 13 tables of 10
+# `simulate` requests took, as the mean of each table's min of 30 runs,
+# 3.8 ms at 512 rows, 3.5 at 1024, 4.4 at 256, 5.5 at 128 and 5.0 in one
+# block; whole `simulate` requests were fastest at 512.
+TABLE_BLOCK_ROWS = 512
 # Cells whose fraction beyond the 12th digit is this close to 1/2 go to `%`.
 # The kernel's product is off by less than 2**-52 * 10**12, about 2.2e-4,
 # so every cell it rounds itself lies on the side of the tie that it reads.
