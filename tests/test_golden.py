@@ -50,3 +50,29 @@ def test_replay_digests_match_golden(tmp_path):
         + "\nto record a change that moves them: "
         "python tests/replay.py . > tests/golden/replay.txt"
     )
+
+
+def test_replay_order_does_not_change_outcomes(tmp_path):
+    """A subset of `tests/golden/replay.txt`, replayed last to first, ends as recorded.
+
+    The subset is the first 20 argvs of each workload, README's commands and
+    every typed-error argv.  Run in an order the recording never saw, each
+    request still sees none of the state an earlier one could leave behind.
+    """
+    expected = (GOLDEN / "replay.txt").read_text().splitlines()[:-1]
+    starts, offset = [], 0
+    for count in replay.WORKLOAD_COUNTS.values():
+        starts.append(offset)
+        offset += count
+    picked = {" ".join(argv) for argv in (*replay.README, *replay.TYPED_ERRORS)}
+    subset = [
+        line for k, line in enumerate(expected)
+        if any(start <= k < start + 20 for start in starts)
+        or line.split(" ", 1)[1] in picked
+    ]
+    assert len(subset) == 20 * len(starts) + len(picked)
+    subset.reverse()
+    recorded = [line.split(" ")[1:] for line in subset]
+    got = replay.replay_lines(cli.main, tmp_path, recorded)[:-1]
+    moved = [" ".join(argv) for argv, line, want in zip(recorded, got, subset) if line != want]
+    assert not moved, f"{len(moved)} argvs moved when replayed in reverse:\n  " + "\n  ".join(moved)
