@@ -726,13 +726,13 @@ def _check_golden(payload: dict) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The process's one parser for every command; `load_config` applies the
-    per-command rules.
+    """The process's one parser for every command, shared by every caller.
 
     Built on the first call and returned on every later one, so `main` pays
     for its thirteen arguments once per process.  `parse_args` leaves it
     unchanged, and it looks up `sys.stdout` and `sys.stderr` only when it
-    prints.  Callers must not mutate it.
+    prints.  Callers must not mutate it.  `load_config` applies the
+    per-command rules.
     """
     parser = argparse.ArgumentParser(
         prog="qobserver",
