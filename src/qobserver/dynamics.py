@@ -32,11 +32,12 @@ from .observer import ObserverDesign, augment, validate_observer
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Rows C exp(A t_k) of one output row C over a time grid, with their running average.
+    """Rows C exp(A t_k) of an output row C over a time grid, with their running average.
 
     `coefficient_rows[k]` is C exp(A t_k) and `running_average[k]` is
     (1/(t_k - t_0)) int_{t_0}^{t_k} C exp(As) ds, the row itself at k = 0;
-    both have shape (nt, n).
+    both have shape (nt, n).  For a stack of rows C_i, shape (m, n), both
+    have shape (m, nt, n) and `coefficient_rows[i, k]` is C_i exp(A t_k).
     """
 
     times: np.ndarray
@@ -88,9 +89,9 @@ def _validate_grid(t_grid) -> np.ndarray:
     t = np.asarray(t_grid, dtype=float).reshape(-1)
     if t.size == 0:
         raise ValueError("time grid is empty")
-    if not np.all(np.isfinite(t)):
+    if not np.isfinite(t).all():
         raise ValueError("time grid has non-finite entries")
-    if t.size > 1 and not np.all(np.diff(t) > 0):
+    if t.size > 1 and not (np.diff(t) > 0).all():
         raise ValueError("time grid must be strictly increasing")
     return t
 
@@ -103,7 +104,7 @@ def _observer_blocks(a: np.ndarray):
     last two to 1e-14 of max|Om| and of max|D| max|P|.  Then
     A^4 = -det(Om) A^2.
     """
-    if a.shape != (4, 4) or np.any(a[:2, :2]):
+    if a.shape != (4, 4) or a[:2, :2].any():
         raise StructureError("generator is not 4 x 4 with a zero plant block [[0, P], [D, Om]]")
     p, d, om = a[:2, 2:], a[2:, :2], a[2:, 2:]
     s = maxabs(om) or 1.0
@@ -129,75 +130,98 @@ def _weights(det: float, y: np.ndarray):
     f_0 = cos x, f_1 = sin x / x and f_(k+2) = (1/k! - f_k) / x^2 (cosh and
     sinh of |x| when det < 0).  Where |x| > 1, y^2 f_(k+2) is formed as
     (1/k! - f_k) / det, so no power beyond y itself can overflow early.
+    `y` must be non-decreasing and not negative, as a validated grid shifted
+    to start at 0 is: the points with |x| <= 1, which take the series, are
+    then a prefix of it.
     """
     root = math.sqrt(abs(det))
-    big = root * y > 1.0
+    k = int(np.searchsorted(root * y, 1.0, side="right"))
     rows, averages = np.empty((y.size, 4)), np.empty((y.size, 4))
-    ys = y[~big][:, None]
+    ys = y[:k, None]
     f = (math.copysign(1.0, det) * (root * ys) ** 2) ** np.arange(len(_SERIES)) @ _SERIES
     powers = ys ** np.arange(4)
-    rows[~big], averages[~big] = powers * f[:, :4], powers * f[:, 1:]
-    yb = y[big]
+    np.multiply(powers, f[:, :4], out=rows[:k])
+    np.multiply(powers, f[:, 1:], out=averages[:k])
+    yb = y[k:]
     x = root * yb
     f0, f1 = (np.cos(x), np.sin(x) / x) if det > 0.0 else (np.cosh(x), np.sinh(x) / x)
     q2, q3 = (1.0 - f0) / det, (1.0 - f1) / det  # y^2 f_2, y^2 f_3
     q4 = (0.5 - q2 / yb / yb) / det  # y^2 f_4
-    rows[big] = np.column_stack([f0, yb * f1, q2, yb * q3])
-    averages[big] = np.column_stack([f1, q2 / yb, q3, yb * q4])
+    rows[k:, 0], rows[k:, 1], rows[k:, 2], rows[k:, 3] = f0, yb * f1, q2, yb * q3
+    averages[k:, 0], averages[k:, 1], averages[k:, 2], averages[k:, 3] = f1, q2 / yb, q3, yb * q4
     return rows, averages
 
 
-def _closed_form(blocks: tuple, c_row: np.ndarray, t: np.ndarray):
-    """Rows [u0, v0] exp(A t_k) and their running averages from t = 0.
+def _closed_form(blocks: tuple, c_rows: np.ndarray, t: np.ndarray):
+    """Rows [u0, v0] exp(A t_k) and their running averages from t = 0, each (m, nt, 4).
 
     With y = s t, the row is [u0, 0] + sum_m y^m f_m R_m and its average
     [u0, 0] + sum_m y^m f_(m+1) R_m, where R_m = [c_m D/s, c_(m+1)] for the
     chain c = (0, v0, b, g Om/s, 0), g = u0 P/s and b = v0 Om/s + g.  Rows
     meet P and D before the division by s: D/s alone overflows when |beta|
-    is far above omega_o, while C_o D/s is of the order of C_p.
+    is far above omega_o, while C_o D/s is of the order of C_p.  The weights
+    are evaluated once for all m rows [u0, v0] of `c_rows`.
     """
     p, d, om, s, det = blocks
     om = om / s
-    u0, v0 = c_row[:2], c_row[2:]
-    g = u0 @ p / s
-    chain = np.array([np.zeros(2), v0, v0 @ om + g, g @ om, np.zeros(2)])
-    r = np.hstack([chain[:4] @ d / s, chain[1:]])
-    base = np.concatenate([u0, np.zeros(2)])
-    rows, averages = _weights(det, s * t)
-    return base + rows @ r, base + averages @ r
+    weights = _weights(det, s * t)
+    rows, averages = np.empty((2, len(c_rows), t.size, 4))
+    for i, c_row in enumerate(c_rows):
+        u0, v0 = c_row[:2], c_row[2:]
+        g = u0 @ p / s
+        chain = np.array([np.zeros(2), v0, v0 @ om + g, g @ om, np.zeros(2)])
+        r = np.hstack([chain[:4] @ d / s, chain[1:]])
+        base = np.concatenate([u0, np.zeros(2)])
+        rows[i] = base + weights[0] @ r
+        averages[i] = base + weights[1] @ r
+    return rows, averages
 
 
-def _rows_and_averages(blocks: tuple, c_row: np.ndarray, t: np.ndarray):
-    """Rows C exp(A t_k) and (1/(t_k - t_0)) int_{t_0}^{t_k} C exp(As) ds, unchecked.
+def _rows_and_averages(blocks: tuple, c_rows: np.ndarray, t: np.ndarray):
+    """Rows C_i exp(A t_k) and (1/(t_k - t_0)) int_{t_0}^{t_k} C_i exp(As) ds, unchecked.
 
-    `blocks` is `_observer_blocks(A)`.  The closed form, restarted from its
-    row at t_0 > 0.  The average at k = 0 is the row itself.
+    `blocks` is `_observer_blocks(A)` and `c_rows` a stack (m, 4); both
+    results are (m, nt, 4).  The closed form, restarted from its rows at
+    t_0 > 0.  The average at k = 0 is the row itself.
     """
     if t[0] != 0.0:
-        c_row = _closed_form(blocks, c_row, t[:1])[0][0]
-    return _closed_form(blocks, c_row, t - t[0])
+        c_rows = _closed_form(blocks, c_rows, t[:1])[0][:, 0]
+    return _closed_form(blocks, c_rows, t - t[0])
 
 
-def _output_row(sys: LinearQuantumSystem, c_row) -> np.ndarray:
-    c_row = np.asarray(c_row, dtype=float).reshape(-1)
-    if c_row.shape != (sys.space.n,):
+def _output_rows(sys: LinearQuantumSystem, c_rows: np.ndarray) -> np.ndarray:
+    """`c_rows` as a stack (m, n), m >= 1; a single row (n,) is a stack of one."""
+    n = sys.space.n
+    if c_rows.ndim == 1:
+        if c_rows.shape != (n,):
+            raise DimensionError(
+                f"output row has {c_rows.shape[0]} entries, state dimension is {n}"
+            )
+        return c_rows[None]
+    if c_rows.ndim != 2 or c_rows.shape[0] == 0 or c_rows.shape[1] != n:
         raise DimensionError(
-            f"output row has {c_row.shape[0]} entries, state dimension is {sys.space.n}"
+            f"output rows have shape {c_rows.shape}, expected ({n},) or (m, {n}) with m >= 1"
         )
-    return c_row
+    return c_rows
 
 
 def coefficient_trajectory(sys: LinearQuantumSystem, c_row, t_grid) -> Trajectory:
     """Rows C exp(A t_k) and their exact running average over an increasing time grid.
 
-    By the closed form, with no exponential; StructureError for a system
-    that is not the observer's (`_observer_blocks`).
+    `c_row` is one output row (n,), giving (nt, n) arrays, or a stack of
+    rows (m, n), giving (m, nt, n) arrays whose i-th slice is what row i
+    alone gives, bit for bit.  The closed form evaluates its weights once
+    for all rows, with no exponential; StructureError for a system that is
+    not the observer's (`_observer_blocks`).
     """
-    c_row = _output_row(sys, c_row)
+    c_row = np.asarray(c_row, dtype=float)
+    c_rows = _output_rows(sys, c_row)
     t = _validate_grid(t_grid)
-    rows, averages = _rows_and_averages(_observer_blocks(sys.a), c_row, t)
-    if not (np.all(np.isfinite(rows)) and np.all(np.isfinite(averages))):
+    rows, averages = _rows_and_averages(_observer_blocks(sys.a), c_rows, t)
+    if not (np.isfinite(rows).all() and np.isfinite(averages).all()):
         raise NonFiniteError("trajectory rows overflowed to non-finite values")
+    if c_row.ndim == 1:
+        rows, averages = rows[0], averages[0]
     return Trajectory(times=t, coefficient_rows=rows, running_average=averages)
 
 
@@ -243,8 +267,8 @@ def verify_convergence(design: ObserverDesign, horizons=None) -> ConvergenceRepo
     blocks = _observer_blocks(sys.a)
 
     row_defect = maxabs(c_p_aug @ sys.a)
-    _, averages = _rows_and_averages(blocks, c_o_aug, grid)
-    errors = tuple(float(e) for e in np.max(np.abs(c_p_aug - averages[1:]), axis=1))
+    _, averages = _rows_and_averages(blocks, c_o_aug[None], grid)
+    errors = tuple(float(e) for e in np.abs(c_p_aug - averages[0, 1:]).max(axis=1))
     ratios = tuple(b / a if a > 0.0 else math.inf for a, b in zip(errors, errors[1:]))
     rate = _fit_decay_rate(np.asarray(horizons), np.asarray(errors))
 

@@ -286,11 +286,95 @@ class TestClosedForm:
         c_row = np.array([0.7, -0.4, 1.3, 0.2])
         top = 0.5 if name == "indefinite_r_o" else 1.0
         grid = np.concatenate([[0.0], np.logspace(-3.0, top, 40)])
-        got = dynamics._rows_and_averages(blocks, c_row, grid)
+        got = dynamics._rows_and_averages(blocks, c_row[None], grid)
         want = van_loan_rows(sys.a, c_row, grid)
-        for closed, van_loan in zip(got, want):
+        for (closed,), van_loan in zip(got, want):
             scale = max(1.0, maxabs(van_loan))
             np.testing.assert_allclose(closed, van_loan, rtol=0.0, atol=1e-12 * scale)
+
+
+def bits(a) -> np.ndarray:
+    return np.asarray(a).view(np.int64)
+
+
+class TestStackedRows:
+    """A stack of rows evaluates the weights once and gives each row its own bits."""
+
+    @staticmethod
+    def assert_stack_matches_rows(sys, c_rows, grid):
+        stacked = coefficient_trajectory(sys, c_rows, grid)
+        assert stacked.coefficient_rows.shape == (len(c_rows), len(grid), 4)
+        assert stacked.running_average.shape == (len(c_rows), len(grid), 4)
+        for i, c_row in enumerate(c_rows):
+            alone = coefficient_trajectory(sys, c_row, grid)
+            np.testing.assert_array_equal(
+                bits(stacked.coefficient_rows[i]), bits(alone.coefficient_rows)
+            )
+            np.testing.assert_array_equal(
+                bits(stacked.running_average[i]), bits(alone.running_average)
+            )
+
+    def test_random_designs_from_the_workload_domain(self):
+        # the benchmark's domain, nondimensional; a third row off the outputs
+        rng = np.random.default_rng(18)
+        for k in range(30):
+            angle = float(rng.uniform(0.0, 2.0 * math.pi))
+            omega = float(rng.uniform(0.5, 2.0))
+            delta = float(rng.uniform(0.05, math.pi - 0.05)) if k % 4 == 0 else None
+            result = design_ndpa(
+                [math.cos(angle), math.sin(angle)], omega, float(rng.uniform(0.5, 2.0)),
+                0.6 * (1.0 - float(rng.random())), delta,
+            )
+            sys = augment(result.observer)
+            c_rows = np.vstack([sys.c, rng.normal(size=4)])
+            grid = np.linspace(0.0, 80.0 / omega * 4.0 ** rng.random(), 2001)
+            self.assert_stack_matches_rows(sys, c_rows, grid)
+            self.assert_stack_matches_rows(sys, c_rows, grid + float(rng.uniform(0.1, 5.0)))
+
+    def test_hyperbolic_control(self, example):
+        # det Om < 0: the closed form takes cosh and sinh
+        sys = augment(dataclasses.replace(example[0], **LADDER_VARIANTS["indefinite_r_o"]))
+        assert dynamics._observer_blocks(sys.a)[4] < 0.0
+        c_rows = np.vstack([sys.c, [0.7, -0.4, 1.3, 0.2]])
+        for grid in (np.linspace(0.0, 2.0, 401), np.linspace(0.3, 2.0, 401)):
+            self.assert_stack_matches_rows(sys, c_rows, grid)
+
+    def test_one_weight_evaluation_per_call(self, example, monkeypatch):
+        calls, weights = [], dynamics._weights
+        monkeypatch.setattr(dynamics, "_weights", lambda *a: calls.append(1) or weights(*a))
+        _, sys = example
+        coefficient_trajectory(sys, np.vstack([sys.c, sys.c]), np.linspace(0.0, 5.0, 11))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("shape", [(0, 4), (2, 3), (2, 2, 4), ()])
+    def test_stack_shape_checked(self, example, shape):
+        _, sys = example
+        with pytest.raises(DimensionError):
+            coefficient_trajectory(sys, np.ones(shape), [0.0, 1.0])
+
+    @pytest.mark.parametrize("name", ["reference", "indefinite_r_o"])
+    def test_series_boundary(self, example, name):
+        # root * y == 1.0 takes the series, the next float above it cos or cosh
+        sys = augment(dataclasses.replace(example[0], **LADDER_VARIANTS[name]))
+        _, _, _, s, det = dynamics._observer_blocks(sys.a)
+        assert (s, abs(det)) == (4.0, 1.0)  # root = 1 and y = 4 t, exactly
+        grid = np.array([0.0, 0.25, np.nextafter(0.25, 1.0)])
+        y = s * grid
+        assert y[1] == 1.0 and y[2] == np.nextafter(1.0, 2.0)
+        rows, averages = dynamics._weights(det, y)
+        # f_m at x^2 = det y^2 for y = 0 and 1, by the series in the shape _weights uses
+        series = (det * y[:2, None] ** 2) ** np.arange(len(dynamics._SERIES)) @ dynamics._SERIES
+        np.testing.assert_array_equal(bits(rows[1]), bits(series[1, :4]))
+        np.testing.assert_array_equal(bits(averages[1]), bits(series[1, 1:]))
+        f0, f1 = (np.cos, np.sin) if det > 0.0 else (np.cosh, np.sinh)
+        assert bits(rows[2, 0]) == bits(f0(y[2:])[0])
+        assert bits(averages[2, 0]) == bits((f1(y[2:]) / y[2:])[0])
+
+        c_row = np.array([0.7, -0.4, 1.3, 0.2])
+        traj = coefficient_trajectory(sys, c_row, grid)
+        want = van_loan_rows(sys.a, c_row, grid)
+        for closed, van_loan in zip((traj.coefficient_rows, traj.running_average), want):
+            np.testing.assert_allclose(closed, van_loan, rtol=0.0, atol=1e-12 * maxabs(van_loan))
 
 
 def full_rank_design(design):
