@@ -97,12 +97,13 @@ def fmt_float(x: float) -> str:
 # 3.8 ms at 512 rows, 3.5 at 1024, 4.4 at 256, 5.5 at 128 and 5.0 in one
 # block; whole `simulate` requests were fastest at 512.
 TABLE_BLOCK_ROWS = 512
-# Cells whose fraction beyond the 12th digit is this close to 1/2 go to `%`.
+# Cells whose fraction beyond the 12th digit is this close to 1/2 go to
+# `fmt_float`.
 # The kernel's product is off by less than 2**-52 * 10**12, about 2.2e-4,
 # so every cell it rounds itself lies on the side of the tie that it reads.
 TIE_TOLERANCE = 2.0**-11
 # The smallest magnitude the kernel rounds; below it 10**(11 - exponent)
-# overflows, and the nonzero cells go to `%`.
+# overflows, and the nonzero cells go to `fmt_float`.
 KERNEL_MIN = 1e-296
 # Exponents k of the powers 10**k: 11 minus the decimal exponents from the
 # largest float to KERNEL_MIN's, less one for a log10 that rounds down.
@@ -170,16 +171,17 @@ def _format_tables() -> _Tables:
     return _Tables(glyphs, power)
 
 
-def fmt_table(table: np.ndarray) -> Iterator[str]:
-    """Text of the rows of `fmt_float` cells, comma-separated, in blocks.
+def fmt_table(table: np.ndarray) -> Iterator[bytes]:
+    """ASCII text of the rows of `fmt_float` cells, comma-separated, in blocks.
 
     The text matches `fmt_float` cell by cell, byte for byte.  Every cell is
     checked to be finite before this returns, so a caller can open its file
-    after the call.  Each block of TABLE_BLOCK_ROWS rows is one string with
-    one row per line.  The cells the kernel leaves undecided, those within
+    after the call.  Each block of TABLE_BLOCK_ROWS rows is one `bytes` with
+    one row per line, each line ending in b"\n", ready to be written to a
+    binary file.  The cells the kernel leaves undecided, those within
     TIE_TOLERANCE of a rounding tie or next to a power of ten where log10
-    rounds up, and the nonzero magnitudes below KERNEL_MIN, are formatted
-    by one `%` per block.
+    rounds up, and the nonzero magnitudes below KERNEL_MIN, are spelled by
+    `fmt_float` itself, in one `_fallback_text` call per block.
     """
     table = np.asarray(table, dtype=float)
     if table.ndim != 2 or table.shape[1] == 0:
@@ -191,19 +193,19 @@ def fmt_table(table: np.ndarray) -> Iterator[str]:
     return (_fmt_block(table[k:k + TABLE_BLOCK_ROWS]) for k in starts)
 
 
-def _fmt_block(block: np.ndarray) -> str:
-    """Finite rows as text: 7 glyphs per cell, padding dropped at the end."""
+def _fmt_block(block: np.ndarray) -> bytes:
+    """Finite rows as ASCII lines: 7 glyphs per cell, padding dropped at the end."""
     values = block.ravel()
     magnitude = np.abs(values)
     exact = magnitude >= KERNEL_MIN
     digits, exp10, undecided = _decimal12(np.where(exact, magnitude, 1.0))
     fixed = _fixed_notation(magnitude)
     negative = values < 0
-    # Every cell starts in the fixed layout, zeros and the cells left to `%`
-    # with significand 0, which spells "0"; the scientific cells are then
-    # overwritten, and `%` overwrites its cells.
+    # Every cell starts in the fixed layout, zeros and the cells left to
+    # `fmt_float` with significand 0, which spells "0"; the scientific cells
+    # are then overwritten, and `fmt_float` overwrites its cells.
     digits[~exact | undecided] = 0.0
-    glyph = np.empty((values.size, 7))
+    glyph = np.empty((values.size, 7), dtype=np.intp)
     for j, column in enumerate(_fixed_glyphs(digits, np.where(fixed, exp10, 0), negative)):
         glyph[:, j] = column
     cells = np.flatnonzero(exact & ~fixed)
@@ -211,19 +213,17 @@ def _fmt_block(block: np.ndarray) -> str:
         glyph[cells, j] = column
     glyph[:, 6] = _COMMA
     glyph.reshape(*block.shape, 7)[:, -1, 6] = _NEWLINE
-    text = _format_tables().glyphs[glyph.astype(np.intp)]
+    text = _format_tables().glyphs[glyph]
 
     cells = np.flatnonzero(undecided | ~exact & (magnitude > 0))
     if cells.size:
         text[cells, :6] = _fallback_text(values[cells]).view(np.uint32).reshape(-1, 6)
-    return text.tobytes().translate(None, b"\0")[:-1].decode("ascii")
+    return text.tobytes().translate(None, b"\0")
 
 
 def _fallback_text(values: np.ndarray) -> np.ndarray:
-    """`fmt_float` text of nonzero cells by one `%`, nul-padded to 24 bytes."""
-    formats = np.where(_fixed_notation(np.abs(values)), "%.12g", "%.11e")
-    spelled = "\n".join(formats.tolist()) % tuple(values.tolist())
-    return np.array(spelled.split("\n"), dtype="S24")
+    """`fmt_float` text of nonzero cells, nul-padded to 24 bytes."""
+    return np.array([fmt_float(x) for x in values.tolist()], dtype="S24")
 
 
 def _decimal12(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -604,21 +604,27 @@ def verify_payload(cfg: RunConfig, result: DesignResult, report, scale: float) -
 
 
 def write_trajectory_csv(path: Path, sys_aug, t_max: float) -> None:
-    """CSV of z_p and z_o coefficient rows and the running z_o average."""
+    """CSV of z_p and z_o coefficient rows and the running z_o average.
+
+    Both rows come from one `coefficient_trajectory` call, so the closed
+    form's weights are evaluated once per table; the ASCII blocks of
+    `fmt_table` go to the file as they are.
+    """
     grid = np.linspace(0.0, t_max, SIMULATE_POINTS)
-    traj_p = coefficient_trajectory(sys_aug, sys_aug.c[0], grid)
-    traj_o = coefficient_trajectory(sys_aug, sys_aug.c[1], grid)
+    traj = coefficient_trajectory(sys_aug, sys_aug.c, grid)
     header = ["t"] + [
         f"{row}_{n}" for row in ("zp", "zo", "zo_avg") for n in ("qp", "pp", "qo", "po")
     ]
-    table = np.column_stack(
-        [grid, traj_p.coefficient_rows, traj_o.coefficient_rows, traj_o.running_average]
-    )
+    table = np.empty((SIMULATE_POINTS, 13))
+    table[:, 0] = grid
+    table[:, 1:5] = traj.coefficient_rows[0]
+    table[:, 5:9] = traj.coefficient_rows[1]
+    table[:, 9:] = traj.running_average[1]
     blocks = fmt_table(table)
-    with path.open("w", encoding="ascii", newline="\n") as out:
-        out.write(",".join(header) + "\n")
+    with path.open("wb") as out:
+        out.write(",".join(header).encode("ascii") + b"\n")
         for block in blocks:
-            out.write(block + "\n")
+            out.write(block)
 
 
 # --------------------------------------------------------------------------

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from qobserver import (
-    PlantSpec, _kernels, augment, cli, design_ndpa, ndpa, synthesize_observer, verify_convergence,
+    PlantSpec, _kernels, augment, cli, design_ndpa, dynamics, ndpa, synthesize_observer,
+    verify_convergence,
 )
 from qobserver.dynamics import CheckResult, ConvergenceReport, default_horizons
 from qobserver.errors import NonFiniteError, PipelineError
@@ -65,9 +66,10 @@ class TestFloatFormat:
             table[::5, 3] = 0.0
             blocks = list(cli.fmt_table(table))
             assert len(blocks) == 3
-            assert "\n".join(blocks) == "\n".join(
-                ",".join(cli.fmt_float(x) for x in row) for row in table
-            )
+            assert all(block.endswith(b"\n") for block in blocks)
+            assert b"".join(blocks) == "".join(
+                ",".join(cli.fmt_float(x) for x in row) + "\n" for row in table
+            ).encode("ascii")
 
     def test_tie_column_takes_one_percent_per_block(self, monkeypatch):
         # 100000.0078125 * 10**6 ends in .5 exactly: a tie, rounded to even
@@ -75,8 +77,8 @@ class TestFloatFormat:
         monkeypatch.setattr(cli, "_fallback_text", lambda v: sizes.append(v.size) or fallback(v))
         table = np.full((2001, 1), -100000.0078125)
         blocks = list(cli.fmt_table(table))
-        assert "\n".join(blocks).split("\n") == ["-100000.007812"] * 2001
-        assert sizes == [len(block.split("\n")) for block in blocks]
+        assert b"".join(blocks) == b"-100000.007812\n" * 2001
+        assert sizes == [block.count(b"\n") for block in blocks]
 
     def test_import_builds_no_format_table(self, tmp_path):
         # the tables take milliseconds to build; only a run that writes a CSV pays
@@ -532,6 +534,19 @@ class TestSimulateCommand:
     def test_design_json_also_written(self, tmp_path):
         assert run_cli(["simulate", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "design.json").exists()
+
+    @pytest.mark.parametrize("argv", [[], ["--cp=0.6,-0.8", "--horizons", "3,700"]])
+    def test_one_weight_evaluation_per_table(self, tmp_path, monkeypatch, argv):
+        # both rows of the table from one closed form, its structure tested once
+        calls = {"_weights": 0, "_observer_blocks": 0}
+        for name in calls:
+            def counted(*args, name=name, original=getattr(dynamics, name)):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(dynamics, name, counted)
+        assert run_cli(["simulate", *argv, "--out", str(tmp_path)]) == 0
+        assert calls == {"_weights": 1, "_observer_blocks": 1}
 
 
 class TestReproduceExample:

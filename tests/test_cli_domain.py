@@ -110,7 +110,7 @@ def test_every_input_ends_in_a_documented_outcome(argv):
 
 # Zero, subnormals, both edges of the fixed range [1e-4, 1e6) and values that
 # round up across them, the formatter's KERNEL_MIN and the float below it
-# (which goes to `%`), 1e290 and the float above it (ordinary cells),
+# (which goes to `fmt_float`), 1e290 and the float above it (ordinary cells),
 # near-ties, three-digit exponents and the largest float, each with either
 # sign.  The 12th digit of -0.9596118698535, a workload's --cp, is 8.8e-7 of
 # a unit from a tie; 100000.0078125 and 123456789013.5 are ties, rounded to
@@ -131,7 +131,7 @@ def _near_power_of_ten(exponent, step):
 
 
 # 13 significant digits ending in 5: the 12th digit of each lies within about
-# 1e-4 of a unit from a tie, inside the kernel's TIE_TOLERANCE, so `%` decides.
+# 1e-4 of a unit from a tie, inside the kernel's TIE_TOLERANCE, so `fmt_float` decides.
 NEAR_TIES = st.builds(
     lambda m, e: float(f"{m}5e{e}"), st.integers(10**11, 10**12 - 1), st.integers(-300, 290)
 )
@@ -153,8 +153,9 @@ def tables(draw):
 @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @hypothesis.given(tables())
 def test_table_format_matches_fmt_float_cell_by_cell(rows):
-    text = "\n".join(cli.fmt_table(np.array(rows)))
-    assert [line.split(",") for line in text.split("\n")] == [
+    text = b"".join(cli.fmt_table(np.array(rows))).decode("ascii")
+    assert text.endswith("\n")
+    assert [line.split(",") for line in text[:-1].split("\n")] == [
         [cli.fmt_float(x) for x in row] for row in rows
     ]
 
