@@ -39,7 +39,7 @@ def maxabs(m: NDArray) -> float:
     """Max-abs entry norm; zero for empty arrays."""
     if m.size == 0:
         return 0.0
-    return float(np.max(np.abs(m)))
+    return float(np.abs(m).max())
 
 
 def _frozen_array(x, dtype=float) -> np.ndarray:
@@ -91,7 +91,7 @@ class QuadraticHamiltonian:
             raise DimensionError(
                 f"energy matrix shape {r.shape} does not match {n}x{n} phase space"
             )
-        if not np.all(np.isfinite(r)):
+        if not np.isfinite(r).all():
             raise ValueError("energy matrix has non-finite entries")
         object.__setattr__(self, "r", _frozen_array((r + r.T) / 2.0))
         object.__setattr__(self, "asymmetry", maxabs(r - r.T))
@@ -117,7 +117,7 @@ class LinearQuantumSystem:
             raise DimensionError(
                 f"output rows shape {c.shape} incompatible with state dimension {n}"
             )
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(c))):
+        if not (np.isfinite(a).all() and np.isfinite(c).all()):
             raise ValueError("system matrices have non-finite entries")
         object.__setattr__(self, "a", _frozen_array(a))
         object.__setattr__(self, "c", _frozen_array(c))

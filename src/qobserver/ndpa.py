@@ -380,7 +380,7 @@ def extract_beta(r_c: np.ndarray, c_p) -> np.ndarray:
     if norm_sq == 0.0:
         raise DesignError(f"plant output selector {c_p.tolist()} underflows: |C_p|^2 = 0")
     beta = (c_p @ r_c) / norm_sq
-    if not np.all(np.isfinite(beta)):
+    if not np.isfinite(beta).all():
         raise DesignError(f"factor beta = {beta.tolist()} is not finite")
     residual = maxabs(r_c - np.outer(c_p, beta))
     if residual > DESIGN_TOL * scale:

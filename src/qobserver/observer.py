@@ -45,7 +45,7 @@ class PlantSpec:
         c_p = np.asarray(self.c_p, dtype=float).reshape(-1)
         if c_p.shape != (2,):
             raise DimensionError(f"plant selector must have 2 entries, got {c_p.shape}")
-        if not np.all(np.isfinite(c_p)):
+        if not np.isfinite(c_p).all():
             raise ValueError("plant selector has non-finite entries")
         if maxabs(c_p) == 0.0:
             raise DesignError("plant output selector is zero")
@@ -133,7 +133,7 @@ def synthesize_observer(
         unit = np.ldexp(beta, -k)
         with np.errstate(over="ignore"):
             c_o = np.ldexp((-2.0 * omega_o / float(unit @ unit)) * unit, -k)
-        if not np.all(np.isfinite(c_o)):
+        if not np.isfinite(c_o).all():
             raise NonFiniteError(f"C_o = -2 omega_o beta / |beta|^2 overflows: {c_o.tolist()}")
         # C_o underflows when omega_o is far below |beta|: a subnormal C_o has
         # lost its precision, and R_o^{-1} beta^T, which validation solves
@@ -171,7 +171,7 @@ def validate_observer(design: ObserverDesign) -> ObserverDiagnostics:
     """
     failures: list[str] = []
 
-    min_eig = float(np.min(np.linalg.eigvalsh(design.r_o)))
+    min_eig = float(np.linalg.eigvalsh(design.r_o).min())
     if min_eig <= 0.0:
         failures.append("observer energy matrix R_o is not positive definite")
 
