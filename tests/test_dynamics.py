@@ -339,13 +339,6 @@ class TestStackedRows:
         for grid in (np.linspace(0.0, 2.0, 401), np.linspace(0.3, 2.0, 401)):
             self.assert_stack_matches_rows(sys, c_rows, grid)
 
-    def test_one_weight_evaluation_per_call(self, example, monkeypatch):
-        calls, weights = [], dynamics._weights
-        monkeypatch.setattr(dynamics, "_weights", lambda *a: calls.append(1) or weights(*a))
-        _, sys = example
-        coefficient_trajectory(sys, np.vstack([sys.c, sys.c]), np.linspace(0.0, 5.0, 11))
-        assert len(calls) == 1
-
     @pytest.mark.parametrize("shape", [(0, 4), (2, 3), (2, 2, 4), ()])
     def test_stack_shape_checked(self, example, shape):
         _, sys = example
