@@ -131,7 +131,8 @@ def _near_power_of_ten(exponent, step):
 
 
 # 13 significant digits ending in 5: the 12th digit of each lies within about
-# 1e-4 of a unit from a tie, inside the kernel's TIE_TOLERANCE, so `fmt_float` decides.
+# 1e-4 of a unit from a tie, inside the kernel's TIE_TOLERANCE, so `fmt_float`
+# decides.
 NEAR_TIES = st.builds(
     lambda m, e: float(f"{m}5e{e}"), st.integers(10**11, 10**12 - 1), st.integers(-300, 290)
 )

@@ -298,7 +298,7 @@ def bits(a) -> np.ndarray:
 
 
 class TestStackedRows:
-    """A stack of rows evaluates the weights once and gives each row its own bits."""
+    """A stack of rows gives each row the bits that it gives alone."""
 
     @staticmethod
     def assert_stack_matches_rows(sys, c_rows, grid):
