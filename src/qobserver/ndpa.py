@@ -207,7 +207,7 @@ def solve_theta(eps_ratio: float) -> float:
     return 2.0 * math.atan(1.0 / eps_ratio)
 
 
-def solve_phases(arg_c: float, delta: float | None = None) -> tuple[float, float]:
+def solve_phases(arg_c: float, delta: float) -> tuple[float, float]:
     """Pump phase psi and beamsplitter phase phi for a target plant quadrature.
 
     The orientation condition arg(e^{i psi} - e^{-i phi}) = arg_c - pi/2 has
@@ -216,11 +216,8 @@ def solve_phases(arg_c: float, delta: float | None = None) -> tuple[float, float
         psi = arg_c - pi + delta,    phi = pi - arg_c + delta,
 
     for which e^{i psi} - e^{-i phi} = 2i sin(delta) e^{i(arg_c - pi)}, so any
-    delta in (0, pi) works.  The default delta = pi/2 keeps the two phases
-    equal when arg_c = 0.  Both angles are returned wrapped to (-pi, pi].
+    delta in (0, pi) works.  Both angles are returned wrapped to (-pi, pi].
     """
-    if delta is None:
-        delta = math.pi / 2.0
     delta = float(delta)
     arg_c = float(arg_c)
     if not 0.0 < delta < math.pi:
@@ -231,15 +228,6 @@ def solve_phases(arg_c: float, delta: float | None = None) -> tuple[float, float
     psi = wrap_angle(arg_c - math.pi + delta)
     phi = wrap_angle(math.pi - arg_c + delta)
     return psi, phi
-
-
-def alpha_parameter(gamma: float, theta: float, phi: float) -> complex:
-    """Loop-coupling amplitude alpha = gamma e^{i phi} sin(theta)/(1 - cos(theta)).
-
-    The quotient is read as cot(theta/2), which loses no digits as theta
-    nears 0.
-    """
-    return gamma * cmath.exp(1j * phi) / math.tan(theta / 2.0)
 
 
 def build_open_ndpa(gamma: float, epsilon: complex, omega_o: float) -> OpenNdpaModel:
@@ -404,7 +392,8 @@ def design_ndpa(
     C_o from the coupling block, and independently rebuilds R through the
     physical route (open model -> loop closure -> M -> quadratures).  The two
     routes must agree to DESIGN_TOL relative per entry or the result is
-    rejected.  All inputs are taken in one consistent frequency unit.
+    rejected.  All inputs are taken in one consistent frequency unit.  An
+    omitted delta is pi/2, which keeps the two phases equal when arg_c = 0.
     """
     plant = PlantSpec(c_p)
     omega_o = float(omega_o)
@@ -427,8 +416,9 @@ def design_ndpa(
     theta = stage("solve_theta", solve_theta, eps_ratio)
     arg_c = math.atan2(plant.c_p[1], plant.c_p[0])
     psi, phi = stage("solve_phases", solve_phases, arg_c, delta)
-    # alpha_parameter(gamma, theta, phi) without its quotient, which equals
-    # eps_ratio on the design curve and loses the ratio as theta nears pi.
+    # alpha = gamma e^{i phi} sin(theta)/(1 - cos(theta)) without its
+    # quotient, which equals eps_ratio on the design curve and loses the
+    # ratio as theta nears pi.
     epsilon = gamma * eps_ratio * cmath.exp(1j * psi)
     alpha = gamma * eps_ratio * cmath.exp(1j * phi)
 

@@ -96,22 +96,16 @@ class ObserverDiagnostics:
     failures: tuple[str, ...]
 
 
-def synthesize_observer(
-    plant: PlantSpec,
-    omega_o: float,
-    beta,
-    c_o=None,
-) -> ObserverDesign:
+def synthesize_observer(plant: PlantSpec, omega_o: float, beta) -> ObserverDesign:
     """Observer matrices for a given coupling row beta.
 
-    Uses R_o = 2 omega_o I and R_c = C_p^T beta.  When `c_o` is omitted the
-    minimum-norm solution of C_o beta^T = -2 omega_o is chosen,
-    C_o = -2 omega_o beta / |beta|^2; a caller-supplied C_o is accepted but
-    must satisfy the same constraint (any point of its solution line works).
-    NonFiniteError when the minimum-norm C_o overflows (omega_o far above
-    |beta|), DesignError when it underflows to subnormal from a normal
-    omega_o (omega_o far below |beta|).  Deliberately invalid bundles for
-    negative controls can still be built through ObserverDesign directly.
+    Uses R_o = 2 omega_o I, R_c = C_p^T beta and the minimum-norm solution
+    of C_o beta^T = -2 omega_o, C_o = -2 omega_o beta / |beta|^2.
+    NonFiniteError when C_o overflows (omega_o far above |beta|),
+    DesignError when it underflows to subnormal from a normal omega_o
+    (omega_o far below |beta|).  Other bundles, any point of the solution
+    line or deliberately invalid ones for negative controls, can be built
+    through ObserverDesign directly.
     """
     omega_o = float(omega_o)
     beta = np.asarray(beta, dtype=float).reshape(-1)
@@ -126,31 +120,22 @@ def synthesize_observer(
         raise DesignError(
             "beta is zero: no output selector C_o can satisfy C_o beta^T = -2 omega_o"
         )
-    if c_o is None:
-        # Scaled by 2^k ~ maxabs(beta), |beta|^2 cannot overflow, and in the
-        # normal range C_o equals the unscaled formula to the last bit.
-        k = math.frexp(scale)[1]
-        unit = np.ldexp(beta, -k)
-        with np.errstate(over="ignore"):
-            c_o = np.ldexp((-2.0 * omega_o / float(unit @ unit)) * unit, -k)
-        if not np.isfinite(c_o).all():
-            raise NonFiniteError(f"C_o = -2 omega_o beta / |beta|^2 overflows: {c_o.tolist()}")
-        # C_o underflows when omega_o is far below |beta|: a subnormal C_o has
-        # lost its precision, and R_o^{-1} beta^T, which validation solves
-        # for, overflows beside it.  A subnormal omega_o, which the command
-        # line accepts as given, keeps the C_o as small as itself.
-        if maxabs(c_o) < sys.float_info.min <= omega_o:
-            raise DesignError(
-                f"C_o = -2 omega_o beta / |beta|^2 underflows to subnormal: {c_o.tolist()}"
-            )
-    else:
-        c_o = np.asarray(c_o, dtype=float).reshape(-1)
-        defect = abs(float(c_o @ beta) / (2.0 * omega_o) + 1.0)
-        if defect > DESIGN_TOL:
-            raise DesignError(
-                f"supplied C_o violates C_o beta^T = -2 omega_o "
-                f"(normalized defect {defect:.3e})"
-            )
+    # Scaled by 2^k ~ maxabs(beta), |beta|^2 cannot overflow, and in the
+    # normal range C_o equals the unscaled formula to the last bit.
+    k = math.frexp(scale)[1]
+    unit = np.ldexp(beta, -k)
+    with np.errstate(over="ignore"):
+        c_o = np.ldexp((-2.0 * omega_o / float(unit @ unit)) * unit, -k)
+    if not np.isfinite(c_o).all():
+        raise NonFiniteError(f"C_o = -2 omega_o beta / |beta|^2 overflows: {c_o.tolist()}")
+    # C_o underflows when omega_o is far below |beta|: a subnormal C_o has
+    # lost its precision, and R_o^{-1} beta^T, which validation solves for,
+    # overflows beside it.  A subnormal omega_o, which the command line
+    # accepts as given, keeps the C_o as small as itself.
+    if maxabs(c_o) < sys.float_info.min <= omega_o:
+        raise DesignError(
+            f"C_o = -2 omega_o beta / |beta|^2 underflows to subnormal: {c_o.tolist()}"
+        )
     return ObserverDesign(
         c_p=plant.c_p,
         omega_o=omega_o,

@@ -430,11 +430,9 @@ class TestVerifyCommand:
         assert code == 0
         data = json.loads((tmp_path / "report.json").read_text())
         design = synthesize_observer(
-            PlantSpec([1.0, 0.0]),
-            data["design"]["omega_o"],
-            data["design"]["beta"],
-            data["design"]["c_o"],
+            PlantSpec([1.0, 0.0]), data["design"]["omega_o"], data["design"]["beta"]
         )
+        np.testing.assert_allclose(design.c_o, data["design"]["c_o"], rtol=1e-11)
         conv = data["convergence"]
         assert conv["horizons"] == [1e5, 1e6]
         for t_hor, error in zip(conv["horizons"], conv["errors"]):

@@ -12,7 +12,6 @@ from qobserver import (
     SingularBeamsplitterError,
     StructureError,
     ZeroCouplingError,
-    alpha_parameter,
     build_open_ndpa,
     close_loop,
     coupling_block,
@@ -69,9 +68,10 @@ class TestSolveTheta:
 
 class TestSolvePhases:
     def test_position_quadrature_default(self):
-        psi, phi = solve_phases(0.0)
-        assert psi == -math.pi / 2.0
-        assert phi == -math.pi / 2.0
+        result = design_ndpa([1.0, 0.0], 1.0, 1.0, 0.1)
+        assert cmath.phase(result.ndpa.params.epsilon) == -math.pi / 2.0
+        assert result.ndpa.params.phi == -math.pi / 2.0
+        assert result.report.delta == math.pi / 2.0
 
     def test_momentum_quadrature(self):
         psi, phi = solve_phases(math.pi / 2.0, math.pi / 2.0)
@@ -388,9 +388,3 @@ class TestAngles:
         assert wrap_angle(3.0 * math.pi / 2.0) == -math.pi / 2.0
         # the rounded multiple of 2 pi leaves this one just above pi
         assert -math.pi < wrap_angle(-1995.0 * math.pi) < -math.pi + 1e-9
-
-    def test_alpha_parameter_on_design_curve(self):
-        theta = solve_theta(0.37)
-        alpha = alpha_parameter(2.0, theta, 1.1)
-        assert abs(alpha) == pytest.approx(2.0 * 0.37, rel=1e-12)
-        assert cmath.phase(alpha) == pytest.approx(1.1, rel=1e-12)

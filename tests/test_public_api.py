@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import qobserver
-from qobserver import core, dynamics
+from qobserver import core, dynamics, ndpa
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -44,13 +44,13 @@ def test_every_public_name_resolves_once():
 
 @pytest.mark.parametrize("name", [
     "TolerancePolicy", "make_symplectic_space", "running_average",
-    "dominant_frequency", "simulate_means", "time_average_error",
+    "dominant_frequency", "simulate_means", "time_average_error", "alpha_parameter",
 ])
 def test_removed_names_are_gone(name):
     assert name not in qobserver.__all__
     assert not hasattr(qobserver, name)
-    assert not hasattr(core, name)
-    assert not hasattr(dynamics, name)
+    for module in (core, dynamics, ndpa):
+        assert not hasattr(module, name)
 
 
 ONE_MODE = qobserver.SymplecticSpace(1)
