@@ -341,13 +341,33 @@ def _angle(rad: float) -> dict:
 # Configuration
 # --------------------------------------------------------------------------
 
+def _float(value) -> float:
+    """A flag's text, or a JSON number or string, as a float.
+
+    A JSON boolean raises TypeError rather than reading as 1 or 0.  An
+    integer beyond float range reads as the infinity of its sign, as a JSON
+    literal such as 1e400 does, so the finite checks refuse it.
+    """
+    if isinstance(value, bool):
+        raise TypeError("a boolean is not a number")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _split(value, where: str, convert, expected: str) -> tuple:
-    """Items of '1,2' / '1 2' text or of a JSON list, each run through convert."""
+    """Items of '1,2' / '1 2' text or of a JSON list, each run through convert.
+
+    Any other value, a JSON object among them, is refused.
+    """
     parts = value.replace(",", " ").split() if isinstance(value, str) else value
     try:
-        return tuple(convert(p) for p in parts)
+        if isinstance(parts, list):
+            return tuple(convert(p) for p in parts)
     except (TypeError, ValueError):
-        raise ConfigError(f"{where}: expected {expected}, got {value!r}") from None
+        pass
+    raise ConfigError(f"{where}: expected {expected}, got {value!r}")
 
 
 def _number(ok, rule: str):
@@ -355,7 +375,7 @@ def _number(ok, rule: str):
 
     def parse(value, where: str) -> float:
         try:
-            x = float(value)
+            x = _float(value)
         except (TypeError, ValueError):
             raise ConfigError(f"{where}: expected a number, got {value!r}") from None
         if not math.isfinite(x):
@@ -372,7 +392,7 @@ _parse_delta = _number(lambda x: 0.0 < x < math.pi, "must lie in (0, pi)")
 
 
 def _parse_selector(value, where: str) -> tuple[float, float]:
-    pair = _split(value, where, float, "two numbers")
+    pair = _split(value, where, _float, "two numbers")
     if len(pair) != 2:
         raise ConfigError(f"{where}: expected two numbers, got {value!r}")
     if not all(math.isfinite(x) for x in pair):
@@ -383,7 +403,7 @@ def _parse_selector(value, where: str) -> tuple[float, float]:
 
 
 def _parse_horizons(value, where: str) -> tuple[float, ...]:
-    ladder = _split(value, where, float, "a list of numbers")
+    ladder = _split(value, where, _float, "a list of numbers")
     if not ladder:
         raise ConfigError(f"{where}: empty list")
     if not all(math.isfinite(t) and t > 0.0 for t in ladder):
@@ -444,10 +464,14 @@ def _read_config_file(path) -> dict:
     if not path:
         return {}
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read ({exc.strerror})") from None
+    # JSON syntax, bytes that are not UTF-8, an integer past Python's digit
+    # limit, or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
@@ -489,6 +513,13 @@ def _validate_config(cfg: RunConfig, sources: dict[str, str]) -> None:
         raise ConfigError(f"{sources['format']}: {cfg.command} produces JSON; include 'json'")
     if cfg.command == "verify" and cfg.horizons is not None and len(cfg.horizons) < 2:
         raise ConfigError(f"{sources['horizons']}: verify needs at least two horizons")
+    # `run` creates the output directory; a file on its path would stop it
+    for path in (cfg.out, *cfg.out.parents):
+        if path.exists():
+            if not path.is_dir():
+                where = sources.get("out", "--out")
+                raise ConfigError(f"{where}: {str(path)!r} is not a directory")
+            break
     # design_ndpa gets omega_o / scale and gamma / scale: finite, nonzero, normal if given so
     scale, scale_key = _scale_factor(cfg), "omega_ref" if cfg.omega_ref is not None else "omega_o"
     for key in ("omega_o", "gamma"):

@@ -331,12 +331,28 @@ class TestConfigFields:
             "2.2250738585072014e-308, got inf\n"
         )
 
-    @pytest.mark.parametrize("key", ["cp", "horizons", "out", "format"])
-    def test_wrongly_typed_file_values_exit_2(self, tmp_path, capsys, key):
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({key: 5}))
-        assert run_cli(["design", "--config", str(config)]) == 2
-        assert capsys.readouterr().err.startswith(f"config error: config key {key!r}:")
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("cp", 5), ("horizons", 5), ("out", 5), ("format", 5),
+            ("omega_o", True), ("cp", [True, False]), ("horizons", [True, 2, 3]),
+            ("gamma", 10**400), ("cp", [-(10**400), 0]), ("horizons", [1, 10**400]),
+            ("cp", {"1": 0, "0": 1}),
+        ],
+        ids=[
+            "cp", "horizons", "out", "format", "omega_o_boolean", "cp_booleans",
+            "horizons_boolean", "gamma_past_float", "cp_past_float", "horizons_past_float",
+            "cp_object",
+        ],
+    )
+    def test_wrongly_typed_file_values_exit_2(self, tmp_path, monkeypatch, capsys, key, value):
+        monkeypatch.chdir(tmp_path)  # no --out flag, which would override the key
+        Path("run.json").write_text(json.dumps({key: value}))
+        assert run_cli(["design", "--config", "run.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config key {key!r}:")
+        assert len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == [tmp_path / "run.json"]
 
     @pytest.mark.parametrize(
         "argv, config_text, message",
@@ -350,21 +366,31 @@ class TestConfigFields:
             (["design", "--config", "{path}"], None, "config file not found: {path}"),
             (["design", "--config", "{path}"], "{bad", "{path}: invalid JSON ("),
             (["design", "--config", "{path}"], "[1,2]", "{path}: top level must be a JSON object"),
+            (["design", "--config", "{tmp}"], None, "{tmp}: cannot read (Is a directory)"),
+            (["design", "--config", "{path}"], b'{"gamma": \xff}', "{path}: invalid JSON ('utf-8'"),
+            (["design", "--config", "{path}"], '{"gamma": ' + "1" * 4301 + "}",
+             "{path}: invalid JSON (Exceeds the limit (4300 digits)"),
+            (["design", "--config", "{path}"], "[" * 100000, "{path}: invalid JSON (maximum recursion"),
+            (["design", "--out", "{path}"], "", "--out: '{path}' is not a directory"),
+            (["verify", "--out", "{path}/sub"], "", "--out: '{path}' is not a directory"),
         ],
         ids=[
             "unknown_format", "no_format", "design_without_json", "verify_without_json",
             "three_selector_entries", "no_horizons", "missing_file", "bad_json", "json_list",
+            "directory", "not_utf8", "digit_limit", "deep_nesting", "out_file", "out_under_file",
         ],
     )
     def test_config_error_names_its_source(self, tmp_path, capsys, argv, config_text, message):
         out, config = tmp_path / "out", tmp_path / "run.json"
         if config_text is not None:
-            config.write_text(config_text)
-        assert run_cli([arg.format(path=config) for arg in argv] + ["--out", str(out)]) == 2
+            config.write_bytes(config_text if isinstance(config_text, bytes) else config_text.encode())
+        argv = [arg.format(path=config, tmp=tmp_path) for arg in argv]
+        assert run_cli(argv + ([] if "--out" in argv else ["--out", str(out)])) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: " + message.format(path=config))
+        assert err.startswith("config error: " + message.format(path=config, tmp=tmp_path))
         assert len(err.splitlines()) == 1
         assert not out.exists()
+        assert sorted(tmp_path.iterdir()) == ([config] if config_text is not None else [])
 
 
 class TestVerifyCommand:

@@ -71,14 +71,39 @@ def argvs(draw):
     return argv
 
 
+# Values a config file may hold: numbers as JSON or as text, NaN and the
+# infinities, integers past float range, booleans, null, strings the fields
+# accept or not, and lists of them, nested.
+CONFIG_VALUES = st.recursive(
+    st.one_of(
+        NUMBERS,
+        NUMBERS.map(float),
+        st.integers(-(10**400), 10**400),
+        st.booleans(),
+        st.none(),
+        st.sampled_from(cli.UNIT_CHOICES + cli.FORMAT_CHOICES + ("1,0", "5,10,20")),
+        st.text(max_size=4),
+    ),
+    lambda children: st.lists(children, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def config_argvs(draw):
+    """The config-file route: the item after --config is the file's text."""
+    config = draw(st.dictionaries(st.sampled_from(list(cli.FIELDS)), CONFIG_VALUES))
+    return [draw(st.sampled_from(["design", "verify", "simulate"])), "--config", json.dumps(config)]
+
+
 # No shrinking: every example runs the whole pipeline, and a failing argv
 # reads well as drawn.
 @hypothesis.settings(
-    max_examples=60, deadline=None, derandomize=True, database=None,
+    max_examples=120, deadline=None, derandomize=True, database=None,
     phases=[hypothesis.Phase.explicit, hypothesis.Phase.generate],
     suppress_health_check=[hypothesis.HealthCheck.too_slow],
 )
-@hypothesis.given(argvs())
+@hypothesis.given(st.one_of(argvs(), config_argvs()))
 # Inputs that once hung, raised a traceback, wrote a wrong table or named a
 # value the user never gave.
 @hypothesis.example(["verify", "--horizons", "1e300,1e308"])
@@ -93,8 +118,15 @@ def argvs(draw):
 @hypothesis.example(["design", "--eps-ratio", "1e9"])
 @hypothesis.example(["design", "--eps-ratio", "1e-17"])
 @hypothesis.example(["design", "--eps-ratio", "0.6"])
+# Config values that designed as 1.0 and 0.0, or raised OverflowError.
+@hypothesis.example(["verify", "--config", '{"omega_o": true, "cp": [true, false]}'])
+@hypothesis.example(["design", "--config", '{"gamma": 1' + "0" * 400 + "}"])
 def test_every_input_ends_in_a_documented_outcome(argv):
     with tempfile.TemporaryDirectory() as out, deadline(30):
+        if "--config" in argv:  # not *.json, which the check below reads as output
+            config = Path(out) / "run.config"
+            config.write_text(argv[-1])
+            argv = [*argv[:-1], str(config)]
         stderr = io.StringIO()
         # Python shows a warning once per code location unless told otherwise
         with warnings.catch_warnings(record=True) as caught:
