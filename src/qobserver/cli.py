@@ -342,12 +342,7 @@ def _angle(rad: float) -> dict:
 # --------------------------------------------------------------------------
 
 def _float(value) -> float:
-    """A flag's text, or a JSON number or string, as a float.
-
-    A JSON boolean raises TypeError rather than reading as 1 or 0.  An
-    integer beyond float range reads as the infinity of its sign, as a JSON
-    literal such as 1e400 does, so the finite checks refuse it.
-    """
+    """float(value), but a boolean is refused and an int past float range is infinite."""
     if isinstance(value, bool):
         raise TypeError("a boolean is not a number")
     try:
@@ -357,10 +352,7 @@ def _float(value) -> float:
 
 
 def _split(value, where: str, convert, expected: str) -> tuple:
-    """Items of '1,2' / '1 2' text or of a JSON list, each run through convert.
-
-    Any other value, a JSON object among them, is refused.
-    """
+    """Items of '1,2' / '1 2' text or of a JSON list (no other type), each run through convert."""
     parts = value.replace(",", " ").split() if isinstance(value, str) else value
     try:
         if isinstance(parts, list):
@@ -469,9 +461,7 @@ def _read_config_file(path) -> dict:
         raise ConfigError(f"config file not found: {path}") from None
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read ({exc.strerror})") from None
-    # JSON syntax, bytes that are not UTF-8, an integer past Python's digit
-    # limit, or nesting past the recursion limit
-    except (ValueError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # also not UTF-8, past int digit or depth limit
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
@@ -513,13 +503,10 @@ def _validate_config(cfg: RunConfig, sources: dict[str, str]) -> None:
         raise ConfigError(f"{sources['format']}: {cfg.command} produces JSON; include 'json'")
     if cfg.command == "verify" and cfg.horizons is not None and len(cfg.horizons) < 2:
         raise ConfigError(f"{sources['horizons']}: verify needs at least two horizons")
-    # `run` creates the output directory; a file on its path would stop it
-    for path in (cfg.out, *cfg.out.parents):
-        if path.exists():
-            if not path.is_dir():
-                where = sources.get("out", "--out")
-                raise ConfigError(f"{where}: {str(path)!r} is not a directory")
-            break
+    # `run` creates the output directory: its nearest existing path must be one
+    nearest = next(path for path in (cfg.out, *cfg.out.parents) if path.exists())
+    if not nearest.is_dir():
+        raise ConfigError(f"{sources.get('out', '--out')}: {str(nearest)!r} is not a directory")
     # design_ndpa gets omega_o / scale and gamma / scale: finite, nonzero, normal if given so
     scale, scale_key = _scale_factor(cfg), "omega_ref" if cfg.omega_ref is not None else "omega_o"
     for key in ("omega_o", "gamma"):
