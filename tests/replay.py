@@ -15,8 +15,9 @@ differ.  The set:
   which is only read, so both sides replay the same argvs;
 - README's commands;
 - `reproduce-example` with each `--format`;
-- the typed-error argvs of the exit-code tests in `tests/test_cli.py` and
-  the edge squeezing ratios of the domain test.
+- the typed-error argvs of the exit-code tests in `tests/test_cli.py`, the
+  edge squeezing ratios of the domain test and argvs whose inputs fail
+  more than one check, which pin the check that refuses first.
 
 As `perfbench/run.py` does, the old outputs are unlinked before each
 request.  The output directory is spelled `<out>` in the captured text.
@@ -65,6 +66,12 @@ TYPED_ERRORS = (
     ["verify", "--eps-ratio", "1e-10"],
     ["design", "--eps-ratio", "1e-17"],
     ["design", "--eps-ratio", "0.6"],
+    # competing refusals, each pinned to the one that fires first
+    ["design", "--eps-ratio", "1e-300"],
+    ["design", "--eps-ratio", "1e-17", "--omega-o", "1e300"],
+    ["design", "--eps-ratio", "1e-17", "--gamma", "1e-300"],
+    ["design", "--eps-ratio", "1e-200", "--gamma", "1e-200"],
+    ["design", "--cp=1e-200,0", "--eps-ratio", "1e-17"],
 )
 
 
