@@ -37,16 +37,7 @@ from .ndpa import (
     DesignResult,
     NdpaDesign,
     NdpaParams,
-    OpenNdpaModel,
-    build_open_ndpa,
-    close_loop,
-    coupling_block,
     design_ndpa,
-    extract_beta,
-    hamiltonian_from_drift,
-    quadrature_hamiltonian,
-    solve_phases,
-    solve_theta,
     wrap_angle,
 )
 from .observer import (
@@ -74,7 +65,6 @@ __all__ = [
     "NonFiniteError",
     "ObserverDesign",
     "ObserverDiagnostics",
-    "OpenNdpaModel",
     "PipelineError",
     "PlantSpec",
     "QObserverError",
@@ -85,21 +75,13 @@ __all__ = [
     "Trajectory",
     "ZeroCouplingError",
     "augment",
-    "build_open_ndpa",
     "ccr_defect",
-    "close_loop",
     "coefficient_trajectory",
-    "coupling_block",
     "design_ndpa",
-    "extract_beta",
     "generator_from_hamiltonian",
-    "hamiltonian_from_drift",
     "maxabs",
     "propagator",
-    "quadrature_hamiltonian",
     "realizability_defect",
-    "solve_phases",
-    "solve_theta",
     "synthesize_observer",
     "validate_observer",
     "verify_convergence",

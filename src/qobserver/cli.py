@@ -565,8 +565,8 @@ def design_payload(cfg: RunConfig, result: DesignResult, scale: float) -> dict:
             "omega_o": p.omega_o,
             "epsilon": p.epsilon,
             "alpha": ndpa.alpha,
-            "beta": ndpa.beta,
-            "c_o": ndpa.c_o,
+            "beta": obs.beta,
+            "c_o": obs.c_o,
             "r_c": obs.r_c,
             "r_o": obs.r_o,
             "r": ndpa.r,
@@ -578,8 +578,8 @@ def design_payload(cfg: RunConfig, result: DesignResult, scale: float) -> dict:
             "omega_o": p.omega_o * scale,
             "epsilon": p.epsilon * scale,
             "alpha": ndpa.alpha * scale,
-            "beta": ndpa.beta * scale,
-            "c_o": ndpa.c_o,
+            "beta": obs.beta * scale,
+            "c_o": obs.c_o,
             "r_c": obs.r_c * scale,
             "r_o": obs.r_o * scale,
         },
@@ -608,8 +608,8 @@ def verify_payload(cfg: RunConfig, result: DesignResult, report, scale: float) -
         "toolkit_version": __version__,
         "units": _units_payload(cfg, scale),
         "design": {
-            "beta": result.ndpa.beta,
-            "c_o": result.ndpa.c_o,
+            "beta": result.observer.beta,
+            "c_o": result.observer.c_o,
             "omega_o": result.observer.omega_o,
         },
         "convergence": {

@@ -43,7 +43,6 @@ from .core import DESIGN_TOL, EXACT_TOL, _frozen_array, maxabs
 from .errors import (
     ConsistencyError,
     DesignError,
-    DimensionError,
     FactorizationError,
     PipelineError,
     SingularBeamsplitterError,
@@ -88,13 +87,13 @@ def wrap_angle(x: float) -> float:
 
 @dataclass(frozen=True)
 class NdpaParams:
-    """Physical amplifier and beamsplitter parameters.
+    """Physical amplifier and beamsplitter parameters as `design_ndpa` checked them.
 
     gamma   mirror-coupling rate (frequency units)
     epsilon complex squeezing parameter, eps = |eps| e^{i psi}
     omega_o detuning of the observer mode b (the a mode is tuned)
     theta   beamsplitter angle in (0, pi)
-    phi     beamsplitter phase, stored wrapped to (-pi, pi]
+    phi     beamsplitter phase in (-pi, pi]
     """
 
     gamma: float
@@ -102,20 +101,6 @@ class NdpaParams:
     omega_o: float
     theta: float
     phi: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "gamma", float(self.gamma))
-        object.__setattr__(self, "epsilon", complex(self.epsilon))
-        object.__setattr__(self, "omega_o", float(self.omega_o))
-        object.__setattr__(self, "theta", float(self.theta))
-        object.__setattr__(self, "phi", wrap_angle(float(self.phi)))
-        if self.gamma <= 0.0:
-            raise DesignError(f"gamma must be positive, got {self.gamma}")
-        if not 0.0 < self.theta < math.pi:
-            raise DesignError(
-                f"beamsplitter angle must lie in (0, pi), got {self.theta}, at squeezing "
-                f"ratio {self.eps_ratio:g}; 2 arctan(1/ratio) rounds to pi below about 1.7e-16"
-            )
 
     @property
     def eps_ratio(self) -> float:
@@ -128,41 +113,20 @@ class NdpaParams:
 
 
 @dataclass(frozen=True, eq=False)
-class OpenNdpaModel:
-    """NDPA before loop closure, in doubled-up (a, b, a*, b*) ordering.
-
-    `drift` is the deterministic part of the open dynamics.  Its couplings
-    to the formal noise increments are sqrt(gamma) I in and out; the toolkit
-    only ever eliminates those increments algebraically (`close_loop`), it
-    never integrates them.
-    """
-
-    drift: np.ndarray
-    gamma: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "drift", _frozen_array(self.drift, dtype=complex))
-        object.__setattr__(self, "gamma", float(self.gamma))
-
-
-@dataclass(frozen=True, eq=False)
 class NdpaDesign:
-    """Physical parameters plus every derived pipeline artifact."""
+    """Physical parameters plus the physical route's artifacts (beta and C_o
+    are on `DesignResult.observer`)."""
 
     params: NdpaParams
     alpha: complex
     f: np.ndarray
     m: np.ndarray
     r: np.ndarray
-    beta: np.ndarray
-    c_o: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "f", _frozen_array(self.f, dtype=complex))
         object.__setattr__(self, "m", _frozen_array(self.m, dtype=complex))
         object.__setattr__(self, "r", _frozen_array(self.r))
-        object.__setattr__(self, "beta", _frozen_array(np.reshape(self.beta, -1)))
-        object.__setattr__(self, "c_o", _frozen_array(np.reshape(self.c_o, -1)))
 
 
 @dataclass(frozen=True)
@@ -192,8 +156,13 @@ class DesignResult:
     report: DesignReport
 
 
+# The stages of `design_ndpa`, which is their only caller: each takes values
+# it has checked or computed, with their types, and checks only what can
+# still go wrong on those.
+
+
 def solve_theta(eps_ratio: float) -> float:
-    """Beamsplitter angle with sin(theta)/(1 - cos(theta)) = eps_ratio.
+    """Beamsplitter angle with sin(theta)/(1 - cos(theta)) = eps_ratio > 0.
 
     On (0, pi) the left side equals cot(theta/2), so the unique solution is
     theta = 2 arctan(1/eps_ratio).  Ratios of 0.6 and above are accepted
@@ -201,9 +170,6 @@ def solve_theta(eps_ratio: float) -> float:
     `NdpaParams.linearization_trusted`, since the linearized amplifier model
     degrades there.
     """
-    eps_ratio = float(eps_ratio)
-    if eps_ratio <= 0.0:
-        raise DesignError(f"squeezing ratio must be positive, got {eps_ratio}")
     return 2.0 * math.atan(1.0 / eps_ratio)
 
 
@@ -218,36 +184,27 @@ def solve_phases(arg_c: float, delta: float) -> tuple[float, float]:
     for which e^{i psi} - e^{-i phi} = 2i sin(delta) e^{i(arg_c - pi)}, so any
     delta in (0, pi) works.  Both angles are returned wrapped to (-pi, pi].
     """
-    delta = float(delta)
-    arg_c = float(arg_c)
-    if not 0.0 < delta < math.pi:
-        raise DesignError(
-            f"phase offset delta must lie in (0, pi), got {delta} "
-            "(sin(delta) must be positive for a nonzero phase difference vector)"
-        )
     psi = wrap_angle(arg_c - math.pi + delta)
     phi = wrap_angle(math.pi - arg_c + delta)
     return psi, phi
 
 
-def build_open_ndpa(gamma: float, epsilon: complex, omega_o: float) -> OpenNdpaModel:
-    """Open (pre-feedback) NDPA model in doubled-up form.
+def build_open_ndpa(gamma: float, epsilon: complex, omega_o: float) -> np.ndarray:
+    """Drift of the open (pre-feedback) NDPA in doubled-up (a, b, a*, b*) form.
 
     On the (a, b) rows the drift is [[0, eps/2], [eps/2, 0]] acting on the
     conjugates minus [[gamma/2, 0], [0, gamma/2 + i omega_o]] acting on
-    (a, b); the conjugate rows are the entrywise conjugates.
+    (a, b); the conjugate rows are the entrywise conjugates.  The couplings
+    to the formal noise increments are sqrt(gamma) I in and out; the toolkit
+    only ever eliminates those increments algebraically (`close_loop`), it
+    never integrates them.
     """
-    gamma = float(gamma)
-    if gamma <= 0.0:
-        raise DesignError(f"gamma must be positive, got {gamma}")
-    epsilon = complex(epsilon)
-    omega_o = float(omega_o)
     damp = -np.array([[gamma / 2.0, 0.0], [0.0, gamma / 2.0 + 1j * omega_o]])
     squeeze = np.array([[0.0, epsilon / 2.0], [epsilon / 2.0, 0.0]])
-    return OpenNdpaModel(drift=_doubled_up(damp, squeeze), gamma=gamma)
+    return _doubled_up(damp, squeeze)
 
 
-def close_loop(model: OpenNdpaModel, theta: float, phi: float) -> np.ndarray:
+def close_loop(drift: np.ndarray, gamma: float, theta: float, phi: float) -> np.ndarray:
     """Deterministic drift F after the beamsplitter feedback loop is closed.
 
     Substituting the beamsplitter relation into the output equation leaves
@@ -261,8 +218,6 @@ def close_loop(model: OpenNdpaModel, theta: float, phi: float) -> np.ndarray:
     1 - cos(theta) is formed as 2 sin(theta/2)**2, which keeps its digits
     as theta nears 0, where the subtraction cancels.
     """
-    theta = float(theta)
-    phi = float(phi)
     one_minus_cos = 2.0 * math.sin(theta / 2.0) ** 2
     if one_minus_cos < 1e-9:
         raise SingularBeamsplitterError(
@@ -272,16 +227,14 @@ def close_loop(model: OpenNdpaModel, theta: float, phi: float) -> np.ndarray:
     sin_t = math.sin(theta)
     # Closed-form inverse of the elimination matrix times -gamma, added to
     # the open (a, b) drift.
-    pref = model.gamma / (2.0 * one_minus_cos)
+    pref = gamma / (2.0 * one_minus_cos)
     correction = -pref * np.array(
         [
             [-one_minus_cos, cmath.exp(-1j * phi) * sin_t],
             [-cmath.exp(1j * phi) * sin_t, -one_minus_cos],
         ]
     )
-    f_ab = model.drift[:2, :2] + correction
-    squeeze = model.drift[:2, 2:]
-    return _doubled_up(f_ab, squeeze)
+    return _doubled_up(drift[:2, :2] + correction, drift[:2, 2:])
 
 
 def _doubled_up(ab: np.ndarray, squeeze: np.ndarray) -> np.ndarray:
@@ -301,13 +254,10 @@ def _doubled_up(ab: np.ndarray, squeeze: np.ndarray) -> np.ndarray:
 def hamiltonian_from_drift(f: np.ndarray) -> np.ndarray:
     """Doubled-up Hamiltonian matrix M = (i/2)(J F - F^dag J).
 
-    F must use the (a, b, a*, b*) ordering.  M is exactly Hermitian in
-    floating point for any 4x4 F: J = diag(1, 1, -1, -1) only flips signs,
+    F is the 4x4 drift in (a, b, a*, b*) ordering.  M is exactly Hermitian
+    in floating point for any such F: J = diag(1, 1, -1, -1) only flips signs,
     so entry (j, i) is the conjugate of entry (i, j), rounded the same way.
     """
-    f = np.asarray(f, dtype=complex)
-    if f.shape != (4, 4):
-        raise DimensionError(f"drift must be 4x4 doubled-up, got {f.shape}")
     return 0.5j * (J_PM @ f - f.conj().T @ J_PM)
 
 
@@ -318,9 +268,6 @@ def quadrature_hamiltonian(m: np.ndarray) -> np.ndarray:
     the scale of M; anything larger means M is not a valid doubled-up
     Hamiltonian (e.g. wrong ordering or a non-Hermitian block).
     """
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (4, 4):
-        raise DimensionError(f"Hamiltonian matrix must be 4x4, got {m.shape}")
     r = PHI.conj().T @ m @ PHI
     imag = maxabs(r.imag)
     if imag > EXACT_TOL * max(1.0, maxabs(m)):
@@ -338,8 +285,6 @@ def coupling_block(epsilon: complex, alpha: complex) -> np.ndarray:
     det R_c = |alpha|^2 - |eps|^2, so the block is rank one exactly on the
     magnitude design curve |alpha| = |eps|.
     """
-    epsilon = complex(epsilon)
-    alpha = complex(alpha)
     return np.array(
         [
             [-epsilon.imag - alpha.imag, epsilon.real + alpha.real],
@@ -348,23 +293,18 @@ def coupling_block(epsilon: complex, alpha: complex) -> np.ndarray:
     )
 
 
-def extract_beta(r_c: np.ndarray, c_p) -> np.ndarray:
-    """Factor R_c = C_p^T beta and return beta.
+def extract_beta(r_c: np.ndarray, plant: PlantSpec) -> np.ndarray:
+    """Factor the 2x2 R_c = C_p^T beta and return beta.
 
     beta is the least-squares factor (C_p R_c) / |C_p|^2; the factorization
     must reproduce R_c to DESIGN_TOL relative to its size, otherwise the
     design equations were not satisfied.
     """
-    r_c = np.asarray(r_c, dtype=float)
-    c_p = np.asarray(c_p, dtype=float).reshape(-1)
-    if r_c.shape != (2, 2) or c_p.shape != (2,):
-        raise DimensionError("coupling block must be 2x2 and selector length 2")
-    if maxabs(c_p) == 0.0:
-        raise DesignError("plant output selector is zero")
+    c_p = plant.c_p
     scale = maxabs(r_c)
     if scale == 0.0:
         raise ZeroCouplingError("coupling block is zero: observer is decoupled")
-    norm_sq = float(c_p @ c_p)
+    norm_sq = c_p @ c_p
     if norm_sq == 0.0:
         raise DesignError(f"plant output selector {c_p.tolist()} underflows: |C_p|^2 = 0")
     beta = (c_p @ r_c) / norm_sq
@@ -394,6 +334,9 @@ def design_ndpa(
     routes must agree to DESIGN_TOL relative per entry or the result is
     rejected.  All inputs are taken in one consistent frequency unit.  An
     omitted delta is pi/2, which keeps the two phases equal when arg_c = 0.
+    This entry checks each input once: the selector (through PlantSpec),
+    omega_o, gamma, the ratio and delta before any stage, theta after the
+    cross-check.
     """
     plant = PlantSpec(c_p)
     omega_o = float(omega_o)
@@ -406,6 +349,11 @@ def design_ndpa(
             raise DesignError(f"{name} must be positive, got {value}")
 
     delta = math.pi / 2.0 if delta is None else float(delta)
+    if not 0.0 < delta < math.pi:
+        raise DesignError(
+            f"phase offset delta must lie in (0, pi), got {delta} "
+            "(sin(delta) must be positive for a nonzero phase difference vector)"
+        )
 
     def stage(name, fn, *args):
         try:
@@ -423,11 +371,11 @@ def design_ndpa(
     alpha = gamma * eps_ratio * cmath.exp(1j * phi)
 
     r_c = stage("coupling_block", coupling_block, epsilon, alpha)
-    beta = stage("extract_beta", extract_beta, r_c, plant.c_p)
+    beta = stage("extract_beta", extract_beta, r_c, plant)
     observer = stage("synthesize_observer", synthesize_observer, plant, omega_o, beta)
 
-    model = stage("build_open_ndpa", build_open_ndpa, gamma, epsilon, omega_o)
-    f = stage("close_loop", close_loop, model, theta, phi)
+    drift = stage("build_open_ndpa", build_open_ndpa, gamma, epsilon, omega_o)
+    f = stage("close_loop", close_loop, drift, gamma, theta, phi)
     m = stage("hamiltonian_from_drift", hamiltonian_from_drift, f)
     r_physical = stage("quadrature_hamiltonian", quadrature_hamiltonian, m)
 
@@ -437,6 +385,12 @@ def design_ndpa(
         raise ConsistencyError(
             f"physical route disagrees with abstract design "
             f"(max entry defect {cross_defect:.3e})"
+        )
+    params = NdpaParams(gamma, epsilon, omega_o, theta, phi)
+    if not 0.0 < theta < math.pi:
+        raise DesignError(
+            f"beamsplitter angle must lie in (0, pi), got {theta}, at squeezing "
+            f"ratio {params.eps_ratio:g}; 2 arctan(1/ratio) rounds to pi below about 1.7e-16"
         )
 
     theta_residual = abs(1.0 / math.tan(theta / 2.0) - eps_ratio)
@@ -450,7 +404,6 @@ def design_ndpa(
         wrap_angle(cmath.phase(1j * (epsilon - alpha.conjugate())) - arg_c)
     )
 
-    params = NdpaParams(gamma, epsilon, omega_o, theta, phi)
     notes: list[str] = []
     if not params.linearization_trusted:
         notes.append(
@@ -463,15 +416,7 @@ def design_ndpa(
             "toolkit convention, not uniquely determined"
         )
 
-    ndpa = NdpaDesign(
-        params=params,
-        alpha=alpha,
-        f=f,
-        m=m,
-        r=r_physical,
-        beta=beta,
-        c_o=observer.c_o,
-    )
+    ndpa = NdpaDesign(params=params, alpha=alpha, f=f, m=m, r=r_physical)
     report = DesignReport(
         arg_c=arg_c,
         delta=delta,

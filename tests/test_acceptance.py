@@ -25,9 +25,7 @@ from qobserver import (
     LinearQuantumSystem,
     PlantSpec,
     augment,
-    build_open_ndpa,
     ccr_defect,
-    close_loop,
     SymplecticSpace,
     design_ndpa,
     propagator,
@@ -35,6 +33,7 @@ from qobserver import (
     verify_convergence,
 )
 from qobserver.cli import main as cli_main
+from qobserver.ndpa import build_open_ndpa, close_loop
 from oracles import close_loop_by_inversion, rk4_expm, rotation
 
 import dataclasses
@@ -69,9 +68,9 @@ def test_criterion_1_example_reproduction(tmp_path, capsys):
     psi = math.atan2(result.ndpa.params.epsilon.imag, result.ndpa.params.epsilon.real)
     phi = result.ndpa.params.phi
     eps_si = result.ndpa.params.epsilon * 1e8
-    r_c_si = np.outer([1.0, 0.0], result.ndpa.beta) * 1e8
-    beta_si = result.ndpa.beta * 1e8
-    c_o = result.ndpa.c_o
+    r_c_si = np.outer([1.0, 0.0], result.observer.beta) * 1e8
+    beta_si = result.observer.beta * 1e8
+    c_o = result.observer.c_o
 
     checks = {
         "exit_code": code == 0,
@@ -104,7 +103,7 @@ def test_criterion_2_pipeline_consistency(capsys):
         c_p, omega, gamma, ratio, delta = random_pipeline_draw(rng)
         result = design_ndpa(c_p, omega, gamma, ratio, delta)
         r_abstract = np.zeros((4, 4))
-        r_c = np.outer(c_p, result.ndpa.beta)
+        r_c = np.outer(c_p, result.observer.beta)
         r_abstract[:2, 2:] = r_c
         r_abstract[2:, :2] = r_c.T
         r_abstract[2:, 2:] = 2.0 * omega * np.eye(2)
@@ -244,7 +243,7 @@ def test_criterion_6_oracle_equivalence(capsys):
         omega = float(10 ** rng.uniform(-1, 1))
         theta = float(rng.uniform(0.1, math.pi - 1e-3))
         phi = float(rng.uniform(-math.pi, math.pi))
-        f = close_loop(build_open_ndpa(gamma, eps, omega), theta, phi)
+        f = close_loop(build_open_ndpa(gamma, eps, omega), gamma, theta, phi)
         f_oracle = close_loop_by_inversion(gamma, eps, omega, theta, phi)
         worst_loop = max(
             worst_loop,

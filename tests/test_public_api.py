@@ -29,8 +29,8 @@ def test_readme_library_example_prints_what_its_comments_claim():
         exec(compile(readme_library_example(), str(README), "exec"), namespace)
     result, report = namespace["result"], namespace["report"]
     assert printed.getvalue().startswith("168.578")
-    np.testing.assert_allclose(result.ndpa.beta, [0.2, 0.0], rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(result.ndpa.c_o, [-10.0, 0.0], rtol=1e-12, atol=1e-10)
+    np.testing.assert_allclose(result.observer.beta, [0.2, 0.0], rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(result.observer.c_o, [-10.0, 0.0], rtol=1e-12, atol=1e-10)
     assert report.passed is True
     assert report.fitted_rate == pytest.approx(1.19, abs=0.005)
 
@@ -45,12 +45,23 @@ def test_every_public_name_resolves_once():
 @pytest.mark.parametrize("name", [
     "TolerancePolicy", "make_symplectic_space", "running_average",
     "dominant_frequency", "simulate_means", "time_average_error", "alpha_parameter",
+    "OpenNdpaModel",
 ])
 def test_removed_names_are_gone(name):
     assert name not in qobserver.__all__
     assert not hasattr(qobserver, name)
     for module in (core, dynamics, ndpa):
         assert not hasattr(module, name)
+
+
+@pytest.mark.parametrize("name", [
+    "solve_theta", "solve_phases", "coupling_block", "extract_beta", "build_open_ndpa",
+    "close_loop", "hamiltonian_from_drift", "quadrature_hamiltonian",
+])
+def test_design_stages_are_reached_only_through_design_ndpa(name):
+    assert name not in qobserver.__all__
+    assert not hasattr(qobserver, name)
+    assert callable(getattr(ndpa, name))
 
 
 ONE_MODE = qobserver.SymplecticSpace(1)
@@ -70,22 +81,6 @@ GUARDS = {
     "system_nonfinite": (
         lambda: qobserver.LinearQuantumSystem(np.zeros((2, 2)), [[math.inf, 0.0]], ONE_MODE),
         ValueError, "system matrices have non-finite entries",
-    ),
-    "ndpa_gamma": (
-        lambda: qobserver.NdpaParams(0.0, 0.1, 1.0, 1.0, 0.0),
-        qobserver.DesignError, "gamma must be positive, got 0.0",
-    ),
-    "drift_shape": (
-        lambda: qobserver.hamiltonian_from_drift(np.zeros((2, 2))),
-        qobserver.DimensionError, "drift must be 4x4 doubled-up",
-    ),
-    "quadrature_shape": (
-        lambda: qobserver.quadrature_hamiltonian(np.zeros((2, 2))),
-        qobserver.DimensionError, "Hamiltonian matrix must be 4x4",
-    ),
-    "extract_beta_shape": (
-        lambda: qobserver.extract_beta(np.zeros((2, 2)), [1.0, 0.0, 0.0]),
-        qobserver.DimensionError, "coupling block must be 2x2 and selector length 2",
     ),
     "plant_nonfinite": (
         lambda: qobserver.PlantSpec([math.nan, 1.0]),
@@ -129,6 +124,6 @@ def test_models_carry_only_the_fields_that_are_read():
 
     assert fields(qobserver.SymplecticSpace) == ("modes", "theta")
     assert fields(qobserver.LinearQuantumSystem) == ("a", "c", "space")
-    assert fields(qobserver.OpenNdpaModel) == ("drift", "gamma")
+    assert fields(qobserver.NdpaDesign) == ("params", "alpha", "f", "m", "r")
     assert fields(qobserver.Trajectory) == ("times", "coefficient_rows", "running_average")
     assert "tol" not in fields(qobserver.ObserverDiagnostics)
