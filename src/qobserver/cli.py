@@ -351,6 +351,11 @@ def _float(value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
+def _shown(value, parsed) -> str:
+    """Flag text by its repr; a JSON value by what it parsed to, so 10**400 shows as inf."""
+    return repr(value if isinstance(value, str) else parsed)
+
+
 def _split(value, where: str, convert, expected: str) -> tuple:
     """Items of '1,2' / '1 2' text or of a JSON list (no other type), each run through convert."""
     parts = value.replace(",", " ").split() if isinstance(value, str) else value
@@ -371,7 +376,7 @@ def _number(ok, rule: str):
         except (TypeError, ValueError):
             raise ConfigError(f"{where}: expected a number, got {value!r}") from None
         if not math.isfinite(x):
-            raise ConfigError(f"{where}: value must be finite, got {value!r}")
+            raise ConfigError(f"{where}: value must be finite, got {_shown(value, x)}")
         if not ok(x):
             raise ConfigError(f"{where}: {rule}, got {x}")
         return x
@@ -386,9 +391,9 @@ _parse_delta = _number(lambda x: 0.0 < x < math.pi, "must lie in (0, pi)")
 def _parse_selector(value, where: str) -> tuple[float, float]:
     pair = _split(value, where, _float, "two numbers")
     if len(pair) != 2:
-        raise ConfigError(f"{where}: expected two numbers, got {value!r}")
+        raise ConfigError(f"{where}: expected two numbers, got {_shown(value, list(pair))}")
     if not all(math.isfinite(x) for x in pair):
-        raise ConfigError(f"{where}: entries must be finite, got {value!r}")
+        raise ConfigError(f"{where}: entries must be finite, got {_shown(value, list(pair))}")
     if pair == (0.0, 0.0):
         raise ConfigError(f"{where}: plant output selector is zero")
     return pair
@@ -456,13 +461,20 @@ def _read_config_file(path) -> dict:
     if not path:
         return {}
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = Path(path).read_bytes()
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read ({exc.strerror})") from None
-    except (ValueError, RecursionError) as exc:  # also not UTF-8, past int digit or depth limit
+    except ValueError as exc:  # a NUL byte in the path
+        raise ConfigError(f"{path}: cannot read ({exc})") from None
+    try:
+        data = json.loads(raw.decode("utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    except ValueError:  # from int(), past its digit limit
+        limit = sys.get_int_max_str_digits()
+        raise ConfigError(f"{path}: invalid JSON (an integer has more than {limit} digits)") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     for key in data:

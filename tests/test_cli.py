@@ -355,6 +355,24 @@ class TestConfigFields:
         assert list(tmp_path.iterdir()) == [tmp_path / "run.json"]
 
     @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("gamma", 10**400, "value must be finite, got inf"),
+            ("cp", [-(10**400), 0], "entries must be finite, got [-inf, 0.0]"),
+            ("cp", [10**400, 0, 0], "expected two numbers, got [inf, 0.0, 0.0]"),
+        ],
+        ids=["scalar", "selector", "selector_length"],
+    )
+    def test_file_integers_past_float_range_are_named_inf(
+        self, tmp_path, monkeypatch, capsys, key, value, message
+    ):
+        # the refused value is named by its float value, not its 401 digits
+        monkeypatch.chdir(tmp_path)
+        Path("run.json").write_text(json.dumps({key: value}))
+        assert run_cli(["design", "--config", "run.json"]) == 2
+        assert capsys.readouterr().err == f"config error: config key {key!r}: {message}\n"
+
+    @pytest.mark.parametrize(
         "argv, config_text, message",
         [
             (["design", "--format", "xml"], None, "--format: unknown format 'xml'"),
@@ -369,15 +387,17 @@ class TestConfigFields:
             (["design", "--config", "{tmp}"], None, "{tmp}: cannot read (Is a directory)"),
             (["design", "--config", "{path}"], b'{"gamma": \xff}', "{path}: invalid JSON ('utf-8'"),
             (["design", "--config", "{path}"], '{"gamma": ' + "1" * 4301 + "}",
-             "{path}: invalid JSON (Exceeds the limit (4300 digits)"),
+             "{path}: invalid JSON (an integer has more than 4300 digits)\n"),
             (["design", "--config", "{path}"], "[" * 100000, "{path}: invalid JSON (maximum recursion"),
             (["design", "--out", "{path}"], "", "--out: '{path}' is not a directory"),
             (["verify", "--out", "{path}/sub"], "", "--out: '{path}' is not a directory"),
+            (["design", "--config", "{path}\0"], None, "{path}\0: cannot read (embedded null byte)\n"),
         ],
         ids=[
             "unknown_format", "no_format", "design_without_json", "verify_without_json",
             "three_selector_entries", "no_horizons", "missing_file", "bad_json", "json_list",
             "directory", "not_utf8", "digit_limit", "deep_nesting", "out_file", "out_under_file",
+            "nul_in_path",
         ],
     )
     def test_config_error_names_its_source(self, tmp_path, capsys, argv, config_text, message):
