@@ -72,6 +72,13 @@ TYPED_ERRORS = (
     ["design", "--eps-ratio", "1e-17", "--gamma", "1e-300"],
     ["design", "--eps-ratio", "1e-200", "--gamma", "1e-200"],
     ["design", "--cp=1e-200,0", "--eps-ratio", "1e-17"],
+    ["design", "--omega-o", "-1", "--format", "csv"],
+    ["design", "--horizons", "-1"],
+    ["simulate", "--horizons", "5,3"],
+    ["design", "--units", "rad/s", "--omega-o", "-1"],
+    ["design", "--units", "bogus", "--omega-o", "-1"],
+    ["verify", "--horizons", "5", "--delta", "4"],
+    ["design", "--cp", "0,0", "--gamma", "nan"],
 )
 
 
