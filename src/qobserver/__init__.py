@@ -25,6 +25,7 @@ from .errors import (
     DesignError,
     DimensionError,
     FactorizationError,
+    InputError,
     NonFiniteError,
     PipelineError,
     QObserverError,
@@ -59,6 +60,7 @@ __all__ = [
     "DesignResult",
     "DimensionError",
     "FactorizationError",
+    "InputError",
     "LinearQuantumSystem",
     "NdpaDesign",
     "NdpaParams",

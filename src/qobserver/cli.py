@@ -25,9 +25,9 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from . import __version__
-from .dynamics import coefficient_trajectory, default_horizons, verify_convergence
-from .errors import NonFiniteError, PipelineError, QObserverError
-from .ndpa import DesignResult, design_ndpa
+from .dynamics import check_horizons, coefficient_trajectory, default_horizons, verify_convergence
+from .errors import DimensionError, InputError, NonFiniteError, PipelineError, QObserverError
+from .ndpa import DesignResult, check_design_inputs, check_number, design_ndpa
 from .observer import augment
 
 # Command -> one-line description for `--help`.
@@ -185,7 +185,7 @@ def fmt_table(table: np.ndarray) -> Iterator[bytes]:
     """
     table = np.asarray(table, dtype=float)
     if table.ndim != 2 or table.shape[1] == 0:
-        raise ValueError(f"expected a 2-d table with columns, got shape {table.shape}")
+        raise DimensionError(f"expected a 2-d table with columns, got shape {table.shape}")
     finite = np.isfinite(table)
     if not finite.all():
         raise NonFiniteError(f"non-finite value {float(table[~finite][0])!r} in report")
@@ -367,47 +367,15 @@ def _split(value, where: str, convert, expected: str) -> tuple:
     raise ConfigError(f"{where}: expected {expected}, got {value!r}")
 
 
-def _number(ok, rule: str):
-    """Parser of one finite number x that must satisfy ok(x), else `rule`."""
-
-    def parse(value, where: str) -> float:
-        try:
-            x = _float(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{where}: expected a number, got {value!r}") from None
-        if not math.isfinite(x):
-            raise ConfigError(f"{where}: value must be finite, got {_shown(value, x)}")
-        if not ok(x):
-            raise ConfigError(f"{where}: {rule}, got {x}")
-        return x
-
-    return parse
+def _parse_number(value, where: str) -> float:
+    try:
+        return _float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
 
 
-_parse_positive = _number(lambda x: x > 0.0, "must be positive")
-_parse_delta = _number(lambda x: 0.0 < x < math.pi, "must lie in (0, pi)")
-
-
-def _parse_selector(value, where: str) -> tuple[float, float]:
-    pair = _split(value, where, _float, "two numbers")
-    if len(pair) != 2:
-        raise ConfigError(f"{where}: expected two numbers, got {_shown(value, list(pair))}")
-    if not all(math.isfinite(x) for x in pair):
-        raise ConfigError(f"{where}: entries must be finite, got {_shown(value, list(pair))}")
-    if pair == (0.0, 0.0):
-        raise ConfigError(f"{where}: plant output selector is zero")
-    return pair
-
-
-def _parse_horizons(value, where: str) -> tuple[float, ...]:
-    ladder = _split(value, where, _float, "a list of numbers")
-    if not ladder:
-        raise ConfigError(f"{where}: empty list")
-    if not all(math.isfinite(t) and t > 0.0 for t in ladder):
-        raise ConfigError(f"{where}: all horizons must be positive and finite")
-    if any(b <= a for a, b in zip(ladder, ladder[1:])):
-        raise ConfigError(f"{where}: horizons must be strictly increasing")
-    return ladder
+_parse_selector = functools.partial(_split, convert=_float, expected="two numbers")
+_parse_horizons = functools.partial(_split, convert=_float, expected="a list of numbers")
 
 
 def _parse_units(value, where: str) -> str:
@@ -433,18 +401,18 @@ def _parse_formats(value, where: str) -> tuple[str, ...]:
     return tuple(f for f in FORMAT_CHOICES if f in parts)
 
 
-# Config key -> (parser and validator, help text), in the order values are
-# read and flags listed.  The flag is "--" + key with "_" turned into "-";
-# IO_KEYS are the flags every command takes, the others the physics of a
-# design, which reproduce-example fixes.
+# Config key -> (parser, help text), in the order values are read and flags
+# listed.  The flag is "--" + key with "_" turned into "-"; IO_KEYS are the
+# flags every command takes, the others the physics of a design, which
+# reproduce-example fixes.  The parsers only convert (`load_config`).
 FIELDS = {
     "cp": (_parse_selector, "plant output selector, e.g. '1,0'"),
-    "omega_o": (_parse_positive, "observer detuning"),
-    "gamma": (_parse_positive, "mirror coupling rate"),
-    "eps_ratio": (_parse_positive, "|epsilon|/gamma"),
-    "delta": (_parse_delta, "phase family offset in (0, pi)"),
+    "omega_o": (_parse_number, "observer detuning"),
+    "gamma": (_parse_number, "mirror coupling rate"),
+    "eps_ratio": (_parse_number, "|epsilon|/gamma"),
+    "delta": (_parse_number, "phase family offset in (0, pi)"),
     "units": (_parse_units, "units of omega_o and gamma: nondimensional or rad/s"),
-    "omega_ref": (_parse_positive, "reference frequency of rad/s inputs (default omega_o)"),
+    "omega_ref": (_parse_number, "reference frequency of rad/s inputs (default omega_o)"),
     "horizons": (_parse_horizons, "nondimensional horizon ladder, e.g. '5,10,20'"),
     "out": (_parse_out, "output directory (default qobserver-out)"),
     "format": (_parse_formats, "comma-separated subset of json,csv"),
@@ -486,8 +454,10 @@ def _read_config_file(path) -> dict:
 def load_config(args: argparse.Namespace) -> RunConfig:
     """Merge config file and flag overrides into a validated RunConfig.
 
-    Each value is parsed and checked once, by its field's parser, and an
-    error names where the value came from: the flag or the config key.
+    Every value is converted first, in FIELDS order; then the library checks
+    the physics inputs as given, before any rescaling; then `_validate_config`
+    applies the rules only the command line has.  An error names where the
+    value came from: the flag or the config key.
     """
     if args.command == "reproduce-example":
         for key in ("config", *FIELDS):
@@ -497,31 +467,44 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     if args.command == "simulate":
         cfg.format = ("json", "csv")
     file_data = _read_config_file(args.config)
-    sources = {}
+    sources, given = {}, {}
     for key, (parse, _) in FIELDS.items():
         value, where = getattr(args, key), _flag(key)
         if value is None:
             value, where = file_data.get(key), f"config key {key!r}"
         if value is not None:
             setattr(cfg, key, parse(value, where))
-            sources[key] = where
+            sources[key], given[key] = where, value
+    try:
+        check_design_inputs(cfg.cp, cfg.omega_o, cfg.gamma, cfg.eps_ratio, cfg.delta)
+        if cfg.omega_ref is not None:
+            check_number("omega_ref", cfg.omega_ref)
+        if cfg.horizons is not None:
+            check_horizons(cfg.horizons, minimum=2 if cfg.command == "verify" else 1)
+    except InputError as exc:
+        raise ConfigError(f"{sources[exc.name]}: {exc.rule}{_got(exc, given[exc.name])}") from None
     _validate_config(cfg, sources)
     return cfg
+
+
+def _got(exc: InputError, given) -> str:
+    """", got <value>": a finite number as it was read, any other value as `_shown` names it."""
+    number = isinstance(exc.value, float) and math.isfinite(exc.value)
+    shown = exc.value if number else _shown(given, exc.value)
+    return "" if exc.value is None else f", got {shown}"
 
 
 def _validate_config(cfg: RunConfig, sources: dict[str, str]) -> None:
     """Rules that span fields; `sources` names where each given value came from."""
     if cfg.command in ("design", "verify") and "json" not in cfg.format:
         raise ConfigError(f"{sources['format']}: {cfg.command} produces JSON; include 'json'")
-    if cfg.command == "verify" and cfg.horizons is not None and len(cfg.horizons) < 2:
-        raise ConfigError(f"{sources['horizons']}: verify needs at least two horizons")
     # `run` creates the output directory: its nearest existing path must be one
     nearest = next(path for path in (cfg.out, *cfg.out.parents) if path.exists())
     if not nearest.is_dir():
         raise ConfigError(f"{sources.get('out', '--out')}: {str(nearest)!r} is not a directory")
     # design_ndpa gets omega_o / scale and gamma / scale: finite, nonzero, normal if given so
     scale, scale_key = _scale_factor(cfg), "omega_ref" if cfg.omega_ref is not None else "omega_o"
-    for key in ("omega_o", "gamma"):
+    for key in ("omega_o", "gamma") if scale != 1.0 else ():
         ratio = getattr(cfg, key) / scale
         if not 0.0 < ratio < math.inf or ratio < sys.float_info.min <= getattr(cfg, key):
             names = " / ".join(sources.get(k, f"default {k}") for k in (key, scale_key))
@@ -711,9 +694,7 @@ def run(cfg: RunConfig) -> int:
     if cfg.command == "reproduce-example":
         cfg = dataclasses.replace(REFERENCE_CONFIG, out=cfg.out, format=cfg.format)
     scale = _scale_factor(cfg)
-    result = design_ndpa(
-        np.asarray(cfg.cp), cfg.omega_o / scale, cfg.gamma / scale, cfg.eps_ratio, cfg.delta
-    )
+    result = design_ndpa(cfg.cp, cfg.omega_o / scale, cfg.gamma / scale, cfg.eps_ratio, cfg.delta)
     status = 0
 
     payload = design_payload(cfg, result, scale)

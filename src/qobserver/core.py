@@ -23,7 +23,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import _kernels
-from .errors import DimensionError
+from .errors import DimensionError, InputError, NonFiniteError
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 J2.setflags(write=False)
@@ -37,9 +37,7 @@ DESIGN_TOL = 1e-9
 
 def maxabs(m: NDArray) -> float:
     """Max-abs entry norm; zero for empty arrays."""
-    if m.size == 0:
-        return 0.0
-    return float(np.abs(m).max())
+    return float(np.abs(m).max(initial=0.0))
 
 
 def _frozen_array(x, dtype=float) -> np.ndarray:
@@ -92,7 +90,7 @@ class QuadraticHamiltonian:
                 f"energy matrix shape {r.shape} does not match {n}x{n} phase space"
             )
         if not np.isfinite(r).all():
-            raise ValueError("energy matrix has non-finite entries")
+            raise NonFiniteError("energy matrix has non-finite entries")
         object.__setattr__(self, "r", _frozen_array((r + r.T) / 2.0))
         object.__setattr__(self, "asymmetry", maxabs(r - r.T))
 
@@ -118,7 +116,7 @@ class LinearQuantumSystem:
                 f"output rows shape {c.shape} incompatible with state dimension {n}"
             )
         if not (np.isfinite(a).all() and np.isfinite(c).all()):
-            raise ValueError("system matrices have non-finite entries")
+            raise NonFiniteError("system matrices have non-finite entries")
         object.__setattr__(self, "a", _frozen_array(a))
         object.__setattr__(self, "c", _frozen_array(c))
 
@@ -152,7 +150,7 @@ def propagator(sys: LinearQuantumSystem, t: float) -> np.ndarray:
     """Propagator exp(A t), accurate to about 1e-12 relative per entry."""
     t = float(t)
     if not math.isfinite(t):
-        raise ValueError(f"propagation time must be finite, got {t!r}")
+        raise InputError("t", "propagation time must be finite", t)
     return _kernels.expm(np.ascontiguousarray(sys.a * t))
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EXACT_TOL, LinearQuantumSystem, maxabs
-from .errors import DimensionError, NonFiniteError, StructureError
+from .errors import DimensionError, InputError, NonFiniteError, StructureError
 from .observer import ObserverDesign, augment, validate_observer
 
 
@@ -74,8 +74,7 @@ class ConvergenceReport:
 def default_horizons(omega_o: float) -> tuple[float, ...]:
     """The default horizon ladder {5, 10, 20, 40, 80} / omega_o.
 
-    NonFiniteError (a ValueError) if it overflows, as it does for a
-    subnormal omega_o.
+    NonFiniteError if it overflows, as it does for a subnormal omega_o.
     """
     horizons = tuple(t / omega_o for t in (5.0, 10.0, 20.0, 40.0, 80.0))
     if not all(math.isfinite(t) for t in horizons):
@@ -85,14 +84,17 @@ def default_horizons(omega_o: float) -> tuple[float, ...]:
     return horizons
 
 
-def _validate_grid(t_grid) -> np.ndarray:
-    t = np.asarray(t_grid, dtype=float).reshape(-1)
-    if t.size == 0:
-        raise ValueError("time grid is empty")
-    if not np.isfinite(t).all():
-        raise ValueError("time grid has non-finite entries")
-    if t.size > 1 and not (np.diff(t) > 0).all():
-        raise ValueError("time grid must be strictly increasing")
+def check_horizons(horizons, minimum: int = 1) -> np.ndarray:
+    """`horizons` as a 1-d float array: at least `minimum` times, positive, finite and
+    strictly increasing, else InputError.  The one check of a ladder of times."""
+    t = np.asarray(horizons, dtype=float).reshape(-1)
+    if not ((t > 0.0) & (t < math.inf)).all():
+        raise InputError("horizons", "all horizons must be positive and finite")
+    if (t[1:] <= t[:-1]).any():
+        raise InputError("horizons", "horizons must be strictly increasing")
+    if t.size < minimum:
+        rule = "verify needs at least two horizons" if t.size else "empty list"
+        raise InputError("horizons", rule)
     return t
 
 
@@ -212,11 +214,14 @@ def coefficient_trajectory(sys: LinearQuantumSystem, c_row, t_grid) -> Trajector
     rows (m, n), giving (m, nt, n) arrays whose i-th slice is what row i
     alone gives, bit for bit.  The closed form evaluates its weights once
     for all rows, with no exponential; StructureError for a system that is
-    not the observer's (`_observer_blocks`).
+    not the observer's (`_observer_blocks`).  The grid is a horizon ladder
+    (`check_horizons`), which may start at t = 0.
     """
     c_row = np.asarray(c_row, dtype=float)
     c_rows = _output_rows(sys, c_row)
-    t = _validate_grid(t_grid)
+    t = np.asarray(t_grid, dtype=float).reshape(-1)
+    start = 1 if t[:1].tolist() == [0.0] else 0
+    check_horizons(t[start:], minimum=1 - start)
     rows, averages = _rows_and_averages(_observer_blocks(sys.a), c_rows, t)
     if not (np.isfinite(rows).all() and np.isfinite(averages).all()):
         raise NonFiniteError("trajectory rows overflowed to non-finite values")
@@ -250,17 +255,14 @@ def verify_convergence(design: ObserverDesign, horizons=None) -> ConvergenceRepo
 
     The default ladder is `default_horizons(omega_o)`.  A ladder that is
     not at least 2 positive, finite, strictly increasing horizons raises
-    ValueError, and a design whose augmented generator lacks the observer's
-    structure (a full-rank R_c) raises StructureError, before any error is
-    computed; otherwise this always returns a report, and failed checks are
-    named in `failures` rather than raised.
+    InputError (`check_horizons`), and a design whose augmented generator
+    lacks the observer's structure (a full-rank R_c) raises StructureError,
+    before any error is computed; otherwise this always returns a report,
+    and failed checks are named in `failures` rather than raised.
     """
-    if horizons is None:
-        horizons = default_horizons(design.omega_o)
-    horizons = tuple(float(t) for t in horizons)
-    if len(horizons) < 2:
-        raise ValueError(f"horizon ladder needs at least 2 horizons, got {horizons}")
-    grid = _validate_grid((0.0, *horizons))
+    ladder = default_horizons(design.omega_o) if horizons is None else horizons
+    horizons = tuple(check_horizons(ladder, minimum=2).tolist())
+    grid = np.array((0.0, *horizons))
 
     sys = augment(design)
     c_p_aug, c_o_aug = sys.c[0], sys.c[1]

@@ -7,6 +7,15 @@ class QObserverError(Exception):
     """Base class for all toolkit errors."""
 
 
+class InputError(QObserverError, ValueError):
+    """An input breaks a rule: carries the input's name (a config key of the command
+    line: cp, omega_o, gamma, eps_ratio, delta or horizons), the rule and the value."""
+
+    def __init__(self, name: str, rule: str, value=None):
+        self.name, self.rule, self.value = name, rule, value
+        super().__init__(f"{name}: {rule}" + ("" if value is None else f", got {value!r}"))
+
+
 class DimensionError(QObserverError, ValueError):
     """Array shapes or mode counts do not match what an operation expects."""
 
@@ -32,7 +41,7 @@ class StructureError(QObserverError, ValueError):
 
 
 class NonFiniteError(QObserverError, ValueError):
-    """A computed result overflowed to inf or nan, so it cannot be reported."""
+    """A matrix holds inf or nan: an input, or a result that overflowed and cannot be reported."""
 
 
 class PipelineError(QObserverError, RuntimeError):

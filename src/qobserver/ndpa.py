@@ -44,6 +44,7 @@ from .errors import (
     ConsistencyError,
     DesignError,
     FactorizationError,
+    InputError,
     PipelineError,
     SingularBeamsplitterError,
     StructureError,
@@ -319,6 +320,28 @@ def extract_beta(r_c: np.ndarray, plant: PlantSpec) -> np.ndarray:
     return beta
 
 
+def check_number(name: str, value, high: float = math.inf) -> float:
+    """`value` as a float, finite and in (0, high) for high inf or pi, else InputError."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise InputError(name, "value must be finite", value)
+    if not 0.0 < value < high:
+        rule = "must be positive" if high == math.inf else "must lie in (0, pi)"
+        raise InputError(name, rule, value)
+    return value
+
+
+def check_design_inputs(c_p, omega_o, gamma, eps_ratio, delta=None):
+    """(plant, omega_o, gamma, eps_ratio, delta) as `design_ndpa` uses them, each
+    checked once, in that order; delta defaults to pi/2.  The rules hold in any
+    frequency unit, so the command line checks the values as given."""
+    plant = PlantSpec(c_p)
+    numbers = {"omega_o": omega_o, "gamma": gamma, "eps_ratio": eps_ratio}
+    positives = [check_number(name, value) for name, value in numbers.items()]
+    delta = check_number("delta", math.pi / 2.0 if delta is None else delta, math.pi)
+    return (plant, *positives, delta)
+
+
 def design_ndpa(
     c_p,
     omega_o: float,
@@ -334,26 +357,12 @@ def design_ndpa(
     routes must agree to DESIGN_TOL relative per entry or the result is
     rejected.  All inputs are taken in one consistent frequency unit.  An
     omitted delta is pi/2, which keeps the two phases equal when arg_c = 0.
-    This entry checks each input once: the selector (through PlantSpec),
-    omega_o, gamma, the ratio and delta before any stage, theta after the
-    cross-check.
+    The inputs pass `check_design_inputs` before any stage runs, and theta
+    is checked after the cross-check.
     """
-    plant = PlantSpec(c_p)
-    omega_o = float(omega_o)
-    gamma = float(gamma)
-    eps_ratio = float(eps_ratio)
-    for name, value in (("omega_o", omega_o), ("gamma", gamma), ("squeezing ratio", eps_ratio)):
-        if not math.isfinite(value):
-            raise DesignError(f"{name} must be finite, got {value}")
-        if value <= 0.0:
-            raise DesignError(f"{name} must be positive, got {value}")
-
-    delta = math.pi / 2.0 if delta is None else float(delta)
-    if not 0.0 < delta < math.pi:
-        raise DesignError(
-            f"phase offset delta must lie in (0, pi), got {delta} "
-            "(sin(delta) must be positive for a nonzero phase difference vector)"
-        )
+    plant, omega_o, gamma, eps_ratio, delta = check_design_inputs(
+        c_p, omega_o, gamma, eps_ratio, delta
+    )
 
     def stage(name, fn, *args):
         try:

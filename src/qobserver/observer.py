@@ -32,23 +32,24 @@ from .core import (
     generator_from_hamiltonian,
     maxabs,
 )
-from .errors import DesignError, DimensionError, NonFiniteError
+from .errors import DesignError, DimensionError, InputError, NonFiniteError
 
 
 @dataclass(frozen=True, eq=False)
 class PlantSpec:
-    """Output selector C_p of the static plant (its generator is fixed at 0)."""
+    """Output selector C_p of the static plant (its generator is fixed at 0); the
+    selector's one check: two entries, finite, not both zero."""
 
     c_p: np.ndarray
 
     def __post_init__(self):
         c_p = np.asarray(self.c_p, dtype=float).reshape(-1)
         if c_p.shape != (2,):
-            raise DimensionError(f"plant selector must have 2 entries, got {c_p.shape}")
+            raise InputError("cp", "expected two numbers", c_p.tolist())
         if not np.isfinite(c_p).all():
-            raise ValueError("plant selector has non-finite entries")
+            raise InputError("cp", "entries must be finite", c_p.tolist())
         if maxabs(c_p) == 0.0:
-            raise DesignError("plant output selector is zero")
+            raise InputError("cp", "plant output selector is zero")
         object.__setattr__(self, "c_p", _frozen_array(c_p))
 
 
@@ -69,16 +70,13 @@ class ObserverDesign:
     c_o: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "c_p", _frozen_array(np.reshape(self.c_p, -1)))
         object.__setattr__(self, "omega_o", float(self.omega_o))
-        object.__setattr__(self, "r_o", _frozen_array(self.r_o))
-        object.__setattr__(self, "r_c", _frozen_array(self.r_c))
-        object.__setattr__(self, "beta", _frozen_array(np.reshape(self.beta, -1)))
-        object.__setattr__(self, "c_o", _frozen_array(np.reshape(self.c_o, -1)))
         for name in ("c_p", "beta", "c_o"):
+            object.__setattr__(self, name, _frozen_array(np.reshape(getattr(self, name), -1)))
             if getattr(self, name).shape != (2,):
                 raise DimensionError(f"{name} must have 2 entries")
         for name in ("r_o", "r_c"):
+            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
             if getattr(self, name).shape != (2, 2):
                 raise DimensionError(f"{name} must be 2x2")
 

@@ -8,6 +8,7 @@ import pytest
 from qobserver import (
     DesignError,
     FactorizationError,
+    InputError,
     PipelineError,
     PlantSpec,
     SingularBeamsplitterError,
@@ -336,13 +337,13 @@ class TestDesignPipeline:
             assert result.report.arg_identity_residual <= 1e-9
 
     def test_invalid_inputs_rejected(self):
-        with pytest.raises(DesignError):
+        with pytest.raises(InputError, match="^cp: plant output selector is zero$"):
             design_ndpa([0.0, 0.0], 1.0, 1.0, 0.1)
-        with pytest.raises(DesignError):
+        with pytest.raises(InputError, match=r"^omega_o: must be positive, got -1\.0$"):
             design_ndpa([1.0, 0.0], -1.0, 1.0, 0.1)
-        with pytest.raises(DesignError):
+        with pytest.raises(InputError, match=r"^gamma: must be positive, got 0\.0$"):
             design_ndpa([1.0, 0.0], 1.0, 0.0, 0.1)
-        with pytest.raises(DesignError):
+        with pytest.raises(InputError, match=r"^eps_ratio: must be positive, got -0\.1$"):
             design_ndpa([1.0, 0.0], 1.0, 1.0, -0.1)
 
     @pytest.mark.parametrize(
@@ -361,8 +362,9 @@ class TestDesignPipeline:
 
         monkeypatch.setattr(ndpa, "solve_theta", boom)
         inputs = {"omega_o": 1.0, "gamma": 1.0, "eps_ratio": 0.1, name: value}
-        with pytest.raises(DesignError, match=r"must be finite|must lie in \(0, pi\)"):
+        with pytest.raises(InputError, match=r"must be finite|must lie in \(0, pi\)") as caught:
             design_ndpa([1.0, 0.0], **inputs)
+        assert caught.value.name == name
 
 
 class TestAngles:

@@ -6,7 +6,7 @@ import pytest
 
 from qobserver import (
     DesignError,
-    DimensionError,
+    InputError,
     NonFiniteError,
     PipelineError,
     PlantSpec,
@@ -28,11 +28,11 @@ def example_design_nondim():
 
 class TestPlantSpec:
     def test_zero_selector_rejected(self):
-        with pytest.raises(DesignError):
+        with pytest.raises(InputError, match="plant output selector is zero"):
             PlantSpec([0.0, 0.0])
 
     def test_bad_shape_rejected(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(InputError, match=r"^cp: expected two numbers, got \[1\.0, 0\.0, 0\.0\]$"):
             PlantSpec([1.0, 0.0, 0.0])
 
 

@@ -68,7 +68,7 @@ ONE_MODE = qobserver.SymplecticSpace(1)
 GUARDS = {
     "hamiltonian_nonfinite": (
         lambda: qobserver.QuadraticHamiltonian([[1.0, math.nan], [math.nan, 1.0]], ONE_MODE),
-        ValueError, "energy matrix has non-finite entries",
+        qobserver.NonFiniteError, "energy matrix has non-finite entries",
     ),
     "system_generator_shape": (
         lambda: qobserver.LinearQuantumSystem(np.zeros((4, 4)), np.zeros((0, 2)), ONE_MODE),
@@ -80,11 +80,11 @@ GUARDS = {
     ),
     "system_nonfinite": (
         lambda: qobserver.LinearQuantumSystem(np.zeros((2, 2)), [[math.inf, 0.0]], ONE_MODE),
-        ValueError, "system matrices have non-finite entries",
+        qobserver.NonFiniteError, "system matrices have non-finite entries",
     ),
     "plant_nonfinite": (
         lambda: qobserver.PlantSpec([math.nan, 1.0]),
-        ValueError, "plant selector has non-finite entries",
+        qobserver.InputError, "cp: entries must be finite, got [nan, 1.0]",
     ),
     "design_vector_shape": (
         lambda: qobserver.ObserverDesign(
@@ -97,6 +97,22 @@ GUARDS = {
             [1.0, 0.0], 1.0, np.eye(3), np.zeros((2, 2)), np.zeros(2), [1.0, 0.0]
         ),
         qobserver.DimensionError, "r_o must be 2x2",
+    ),
+    "propagator_time": (
+        lambda: qobserver.propagator(qobserver.LinearQuantumSystem(
+            np.zeros((2, 2)), np.zeros((0, 2)), ONE_MODE), math.nan),
+        qobserver.InputError, "t: propagation time must be finite, got nan",
+    ),
+    "verify_one_horizon": (
+        lambda: qobserver.verify_convergence(
+            qobserver.design_ndpa([1.0, 0.0], 1.0, 1.0, 0.1).observer, horizons=[5.0]),
+        qobserver.InputError, "horizons: verify needs at least two horizons",
+    ),
+    "trajectory_negative_time": (
+        lambda: qobserver.coefficient_trajectory(
+            qobserver.augment(qobserver.design_ndpa([1.0, 0.0], 1.0, 1.0, 0.1).observer),
+            [1.0, 0.0, 0.0, 0.0], [-3.0, 0.0]),
+        qobserver.InputError, "horizons: all horizons must be positive and finite",
     ),
     "synthesize_beta_shape": (
         lambda: qobserver.synthesize_observer(qobserver.PlantSpec([1.0, 0.0]), 1.0, [0.2]),
