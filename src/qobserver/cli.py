@@ -351,11 +351,6 @@ def _float(value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _shown(value, parsed) -> str:
-    """Flag text by its repr; a JSON value by what it parsed to, so 10**400 shows as inf."""
-    return repr(value if isinstance(value, str) else parsed)
-
-
 def _split(value, where: str, convert, expected: str) -> tuple:
     """Items of '1,2' / '1 2' text or of a JSON list (no other type), each run through convert."""
     parts = value.replace(",", " ").split() if isinstance(value, str) else value
@@ -488,10 +483,11 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _got(exc: InputError, given) -> str:
-    """", got <value>": a finite number as it was read, any other value as `_shown` names it."""
+    """", got <value>": flag text as given unless it reads as a finite number, any other
+    value as read, so a JSON 10**400 shows as inf."""
     number = isinstance(exc.value, float) and math.isfinite(exc.value)
-    shown = exc.value if number else _shown(given, exc.value)
-    return "" if exc.value is None else f", got {shown}"
+    shown = given if isinstance(given, str) and not number else exc.value
+    return "" if exc.value is None else f", got {shown!r}"
 
 
 def _validate_config(cfg: RunConfig, sources: dict[str, str]) -> None:

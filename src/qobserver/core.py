@@ -37,7 +37,9 @@ DESIGN_TOL = 1e-9
 
 def maxabs(m: NDArray) -> float:
     """Max-abs entry norm; zero for empty arrays."""
-    return float(np.abs(m).max(initial=0.0))
+    if m.size == 0:
+        return 0.0
+    return float(np.abs(m).max())
 
 
 def _frozen_array(x, dtype=float) -> np.ndarray:
