@@ -399,7 +399,7 @@ def _parse_formats(value, where: str) -> tuple[str, ...]:
 # Config key -> (parser, help text), in the order values are read and flags
 # listed.  The flag is "--" + key with "_" turned into "-"; IO_KEYS are the
 # flags every command takes, the others the physics of a design, which
-# reproduce-example fixes.  The parsers only convert (`load_config`).
+# reproduce-example fixes.  The parsers only convert; see `load_config`.
 FIELDS = {
     "cp": (_parse_selector, "plant output selector, e.g. '1,0'"),
     "omega_o": (_parse_number, "observer detuning"),

@@ -85,8 +85,8 @@ def default_horizons(omega_o: float) -> tuple[float, ...]:
 
 
 def check_horizons(horizons, minimum: int = 1) -> np.ndarray:
-    """`horizons` as a 1-d float array: at least `minimum` times, positive, finite and
-    strictly increasing, else InputError.  The one check of a ladder of times."""
+    """`horizons` as a 1-d float array: positive, finite, strictly increasing times, at
+    least `minimum` (0, 1 or verify's 2) of them, else InputError; the one ladder check."""
     t = np.asarray(horizons, dtype=float).reshape(-1)
     if not ((t > 0.0) & (t < math.inf)).all():
         raise InputError("horizons", "all horizons must be positive and finite")
@@ -214,8 +214,8 @@ def coefficient_trajectory(sys: LinearQuantumSystem, c_row, t_grid) -> Trajector
     rows (m, n), giving (m, nt, n) arrays whose i-th slice is what row i
     alone gives, bit for bit.  The closed form evaluates its weights once
     for all rows, with no exponential; StructureError for a system that is
-    not the observer's (`_observer_blocks`).  The grid is a horizon ladder
-    (`check_horizons`), which may start at t = 0.
+    not the observer's (`_observer_blocks`).  The grid is a horizon ladder,
+    which may start at t = 0, or InputError (`check_horizons`).
     """
     c_row = np.asarray(c_row, dtype=float)
     c_rows = _output_rows(sys, c_row)
@@ -261,7 +261,7 @@ def verify_convergence(design: ObserverDesign, horizons=None) -> ConvergenceRepo
     and failed checks are named in `failures` rather than raised.
     """
     ladder = default_horizons(design.omega_o) if horizons is None else horizons
-    horizons = tuple(check_horizons(ladder, minimum=2).tolist())
+    horizons = tuple(check_horizons(tuple(ladder), minimum=2).tolist())
     grid = np.array((0.0, *horizons))
 
     sys = augment(design)
