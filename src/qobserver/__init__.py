@@ -7,17 +7,17 @@ from .core import (
     LinearQuantumSystem,
     QuadraticHamiltonian,
     SymplecticSpace,
-    ccr_defect,
     generator_from_hamiltonian,
     maxabs,
-    propagator,
     realizability_defect,
 )
 from .dynamics import (
     CheckResult,
     ConvergenceReport,
     Trajectory,
+    ccr_defect,
     coefficient_trajectory,
+    propagator,
     verify_convergence,
 )
 from .errors import (

@@ -1,5 +1,6 @@
-"""The matrix exponential in plain numpy, for `core.propagator`; the
-observer's rows in `dynamics` take a closed form and need none.
+"""The one numeric kernel: the weights of the closed form in `dynamics`, in
+plain numpy.  Every row, running average and propagator of the library is a
+small matrix product with these weights; there is no matrix exponential.
 """
 
 from __future__ import annotations
@@ -8,34 +9,34 @@ import math
 
 import numpy as np
 
-from .errors import NonFiniteError
+# Row k holds (-1)^k / (2k + m)!, the Taylor coefficients in x^2 of f_m,
+# m = 0..4.  Ten terms reach roundoff for x^2 <= 1, where the recurrence cancels.
+SERIES = np.array([[(-1) ** k / math.factorial(2 * k + m) for m in range(5)] for k in range(10)])
 
 
-def expm(a):
-    """exp(a) by scaling and squaring with a Taylor series run to roundoff.
+def weights(det: float, y: np.ndarray):
+    """y^m f_m(x) and y^m f_(m+1)(x) for m = 0..3 at x^2 = det y^2, each (nt, 4).
 
-    The input is scaled by 2**-s, the least s >= 0 that brings its max-abs
-    entry to <= 0.25 (read from `math.frexp`), the series is summed until
-    terms fall below 1e-18 of the partial sum, and the result is squared s
-    times: a 1e-12 relative accuracy per entry for the small generators
-    used here.  NonFiniteError on an input entry that is inf or nan.
+    f_0 = cos x, f_1 = sin x / x and f_(k+2) = (1/k! - f_k) / x^2 (cosh and
+    sinh of |x| when det < 0).  Where |x| > 1, y^2 f_(k+2) is formed as
+    (1/k! - f_k) / det, so no power beyond y itself can overflow early.
+    `y` must be non-decreasing and not negative, as a validated grid shifted
+    to start at 0 is: the points with |x| <= 1, which take the series, are
+    then a prefix of it.
     """
-    n = a.shape[0]
-    mu = np.max(np.abs(a))
-    if not math.isfinite(mu):
-        raise NonFiniteError(f"matrix exponential of a matrix with entry {mu!r}")
-    if mu == 0.0:
-        return np.eye(n)
-    mantissa, exponent = math.frexp(mu)
-    s = max(0, exponent + 1 if mantissa == 0.5 else exponent + 2)
-    b = np.ldexp(a, -s)
-    term = np.eye(n)
-    acc = np.eye(n)
-    for k in range(1, 40):
-        term = (term @ b) / k
-        acc = acc + term
-        if np.max(np.abs(term)) <= 1e-18 * np.max(np.abs(acc)):
-            break
-    for _ in range(s):
-        acc = acc @ acc
-    return acc
+    root = math.sqrt(abs(det))
+    k = int(np.searchsorted(root * y, 1.0, side="right"))
+    rows, averages = np.empty((y.size, 4)), np.empty((y.size, 4))
+    ys = y[:k, None]
+    f = (math.copysign(1.0, det) * (root * ys) ** 2) ** np.arange(len(SERIES)) @ SERIES
+    powers = ys ** np.arange(4)
+    np.multiply(powers, f[:, :4], out=rows[:k])
+    np.multiply(powers, f[:, 1:], out=averages[:k])
+    yb = y[k:]
+    x = root * yb
+    f0, f1 = (np.cos(x), np.sin(x) / x) if det > 0.0 else (np.cosh(x), np.sinh(x) / x)
+    q2, q3 = (1.0 - f0) / det, (1.0 - f1) / det  # y^2 f_2, y^2 f_3
+    q4 = (0.5 - q2 / yb / yb) / det  # y^2 f_4
+    rows[k:, 0], rows[k:, 1], rows[k:, 2], rows[k:, 3] = f0, yb * f1, q2, yb * q3
+    averages[k:, 0], averages[k:, 1], averages[k:, 2], averages[k:, 3] = f1, q2 / yb, q3, yb * q4
+    return rows, averages

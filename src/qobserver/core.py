@@ -11,18 +11,18 @@ the dynamics derive from a quadratic Hamiltonian H = (1/2) x^T R x.
 All matrix defect measures use the max-abs entry norm so tolerances stay
 dimension independent.  Values here are either dimensionless or expressed
 in a caller-chosen frequency unit; the CLI rescales lab-frame rad/s inputs
-by a reference frequency before touching this module.
+by a reference frequency before touching this module.  The propagator
+exp(A t) and the commutation drift are in `dynamics`, read from the closed
+form there.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
 
-from . import _kernels
 from .errors import DimensionError, InputError, NonFiniteError
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -40,6 +40,15 @@ def maxabs(m: NDArray) -> float:
     if m.size == 0:
         return 0.0
     return float(np.abs(m).max())
+
+
+def to_number(name: str, value, array: bool = False):
+    """`value` as a float, or as a float array if `array`; InputError(name, "expected a
+    number", value) if it converts to neither."""
+    try:
+        return np.asarray(value, dtype=float) if array else float(value)
+    except (TypeError, ValueError):
+        raise InputError(name, "expected a number", value) from None
 
 
 def _frozen_array(x, dtype=float) -> np.ndarray:
@@ -146,22 +155,3 @@ def realizability_defect(sys: LinearQuantumSystem) -> float:
     """
     theta = sys.space.theta
     return maxabs(sys.a @ theta + theta @ sys.a.T)
-
-
-def propagator(sys: LinearQuantumSystem, t: float) -> np.ndarray:
-    """Propagator exp(A t), accurate to about 1e-12 relative per entry."""
-    t = float(t)
-    if not math.isfinite(t):
-        raise InputError("t", "propagation time must be finite", t)
-    return _kernels.expm(np.ascontiguousarray(sys.a * t))
-
-
-def ccr_defect(sys: LinearQuantumSystem, t: float) -> float:
-    """Commutation-relation drift at time t.
-
-    Returns the max-abs norm of exp(At) Theta exp(A^T t) - Theta, which a
-    realizable closed system keeps at roundoff level for all t.
-    """
-    e = propagator(sys, t)
-    theta = sys.space.theta
-    return maxabs(e @ theta @ e.T - theta)

@@ -10,10 +10,11 @@ O(1/T) with an oscillatory prefactor:
 
     (1/T) int_0^T (C_p,aug - C_o,aug exp(As)) ds  =  O(1/T).
 
-Every row and running average comes from one closed form in cos and sin
-of w t (w^2 = det Om), exact to roundoff at any horizon and with no
-exponential.  It holds for the generator `augment` builds from a rank-one
-R_c, and `_observer_blocks` raises StructureError for any other.  The decay
+Every row, running average and propagator comes from one closed form in
+cos and sin of w t (w^2 = det Om), with weights from `_kernels.weights`:
+exact to roundoff at any horizon, with no matrix exponential.  It holds for
+the generator `augment` builds from a rank-one R_c, and for any 2 x 2 one in
+`propagator`; `_observer_blocks` raises StructureError for any other.  The decay
 rate is a property of the R_o = 2 omega_o I construction; the underlying
 guarantee is only that the average tends to zero.
 """
@@ -25,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EXACT_TOL, LinearQuantumSystem, maxabs
+from . import _kernels
+from .core import EXACT_TOL, LinearQuantumSystem, maxabs, to_number
 from .errors import DimensionError, InputError, NonFiniteError, StructureError
 from .observer import ObserverDesign, augment, validate_observer
 
@@ -87,7 +89,7 @@ def default_horizons(omega_o: float) -> tuple[float, ...]:
 def check_horizons(horizons, minimum: int = 1) -> np.ndarray:
     """`horizons` as a 1-d float array: positive, finite, strictly increasing times, at
     least `minimum` (0, 1 or verify's 2) of them, else InputError; the one ladder check."""
-    t = np.asarray(horizons, dtype=float).reshape(-1)
+    t = to_number("horizons", horizons, array=True).reshape(-1)
     if not ((t > 0.0) & (t < math.inf)).all():
         raise InputError("horizons", "all horizons must be positive and finite")
     if (t[1:] <= t[:-1]).any():
@@ -121,39 +123,6 @@ def _observer_blocks(a: np.ndarray):
     return p, d, om, s, float(om_s[0, 0] * om_s[1, 1] - om_s[0, 1] * om_s[1, 0])
 
 
-# Row k holds (-1)^k / (2k + m)!, the Taylor coefficients in x^2 of f_m,
-# m = 0..4.  Ten terms reach roundoff for x^2 <= 1, where the recurrence cancels.
-_SERIES = np.array([[(-1) ** k / math.factorial(2 * k + m) for m in range(5)] for k in range(10)])
-
-
-def _weights(det: float, y: np.ndarray):
-    """y^m f_m(x) and y^m f_(m+1)(x) for m = 0..3 at x^2 = det y^2, each (nt, 4).
-
-    f_0 = cos x, f_1 = sin x / x and f_(k+2) = (1/k! - f_k) / x^2 (cosh and
-    sinh of |x| when det < 0).  Where |x| > 1, y^2 f_(k+2) is formed as
-    (1/k! - f_k) / det, so no power beyond y itself can overflow early.
-    `y` must be non-decreasing and not negative, as a validated grid shifted
-    to start at 0 is: the points with |x| <= 1, which take the series, are
-    then a prefix of it.
-    """
-    root = math.sqrt(abs(det))
-    k = int(np.searchsorted(root * y, 1.0, side="right"))
-    rows, averages = np.empty((y.size, 4)), np.empty((y.size, 4))
-    ys = y[:k, None]
-    f = (math.copysign(1.0, det) * (root * ys) ** 2) ** np.arange(len(_SERIES)) @ _SERIES
-    powers = ys ** np.arange(4)
-    np.multiply(powers, f[:, :4], out=rows[:k])
-    np.multiply(powers, f[:, 1:], out=averages[:k])
-    yb = y[k:]
-    x = root * yb
-    f0, f1 = (np.cos(x), np.sin(x) / x) if det > 0.0 else (np.cosh(x), np.sinh(x) / x)
-    q2, q3 = (1.0 - f0) / det, (1.0 - f1) / det  # y^2 f_2, y^2 f_3
-    q4 = (0.5 - q2 / yb / yb) / det  # y^2 f_4
-    rows[k:, 0], rows[k:, 1], rows[k:, 2], rows[k:, 3] = f0, yb * f1, q2, yb * q3
-    averages[k:, 0], averages[k:, 1], averages[k:, 2], averages[k:, 3] = f1, q2 / yb, q3, yb * q4
-    return rows, averages
-
-
 def _closed_form(blocks: tuple, c_rows: np.ndarray, t: np.ndarray):
     """Rows [u0, v0] exp(A t_k) and their running averages from t = 0, each (m, nt, 4).
 
@@ -166,7 +135,7 @@ def _closed_form(blocks: tuple, c_rows: np.ndarray, t: np.ndarray):
     """
     p, d, om, s, det = blocks
     om = om / s
-    weights = _weights(det, s * t)
+    weights = _kernels.weights(det, s * t)
     rows, averages = np.empty((2, len(c_rows), t.size, 4))
     for i, c_row in enumerate(c_rows):
         u0, v0 = c_row[:2], c_row[2:]
@@ -189,6 +158,43 @@ def _rows_and_averages(blocks: tuple, c_rows: np.ndarray, t: np.ndarray):
     if t[0] != 0.0:
         c_rows = _closed_form(blocks, c_rows, t[:1])[0][:, 0]
     return _closed_form(blocks, c_rows, t - t[0])
+
+
+def propagator(sys: LinearQuantumSystem, t) -> np.ndarray:
+    """exp(A t) from the closed form, for the two kinds of generator that have one.
+
+    The observer's (`_observer_blocks`) gives the rows of exp(A t) itself.
+    Any 2 x 2 one gives e^(tau t) (f_0 I + t f_1 B) with tau = tr(A) / 2 and
+    B = A - tau I, since B^2 = -det(B) I; its weights are taken in units of
+    s = max|B|.  A negative t propagates -A, which keeps either structure.
+    InputError for a t that is not a finite number, StructureError for any
+    other generator, NonFiniteError when A t or the result overflows.
+    """
+    t = to_number("t", t)
+    if not math.isfinite(t):
+        raise InputError("t", "propagation time must be finite", t)
+    a, t = (sys.a, t) if t >= 0.0 else (-sys.a, -t)
+    if not math.isfinite(maxabs(a) * t):
+        raise NonFiniteError(f"A t overflows at |t| = {t!r}")
+    if a.shape == (2, 2):
+        tau = (a[0, 0] + a[1, 1]) / 2.0
+        b = a - tau * np.eye(2)
+        s = maxabs(b) or 1.0
+        b = b / s
+        rows, _ = _kernels.weights(float(b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]), np.array([s * t]))
+        e = np.exp(tau * t) * (rows[0, 0] * np.eye(2) + rows[0, 1] * b)
+    else:
+        e = _closed_form(_observer_blocks(a), np.eye(4), np.array([t]))[0][:, 0]
+    if not np.isfinite(e).all():
+        raise NonFiniteError(f"exp(A t) overflows at |t| = {t!r}")
+    return e
+
+
+def ccr_defect(sys: LinearQuantumSystem, t) -> float:
+    """Commutation-relation drift max|exp(At) Theta exp(A^T t) - Theta| at time t,
+    which a realizable closed system keeps at roundoff level for all t."""
+    e, theta = propagator(sys, t), sys.space.theta
+    return maxabs(e @ theta @ e.T - theta)
 
 
 def _output_rows(sys: LinearQuantumSystem, c_rows: np.ndarray) -> np.ndarray:
@@ -219,7 +225,7 @@ def coefficient_trajectory(sys: LinearQuantumSystem, c_row, t_grid) -> Trajector
     """
     c_row = np.asarray(c_row, dtype=float)
     c_rows = _output_rows(sys, c_row)
-    t = np.asarray(t_grid, dtype=float).reshape(-1)
+    t = to_number("horizons", t_grid, array=True).reshape(-1)
     start = 1 if t[:1].tolist() == [0.0] else 0
     check_horizons(t[start:], minimum=1 - start)
     rows, averages = _rows_and_averages(_observer_blocks(sys.a), c_rows, t)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DESIGN_TOL, EXACT_TOL, _frozen_array, maxabs
+from .core import DESIGN_TOL, EXACT_TOL, _frozen_array, maxabs, to_number
 from .errors import (
     ConsistencyError,
     DesignError,
@@ -322,7 +322,7 @@ def extract_beta(r_c: np.ndarray, plant: PlantSpec) -> np.ndarray:
 
 def check_number(name: str, value, high: float = math.inf) -> float:
     """`value` as a float, finite and in (0, high) for high inf or pi, else InputError."""
-    value = float(value)
+    value = to_number(name, value)
     if not math.isfinite(value):
         raise InputError(name, "value must be finite", value)
     if not 0.0 < value < high:

@@ -31,6 +31,7 @@ from .core import (
     _frozen_array,
     generator_from_hamiltonian,
     maxabs,
+    to_number,
 )
 from .errors import DesignError, DimensionError, InputError, NonFiniteError
 
@@ -43,7 +44,7 @@ class PlantSpec:
     c_p: np.ndarray
 
     def __post_init__(self):
-        c_p = np.asarray(self.c_p, dtype=float).reshape(-1)
+        c_p = to_number("cp", self.c_p, array=True).reshape(-1)
         if c_p.shape != (2,):
             raise InputError("cp", "expected two numbers", c_p.tolist())
         if not np.isfinite(c_p).all():

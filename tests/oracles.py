@@ -1,7 +1,7 @@
 """Independent numerical oracles used by the test suite.
 
 Everything here deliberately avoids the code paths under test: propagators
-are integrated with fixed-step RK4 instead of scaling-and-squaring, the
+are integrated with fixed-step RK4 instead of the closed form, the
 feedback loop is eliminated with a numerical 2x2 inversion instead of the
 closed-form adjugate, time averages come from the exact rotation
 integral int_0^T exp(w J s) ds = (exp(w J T) - I) J^{-1} / w or from Van

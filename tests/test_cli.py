@@ -546,9 +546,9 @@ class TestSimulateCommand:
 
     def test_simulate_and_verify_run_no_exponential(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
-            raise AssertionError("a matrix exponential ran")
+            raise AssertionError("the propagator ran")
 
-        monkeypatch.setattr(_kernels, "expm", boom)
+        monkeypatch.setattr(dynamics, "propagator", boom)
         rng = np.random.default_rng(5)
         for k in range(20):
             arg_c, omega = rng.uniform(-math.pi, math.pi), 10.0 ** rng.uniform(-100, 100)
@@ -565,15 +565,15 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("argv", [[], ["--cp=0.6,-0.8", "--horizons", "3,700"]])
     def test_one_weight_evaluation_per_table(self, tmp_path, monkeypatch, argv):
         # both rows of the table from one closed form, its structure tested once
-        calls = {"_weights": 0, "_observer_blocks": 0}
-        for name in calls:
-            def counted(*args, name=name, original=getattr(dynamics, name)):
+        calls = {"weights": 0, "_observer_blocks": 0}
+        for module, name in ((_kernels, "weights"), (dynamics, "_observer_blocks")):
+            def counted(*args, name=name, original=getattr(module, name)):
                 calls[name] += 1
                 return original(*args)
 
-            monkeypatch.setattr(dynamics, name, counted)
+            monkeypatch.setattr(module, name, counted)
         assert run_cli(["simulate", *argv, "--out", str(tmp_path)]) == 0
-        assert calls == {"_weights": 1, "_observer_blocks": 1}
+        assert calls == {"weights": 1, "_observer_blocks": 1}
 
 
 class TestReproduceExample:

@@ -11,6 +11,7 @@ from qobserver import (
     LinearQuantumSystem,
     NonFiniteError,
     QuadraticHamiltonian,
+    StructureError,
     ccr_defect,
     SymplecticSpace,
     generator_from_hamiltonian,
@@ -154,15 +155,20 @@ class TestPropagator:
         np.testing.assert_allclose(propagator(sys, t), rk4_expm(sys.a, t), atol=1e-9)
 
     def test_matches_scipy_on_random_generators(self):
+        # one-mode generators have a closed form; general two-mode ones have
+        # none and are refused
         rng = np.random.default_rng(11)
-        space = SymplecticSpace(2)
         for _ in range(5):
-            r = rng.normal(size=(4, 4))
-            sys = generator_from_hamiltonian(QuadraticHamiltonian((r + r.T) / 2, space))
+            r = rng.normal(size=(2, 2))
+            sys = one_mode_system((r + r.T) / 2)
             for t in (0.3, 2.1):
                 np.testing.assert_allclose(
                     propagator(sys, t), scipy_expm(sys.a * t), atol=1e-11, rtol=1e-11
                 )
+            r = rng.normal(size=(4, 4))
+            sys = generator_from_hamiltonian(QuadraticHamiltonian((r + r.T) / 2, SymplecticSpace(2)))
+            with pytest.raises(StructureError):
+                propagator(sys, 0.3)
 
     def test_semigroup_property(self):
         sys = example_augmented()
@@ -193,15 +199,17 @@ class TestCcrDefect:
 
     def test_realizable_log_grid(self):
         # positive definite R keeps the flow oscillatory, so the propagator
-        # stays bounded out to t = 100 and the defect stays at roundoff
+        # stays bounded out to t = 100 and the defect stays at roundoff; a
+        # general two-mode generator has no closed form and is refused
         systems = [example_augmented()]
         rng = np.random.default_rng(13)
-        space = SymplecticSpace(2)
         for _ in range(3):
+            s = rng.normal(size=(2, 2))
+            systems.append(one_mode_system(s @ s.T / 2))
             s = rng.normal(size=(4, 4))
-            systems.append(
-                generator_from_hamiltonian(QuadraticHamiltonian(s @ s.T / 2, space))
-            )
+            general = generator_from_hamiltonian(QuadraticHamiltonian(s @ s.T / 2, SymplecticSpace(2)))
+            with pytest.raises(StructureError):
+                ccr_defect(general, 1.0)
         for sys in systems:
             for t in np.logspace(-3, 2, 26):
                 assert ccr_defect(sys, t) <= 1e-9

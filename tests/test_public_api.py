@@ -114,6 +114,38 @@ GUARDS = {
             [1.0, 0.0, 0.0, 0.0], [-3.0, 0.0]),
         qobserver.InputError, "horizons: all horizons must be positive and finite",
     ),
+    "design_text_number": (
+        lambda: qobserver.design_ndpa([1, 0], "abc", 1, 0.1),
+        qobserver.InputError, "omega_o: expected a number, got 'abc'",
+    ),
+    "design_text_delta": (
+        lambda: qobserver.design_ndpa([1, 0], 1, 1, 0.1, "x"),
+        qobserver.InputError, "delta: expected a number, got 'x'",
+    ),
+    "design_none_number": (
+        lambda: qobserver.design_ndpa([1, 0], None, 1, 0.1),
+        qobserver.InputError, "omega_o: expected a number",
+    ),
+    "design_text_selector": (
+        lambda: qobserver.design_ndpa(["a", 1], 1, 1, 0.1),
+        qobserver.InputError, "cp: expected a number, got ['a', 1]",
+    ),
+    "verify_text_horizon": (
+        lambda: qobserver.verify_convergence(
+            qobserver.design_ndpa([1.0, 0.0], 1.0, 1.0, 0.1).observer, horizons=["a", 2]),
+        qobserver.InputError, "horizons: expected a number, got ('a', 2)",
+    ),
+    "trajectory_text_time": (
+        lambda: qobserver.coefficient_trajectory(
+            qobserver.augment(qobserver.design_ndpa([1.0, 0.0], 1.0, 1.0, 0.1).observer),
+            [1.0, 0.0, 0.0, 0.0], [0.0, "a"]),
+        qobserver.InputError, "horizons: expected a number, got [0.0, 'a']",
+    ),
+    "propagator_text_time": (
+        lambda: qobserver.propagator(qobserver.LinearQuantumSystem(
+            np.zeros((2, 2)), np.zeros((0, 2)), ONE_MODE), "x"),
+        qobserver.InputError, "t: expected a number, got 'x'",
+    ),
     "synthesize_beta_shape": (
         lambda: qobserver.synthesize_observer(qobserver.PlantSpec([1.0, 0.0]), 1.0, [0.2]),
         qobserver.DimensionError, "beta must have 2 entries",
