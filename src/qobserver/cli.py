@@ -117,13 +117,11 @@ _TRAILING = 20000  # 10000: trailing zeros as nul, 0 all nul
 _POINT = 30000  # 1000: "." and 3 digits
 _POINT_TRAILING = 31000  # 1000: the same with trailing zeros as nul, 0 all nul
 _SIGN_HIGH = 32000  # 2 x 1000: sign, then 3 digits with leading zeros as nul
-_SIGN_LEAD = 34000  # 2 x 100: sign, digit, ".", digit
-_LAST_EXP = 34200  # 2 x 100: 2 digits, "e", exponent sign
-_EXPONENT = 34400  # 1000: 2 or 3 digits of the exponent
-_COMMA, _NEWLINE, _NUL = 35400, 35401, 35402
-# Per fixed-notation exponent -4..6: the divisor that leaves the integer
-# part of a 12-digit significand, and the scale that left-aligns the rest
-# into 15 fractional digits.
+_EXPONENT = 34000  # 2 x 100: "e", exponent sign, 2 digits
+_COMMA, _NEWLINE = 34200, 34201
+# Per fixed-notation exponent -4..6, 0 also for a scientific cell: the
+# divisor that leaves the integer part of a 12-digit significand, and the
+# scale that left-aligns the rest into 15 fractional digits.
 _FIXED_DIVISOR = 10.0 ** np.array([12, 12, 12, 12, 11, 10, 9, 8, 7, 6, 5])
 _FIXED_SCALE = 10.0 ** np.arange(11)
 
@@ -145,23 +143,18 @@ def _format_tables() -> _Tables:
     leading_zero = np.logical_and.accumulate(zero, axis=1)
     leading = np.where(leading_zero & (np.arange(4) < 3), 0, digits)
     trailing = np.where(np.logical_and.accumulate(zero[:, ::-1], axis=1)[:, ::-1], 0, digits)
-    three, hundred = digits[:1000, 1:], digits[:100, 2:]
 
     def col(value, rows):
         return np.full((rows, 1), value)
 
-    def signs(rows):
-        return [col(0, rows), col(ord("-"), rows)]
-
     sections = [
         digits, leading, trailing,
-        np.hstack([col(ord("."), 1000), three]),
+        np.hstack([col(ord("."), 1000), digits[:1000, 1:]]),
         np.hstack([np.where(n[:1000, None] > 0, ord("."), 0), trailing[:1000, 1:]]),
-        *(np.hstack([sign, np.where(leading_zero, 0, digits)[:1000, 1:]]) for sign in signs(1000)),
-        *(np.hstack([sign, hundred[:, :1], col(ord("."), 100), hundred[:, 1:]]) for sign in signs(100)),
-        *(np.hstack([hundred, col(ord("e"), 100), col(ord(c), 100)]) for c in "+-"),
-        np.hstack([np.where(n[:1000, None] < 100, 0, three[:, :1]), three[:, 1:], col(0, 1000)]),
-        np.array([[ord(","), 0, 0, 0], [ord("\n"), 0, 0, 0], [0, 0, 0, 0]]),
+        *(np.hstack([col(sign, 1000), np.where(leading_zero, 0, digits)[:1000, 1:]])
+          for sign in (0, ord("-"))),
+        *(np.hstack([col(ord("e"), 100), col(ord(c), 100), digits[:100, 2:]]) for c in "+-"),
+        np.array([[ord(","), 0, 0, 0], [ord("\n"), 0, 0, 0]]),
     ]
     glyphs = np.vstack(sections).astype(np.uint8).view(np.uint32).ravel()
 
@@ -179,9 +172,10 @@ def fmt_table(table: np.ndarray) -> Iterator[bytes]:
     after the call.  Each block of TABLE_BLOCK_ROWS rows is one `bytes` with
     one row per line, each line ending in b"\n", ready to be written to a
     binary file.  The cells the kernel leaves undecided, those within
-    TIE_TOLERANCE of a rounding tie or next to a power of ten where log10
-    rounds up, and the nonzero magnitudes below KERNEL_MIN, are spelled by
-    `fmt_float` itself, in one `_fallback_text` call per block.
+    TIE_TOLERANCE of a rounding tie, next to a power of ten where log10
+    rounds up or with an exponent of three digits, and the nonzero
+    magnitudes below KERNEL_MIN, are spelled by `fmt_float` itself, in one
+    `_fallback_text` call per block.
     """
     table = np.asarray(table, dtype=float)
     if table.ndim != 2 or table.shape[1] == 0:
@@ -199,18 +193,16 @@ def _fmt_block(block: np.ndarray) -> bytes:
     magnitude = np.abs(values)
     exact = magnitude >= KERNEL_MIN
     digits, exp10, undecided = _decimal12(np.where(exact, magnitude, 1.0))
-    fixed = _fixed_notation(magnitude)
-    negative = values < 0
-    # Every cell starts in the fixed layout, zeros and the cells left to
-    # `fmt_float` with significand 0, which spells "0"; the scientific cells
-    # are then overwritten, and `fmt_float` overwrites its cells.
+    # %.11e spells an exponent of three digits, which has no glyph.
+    undecided |= np.abs(exp10) > 99
+    # Zeros and the cells left to `fmt_float` are laid out with significand
+    # 0 and exponent 0, and `fmt_float` then overwrites its cells.
     digits[~exact | undecided] = 0.0
+    exp10[undecided] = 0
     glyph = np.empty((values.size, 7), dtype=np.intp)
-    for j, column in enumerate(_fixed_glyphs(digits, np.where(fixed, exp10, 0), negative)):
+    scientific = exact & ~_fixed_notation(magnitude)
+    for j, column in enumerate(_glyphs(digits, exp10, values < 0, scientific)):
         glyph[:, j] = column
-    cells = np.flatnonzero(exact & ~fixed)
-    for j, column in enumerate(_scientific_glyphs(digits[cells], exp10[cells], negative[cells])):
-        glyph[cells, j] = column
     glyph[:, 6] = _COMMA
     glyph.reshape(*block.shape, 7)[:, -1, 6] = _NEWLINE
     text = _format_tables().glyphs[glyph]
@@ -253,10 +245,17 @@ def _divmod(n: np.ndarray, d) -> tuple[np.ndarray, np.ndarray]:
     return quotient, n - quotient * d
 
 
-def _fixed_glyphs(digits, exp10, negative) -> list:
-    """Glyph columns of %.12g cells: sign, 7 integer and 15 fraction digits."""
-    whole, fraction = _divmod(digits, _FIXED_DIVISOR[exp10 + 4])
-    fraction *= _FIXED_SCALE[exp10 + 4]
+def _glyphs(digits, exp10, negative, scientific) -> list:
+    """Glyph columns of a cell: sign, 7 integer and 15 fraction digits.
+
+    A %.12g cell drops its leading and trailing zeros.  A %.11e cell is its
+    significand at exponent 0, one integer digit and 11 decimals with every
+    zero kept, and its exponent takes the place of the last 4 decimals,
+    which are 0 there.
+    """
+    shift = np.where(scientific, 0, exp10) + 4
+    whole, fraction = _divmod(digits, _FIXED_DIVISOR[shift])
+    fraction *= _FIXED_SCALE[shift]
     high, low = _divmod(whole, 1e4)
     point, rest = _divmod(fraction, 1e12)
     first, rest8 = _divmod(rest, 1e8)
@@ -264,25 +263,10 @@ def _fixed_glyphs(digits, exp10, negative) -> list:
     return [
         _SIGN_HIGH + 1000 * negative + high,
         np.where(high > 0, _DIGITS, _LEADING) + low,
-        np.where(rest > 0, _POINT, _POINT_TRAILING) + point,
-        np.where(rest8 > 0, _DIGITS, _TRAILING) + first,
-        np.where(third > 0, _DIGITS, _TRAILING) + second,
-        _TRAILING + third,
-    ]
-
-
-def _scientific_glyphs(digits, exp10, negative) -> list:
-    """Glyph columns of %.11e cells: sign, d.d, 8 digits, dde and exponent."""
-    head, last = _divmod(digits, 1e2)
-    lead, middle = _divmod(head, 1e8)
-    first, second = _divmod(middle, 1e4)
-    return [
-        _SIGN_LEAD + 100 * negative + lead,
-        _DIGITS + first,
-        _DIGITS + second,
-        _LAST_EXP + 100 * (exp10 < 0) + last,
-        _EXPONENT + np.abs(exp10),
-        _NUL,
+        np.where((rest > 0) | scientific, _POINT, _POINT_TRAILING) + point,
+        np.where((rest8 > 0) | scientific, _DIGITS, _TRAILING) + first,
+        np.where((third > 0) | scientific, _DIGITS, _TRAILING) + second,
+        np.where(scientific, _EXPONENT + 100 * (exp10 < 0) + np.abs(exp10), _TRAILING + third),
     ]
 
 

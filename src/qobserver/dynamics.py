@@ -131,9 +131,13 @@ def _closed_form(blocks: tuple, c_rows: np.ndarray, t: np.ndarray):
     chain c = (0, v0, b, g Om/s, 0), g = u0 P/s and b = v0 Om/s + g.  Rows
     meet P and D before the division by s: D/s alone overflows when |beta|
     is far above omega_o, while C_o D/s is of the order of C_p.  The weights
-    are evaluated once for all m rows [u0, v0] of `c_rows`.
+    are evaluated once for all m rows [u0, v0] of `c_rows`.  Om = 0 gives no
+    time scale, so s = 1 / max(1, t) keeps every y^m at most 1: with y = t,
+    a term whose chain row is 0 would read 0 * inf beyond t = 1e102.
     """
     p, d, om, s, det = blocks
+    if not om.any():
+        s = 1.0 / t.max(initial=1.0)
     om = om / s
     weights = _kernels.weights(det, s * t)
     rows, averages = np.empty((2, len(c_rows), t.size, 4))
@@ -223,7 +227,7 @@ def coefficient_trajectory(sys: LinearQuantumSystem, c_row, t_grid) -> Trajector
     not the observer's (`_observer_blocks`).  The grid is a horizon ladder,
     which may start at t = 0, or InputError (`check_horizons`).
     """
-    c_row = np.asarray(c_row, dtype=float)
+    c_row = to_number("c_row", c_row, array=True)
     c_rows = _output_rows(sys, c_row)
     t = to_number("horizons", t_grid, array=True).reshape(-1)
     start = 1 if t[:1].tolist() == [0.0] else 0
@@ -267,7 +271,9 @@ def verify_convergence(design: ObserverDesign, horizons=None) -> ConvergenceRepo
     and failed checks are named in `failures` rather than raised.
     """
     ladder = default_horizons(design.omega_o) if horizons is None else horizons
-    horizons = tuple(check_horizons(tuple(ladder), minimum=2).tolist())
+    # A generator is read once; a lone number is a ladder of one.
+    ladder = tuple(ladder) if np.iterable(ladder) else ladder
+    horizons = tuple(check_horizons(ladder, minimum=2).tolist())
     grid = np.array((0.0, *horizons))
 
     sys = augment(design)

@@ -9,7 +9,8 @@ class QObserverError(Exception):
 
 class InputError(QObserverError, ValueError):
     """An input breaks a rule: carries the input's name (a config key of the command
-    line: cp, omega_o, gamma, eps_ratio, delta or horizons), the rule and the value."""
+    line: cp, omega_o, gamma, eps_ratio, delta or horizons, or else the library
+    parameter, such as t, c_row or beta), the rule and the value."""
 
     def __init__(self, name: str, rule: str, value=None):
         self.name, self.rule, self.value = name, rule, value

@@ -71,13 +71,15 @@ class ObserverDesign:
     c_o: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "omega_o", float(self.omega_o))
+        object.__setattr__(self, "omega_o", to_number("omega_o", self.omega_o))
         for name in ("c_p", "beta", "c_o"):
-            object.__setattr__(self, name, _frozen_array(np.reshape(getattr(self, name), -1)))
+            value = to_number(name, getattr(self, name), array=True).reshape(-1)
+            object.__setattr__(self, name, _frozen_array(value))
             if getattr(self, name).shape != (2,):
                 raise DimensionError(f"{name} must have 2 entries")
         for name in ("r_o", "r_c"):
-            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
+            value = to_number(name, getattr(self, name), array=True)
+            object.__setattr__(self, name, _frozen_array(value))
             if getattr(self, name).shape != (2, 2):
                 raise DimensionError(f"{name} must be 2x2")
 
@@ -106,8 +108,8 @@ def synthesize_observer(plant: PlantSpec, omega_o: float, beta) -> ObserverDesig
     line or deliberately invalid ones for negative controls, can be built
     through ObserverDesign directly.
     """
-    omega_o = float(omega_o)
-    beta = np.asarray(beta, dtype=float).reshape(-1)
+    omega_o = to_number("omega_o", omega_o)
+    beta = to_number("beta", beta, array=True).reshape(-1)
     if beta.shape != (2,):
         raise DimensionError(f"beta must have 2 entries, got {beta.shape}")
     if omega_o <= 0.0:

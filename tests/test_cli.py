@@ -80,6 +80,34 @@ class TestFloatFormat:
         assert b"".join(blocks) == b"-100000.007812\n" * 2001
         assert sizes == [block.count(b"\n") for block in blocks]
 
+    def test_three_digit_exponent_column_takes_fmt_float(self, monkeypatch):
+        # the kernel's exponent glyphs have two digits; %.11e of 1e-150 has three
+        sizes, fallback = [], cli._fallback_text
+        monkeypatch.setattr(cli, "_fallback_text", lambda v: sizes.append(v.size) or fallback(v))
+        blocks = list(cli.fmt_table(np.full((2001, 1), 1e-150)))
+        assert b"".join(blocks) == (cli.fmt_float(1e-150) + "\n").encode("ascii") * 2001
+        assert sizes == [block.count(b"\n") for block in blocks]
+
+    def test_glyph_offsets_are_the_running_section_sizes(self):
+        # the first and last glyph of each section, in the order _format_tables
+        # stacks them: a section that grows or shrinks fails at the next name
+        sections = [
+            ("_DIGITS", b"0000", b"9999"),
+            ("_LEADING", b"\0\0\0" b"0", b"9999"),
+            ("_TRAILING", b"\0" * 4, b"9999"),
+            ("_POINT", b".000", b".999"),
+            ("_POINT_TRAILING", b"\0" * 4, b".999"),
+            ("_SIGN_HIGH", b"\0" * 4, b"-999"),
+            ("_EXPONENT", b"e+00", b"e-99"),
+            ("_COMMA", b",\0\0\0", b",\0\0\0"),
+            ("_NEWLINE", b"\n\0\0\0", b"\n\0\0\0"),
+        ]
+        glyphs = cli._format_tables().glyphs
+        ends = [getattr(cli, name) for name, _, _ in sections[1:]] + [glyphs.size]
+        for (name, first, last), end in zip(sections, ends):
+            assert glyphs[getattr(cli, name)].tobytes() == first, name
+            assert glyphs[end - 1].tobytes() == last, name
+
     def test_import_builds_no_format_table(self, tmp_path):
         # the tables take milliseconds to build; only a run that writes a CSV pays
         code = "import qobserver.cli as c; print(c._format_tables.cache_info().currsize)"

@@ -192,6 +192,21 @@ class TestPropagator:
                 propagator(example_augmented(), 1e308)
             assert propagator(unit, 1e308).shape == (2, 2)
 
+    def test_generators_without_om_at_huge_times(self):
+        # Om = 0 gives no time scale; weights y^m of t itself overflow beyond
+        # 1e102 against chain rows that are exactly 0
+        space = SymplecticSpace(2)
+        zero = LinearQuantumSystem(np.zeros((4, 4)), np.zeros((0, 4)), space)
+        for t in (1e110, 1e300, -1e300):
+            assert np.array_equal(propagator(zero, t), np.eye(4))
+        a = np.zeros((4, 4))
+        a[:2, 2:], a[2:, :2] = [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]
+        nilpotent = LinearQuantumSystem(a, np.zeros((0, 4)), space)  # D P = 0: exp(At) = I + At
+        for t in (1e110, -1e110):
+            np.testing.assert_allclose(
+                propagator(nilpotent, t), np.eye(4) + a * t, rtol=4 * np.finfo(float).eps, atol=0
+            )
+
 
 class TestCcrDefect:
     def test_zero_at_time_zero(self):

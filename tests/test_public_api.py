@@ -150,6 +150,31 @@ GUARDS = {
         lambda: qobserver.synthesize_observer(qobserver.PlantSpec([1.0, 0.0]), 1.0, [0.2]),
         qobserver.DimensionError, "beta must have 2 entries",
     ),
+    "verify_number_ladder": (
+        lambda: qobserver.verify_convergence(
+            qobserver.design_ndpa([1.0, 0.0], 1.0, 1.0, 0.1).observer, horizons=5),
+        qobserver.InputError, "horizons: verify needs at least two horizons",
+    ),
+    "trajectory_text_row": (
+        lambda: qobserver.coefficient_trajectory(
+            qobserver.augment(qobserver.design_ndpa([1.0, 0.0], 1.0, 1.0, 0.1).observer),
+            "abc", [0.0, 1.0]),
+        qobserver.InputError, "c_row: expected a number, got 'abc'",
+    ),
+    "synthesize_text_number": (
+        lambda: qobserver.synthesize_observer(qobserver.PlantSpec([1, 0]), "x", [0.2, 0]),
+        qobserver.InputError, "omega_o: expected a number, got 'x'",
+    ),
+    "synthesize_text_beta": (
+        lambda: qobserver.synthesize_observer(qobserver.PlantSpec([1, 0]), 1.0, ["x", 0]),
+        qobserver.InputError, "beta: expected a number, got ['x', 0]",
+    ),
+    "observer_design_text_number": (
+        lambda: qobserver.ObserverDesign(
+            [1.0, 0.0], "x", np.eye(2), np.zeros((2, 2)), np.zeros(2), [1.0, 0.0]
+        ),
+        qobserver.InputError, "omega_o: expected a number, got 'x'",
+    ),
 }
 
 
