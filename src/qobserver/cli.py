@@ -25,6 +25,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from . import __version__
+from .core import to_number
 from .dynamics import check_horizons, coefficient_trajectory, default_horizons, verify_convergence
 from .errors import DimensionError, InputError, NonFiniteError, PipelineError, QObserverError
 from .ndpa import DesignResult, check_design_inputs, check_number, design_ndpa
@@ -325,16 +326,6 @@ def _angle(rad: float) -> dict:
 # Configuration
 # --------------------------------------------------------------------------
 
-def _float(value) -> float:
-    """float(value), but a boolean is refused and an int past float range is infinite."""
-    if isinstance(value, bool):
-        raise TypeError("a boolean is not a number")
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
-
-
 def _split(value, where: str, convert, expected: str) -> tuple:
     """Items of '1,2' / '1 2' text or of a JSON list (no other type), each run through convert."""
     parts = value.replace(",", " ").split() if isinstance(value, str) else value
@@ -348,13 +339,14 @@ def _split(value, where: str, convert, expected: str) -> tuple:
 
 def _parse_number(value, where: str) -> float:
     try:
-        return _float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+        return to_number(where, value)
+    except InputError as exc:
+        raise ConfigError(str(exc)) from None
 
 
-_parse_selector = functools.partial(_split, convert=_float, expected="two numbers")
-_parse_horizons = functools.partial(_split, convert=_float, expected="a list of numbers")
+_entry = functools.partial(to_number, "entry")
+_parse_selector = functools.partial(_split, convert=_entry, expected="two numbers")
+_parse_horizons = functools.partial(_split, convert=_entry, expected="a list of numbers")
 
 
 def _parse_units(value, where: str) -> str:

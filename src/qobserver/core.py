@@ -43,10 +43,18 @@ def maxabs(m: NDArray) -> float:
 
 
 def to_number(name: str, value, array: bool = False):
-    """`value` as a float, or as a float array if `array`; InputError(name, "expected a
-    number", value) if it converts to neither."""
+    """`value` as a float, or as a float array if `array`, else InputError(name, "expected
+    a number", value).  A boolean is not a number, and an int past float range reads as
+    +-inf, alone or as an entry, for the finiteness checks to refuse as `inf`."""
+    if isinstance(value, (bool, np.bool_)):
+        raise InputError(name, "expected a number", value)
     try:
-        return np.asarray(value, dtype=float) if array else float(value)
+        try:
+            return np.asarray(value, dtype=float) if array else float(value)
+        except OverflowError:  # only an int past float range, or an array holding one
+            if array and np.iterable(value):
+                return np.array([to_number(name, v, True) for v in value])
+            return to_number(name, np.inf if value > 0 else -np.inf, array)
     except (TypeError, ValueError):
         raise InputError(name, "expected a number", value) from None
 
@@ -65,10 +73,10 @@ class SymplecticSpace:
     theta: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.modes, int) or self.modes < 1:
-            raise DimensionError(
-                f"mode count must be a positive integer, got {self.modes!r}"
-            )
+        modes = self.modes
+        if isinstance(modes, bool) or not isinstance(modes, (int, np.integer)) or modes < 1:
+            raise DimensionError(f"mode count must be a positive integer, got {modes!r}")
+        object.__setattr__(self, "modes", int(modes))
         n = 2 * self.modes
         theta = np.zeros((n, n))
         for k in range(self.modes):

@@ -56,6 +56,15 @@ class TestSymplecticSpace:
         with pytest.raises(DimensionError):
             SymplecticSpace(0)
 
+    def test_boolean_mode_count_rejected(self):
+        with pytest.raises(DimensionError, match="got True"):
+            SymplecticSpace(True)
+
+    def test_numpy_integer_mode_count_accepted(self):
+        space = SymplecticSpace(np.int64(2))
+        assert type(space.modes) is int and space.modes == 2
+        assert np.array_equal(space.theta, SymplecticSpace(2).theta)
+
     @pytest.mark.parametrize("modes", [1, 2, 3, 5])
     def test_theta_invariants_exact(self, modes):
         theta = SymplecticSpace(modes).theta

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from qobserver import (
-    InputError, QObserverError, augment, cli, coefficient_trajectory, design_ndpa,
-    verify_convergence,
+    InputError, PlantSpec, QObserverError, augment, cli, coefficient_trajectory, design_ndpa,
+    propagator, synthesize_observer, verify_convergence,
 )
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -31,11 +31,13 @@ def test_library_raises_no_bare_value_error():
     assert bare == []
 
 
-# Finite floats over the whole range, and magnitudes near 1 of either sign.
+# Finite floats over the whole range, magnitudes near 1 of either sign, and ints
+# of any size.
 NUMBERS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.floats(-3.0, 3.0),
     st.floats(1e-3, 1e3),
+    st.integers(),
 )
 # Frequencies and ratios that often design, so that verify_convergence and
 # coefficient_trajectory are reached; ladders and grids in any order, and
@@ -69,6 +71,69 @@ def test_finite_inputs_end_in_a_result_or_a_typed_error(
             pass
 
 
+BIG = 10**400
+INPUTS = {"c_p": [1.0, 0.0], "omega_o": 1.0, "gamma": 1.0, "eps_ratio": 0.1}
+OBSERVER = design_ndpa(**INPUTS).observer
+AUGMENTED = augment(OBSERVER)
+PLANT = PlantSpec([1.0, 0.0])
+
+# Each public input that takes a number: (name in its InputError, a call with the
+# value x in that input).
+NUMBER_INPUTS = {
+    **{
+        f"design_ndpa-{key}": (
+            "cp" if key == "c_p" else key, lambda x, key=key: design_ndpa(**{**INPUTS, key: x})
+        )
+        for key in ("c_p", "omega_o", "gamma", "eps_ratio", "delta")
+    },
+    "PlantSpec": ("cp", PlantSpec),
+    "synthesize_observer-omega_o": ("omega_o", lambda x: synthesize_observer(PLANT, x, [0.2, 0])),
+    "synthesize_observer-beta": ("beta", lambda x: synthesize_observer(PLANT, 1.0, x)),
+    "verify_convergence": ("horizons", lambda x: verify_convergence(OBSERVER, x)),
+    "coefficient_trajectory-row": ("c_row", lambda x: coefficient_trajectory(AUGMENTED, x, [1.0])),
+    "coefficient_trajectory-grid": (
+        "horizons", lambda x: coefficient_trajectory(AUGMENTED, AUGMENTED.c, x)
+    ),
+    "propagator": ("t", lambda x: propagator(AUGMENTED, x)),
+}
+# The same inputs with x as one entry of an array.
+NUMBER_ENTRIES = {
+    "design_ndpa-c_p-entry": lambda x: design_ndpa(**{**INPUTS, "c_p": [x, 0.0]}),
+    "synthesize_observer-beta-entry": lambda x: synthesize_observer(PLANT, 1.0, [x, 0.0]),
+    "verify_convergence-entry": lambda x: verify_convergence(OBSERVER, [5.0, x]),
+    "coefficient_trajectory-row-entry": lambda x: coefficient_trajectory(
+        AUGMENTED, [0.0, 0.0, x, 0.0], [1.0]
+    ),
+    "coefficient_trajectory-grid-entry": lambda x: coefficient_trajectory(
+        AUGMENTED, AUGMENTED.c, [1.0, x]
+    ),
+}
+CALLS = {**{k: call for k, (_, call) in NUMBER_INPUTS.items()}, **NUMBER_ENTRIES}
+
+
+def refusal(call, value) -> QObserverError:
+    with np.errstate(all="ignore"), pytest.raises(QObserverError) as caught:
+        call(value)
+    return caught.value
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+@pytest.mark.parametrize("call", CALLS.values(), ids=CALLS)
+def test_an_int_past_float_range_is_refused_as_infinite(call, sign):
+    """Refused as +-inf is, word for word: an InputError naming `inf` where the input is
+    checked for finiteness, else the typed error that the infinite value raises."""
+    big, inf = refusal(call, sign * BIG), refusal(call, sign * math.inf)
+    assert (type(big), str(big)) == (type(inf), str(inf))
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_], ids=repr)
+@pytest.mark.parametrize("name, call", NUMBER_INPUTS.values(), ids=NUMBER_INPUTS)
+def test_a_boolean_is_not_a_number(name, call, value):
+    with pytest.raises(InputError) as caught:
+        call(value)
+    assert str(caught.value) == f"{name}: expected a number, got {value!r}"
+
+
 # (config key, value): each rule of each physics input, broken alone.
 RULES = [
     ("cp", [1.0, 2.0, 3.0]), ("cp", [math.inf, 0.0]), ("cp", [0.0, 0.0]),
@@ -79,31 +144,45 @@ RULES = [
     ("horizons", []), ("horizons", [-1.0, 4.0]), ("horizons", [5.0, math.nan]),
     ("horizons", [5.0, 3.0]), ("horizons", [5.0]),
 ]
+# Values that do not convert as given: a boolean is not a number, and an int past
+# float range reads as +-inf.  A list's own shape is read by a rule of the command
+# line alone (expected two numbers, expected a list of numbers), so for `cp` and
+# `horizons` the int is an entry.
+SCALAR_KEYS = ("omega_o", "gamma", "eps_ratio", "delta")
+CONVERSIONS = [(key, value) for key in SCALAR_KEYS for value in (True, BIG, -BIG)] + [
+    ("cp", [BIG, 0.0]), ("horizons", [5.0, BIG]),
+]
 # A flag shows a value that is not a finite number as its text, so the flag
-# route takes the rules that show no value or a finite number.
-CASES = [("file", key, value) for key, value in RULES] + [
+# route takes the rules that show no value or a finite number, and text that is
+# not a number.
+CASES = [("file", key, value) for key, value in RULES + CONVERSIONS] + [
     ("flag", key, value) for key, value in RULES
     if key == "horizons" or value == [0.0, 0.0] or isinstance(value, float) and math.isfinite(value)
-]
+] + [("flag", key, "abc") for key in SCALAR_KEYS]
 
 
 def library_refusal(key, value) -> InputError:
     """The InputError of design_ndpa, or of verify_convergence for horizons."""
-    inputs = {"c_p": [1.0, 0.0], "omega_o": 1.0, "gamma": 1.0, "eps_ratio": 0.1}
     with pytest.raises(InputError) as caught:
         if key == "horizons":
-            verify_convergence(design_ndpa(**inputs).observer, horizons=value)
+            verify_convergence(OBSERVER, horizons=value)
         else:
-            design_ndpa(**{**inputs, "c_p" if key == "cp" else key: value})
+            design_ndpa(**{**INPUTS, "c_p" if key == "cp" else key: value})
     assert caught.value.name == key
     return caught.value
 
 
 def flag_text(value) -> str:
+    if isinstance(value, str):
+        return value
     return ",".join(map(repr, value)) if isinstance(value, list) else repr(value)
 
 
-@pytest.mark.parametrize("route, key, value", CASES, ids=[f"{r}-{k}={v}" for r, k, v in CASES])
+def case_id(route, key, value) -> str:
+    return f"{route}-{key}={value}".replace(str(BIG), "10**400")
+
+
+@pytest.mark.parametrize("route, key, value", CASES, ids=[case_id(*case) for case in CASES])
 def test_cli_refuses_with_the_library_rule(tmp_path, capsys, route, key, value):
     exc = library_refusal(key, value)
     out, config = tmp_path / "out", tmp_path / "run.json"
