@@ -66,6 +66,8 @@ TYPED_ERRORS = (
     ["verify", "--eps-ratio", "1e-10"],
     ["design", "--eps-ratio", "1e-17"],
     ["design", "--eps-ratio", "0.6"],
+    ["design", "--units", "rad/s", "--omega-o", "1e-6", "--gamma", "1e2", "--eps-ratio", "1e-9"],
+    ["design", "--gamma", "1e8", "--eps-ratio", "1e-9"],
     # competing refusals, each pinned to the one that fires first
     ["design", "--eps-ratio", "1e-300"],
     ["design", "--eps-ratio", "1e-17", "--omega-o", "1e300"],
