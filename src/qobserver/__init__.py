@@ -29,7 +29,6 @@ from .errors import (
     NonFiniteError,
     PipelineError,
     QObserverError,
-    SingularBeamsplitterError,
     StructureError,
     ZeroCouplingError,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "PlantSpec",
     "QObserverError",
     "QuadraticHamiltonian",
-    "SingularBeamsplitterError",
     "StructureError",
     "SymplecticSpace",
     "Trajectory",

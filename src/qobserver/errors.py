@@ -33,10 +33,6 @@ class FactorizationError(DesignError):
     """A coupling block is not rank-one along the plant output selector."""
 
 
-class SingularBeamsplitterError(DesignError):
-    """Beamsplitter angle too close to full transmission (cos(theta) = 1)."""
-
-
 class StructureError(QObserverError, ValueError):
     """A matrix violates the structure required by the transformation."""
 

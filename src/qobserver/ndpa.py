@@ -46,7 +46,6 @@ from .errors import (
     FactorizationError,
     InputError,
     PipelineError,
-    SingularBeamsplitterError,
     StructureError,
     ZeroCouplingError,
 )
@@ -205,7 +204,7 @@ def build_open_ndpa(gamma: float, epsilon: complex, omega_o: float) -> np.ndarra
     return _doubled_up(damp, squeeze)
 
 
-def close_loop(drift: np.ndarray, gamma: float, theta: float, phi: float) -> np.ndarray:
+def close_loop(drift: np.ndarray, gamma: float, eps_ratio: float, phi: float) -> np.ndarray:
     """Deterministic drift F after the beamsplitter feedback loop is closed.
 
     Substituting the beamsplitter relation into the output equation leaves
@@ -213,28 +212,17 @@ def close_loop(drift: np.ndarray, gamma: float, theta: float, phi: float) -> np.
         [[cos(theta) - 1, -e^{-i phi} sin(theta)],
          [e^{i phi} sin(theta), cos(theta) - 1]] (dA, dB) = sqrt(gamma) (a, b) dt,
 
-    whose inverse carries the prefactor sqrt(gamma) / (2 (1 - cos(theta))).
-    Feeding the solved increments back into the drift cancels the diagonal
-    damping and leaves the loop terms -alpha*/2 and alpha/2 off-diagonal.
-    1 - cos(theta) is formed as 2 sin(theta/2)**2, which keeps its digits
-    as theta nears 0, where the subtraction cancels.
+    and feeding the solved increments back adds
+
+        (gamma / 2) [[1, -r e^{-i phi}], [r e^{i phi}, 1]],   r = sin(theta) / (1 - cos(theta)),
+
+    to the open (a, b) drift.  On the design curve r = eps_ratio, so the
+    elimination is read from the ratio, exactly and at every theta in
+    (0, pi), with none of theta's rounding: the diagonal damping cancels
+    and the loop terms -alpha*/2 and alpha/2 remain, alpha = gamma r e^{i phi}.
     """
-    one_minus_cos = 2.0 * math.sin(theta / 2.0) ** 2
-    if one_minus_cos < 1e-9:
-        raise SingularBeamsplitterError(
-            f"theta = {theta} too close to full transmission; the feedback "
-            "elimination is singular"
-        )
-    sin_t = math.sin(theta)
-    # Closed-form inverse of the elimination matrix times -gamma, added to
-    # the open (a, b) drift.
-    pref = gamma / (2.0 * one_minus_cos)
-    correction = -pref * np.array(
-        [
-            [-one_minus_cos, cmath.exp(-1j * phi) * sin_t],
-            [-cmath.exp(1j * phi) * sin_t, -one_minus_cos],
-        ]
-    )
+    loop = gamma * eps_ratio * cmath.exp(1j * phi) / 2.0
+    correction = np.array([[gamma / 2.0, -loop.conjugate()], [loop, gamma / 2.0]])
     return _doubled_up(drift[:2, :2] + correction, drift[:2, 2:])
 
 
@@ -354,11 +342,12 @@ def design_ndpa(
     Solves the two design equations, forms eps and alpha, reads off beta and
     C_o from the coupling block, and independently rebuilds R through the
     physical route (open model -> loop closure -> M -> quadratures).  The two
-    routes must agree to DESIGN_TOL relative per entry or the result is
-    rejected.  All inputs are taken in one consistent frequency unit.  An
-    omitted delta is pi/2, which keeps the two phases equal when arg_c = 0.
-    The inputs pass `check_design_inputs` before any stage runs, and theta
-    is checked after the cross-check.
+    routes must agree to DESIGN_TOL of max|R| or the result is rejected: the
+    cross-check tests the loop-closure algebra, which reads the ratio, while
+    `theta_residual` tests the angle solve.  All inputs are taken in one
+    consistent frequency unit.  An omitted delta is pi/2, which keeps the two
+    phases equal when arg_c = 0.  The inputs pass `check_design_inputs`
+    before any stage runs, and theta is checked after the cross-check.
     """
     plant, omega_o, gamma, eps_ratio, delta = check_design_inputs(
         c_p, omega_o, gamma, eps_ratio, delta
@@ -384,13 +373,13 @@ def design_ndpa(
     observer = stage("synthesize_observer", synthesize_observer, plant, omega_o, beta)
 
     drift = stage("build_open_ndpa", build_open_ndpa, gamma, epsilon, omega_o)
-    f = stage("close_loop", close_loop, drift, gamma, theta, phi)
+    f = stage("close_loop", close_loop, drift, gamma, eps_ratio, phi)
     m = stage("hamiltonian_from_drift", hamiltonian_from_drift, f)
     r_physical = stage("quadrature_hamiltonian", quadrature_hamiltonian, m)
 
     r_abstract = augmented_energy_matrix(observer)
     cross_defect = maxabs(r_physical - r_abstract)
-    if cross_defect > DESIGN_TOL * max(1.0, maxabs(r_abstract)):
+    if cross_defect > DESIGN_TOL * maxabs(r_abstract):
         raise ConsistencyError(
             f"physical route disagrees with abstract design "
             f"(max entry defect {cross_defect:.3e})"

@@ -243,7 +243,7 @@ def test_criterion_6_oracle_equivalence(capsys):
         omega = float(10 ** rng.uniform(-1, 1))
         theta = float(rng.uniform(0.1, math.pi - 1e-3))
         phi = float(rng.uniform(-math.pi, math.pi))
-        f = close_loop(build_open_ndpa(gamma, eps, omega), gamma, theta, phi)
+        f = close_loop(build_open_ndpa(gamma, eps, omega), gamma, 1.0 / math.tan(theta / 2.0), phi)
         f_oracle = close_loop_by_inversion(gamma, eps, omega, theta, phi)
         worst_loop = max(
             worst_loop,

@@ -9,9 +9,7 @@ from qobserver import (
     DesignError,
     FactorizationError,
     InputError,
-    PipelineError,
     PlantSpec,
-    SingularBeamsplitterError,
     StructureError,
     ZeroCouplingError,
     design_ndpa,
@@ -104,8 +102,7 @@ class TestOpenModel:
 
 class TestCloseLoop:
     def test_reference_entries(self):
-        theta = solve_theta(0.1)
-        f = close_loop(build_open_ndpa(1.0, -0.1j, 1.0), 1.0, theta, -math.pi / 2.0)
+        f = close_loop(build_open_ndpa(1.0, -0.1j, 1.0), 1.0, 0.1, -math.pi / 2.0)
         assert f[0, 1] == pytest.approx(-0.05j, abs=1e-15)
         assert f[0, 0] == pytest.approx(0.0, abs=1e-15)
         assert f[1, 1] == pytest.approx(-1.0j, abs=1e-15)
@@ -113,11 +110,15 @@ class TestCloseLoop:
         assert f[0, 3] == pytest.approx(-0.05j, abs=1e-15)
 
     def test_theta_pi_kills_loop_terms(self):
-        f = close_loop(build_open_ndpa(1.0, 0j, 2.0), 1.0, math.pi, 0.7)
+        # theta = pi is the ratio 0
+        f = close_loop(build_open_ndpa(1.0, 0j, 2.0), 1.0, 0.0, 0.7)
         expected = np.diag([0.0, -2.0j, 0.0, 2.0j])
         np.testing.assert_allclose(f, expected, atol=1e-15)
 
     def test_matches_inversion_oracle(self):
+        # The oracle inverts the elimination at theta; close_loop reads the
+        # ratio cot(theta/2).  Beside the drawn angles, the ratios 1e-9 and
+        # 1e5 put theta within 2e-9 of pi and at 2e-5.
         rng = np.random.default_rng(21)
         for _ in range(50):
             gamma = float(10 ** rng.uniform(-1, 1))
@@ -125,19 +126,24 @@ class TestCloseLoop:
             omega = float(10 ** rng.uniform(-1, 1))
             theta = float(rng.uniform(0.1, math.pi - 1e-3))
             phi = float(rng.uniform(-math.pi, math.pi))
-            f = close_loop(build_open_ndpa(gamma, eps, omega), gamma, theta, phi)
-            f_oracle = close_loop_by_inversion(gamma, eps, omega, theta, phi)
-            assert np.max(np.abs(f - f_oracle)) <= 1e-12 * max(1.0, np.max(np.abs(f)))
+            for ratio in (1.0 / math.tan(theta / 2.0), 1e-9, 1e5):
+                f = close_loop(build_open_ndpa(gamma, eps, omega), gamma, ratio, phi)
+                f_oracle = close_loop_by_inversion(gamma, eps, omega, solve_theta(ratio), phi)
+                assert np.max(np.abs(f - f_oracle)) <= 1e-12 * max(1.0, np.max(np.abs(f)))
 
-    def test_singular_beamsplitter_rejected(self):
-        with pytest.raises(SingularBeamsplitterError):
-            close_loop(build_open_ndpa(1.0, 0.1 + 0j, 1.0), 1.0, 1e-6, 0.0)
+    @pytest.mark.parametrize("ratio", [1e-300, 1e-9, 0.1, 1e9, 1e300])
+    def test_loop_terms_are_exact_at_every_ratio(self, ratio):
+        # no angle is formed, so the damping cancels and the loop terms are
+        # -alpha*/2 and alpha/2 to the bit, at either end of (0, pi)
+        gamma, phi = 3.0, 0.7
+        alpha = gamma * ratio * cmath.exp(1j * phi)
+        f = close_loop(build_open_ndpa(gamma, 0.5j, 2.0), gamma, ratio, phi)
+        assert (f[0, 0], f[1, 1], f[0, 1], f[1, 0]) == (0.0, -2.0j, -alpha.conjugate() / 2.0, alpha / 2.0)
 
 
 class TestHamiltonianFromDrift:
     def test_detuning_entry(self):
-        theta = solve_theta(0.1)
-        f = close_loop(build_open_ndpa(1.0, -0.1j, 1.0), 1.0, theta, -math.pi / 2.0)
+        f = close_loop(build_open_ndpa(1.0, -0.1j, 1.0), 1.0, 0.1, -math.pi / 2.0)
         m = hamiltonian_from_drift(f)
         assert m[1, 1] == pytest.approx(1.0, abs=1e-15)
         assert m[3, 3] == pytest.approx(1.0, abs=1e-15)
@@ -177,8 +183,7 @@ class TestHamiltonianFromDrift:
 
 class TestQuadratureHamiltonian:
     def test_reference_block_form(self):
-        theta = solve_theta(0.1)
-        f = close_loop(build_open_ndpa(1.0, -0.1j, 1.0), 1.0, theta, -math.pi / 2.0)
+        f = close_loop(build_open_ndpa(1.0, -0.1j, 1.0), 1.0, 0.1, -math.pi / 2.0)
         r = quadrature_hamiltonian(hamiltonian_from_drift(f))
         expected = np.zeros((4, 4))
         expected[0, 2] = expected[2, 0] = 0.2
@@ -295,21 +300,15 @@ class TestDesignPipeline:
         assert result.report.cross_check_defect <= 1e-15
         assert verify_convergence(result.observer).passed
 
-    @pytest.mark.parametrize("k", range(14))
+    @pytest.mark.parametrize("k", [*range(15), 100, 200])
     def test_large_ratios_design_and_verify(self, k):
-        # theta nears 0, where 1 - cos(theta) by subtraction would lose enough
-        # digits to move the physical route off the abstract design
+        # theta nears 0, where 1 - cos(theta) loses its digits; the loop
+        # closure reads the ratio instead, up to 1e14 here
         ratio = 10.0 ** (4 + 0.05 * k)
         result = design_ndpa([1.0, 0.0], 1.0, 1.0, ratio)
         assert result.report.cross_check_defect <= 1e-15 * ratio
         assert result.report.theta_residual <= 1e-15 * ratio
         assert verify_convergence(result.observer).passed
-
-    def test_next_ratio_is_refused_at_the_loop_closure(self):
-        # 1 - cos(theta) ~ 2 / ratio**2 falls below close_loop's 1e-9 guard
-        with pytest.raises(PipelineError, match=r"^\[close_loop\] theta = .* too close") as info:
-            design_ndpa([1.0, 0.0], 1.0, 1.0, 10.0 ** (4 + 0.05 * 14))
-        assert info.value.stage == "close_loop"
 
     def test_ratio_whose_angle_rounds_to_pi_names_the_ratio(self):
         with pytest.raises(DesignError, match=r"at squeezing ratio 1e-17; .* rounds to pi"):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import qobserver
-from qobserver import core, dynamics, ndpa
+from qobserver import core, dynamics, errors, ndpa
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -45,12 +45,12 @@ def test_every_public_name_resolves_once():
 @pytest.mark.parametrize("name", [
     "TolerancePolicy", "make_symplectic_space", "running_average",
     "dominant_frequency", "simulate_means", "time_average_error", "alpha_parameter",
-    "OpenNdpaModel",
+    "OpenNdpaModel", "SingularBeamsplitterError",
 ])
 def test_removed_names_are_gone(name):
     assert name not in qobserver.__all__
     assert not hasattr(qobserver, name)
-    for module in (core, dynamics, ndpa):
+    for module in (core, dynamics, errors, ndpa):
         assert not hasattr(module, name)
 
 
