@@ -162,7 +162,7 @@ def validate_observer(design: ObserverDesign) -> ObserverDiagnostics:
         failures.append("observer energy matrix R_o is not positive definite")
 
     coupling_defect = maxabs(design.r_c - np.outer(design.c_p, design.beta))
-    if coupling_defect > DESIGN_TOL * max(1.0, maxabs(design.r_c)):
+    if coupling_defect > DESIGN_TOL * maxabs(design.r_c):
         failures.append("coupling block R_c differs from C_p^T beta")
 
     beta_is_zero = maxabs(design.beta) == 0.0

@@ -12,6 +12,7 @@ from qobserver import (
     PlantSpec,
     design_ndpa,
     augment,
+    maxabs,
     realizability_defect,
     synthesize_observer,
     validate_observer,
@@ -128,6 +129,19 @@ class TestValidate:
         assert not diag.passed
         assert diag.constraint_defect == pytest.approx(2.0 * design.omega_o)
         assert any("constraint" in f for f in diag.failures)
+
+    def test_coupling_defect_is_relative(self):
+        # R_c off C_p^T beta by 5e-7 of max|R_c| fails at either scale
+        design = example_design_nondim()
+        r_c = design.r_c + [[1e-7, 0.0], [0.0, 0.0]]
+        for scale in (1e-6, 1e6):
+            scaled = dataclasses.replace(
+                design, omega_o=scale * design.omega_o, r_o=scale * design.r_o,
+                r_c=scale * r_c, beta=scale * design.beta,
+            )
+            diag = validate_observer(scaled)
+            assert diag.coupling_defect == pytest.approx(5e-7 * maxabs(scaled.r_c), rel=1e-6)
+            assert diag.failures == ("coupling block R_c differs from C_p^T beta",)
 
     def test_zero_beta_flagged(self):
         design = example_design_nondim()
