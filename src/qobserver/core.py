@@ -42,11 +42,21 @@ def maxabs(m: NDArray) -> float:
     return float(np.abs(m).max())
 
 
+def _holds_boolean(value) -> bool:
+    """True for a boolean, or a list, tuple or array with a boolean entry at any depth."""
+    if isinstance(value, np.ndarray):
+        return value.dtype == bool or value.dtype == object and any(map(_holds_boolean, value.flat))
+    if isinstance(value, (list, tuple)):
+        return any(map(_holds_boolean, value))
+    return isinstance(value, (bool, np.bool_))
+
+
 def to_number(name: str, value, array: bool = False):
     """`value` as a float, or as a float array if `array`, else InputError(name, "expected
-    a number", value).  A boolean is not a number, and an int past float range reads as
-    +-inf, alone or as an entry, for the finiteness checks to refuse as `inf`."""
-    if isinstance(value, (bool, np.bool_)):
+    a number", value).  A boolean is not a number, alone or as an entry, and an int past
+    float range reads as +-inf, alone or as an entry, for the finiteness checks to refuse
+    as `inf`."""
+    if _holds_boolean(value):
         raise InputError(name, "expected a number", value)
     try:
         try:

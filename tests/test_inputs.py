@@ -96,19 +96,20 @@ NUMBER_INPUTS = {
     ),
     "propagator": ("t", lambda x: propagator(AUGMENTED, x)),
 }
-# The same inputs with x as one entry of an array.
+# The same inputs with x as one entry of an array: (the input of NUMBER_INPUTS, the
+# array holding x).
 NUMBER_ENTRIES = {
-    "design_ndpa-c_p-entry": lambda x: design_ndpa(**{**INPUTS, "c_p": [x, 0.0]}),
-    "synthesize_observer-beta-entry": lambda x: synthesize_observer(PLANT, 1.0, [x, 0.0]),
-    "verify_convergence-entry": lambda x: verify_convergence(OBSERVER, [5.0, x]),
-    "coefficient_trajectory-row-entry": lambda x: coefficient_trajectory(
-        AUGMENTED, [0.0, 0.0, x, 0.0], [1.0]
-    ),
-    "coefficient_trajectory-grid-entry": lambda x: coefficient_trajectory(
-        AUGMENTED, AUGMENTED.c, [1.0, x]
-    ),
+    "design_ndpa-c_p-entry": ("design_ndpa-c_p", lambda x: [x, 0.0]),
+    "synthesize_observer-beta-entry": ("synthesize_observer-beta", lambda x: [x, 0.0]),
+    "verify_convergence-entry": ("verify_convergence", lambda x: [5.0, x]),
+    "coefficient_trajectory-row-entry": ("coefficient_trajectory-row", lambda x: [0.0, 0.0, x, 0.0]),
+    "coefficient_trajectory-grid-entry": ("coefficient_trajectory-grid", lambda x: [1.0, x]),
 }
-CALLS = {**{k: call for k, (_, call) in NUMBER_INPUTS.items()}, **NUMBER_ENTRIES}
+CALLS = {
+    **{k: call for k, (_, call) in NUMBER_INPUTS.items()},
+    **{k: lambda x, key=key, wrap=wrap: NUMBER_INPUTS[key][1](wrap(x))
+       for k, (key, wrap) in NUMBER_ENTRIES.items()},
+}
 
 
 def refusal(call, value) -> QObserverError:
@@ -126,12 +127,26 @@ def test_an_int_past_float_range_is_refused_as_infinite(call, sign):
     assert (type(big), str(big)) == (type(inf), str(inf))
 
 
+# Each input given a boolean (a value that is itself), a list with a boolean entry, or a
+# boolean array of the input's shape.
+BOOLEAN_FORMS = {
+    **{k: (k, lambda x: x) for k in NUMBER_INPUTS},
+    **NUMBER_ENTRIES,
+    **{f"{key}-array": (key, lambda x, wrap=wrap: np.full(len(wrap(x)), bool(x)))
+       for key, wrap in NUMBER_ENTRIES.values()},
+}
+
+
 @pytest.mark.parametrize("value", [True, False, np.True_], ids=repr)
-@pytest.mark.parametrize("name, call", NUMBER_INPUTS.values(), ids=NUMBER_INPUTS)
-def test_a_boolean_is_not_a_number(name, call, value):
+@pytest.mark.parametrize("key, form", BOOLEAN_FORMS.values(), ids=BOOLEAN_FORMS)
+def test_a_boolean_is_not_a_number(key, form, value):
+    name, call = NUMBER_INPUTS[key]
+    given = form(value)
     with pytest.raises(InputError) as caught:
-        call(value)
-    assert str(caught.value) == f"{name}: expected a number, got {value!r}"
+        call(given)
+    assert (caught.value.name, caught.value.rule) == (name, "expected a number")
+    if given is value:
+        assert str(caught.value) == f"{name}: expected a number, got {value!r}"
 
 
 # (config key, value): each rule of each physics input, broken alone.
