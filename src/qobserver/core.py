@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .errors import DimensionError, InputError, NonFiniteError
 
@@ -35,7 +34,7 @@ EXACT_TOL = 1e-12
 DESIGN_TOL = 1e-9
 
 
-def maxabs(m: NDArray) -> float:
+def maxabs(m: np.ndarray) -> float:
     """Max-abs entry norm; zero for empty arrays."""
     if m.size == 0:
         return 0.0
