@@ -224,11 +224,14 @@ def coefficient_trajectory(sys: LinearQuantumSystem, c_row, t_grid) -> Trajector
     rows (m, n), giving (m, nt, n) arrays whose i-th slice is what row i
     alone gives, bit for bit.  The closed form evaluates its weights once
     for all rows, with no exponential; StructureError for a system that is
-    not the observer's (`_observer_blocks`).  The grid is a horizon ladder,
-    which may start at t = 0, or InputError (`check_horizons`).
+    not the observer's (`_observer_blocks`), InputError for a row with a
+    non-finite entry.  The grid is a horizon ladder, which may start at
+    t = 0, or InputError (`check_horizons`).
     """
     c_row = to_number("c_row", c_row, array=True)
     c_rows = _output_rows(sys, c_row)
+    if not np.isfinite(c_rows).all():
+        raise InputError("c_row", "entries must be finite", c_row.tolist())
     t = to_number("horizons", t_grid, array=True).reshape(-1)
     start = 1 if t[:1].tolist() == [0.0] else 0
     check_horizons(t[start:], minimum=1 - start)

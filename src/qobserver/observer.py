@@ -102,6 +102,7 @@ def synthesize_observer(plant: PlantSpec, omega_o: float, beta) -> ObserverDesig
 
     Uses R_o = 2 omega_o I, R_c = C_p^T beta and the minimum-norm solution
     of C_o beta^T = -2 omega_o, C_o = -2 omega_o beta / |beta|^2.
+    InputError for a non-finite omega_o or beta entry, before any arithmetic;
     NonFiniteError when C_o overflows (omega_o far above |beta|),
     DesignError when it underflows to subnormal from a normal omega_o
     (omega_o far below |beta|).  Other bundles, any point of the solution
@@ -112,6 +113,10 @@ def synthesize_observer(plant: PlantSpec, omega_o: float, beta) -> ObserverDesig
     beta = to_number("beta", beta, array=True).reshape(-1)
     if beta.shape != (2,):
         raise DimensionError(f"beta must have 2 entries, got {beta.shape}")
+    if not math.isfinite(omega_o):
+        raise InputError("omega_o", "value must be finite", omega_o)
+    if not np.isfinite(beta).all():
+        raise InputError("beta", "entries must be finite", beta.tolist())
     if omega_o <= 0.0:
         raise DesignError(
             f"omega_o must be positive for a positive definite R_o, got {omega_o}"

@@ -4,6 +4,7 @@ command line reads each physics rule from the library's `InputError`."""
 import ast
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +126,23 @@ def test_an_int_past_float_range_is_refused_as_infinite(call, sign):
     checked for finiteness, else the typed error that the infinite value raises."""
     big, inf = refusal(call, sign * BIG), refusal(call, sign * math.inf)
     assert (type(big), str(big)) == (type(inf), str(inf))
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=repr)
+@pytest.mark.parametrize("key, name", [
+    pytest.param(key, name, id=key) for key, name in (
+        ("synthesize_observer-omega_o", "omega_o"), ("synthesize_observer-beta-entry", "beta"),
+        ("coefficient_trajectory-row-entry", "c_row"),
+    )
+])
+def test_a_nonfinite_value_is_refused_before_any_arithmetic(key, name, value):
+    """With numpy's warnings on: a warning would mean the value reached the numerics."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError) as caught:
+            CALLS[key](value)
+    assert caught.value.name == name
+    assert caught.value.rule.endswith("must be finite")
 
 
 # Each input given a boolean (a value that is itself), a list with a boolean entry, or a
