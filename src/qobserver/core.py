@@ -52,9 +52,8 @@ def _holds_boolean(value) -> bool:
 
 def to_number(name: str, value, array: bool = False):
     """`value` as a float, or as a float array if `array`, else InputError(name, "expected
-    a number", value).  A boolean is not a number, alone or as an entry, and an int past
-    float range reads as +-inf, alone or as an entry, for the finiteness checks to refuse
-    as `inf`."""
+    a number", value).  A boolean is not a number and an int past float range reads as
+    +-inf, alone or as an entry, for the finiteness checks to refuse as `inf`."""
     if _holds_boolean(value):
         raise InputError(name, "expected a number", value)
     try:

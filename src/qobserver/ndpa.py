@@ -212,14 +212,11 @@ def close_loop(drift: np.ndarray, gamma: float, eps_ratio: float, phi: float) ->
         [[cos(theta) - 1, -e^{-i phi} sin(theta)],
          [e^{i phi} sin(theta), cos(theta) - 1]] (dA, dB) = sqrt(gamma) (a, b) dt,
 
-    and feeding the solved increments back adds
-
-        (gamma / 2) [[1, -r e^{-i phi}], [r e^{i phi}, 1]],   r = sin(theta) / (1 - cos(theta)),
-
-    to the open (a, b) drift.  On the design curve r = eps_ratio, so the
-    elimination is read from the ratio, exactly and at every theta in
-    (0, pi), with none of theta's rounding: the diagonal damping cancels
-    and the loop terms -alpha*/2 and alpha/2 remain, alpha = gamma r e^{i phi}.
+    and feeding the solved increments back into the (a, b) drift adds
+    (gamma/2) [[1, -r e^{-i phi}], [r e^{i phi}, 1]], r = sin(theta)/(1 - cos(theta)).
+    On the design curve r = eps_ratio, which gives the elimination exactly at
+    every theta in (0, pi): the damping cancels and the loop terms -alpha*/2
+    and alpha/2 remain, alpha = gamma eps_ratio e^{i phi}.
     """
     loop = gamma * eps_ratio * cmath.exp(1j * phi) / 2.0
     correction = np.array([[gamma / 2.0, -loop.conjugate()], [loop, gamma / 2.0]])

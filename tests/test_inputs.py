@@ -145,8 +145,8 @@ def test_a_nonfinite_value_is_refused_before_any_arithmetic(key, name, value):
     assert caught.value.rule.endswith("must be finite")
 
 
-# Each input given a boolean (a value that is itself), a list with a boolean entry, or a
-# boolean array of the input's shape.
+# Each input given a boolean as itself, as an entry of a list, or as a boolean array of
+# the input's shape.
 BOOLEAN_FORMS = {
     **{k: (k, lambda x: x) for k in NUMBER_INPUTS},
     **NUMBER_ENTRIES,
