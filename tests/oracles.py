@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the code paths under test: propagators
 are integrated with fixed-step RK4 instead of the closed form, the
-feedback loop is eliminated with a numerical 2x2 inversion instead of the
-closed-form adjugate, time averages come from the exact rotation
-integral int_0^T exp(w J s) ds = (exp(w J T) - I) J^{-1} / w or from Van
+feedback loop is eliminated with a numerical 2x2 inversion, in doubles or
+at 50 digits through mpmath, instead of the closed form on the ratio, time
+averages come from the exact rotation integral
+int_0^T exp(w J s) ds = (exp(w J T) - I) J^{-1} / w or from Van
 Loan's block exponential through scipy instead of the closed form, and JSON
 reports are laid out by `json.dumps` instead of the one-pass emitter (their
 floats still take `fmt_float`, the one float rule).
@@ -149,6 +150,35 @@ def close_loop_by_inversion(
     )
     noise_coeff = np.linalg.solve(elim, math.sqrt(gamma) * np.eye(2))
     f_ab = drift_ab - math.sqrt(gamma) * noise_coeff
+    return np.block([[f_ab, squeeze], [squeeze.conj(), f_ab.conj()]])
+
+
+def mp_close_loop(
+    gamma: float, epsilon: complex, omega_o: float, theta: float, phi: float
+) -> np.ndarray:
+    """Loop closure with the elimination system solved by mpmath at 50 digits.
+
+    The system of `close_loop_by_inversion`, taken at the double theta as
+    given: cos(theta) - 1 is formed at 50 digits, so its cancellation near
+    theta = 0 leaves some 20 digits even at theta = 2e-15, and the drift is
+    rounded to complex doubles once, at the end.
+    """
+    import mpmath  # here, not at the top: perfbench's gate imports this module
+
+    with mpmath.workdps(50):
+        g, th, ph = mpmath.mpf(gamma), mpmath.mpf(theta), mpmath.mpf(phi)
+        cos_t, sin_t = mpmath.cos(th), mpmath.sin(th)
+        elim = mpmath.matrix(
+            [
+                [cos_t - 1, -mpmath.expj(-ph) * sin_t],
+                [mpmath.expj(ph) * sin_t, cos_t - 1],
+            ]
+        )
+        # (dA, dB) = elim^{-1} sqrt(gamma) (a, b) dt enters the drift as -sqrt(gamma) (dA, dB)
+        f_ab = mpmath.matrix([[-g / 2, 0], [0, -(g / 2 + 1j * mpmath.mpf(omega_o))]])
+        f_ab -= g * mpmath.inverse(elim)
+        f_ab = np.array([[complex(f_ab[i, k]) for k in range(2)] for i in range(2)])
+    squeeze = np.array([[0.0, epsilon / 2.0], [epsilon / 2.0, 0.0]])
     return np.block([[f_ab, squeeze], [squeeze.conj(), f_ab.conj()]])
 
 

@@ -201,6 +201,14 @@ class TestPropagator:
                 propagator(example_augmented(), 1e308)
             assert propagator(unit, 1e308).shape == (2, 2)
 
+    def test_overflowing_argument_is_refused_before_the_weights(self):
+        # Without the A t guard, cos and sin of an infinite argument would warn
+        # ("invalid value encountered in cos"), an error under this suite's
+        # warning filter; the guard keeps the library free of warnings.
+        huge = LinearQuantumSystem(1e300 * J, np.zeros((0, 2)), SymplecticSpace(1))
+        with pytest.raises(NonFiniteError, match=r"^A t overflows at \|t\| = 10000000000\.0$"):
+            propagator(huge, 1e10)
+
     def test_generators_without_om_at_huge_times(self):
         # Om = 0 gives no time scale; weights y^m of t itself overflow beyond
         # 1e102 against chain rows that are exactly 0

@@ -27,7 +27,7 @@ from qobserver.ndpa import (
     solve_phases,
     solve_theta,
 )
-from oracles import close_loop_by_inversion
+from oracles import mp_close_loop
 
 J_PM = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
 
@@ -116,9 +116,11 @@ class TestCloseLoop:
         np.testing.assert_allclose(f, expected, atol=1e-15)
 
     def test_matches_inversion_oracle(self):
-        # The oracle inverts the elimination at theta; close_loop reads the
-        # ratio cot(theta/2).  Beside the drawn angles, the ratios 1e-9 and
-        # 1e5 put theta within 2e-9 of pi and at 2e-5.
+        # The oracle inverts the elimination at theta in 50-digit arithmetic;
+        # close_loop reads the ratio cot(theta/2).  Beside the drawn angles,
+        # the ratios 10^k, k = -12..15, take theta from within 2e-12 of pi
+        # down to 2e-15, where cos(theta) - 1 in doubles has lost every digit.
+        pytest.importorskip("mpmath")
         rng = np.random.default_rng(21)
         for _ in range(50):
             gamma = float(10 ** rng.uniform(-1, 1))
@@ -126,9 +128,9 @@ class TestCloseLoop:
             omega = float(10 ** rng.uniform(-1, 1))
             theta = float(rng.uniform(0.1, math.pi - 1e-3))
             phi = float(rng.uniform(-math.pi, math.pi))
-            for ratio in (1.0 / math.tan(theta / 2.0), 1e-9, 1e5):
+            for ratio in (1.0 / math.tan(theta / 2.0), *(10.0**k for k in range(-12, 16))):
                 f = close_loop(build_open_ndpa(gamma, eps, omega), gamma, ratio, phi)
-                f_oracle = close_loop_by_inversion(gamma, eps, omega, solve_theta(ratio), phi)
+                f_oracle = mp_close_loop(gamma, eps, omega, solve_theta(ratio), phi)
                 assert np.max(np.abs(f - f_oracle)) <= 1e-12 * max(1.0, np.max(np.abs(f)))
 
     @pytest.mark.parametrize("ratio", [1e-300, 1e-9, 0.1, 1e9, 1e300])

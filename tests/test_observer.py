@@ -6,6 +6,7 @@ import pytest
 
 from qobserver import (
     DesignError,
+    DimensionError,
     InputError,
     NonFiniteError,
     PipelineError,
@@ -99,6 +100,10 @@ class TestSynthesize:
                 design_ndpa([1.0, 0.0], 1.4e224, 1.4e-297, 0.1)
         assert isinstance(caught.value.__cause__, NonFiniteError)
 
+    def test_beta_with_three_entries_rejected(self):
+        with pytest.raises(DimensionError, match=r"^beta must have 2 entries, got \(3,\)$"):
+            synthesize_observer(PlantSpec([1, 0]), 1.0, [1.0, 2.0, 3.0])
+
     def test_c_o_matches_unscaled_formula_bit_for_bit(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
@@ -150,6 +155,51 @@ class TestValidate:
         assert not diag.passed
         assert diag.beta_is_zero
         assert any("no coupling" in f for f in diag.failures)
+
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_least_eigenvalue_matches_eigvalsh(self, symmetric):
+        # the closed form reads the lower triangle, as eigvalsh does; over
+        # 2e5 draws of this kind the worst defect was 2.9 eps max|R_o|
+        rng = np.random.default_rng(17)
+        design = example_design_nondim()
+        eps = np.finfo(float).eps
+        for _ in range(2000):
+            r_o = rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-4, 4, size=(2, 2))
+            r_o *= 10.0 ** rng.uniform(-300, 300)
+            if symmetric:
+                r_o = (r_o + r_o.T) / 2.0
+            got = validate_observer(dataclasses.replace(design, r_o=r_o)).r_o_min_eigenvalue
+            want = float(np.linalg.eigvalsh(r_o).min())
+            assert abs(got - want) <= 4.0 * eps * maxabs(r_o)
+
+    @pytest.mark.parametrize(
+        "control, failures",
+        [
+            (
+                {"r_o": np.diag([2.0, -2.0])},
+                (
+                    "observer energy matrix R_o is not positive definite",
+                    "output constraint C_o R_o^{-1} beta^T = -1 violated",
+                ),
+            ),
+            (
+                {"beta": np.zeros(2)},
+                (
+                    "coupling block R_c differs from C_p^T beta",
+                    "no coupling: beta is zero, observer never sees the plant",
+                    "output constraint C_o R_o^{-1} beta^T = -1 violated",
+                ),
+            ),
+            (
+                {"c_o": np.array([-20.0, 0.0])},
+                ("output constraint C_o R_o^{-1} beta^T = -1 violated",),
+            ),
+        ],
+        ids=["indefinite_r_o", "zero_beta", "doubled_c_o"],
+    )
+    def test_negative_controls_keep_their_failures(self, control, failures):
+        assert validate_observer(dataclasses.replace(example_design_nondim(), **control)).failures == failures
 
 
 class TestAugment:
