@@ -671,12 +671,12 @@ def run(cfg: RunConfig) -> int:
 
     payload = design_payload(cfg, result, scale)
     if "json" in cfg.format:
-        (cfg.out / "design.json").write_text(emit_json(payload), encoding="ascii", newline="\n")
+        (cfg.out / "design.json").write_bytes(emit_json(payload).encode("ascii"))
 
     if cfg.command == "verify":
         report = verify_convergence(result.observer, horizons=cfg.horizons)
         report_json = emit_json(verify_payload(cfg, result, report, scale))
-        (cfg.out / "report.json").write_text(report_json, encoding="ascii", newline="\n")
+        (cfg.out / "report.json").write_bytes(report_json.encode("ascii"))
         print(
             f"verify: passed={report.passed} fitted_rate={report.fitted_rate:.4f} "
             f"frequency={report.oscillation_frequency_estimate:.6g}"

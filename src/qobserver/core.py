@@ -18,6 +18,7 @@ form there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,14 @@ def maxabs(m: np.ndarray) -> float:
     if m.size == 0:
         return 0.0
     return float(np.abs(m).max())
+
+
+def maxabs_of(values) -> float:
+    """`maxabs` of a few Python floats, nan when one is nan as with an array;
+    for the entries of 2 x 2 blocks, where building an array costs more."""
+    if any(map(math.isnan, values)):
+        return math.nan
+    return max(map(abs, values), default=0.0)
 
 
 def _holds_boolean(value) -> bool:
@@ -131,8 +140,8 @@ class LinearQuantumSystem:
     space: SymplecticSpace
 
     def __post_init__(self):
-        a = np.array(self.a, dtype=float)
-        c = np.array(self.c, dtype=float)
+        a = _frozen_array(self.a)
+        c = _frozen_array(self.c)
         n = self.space.n
         if a.shape != (n, n):
             raise DimensionError(
@@ -144,8 +153,8 @@ class LinearQuantumSystem:
             )
         if not (np.isfinite(a).all() and np.isfinite(c).all()):
             raise NonFiniteError("system matrices have non-finite entries")
-        object.__setattr__(self, "a", _frozen_array(a))
-        object.__setattr__(self, "c", _frozen_array(c))
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "c", c)
 
     def with_outputs(self, c) -> "LinearQuantumSystem":
         """Same dynamics with the given output rows attached."""

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import EXACT_TOL, LinearQuantumSystem, maxabs, to_number
+from .core import EXACT_TOL, LinearQuantumSystem, maxabs, maxabs_of, to_number
 from .errors import DimensionError, InputError, NonFiniteError, StructureError
 from .observer import ObserverDesign, augment, validate_observer
 
@@ -111,16 +111,16 @@ def _observer_blocks(a: np.ndarray):
     if a.shape != (4, 4) or a[:2, :2].any():
         raise StructureError("generator is not 4 x 4 with a zero plant block [[0, P], [D, Om]]")
     p, d, om = a[:2, 2:], a[2:, :2], a[2:, 2:]
-    s = maxabs(om) or 1.0
+    (o00, o01), (o10, o11) = om.tolist()
+    s = maxabs_of((o00, o01, o10, o11)) or 1.0
     d_scale, p_scale = maxabs(d), maxabs(p)
     dp_zero = not (d_scale and p_scale) or maxabs((d / d_scale) @ (p / p_scale)) <= 1e-14
-    if abs(om[0, 0] + om[1, 1]) > 1e-14 * s or not dp_zero:
+    if abs(o00 + o11) > 1e-14 * s or not dp_zero:
         raise StructureError(
             "generator [[0, P], [D, Om]] has no closed form: it needs a traceless Om and "
             "D P = 0, which a rank-one R_c gives"
         )
-    om_s = om / s
-    return p, d, om, s, float(om_s[0, 0] * om_s[1, 1] - om_s[0, 1] * om_s[1, 0])
+    return p, d, om, s, (o00 / s) * (o11 / s) - (o01 / s) * (o10 / s)
 
 
 def _closed_form(blocks: tuple, c_rows: np.ndarray, t: np.ndarray):
@@ -141,12 +141,17 @@ def _closed_form(blocks: tuple, c_rows: np.ndarray, t: np.ndarray):
     om = om / s
     weights = _kernels.weights(det, s * t)
     rows, averages = np.empty((2, len(c_rows), t.size, 4))
+    # Filled in place for each row; chain[0] = chain[4] = 0 and base[2:] = 0 throughout.
+    chain, r, base = np.zeros((5, 2)), np.empty((4, 4)), np.zeros(4)
     for i, c_row in enumerate(c_rows):
         u0, v0 = c_row[:2], c_row[2:]
         g = u0 @ p / s
-        chain = np.array([np.zeros(2), v0, v0 @ om + g, g @ om, np.zeros(2)])
-        r = np.hstack([chain[:4] @ d / s, chain[1:]])
-        base = np.concatenate([u0, np.zeros(2)])
+        chain[1] = v0
+        chain[2] = v0 @ om + g
+        chain[3] = g @ om
+        r[:, :2] = chain[:4] @ d / s
+        r[:, 2:] = chain[1:]
+        base[:2] = u0
         rows[i] = base + weights[0] @ r
         averages[i] = base + weights[1] @ r
     return rows, averages

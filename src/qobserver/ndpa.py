@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DESIGN_TOL, EXACT_TOL, _frozen_array, maxabs, to_number
+from .core import DESIGN_TOL, EXACT_TOL, _frozen_array, maxabs, maxabs_of, to_number
 from .errors import (
     ConsistencyError,
     DesignError,
@@ -52,6 +52,7 @@ from .errors import (
 from .observer import (
     ObserverDesign,
     PlantSpec,
+    _coupling_residual,
     augmented_energy_matrix,
     synthesize_observer,
 )
@@ -284,19 +285,21 @@ def extract_beta(r_c: np.ndarray, plant: PlantSpec) -> np.ndarray:
 
     beta is the least-squares factor (C_p R_c) / |C_p|^2; the factorization
     must reproduce R_c to DESIGN_TOL relative to its size, otherwise the
-    design equations were not satisfied.
+    design equations were not satisfied.  Past the two products the checks
+    run on Python floats.
     """
     c_p = plant.c_p
-    scale = maxabs(r_c)
+    scale = maxabs_of(r_c.ravel().tolist())
     if scale == 0.0:
         raise ZeroCouplingError("coupling block is zero: observer is decoupled")
     norm_sq = c_p @ c_p
     if norm_sq == 0.0:
         raise DesignError(f"plant output selector {c_p.tolist()} underflows: |C_p|^2 = 0")
     beta = (c_p @ r_c) / norm_sq
-    if not np.isfinite(beta).all():
-        raise DesignError(f"factor beta = {beta.tolist()} is not finite")
-    residual = maxabs(r_c - np.outer(c_p, beta))
+    b0, b1 = beta.tolist()
+    if not (math.isfinite(b0) and math.isfinite(b1)):
+        raise DesignError(f"factor beta = {[b0, b1]} is not finite")
+    residual = _coupling_residual(r_c, c_p, beta)
     if residual > DESIGN_TOL * scale:
         raise FactorizationError(
             f"coupling block is not rank one along the plant selector "
@@ -420,7 +423,7 @@ def design_ndpa(
         arg_identity_residual=arg_identity_residual,
         det_r_c=float(np.linalg.det(r_c / maxabs(r_c))),
         alpha_magnitude_defect=abs(abs(alpha) - abs(epsilon)),
-        factorization_residual=maxabs(r_c - np.outer(plant.c_p, beta)),
+        factorization_residual=_coupling_residual(r_c, plant.c_p, beta),
         cross_check_defect=cross_defect,
         warnings=tuple(notes),
     )

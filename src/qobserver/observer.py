@@ -26,14 +26,24 @@ import numpy as np
 from .core import (
     DESIGN_TOL,
     LinearQuantumSystem,
-    QuadraticHamiltonian,
     SymplecticSpace,
     _frozen_array,
-    generator_from_hamiltonian,
     maxabs,
+    maxabs_of,
     to_number,
 )
 from .errors import DesignError, DimensionError, InputError, NonFiniteError
+
+# The plant-observer phase space that every augmented system shares.
+_PLANT_OBSERVER = SymplecticSpace(2)
+
+
+def _ldexp(x: float, k: int) -> float:
+    """x 2^k, +-inf where it overflows: `math.ldexp` raises there, `np.ldexp` does not."""
+    try:
+        return math.ldexp(x, k)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,63 +125,95 @@ def synthesize_observer(plant: PlantSpec, omega_o: float, beta) -> ObserverDesig
         raise DimensionError(f"beta must have 2 entries, got {beta.shape}")
     if not math.isfinite(omega_o):
         raise InputError("omega_o", "value must be finite", omega_o)
-    if not np.isfinite(beta).all():
-        raise InputError("beta", "entries must be finite", beta.tolist())
+    b0, b1 = beta.tolist()
+    if not (math.isfinite(b0) and math.isfinite(b1)):
+        raise InputError("beta", "entries must be finite", [b0, b1])
     if omega_o <= 0.0:
         raise DesignError(
             f"omega_o must be positive for a positive definite R_o, got {omega_o}"
         )
-    scale = maxabs(beta)
-    if scale == 0.0:
+    if b0 == 0.0 and b1 == 0.0:
         raise DesignError(
             "beta is zero: no output selector C_o can satisfy C_o beta^T = -2 omega_o"
         )
     # Scaled by 2^k ~ maxabs(beta), |beta|^2 cannot overflow, and in the
-    # normal range C_o equals the unscaled formula to the last bit.
-    k = math.frexp(scale)[1]
+    # normal range C_o equals the unscaled formula to the last bit.  Past
+    # the dot product the arithmetic is elementwise, on Python floats.
+    k = math.frexp(max(abs(b0), abs(b1)))[1]
     unit = np.ldexp(beta, -k)
-    with np.errstate(over="ignore"):
-        c_o = np.ldexp((-2.0 * omega_o / float(unit @ unit)) * unit, -k)
-    if not np.isfinite(c_o).all():
-        raise NonFiniteError(f"C_o = -2 omega_o beta / |beta|^2 overflows: {c_o.tolist()}")
+    q = -2.0 * omega_o / float(unit @ unit)
+    c_o = [_ldexp(q * u, -k) for u in unit.tolist()]
+    if not all(map(math.isfinite, c_o)):
+        raise NonFiniteError(f"C_o = -2 omega_o beta / |beta|^2 overflows: {c_o}")
     # C_o underflows when omega_o is far below |beta|: a subnormal C_o has
     # lost its precision, and R_o^{-1} beta^T, which validation solves for,
     # overflows beside it.  A subnormal omega_o, which the command line
     # accepts as given, keeps the C_o as small as itself.
-    if maxabs(c_o) < sys.float_info.min <= omega_o:
-        raise DesignError(
-            f"C_o = -2 omega_o beta / |beta|^2 underflows to subnormal: {c_o.tolist()}"
-        )
+    if maxabs_of(c_o) < sys.float_info.min <= omega_o:
+        raise DesignError(f"C_o = -2 omega_o beta / |beta|^2 underflows to subnormal: {c_o}")
+    r = 2.0 * omega_o
+    p0, p1 = plant.c_p.tolist()
     return ObserverDesign(
         c_p=plant.c_p,
         omega_o=omega_o,
-        r_o=2.0 * omega_o * np.eye(2),
-        r_c=np.outer(plant.c_p, beta),
+        r_o=np.array([[r, 0.0], [0.0, r]]),
+        r_c=np.array([[p0 * b0, p0 * b1], [p1 * b0, p1 * b1]]),
         beta=beta,
         c_o=c_o,
     )
 
 
+def _coupling_residual(r_c: np.ndarray, c_p: np.ndarray, beta: np.ndarray) -> float:
+    """maxabs(R_c - C_p^T beta) from the four products C_p,i beta_j, on Python floats."""
+    (c00, c01), (c10, c11) = r_c.tolist()
+    p0, p1 = c_p.tolist()
+    b0, b1 = beta.tolist()
+    return maxabs_of((c00 - p0 * b0, c01 - p0 * b1, c10 - p1 * b0, c11 - p1 * b1))
+
+
+def _least_eigenvalue(a: float, b: float, d: float) -> float:
+    """Least eigenvalue of the symmetric [[a, b], [b, d]], nan if an entry is not finite.
+
+    (a + d)/2 - hypot((a - d)/2, b), taken in units of 2^k ~ max(|a|, |b|, |d|),
+    so that no sum overflows and a subnormal diagonal keeps its bits.
+    """
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(d)):
+        return math.nan
+    scale = max(abs(a), abs(b), abs(d))
+    if scale == 0.0:
+        return 0.0
+    k = math.frexp(scale)[1]
+    a, b, d = math.ldexp(a, -k), math.ldexp(b, -k), math.ldexp(d, -k)
+    return _ldexp((a + d) / 2.0 - math.hypot((a - d) / 2.0, b), k)
+
+
 def validate_observer(design: ObserverDesign) -> ObserverDiagnostics:
     """Check the three design conditions and report each defect.
 
-    Both defects are held to DESIGN_TOL: the coupling defect relative to the
-    size of R_c and the output constraint in its scale-free form
-    |C_o R_o^{-1} beta^T + 1|, so the verdict does not depend on the
-    frequency unit.
+    R_o's least eigenvalue comes in closed form from its lower triangle, the
+    triangle `np.linalg.eigvalsh` reads; a non-finite R_o is not positive
+    definite.  Both defects are held to DESIGN_TOL: the coupling defect
+    relative to the size of R_c and the output constraint in its scale-free
+    form |C_o R_o^{-1} beta^T + 1|, so the verdict does not depend on the
+    frequency unit.  The 2 x 2 blocks are read as Python floats; only
+    R_o^{-1} beta^T, whose rounding reaches the verify report, is solved by
+    numpy.
     """
     failures: list[str] = []
+    (o00, _), (o10, o11) = design.r_o.tolist()
+    b0, b1 = design.beta.tolist()
+    c0, c1 = design.c_o.tolist()
 
-    min_eig = float(np.linalg.eigvalsh(design.r_o).min())
-    if min_eig <= 0.0:
+    min_eig = _least_eigenvalue(o00, o10, o11)
+    if not min_eig > 0.0:
         failures.append("observer energy matrix R_o is not positive definite")
 
-    coupling_defect = maxabs(design.r_c - np.outer(design.c_p, design.beta))
-    if coupling_defect > DESIGN_TOL * maxabs(design.r_c):
+    coupling_defect = _coupling_residual(design.r_c, design.c_p, design.beta)
+    if coupling_defect > DESIGN_TOL * maxabs_of(design.r_c.ravel().tolist()):
         failures.append("coupling block R_c differs from C_p^T beta")
 
-    beta_is_zero = maxabs(design.beta) == 0.0
-    constraint_defect = abs(float(design.c_o @ design.beta) + 2.0 * design.omega_o)
+    beta_is_zero = b0 == 0.0 and b1 == 0.0
+    constraint_defect = abs(c0 * b0 + c1 * b1 + 2.0 * design.omega_o)
     if beta_is_zero:
         failures.append("no coupling: beta is zero, observer never sees the plant")
         normalized = float("inf")
@@ -212,8 +254,27 @@ def augment(design: ObserverDesign) -> LinearQuantumSystem:
     [C_p, 0, 0] and row 1 the observer selector [0, 0, C_o].  The design is
     assembled as given; run `validate_observer` first if you need the
     convergence guarantees.
+
+    A is assembled from its three blocks 2J R_c, 2J R_c^T and 2J sym(R_o),
+    sym(X) = (X + X^T)/2, as Python floats.  J only moves and negates
+    entries, so A equals 2 (Theta @ sym(R)) through a `QuadraticHamiltonian`
+    to the bit: the product there gives +0 for every zero entry, and so does
+    the `+ 0.0` here.  As there, NonFiniteError for a non-finite R_c or R_o
+    entry as given, and for an A or an output row that overflows.
     """
-    ham = QuadraticHamiltonian(augmented_energy_matrix(design), SymplecticSpace(2))
-    c_p_aug = np.concatenate([design.c_p, np.zeros(2)])
-    c_o_aug = np.concatenate([np.zeros(2), design.c_o])
-    return generator_from_hamiltonian(ham).with_outputs(np.vstack([c_p_aug, c_o_aug]))
+    (c00, c01), (c10, c11) = design.r_c.tolist()
+    (o00, o01), (o10, o11) = design.r_o.tolist()
+    if not all(map(math.isfinite, (c00, c01, c10, c11, o00, o01, o10, o11))):
+        raise NonFiniteError("energy matrix has non-finite entries")
+    # (x + x)/2 = x where the sum is finite, and 2x overflows where it does.
+    s01 = (o01 + o10) / 2.0
+    a = [
+        [0.0, 0.0, 2.0 * c10 + 0.0, 2.0 * c11 + 0.0],
+        [0.0, 0.0, -2.0 * c00 + 0.0, -2.0 * c01 + 0.0],
+        [2.0 * c01 + 0.0, 2.0 * c11 + 0.0, 2.0 * s01 + 0.0, 2.0 * o11 + 0.0],
+        [-2.0 * c00 + 0.0, -2.0 * c10 + 0.0, -2.0 * o00 + 0.0, -2.0 * s01 + 0.0],
+    ]
+    p0, p1 = design.c_p.tolist()
+    q0, q1 = design.c_o.tolist()
+    c = [[p0, p1, 0.0, 0.0], [0.0, 0.0, q0, q1]]
+    return LinearQuantumSystem(a, c, _PLANT_OBSERVER)
