@@ -75,8 +75,8 @@ class RunConfig:
 def _fixed_notation(magnitude):
     """True where a nonzero |x| prints as %.12g: in [1e-4, 1e6).
 
-    Works on a float and elementwise on an array, so `fmt_float` and
-    `fmt_table` share the one rule.
+    Works elementwise on an array, for `fmt_table`; `fmt_float` spells the
+    same rule as one chained comparison.
     """
     return (magnitude >= 1e-4) & (magnitude < 1e6)
 
@@ -84,11 +84,14 @@ def _fixed_notation(magnitude):
 def fmt_float(x: float) -> str:
     """12 significant digits; lowercase scientific outside [1e-4, 1e6)."""
     x = float(x)
-    if not math.isfinite(x):
-        raise NonFiniteError(f"non-finite value {x!r} in report")
+    # The common case first: a nan fails the comparison, and so does an inf.
+    if 1e-4 <= abs(x) < 1e6:
+        return f"{x:.12g}"
     if x == 0.0:
         return "0"
-    return f"{x:.12g}" if _fixed_notation(abs(x)) else f"{x:.11e}"
+    if not math.isfinite(x):
+        raise NonFiniteError(f"non-finite value {x!r} in report")
+    return f"{x:.11e}"
 
 
 # Rows per block of `fmt_table`, sized for the cache: at 512 rows of 13
@@ -277,44 +280,127 @@ def emit_json(obj) -> str:
     Keys are `str(k)`; keys and strings get the ASCII escapes of `json.dumps`.
     Floats are written by `fmt_float`, a numpy array as its nested lists and
     a complex number as {"re": ..., "im": ...}.  A nan or inf at any depth raises
-    `NonFiniteError`; any other type raises `TypeError` naming it.
+    `NonFiniteError`; any other type raises `TypeError` naming it, whichever
+    comes first in the document.
+
+    One `_flatten` pass splits the payload into its shape and its leaves, a
+    float64 array taking one shape token and all its entries at once.  The
+    shape's `%s` layout is built once and cached (`_layout`, at most
+    LAYOUT_CACHE_SIZE shapes), and one `%` fill puts each leaf's text into
+    its slot.
     """
+    shape, leaves = [], []
+    try:
+        _flatten(obj, shape, leaves)
+    except TypeError:
+        _texts(leaves)  # a nan or inf before the node named is the first fault
+        raise
+    return _layout(tuple(shape)) % tuple(_texts(leaves))
+
+
+# Shape tokens of `_flatten`, besides a key (a str), a float64 array's shape
+# (a tuple) and a leaf's slot (None).
+_DICT, _LIST, _END = 0, 1, 2
+# Distinct payload shapes whose layouts are kept; 300 requests of a
+# benchmark workload meet two to six.
+LAYOUT_CACHE_SIZE = 64
+
+
+def _flatten(node, shape: list, leaves: list) -> None:
+    """Append node's shape tokens to `shape` and its leaves to `leaves`, in document order.
+
+    A leaf is a float, to be spelled by `fmt_float`, or the finished text
+    of any other scalar.
+    """
+    kind = type(node)  # exact types first; the isinstance chain takes the rest
+    if kind is float:
+        shape.append(None)
+        leaves.append(node)
+    elif kind is dict or isinstance(node, dict):
+        shape.append(_DICT)
+        for key, value in node.items():
+            shape.append(str(key))
+            _flatten(value, shape, leaves)
+        shape.append(_END)
+    elif kind is list or kind is tuple or isinstance(node, (list, tuple)):
+        shape.append(_LIST)
+        for value in node:
+            _flatten(value, shape, leaves)
+        shape.append(_END)
+    elif isinstance(node, np.ndarray):
+        # a subclass may ravel to more than one dimension, as np.matrix does
+        if kind is np.ndarray and node.dtype == np.float64:
+            shape.append(node.shape)
+            leaves.extend(node.ravel().tolist())
+        else:
+            _flatten(node.tolist(), shape, leaves)
+    elif node is None or isinstance(node, (bool, np.bool_)):
+        shape.append(None)
+        leaves.append("null" if node is None else "true" if node else "false")
+    elif isinstance(node, str):
+        shape.append(None)
+        leaves.append(_quote(node))
+    elif isinstance(node, (int, np.integer)):
+        shape.append(None)
+        leaves.append(str(int(node)))
+    elif isinstance(node, (float, np.floating)):
+        shape.append(None)
+        leaves.append(float(node))
+    else:
+        if not isinstance(node, (complex, np.complexfloating)):
+            raise TypeError(f"cannot serialize {type(node)!r}")
+        shape.extend((_DICT, "re", None, "im", None, _END))
+        leaves.extend((float(node.real), float(node.imag)))
+
+
+def _texts(leaves: list) -> list:
+    """The text of each leaf: floats through `fmt_float`, the rest as they are."""
+    return [fmt_float(x) if type(x) is float else x for x in leaves]
+
+
+@functools.lru_cache(maxsize=LAYOUT_CACHE_SIZE)
+def _layout(shape: tuple) -> str:
+    """The `emit_json` text of a shape, with a `%s` per leaf and every literal `%` doubled."""
+    tokens = iter(shape)
     out = []
     put = out.append
 
-    def walk(node, pad: str, lead: str) -> None:
-        put(lead)
-        kind = type(node)  # exact types first; the isinstance chain takes the rest
-        if kind is float:
-            put(fmt_float(node))
-        elif kind is dict or isinstance(node, dict):
-            lead, inner = "{\n", pad + "  "
-            for key, value in node.items():
-                walk(value, inner, f"{lead}{inner}{_quote(str(key))}: ")
-                lead = ",\n"
-            put(f"\n{pad}}}" if node else "{}")
-        elif kind is list or kind is tuple or isinstance(node, (list, tuple)):
-            lead, inner = "[\n", pad + "  "
-            for value in node:
-                walk(value, inner, lead + inner)
-                lead = ",\n"
-            put(f"\n{pad}]" if node else "[]")
-        elif isinstance(node, np.ndarray):
-            walk(node.tolist(), pad, "")
-        elif node is None or isinstance(node, (bool, np.bool_)):
-            put("null" if node is None else "true" if node else "false")
-        elif isinstance(node, str):
-            put(_quote(node))
-        elif isinstance(node, (int, np.integer)):
-            put(str(int(node)))
-        elif isinstance(node, (float, np.floating)):
-            put(fmt_float(node))
-        elif isinstance(node, (complex, np.complexfloating)):
-            walk({"re": node.real, "im": node.imag}, pad, "")
+    def value(token, pad: str) -> None:
+        if token is None:
+            put("%s")
+        elif type(token) is tuple:
+            array(token, pad)
         else:
-            raise TypeError(f"cannot serialize {type(node)!r}")
+            container(token, pad)
 
-    walk(obj, "", "")
+    def container(kind: int, pad: str) -> None:
+        opening, closing = "{}" if kind == _DICT else "[]"
+        lead, inner = opening + "\n", pad + "  "
+        for token in tokens:
+            if token == _END:
+                break
+            put(lead + inner)
+            lead = ",\n"
+            if kind == _DICT:
+                put(_quote(token).replace("%", "%%") + ": ")
+                token = next(tokens)
+            value(token, inner)
+        put(f"\n{pad}{closing}" if lead == ",\n" else opening + closing)
+
+    def array(dims: tuple, pad: str) -> None:
+        if not dims:
+            put("%s")
+        elif dims[0] == 0:
+            put("[]")
+        else:
+            inner = pad + "  "
+            put("[\n")
+            for i in range(dims[0]):
+                put(",\n" + inner if i else inner)
+                array(dims[1:], inner)
+            put(f"\n{pad}]")
+
+    value(next(tokens), "")
     return "".join(out) + "\n"
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from . import _kernels
 from .core import EXACT_TOL, LinearQuantumSystem, maxabs, maxabs_of, to_number
 from .errors import DimensionError, InputError, NonFiniteError, StructureError
-from .observer import ObserverDesign, augment, validate_observer
+from .observer import ObserverDesign, augment, normalized_constraint_defect
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,7 +295,7 @@ def verify_convergence(design: ObserverDesign, horizons=None) -> ConvergenceRepo
     rate = _fit_decay_rate(np.asarray(horizons), np.asarray(errors))
 
     # |-C_o R_o^{-1} beta^T - 1|, inf when beta = 0 or R_o is not definite
-    limit_defect = validate_observer(design).normalized_constraint_defect
+    limit_defect = normalized_constraint_defect(design)
 
     expected = 4.0 * design.omega_o
     freq = blocks[3] * math.sqrt(max(blocks[4], 0.0))  # w = s sqrt(det(Om / s))

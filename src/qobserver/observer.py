@@ -187,6 +187,19 @@ def _least_eigenvalue(a: float, b: float, d: float) -> float:
     return _ldexp((a + d) / 2.0 - math.hypot((a - d) / 2.0, b), k)
 
 
+def normalized_constraint_defect(design: ObserverDesign) -> float:
+    """|C_o R_o^{-1} beta^T + 1|, inf when beta = 0 or R_o is not positive definite.
+
+    R_o^{-1} beta^T is solved by numpy, since its rounding reaches the
+    verify report; the tests that rule it out are read as Python floats.
+    """
+    (o00, _), (o10, o11) = design.r_o.tolist()
+    b0, b1 = design.beta.tolist()
+    if (b0 == 0.0 and b1 == 0.0) or not _least_eigenvalue(o00, o10, o11) > 0.0:
+        return math.inf
+    return abs(float(design.c_o @ np.linalg.solve(design.r_o, design.beta)) + 1.0)
+
+
 def validate_observer(design: ObserverDesign) -> ObserverDiagnostics:
     """Check the three design conditions and report each defect.
 
@@ -195,9 +208,8 @@ def validate_observer(design: ObserverDesign) -> ObserverDiagnostics:
     definite.  Both defects are held to DESIGN_TOL: the coupling defect
     relative to the size of R_c and the output constraint in its scale-free
     form |C_o R_o^{-1} beta^T + 1|, so the verdict does not depend on the
-    frequency unit.  The 2 x 2 blocks are read as Python floats; only
-    R_o^{-1} beta^T, whose rounding reaches the verify report, is solved by
-    numpy.
+    frequency unit, as `normalized_constraint_defect` reads it.  The 2 x 2
+    blocks are read as Python floats.
     """
     failures: list[str] = []
     (o00, _), (o10, o11) = design.r_o.tolist()
@@ -216,13 +228,7 @@ def validate_observer(design: ObserverDesign) -> ObserverDiagnostics:
     constraint_defect = abs(c0 * b0 + c1 * b1 + 2.0 * design.omega_o)
     if beta_is_zero:
         failures.append("no coupling: beta is zero, observer never sees the plant")
-        normalized = float("inf")
-    elif min_eig > 0.0:
-        normalized = abs(
-            float(design.c_o @ np.linalg.solve(design.r_o, design.beta)) + 1.0
-        )
-    else:
-        normalized = float("inf")
+    normalized = normalized_constraint_defect(design)
     if normalized > DESIGN_TOL:
         failures.append("output constraint C_o R_o^{-1} beta^T = -1 violated")
 

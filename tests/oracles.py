@@ -141,11 +141,12 @@ def close_loop_by_inversion(
     """
     drift_ab = -np.array([[gamma / 2.0, 0.0], [0.0, gamma / 2.0 + 1j * omega_o]])
     squeeze = np.array([[0.0, epsilon / 2.0], [epsilon / 2.0, 0.0]])
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    # cos(th) - 1 as -2 sin(th/2)^2, which keeps its digits as th -> 0
+    cos_m1, sin_t = -2.0 * math.sin(theta / 2.0) ** 2, math.sin(theta)
     elim = np.array(
         [
-            [cos_t - 1.0, -cmath.exp(-1j * phi) * sin_t],
-            [cmath.exp(1j * phi) * sin_t, cos_t - 1.0],
+            [cos_m1, -cmath.exp(-1j * phi) * sin_t],
+            [cmath.exp(1j * phi) * sin_t, cos_m1],
         ]
     )
     noise_coeff = np.linalg.solve(elim, math.sqrt(gamma) * np.eye(2))

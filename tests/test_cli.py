@@ -17,7 +17,7 @@ from qobserver import (
 )
 from qobserver.dynamics import CheckResult, ConvergenceReport, default_horizons
 from qobserver.errors import NonFiniteError, PipelineError
-from oracles import averaged_error_row, rotation_observer_row
+from oracles import averaged_error_row, emit_json_by_stdlib, rotation_observer_row
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -160,6 +160,37 @@ class TestFloatFormat:
     def test_emit_json_names_an_unsupported_type(self, bad):
         with pytest.raises(TypeError, match=re.escape(f"cannot serialize {type(bad)!r}")):
             cli.emit_json({"a": [1.0, {"b": bad}]})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("place", ["scalar", "array entry"])
+    def test_emit_json_raises_the_first_fault_in_document_order(self, bad, place):
+        # the floats of an array are spelled after the walk, so the order is
+        # pinned for both a lone float and an array entry
+        value = bad if place == "scalar" else np.array([1.0, bad])
+        with pytest.raises(NonFiniteError, match=f"non-finite value {bad!r} in report"):
+            cli.emit_json({"a": [value], "b": {"c": object()}})
+        with pytest.raises(TypeError, match=re.escape(f"cannot serialize {object!r}")):
+            cli.emit_json({"a": [object()], "b": {"c": value}})
+
+    def test_emit_json_keeps_no_leaf_in_its_layouts(self):
+        # one key, a leaf of a different kind each time, back to back
+        for tree in ({"a": 1.0}, {"a": "x"}, {"a": [1.0]}, {"a": np.zeros(1)}, {"a": None},
+                     {"a": "%s"}, {"a": 1.0}, {"a": True}, {"a": np.zeros(())}, {"a": 7}):
+            assert cli.emit_json(tree) == emit_json_by_stdlib(tree)
+
+    def test_emit_json_lays_out_an_array_subclass_by_its_lists(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PendingDeprecationWarning)
+            m = np.matrix([[1.0, 2.5], [3.0, -4e-7]])
+        assert cli.emit_json({"m": m}) == emit_json_by_stdlib({"m": m})
+
+    def test_emit_json_layouts_past_the_cache_bound(self):
+        bound = cli.LAYOUT_CACHE_SIZE
+        trees = [{"%d%%" % n: np.full((n % 3, n // 3), 0.5), "tail": [None] * n} for n in range(bound + 9)]
+        for tree in trees + trees[:5]:
+            assert cli.emit_json(tree) == emit_json_by_stdlib(tree)
+        assert cli._layout.cache_info().maxsize == bound
+        assert cli._layout.cache_info().currsize == bound
 
 
 class TestDesignCommand:

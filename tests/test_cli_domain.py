@@ -246,5 +246,8 @@ JSON_TREES = st.recursive(
     "a\"b\\c\x01\u00e9\U0001f600": np.array(2.5),
     "edges": [*EDGE_CELLS, *(-x for x in EDGE_CELLS)],
 })
+@hypothesis.example({"100%": "100%", "%s": ["%s", 1.5], "%%": {"%(k)s": "%%"}, "%(k)s": "%(k)s"})
+@hypothesis.example(np.array(-2.5e-7))
+@hypothesis.example({"a": np.array(0.25), "b": [np.array(1e300), np.zeros(())]})
 def test_emit_json_matches_stdlib_layout(tree):
     assert cli.emit_json(tree) == emit_json_by_stdlib(tree)

@@ -27,7 +27,7 @@ from qobserver.ndpa import (
     solve_phases,
     solve_theta,
 )
-from oracles import mp_close_loop
+from oracles import close_loop_by_inversion, mp_close_loop
 
 J_PM = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
 
@@ -132,6 +132,28 @@ class TestCloseLoop:
                 f = close_loop(build_open_ndpa(gamma, eps, omega), gamma, ratio, phi)
                 f_oracle = mp_close_loop(gamma, eps, omega, solve_theta(ratio), phi)
                 assert np.max(np.abs(f - f_oracle)) <= 1e-12 * max(1.0, np.max(np.abs(f)))
+
+    @pytest.mark.parametrize("ratio", [10.0**k for k in range(4, 10)])
+    def test_inversion_oracle_keeps_the_damping_at_large_ratios(self, ratio):
+        # The double-precision oracle of perfbench's gate and criterion 6
+        # forms cos(theta) - 1 as -2 sin(theta/2)^2, so its damping cancels
+        # as at 50 digits.  The diagonal, of size gamma and omega_o, is held
+        # to gamma, not to max|F| ~ gamma ratio / 2; worst measured defect
+        # 3.9e-16 gamma (by subtraction: 8.1e-10 gamma at 1e4, gamma/2 at 1e9).
+        pytest.importorskip("mpmath")
+        rng = np.random.default_rng(23)
+        theta = solve_theta(ratio)
+        for _ in range(20):
+            gamma = float(10 ** rng.uniform(-1, 1))
+            eps = gamma * ratio * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+            omega = float(10 ** rng.uniform(-1, 1))
+            phi = float(rng.uniform(-math.pi, math.pi))
+            defect = np.abs(
+                close_loop_by_inversion(gamma, eps, omega, theta, phi)
+                - mp_close_loop(gamma, eps, omega, theta, phi)
+            )
+            assert np.max(np.diag(defect)) <= 4e-15 * gamma
+            assert np.max(defect) <= 1e-14 * gamma * ratio
 
     @pytest.mark.parametrize("ratio", [1e-300, 1e-9, 0.1, 1e9, 1e300])
     def test_loop_terms_are_exact_at_every_ratio(self, ratio):

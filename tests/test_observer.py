@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -17,7 +18,9 @@ from qobserver import (
     realizability_defect,
     synthesize_observer,
     validate_observer,
+    verify_convergence,
 )
+from qobserver.observer import normalized_constraint_defect
 
 
 def example_design_si():
@@ -200,6 +203,19 @@ class TestValidate:
     )
     def test_negative_controls_keep_their_failures(self, control, failures):
         assert validate_observer(dataclasses.replace(example_design_nondim(), **control)).failures == failures
+
+    @pytest.mark.parametrize(
+        "control, defect",
+        [({}, 0.0), ({"r_o": np.diag([2.0, -2.0])}, math.inf), ({"r_o": np.array([[2.0, 9.0], [-3.0, 2.0]])}, math.inf),
+         ({"beta": np.zeros(2)}, math.inf), ({"c_o": np.array([-20.0, 0.0])}, 1.0)],
+        ids=["reference", "indefinite_r_o", "indefinite_lower_triangle", "zero_beta", "doubled_c_o"],
+    )
+    def test_verify_reads_the_validated_constraint_defect(self, control, defect):
+        # one helper gives validate_observer's field and the verify report's limit defect
+        design = dataclasses.replace(example_design_nondim(), **control)
+        assert normalized_constraint_defect(design) == defect
+        assert validate_observer(design).normalized_constraint_defect == defect
+        assert verify_convergence(design).averaged_limit_defect == defect
 
 
 class TestAugment:
