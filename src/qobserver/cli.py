@@ -369,7 +369,7 @@ def _layout(shape: tuple) -> str:
         if token is None:
             put("%s")
         elif type(token) is tuple:
-            array(token, pad)
+            put(array(token, pad))
         else:
             container(token, pad)
 
@@ -387,18 +387,14 @@ def _layout(shape: tuple) -> str:
             value(token, inner)
         put(f"\n{pad}{closing}" if lead == ",\n" else opening + closing)
 
-    def array(dims: tuple, pad: str) -> None:
+    def array(dims: tuple, pad: str) -> str:
         if not dims:
-            put("%s")
-        elif dims[0] == 0:
-            put("[]")
-        else:
-            inner = pad + "  "
-            put("[\n")
-            for i in range(dims[0]):
-                put(",\n" + inner if i else inner)
-                array(dims[1:], inner)
-            put(f"\n{pad}]")
+            return "%s"
+        if dims[0] == 0:
+            return "[]"
+        inner = pad + "  "
+        item = inner + array(dims[1:], inner)
+        return "[\n" + ",\n".join([item] * dims[0]) + f"\n{pad}]"
 
     value(next(tokens), "")
     return "".join(out) + "\n"
