@@ -164,7 +164,7 @@ class TestFloatFormat:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     @pytest.mark.parametrize("place", ["scalar", "array entry"])
     def test_emit_json_raises_the_first_fault_in_document_order(self, bad, place):
-        # the floats of an array are spelled after the walk, so the order is
+        # floats are spelled after the flatten pass, so the order is
         # pinned for both a lone float and an array entry
         value = bad if place == "scalar" else np.array([1.0, bad])
         with pytest.raises(NonFiniteError, match=f"non-finite value {bad!r} in report"):
