@@ -81,6 +81,10 @@ TYPED_ERRORS = (
     ["design", "--units", "bogus", "--omega-o", "-1"],
     ["verify", "--horizons", "5", "--delta", "4"],
     ["design", "--cp", "0,0", "--gamma", "nan"],
+    # the physical route at extreme scales, and an R_c that overflows beta
+    ["design", "--gamma", "1e307", "--omega-o", "1e307", "--eps-ratio", "0.5"],
+    ["design", "--gamma", "1e-310", "--omega-o", "1e-310"],
+    ["design", "--gamma", "1e308", "--eps-ratio", "0.9"],
 )
 
 
