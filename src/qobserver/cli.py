@@ -13,9 +13,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import functools
+import itertools
 import json
 import math
+import os
+import stat
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
@@ -29,7 +33,7 @@ from .core import to_number
 from .dynamics import check_horizons, coefficient_trajectory, default_horizons, verify_convergence
 from .errors import DimensionError, InputError, NonFiniteError, PipelineError, QObserverError
 from .ndpa import DesignResult, check_design_inputs, check_number, design_ndpa
-from .observer import augment
+from .observer import PlantSpec, augment
 
 # Command -> one-line description for `--help`.
 COMMANDS = {
@@ -66,6 +70,15 @@ class RunConfig:
     horizons: tuple[float, ...] | None = None
     out: Path = Path("qobserver-out")
     format: tuple[str, ...] = ("json",)
+
+    @property
+    def plant(self) -> PlantSpec:
+        """`cp` as a checked `PlantSpec`, built once for each `cp` object: `load_config`
+        checks it and `run` designs from the same one."""
+        built = self.__dict__.get("_plant")
+        if built is None or built[0] is not self.cp:
+            built = self.__dict__["_plant"] = (self.cp, PlantSpec(self.cp))
+        return built[1]
 
 
 # --------------------------------------------------------------------------
@@ -529,7 +542,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             setattr(cfg, key, parse(value, where))
             sources[key], given[key] = where, value
     try:
-        check_design_inputs(cfg.cp, cfg.omega_o, cfg.gamma, cfg.eps_ratio, cfg.delta)
+        check_design_inputs(cfg.plant, cfg.omega_o, cfg.gamma, cfg.eps_ratio, cfg.delta)
         if cfg.omega_ref is not None:
             check_number("omega_ref", cfg.omega_ref)
         if cfg.horizons is not None:
@@ -548,14 +561,33 @@ def _got(exc: InputError, given) -> str:
     return "" if exc.value is None else f", got {shown!r}"
 
 
+def _stat_mode(path: Path, where: str) -> int:
+    """`path`'s st_mode, 0 when nothing is there (or a file is where a directory should
+    be, or a link loops), as `Path.exists` reads it; ConfigError for a path the OS
+    cannot use, such as a name too long or one with a NUL byte."""
+    try:
+        return os.stat(path).st_mode
+    except OSError as exc:
+        if exc.errno in (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP):
+            return 0
+        reason = exc.strerror
+    except ValueError as exc:
+        reason = str(exc)
+    raise ConfigError(f"{where}: cannot use {str(path)!r} ({reason})")
+
+
 def _validate_config(cfg: RunConfig, sources: dict[str, str]) -> None:
     """Rules that span fields; `sources` names where each given value came from."""
     if cfg.command in ("design", "verify") and "json" not in cfg.format:
         raise ConfigError(f"{sources['format']}: {cfg.command} produces JSON; include 'json'")
     # `run` creates the output directory: its nearest existing path must be one
-    nearest = next(path for path in (cfg.out, *cfg.out.parents) if path.exists())
-    if not nearest.is_dir():
-        raise ConfigError(f"{sources.get('out', '--out')}: {str(nearest)!r} is not a directory")
+    where = sources.get("out", "--out")
+    for nearest in itertools.chain([cfg.out], cfg.out.parents):
+        mode = _stat_mode(nearest, where)
+        if mode:
+            break
+    if not stat.S_ISDIR(mode):
+        raise ConfigError(f"{where}: {str(nearest)!r} is not a directory")
     # design_ndpa gets omega_o / scale and gamma / scale: finite, nonzero, normal if given so
     scale, scale_key = _scale_factor(cfg), "omega_ref" if cfg.omega_ref is not None else "omega_o"
     for key in ("omega_o", "gamma") if scale != 1.0 else ():
@@ -748,7 +780,7 @@ def run(cfg: RunConfig) -> int:
     if cfg.command == "reproduce-example":
         cfg = dataclasses.replace(REFERENCE_CONFIG, out=cfg.out, format=cfg.format)
     scale = _scale_factor(cfg)
-    result = design_ndpa(cfg.cp, cfg.omega_o / scale, cfg.gamma / scale, cfg.eps_ratio, cfg.delta)
+    result = design_ndpa(cfg.plant, cfg.omega_o / scale, cfg.gamma / scale, cfg.eps_ratio, cfg.delta)
     status = 0
 
     payload = design_payload(cfg, result, scale)

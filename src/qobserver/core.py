@@ -82,6 +82,19 @@ def _frozen_array(x, dtype=float) -> np.ndarray:
     return arr
 
 
+def _fresh(cls, **fields):
+    """An instance of the frozen dataclass `cls` with every field as given, without
+    `__post_init__`, its conversions and its copies.  For values a pipeline has just
+    computed from checked inputs: each array must be new, of the dtype and shape the
+    constructor would give, and is made read-only here."""
+    for value in fields.values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class SymplecticSpace:
     """Phase space of `modes` oscillators with commutation matrix Theta."""

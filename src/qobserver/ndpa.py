@@ -29,6 +29,15 @@ c = C_p1 + i C_p2, that happens iff
 
 which this module solves in closed form, after which beta and C_o follow
 from the coupling block.
+
+`design_ndpa` rebuilds R through the physical route on every design, to
+cross-check the abstract one.  Phi and J hold only 0, +-1 and +-i, so every
+product on that route is exact or one two-term sum: its four stages pass
+4 x 4 tuples of Python numbers to each other and form each entry directly,
+to the value numpy's complex matrix products give.  F, M and R become
+arrays once, for the result.  The steps whose rounding depends on BLAS or
+LAPACK stay in numpy: the dot products of `extract_beta` and
+`observer._synthesize`, and the determinant of R_c.
 """
 
 from __future__ import annotations
@@ -39,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DESIGN_TOL, EXACT_TOL, _frozen_array, maxabs, maxabs_of, to_number
+from .core import DESIGN_TOL, EXACT_TOL, _fresh, _frozen_array, maxabs, maxabs_of, to_number
 from .errors import (
     ConsistencyError,
     DesignError,
@@ -53,27 +62,21 @@ from .observer import (
     ObserverDesign,
     PlantSpec,
     _coupling_residual,
+    _synthesize,
     augmented_energy_matrix,
-    synthesize_observer,
 )
 
 # Trusted squeezing-to-damping ratio for the linearized NDPA model.
 EPS_RATIO_TRUSTED_MAX = 0.6
 
-# Quadrature map: (a, b, a*, b*) = PHI @ (q_p, p_p, q_o, p_o).
-PHI = np.array(
-    [
-        [1.0, 1.0j, 0.0, 0.0],
-        [0.0, 0.0, 1.0, 1.0j],
-        [1.0, -1.0j, 0.0, 0.0],
-        [0.0, 0.0, 1.0, -1.0j],
-    ]
-)
-PHI.setflags(write=False)
-
-# Signature matrix of the doubled-up ordering (a, b | a*, b*).
-J_PM = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
-J_PM.setflags(write=False)
+# A 4 x 4 matrix of the physical route, as a tuple of rows of Python numbers.
+# The route's stages pass these to each other: the quadrature map Phi,
+# (a, b, a*, b*) = Phi (q_p, p_p, q_o, p_o) with rows (1, i, 0, 0),
+# (0, 0, 1, i), (1, -i, 0, 0) and (0, 0, 1, -i), and the signature
+# J = diag(1, 1, -1, -1) of the ordering (a, b | a*, b*) hold only 0, +-1
+# and +-i, so every product with them is a sign flip, a swap of real and
+# imaginary parts, or one two-term sum.
+Matrix = tuple[tuple[complex, ...], ...]
 
 
 def wrap_angle(x: float) -> float:
@@ -190,7 +193,7 @@ def solve_phases(arg_c: float, delta: float) -> tuple[float, float]:
     return psi, phi
 
 
-def build_open_ndpa(gamma: float, epsilon: complex, omega_o: float) -> np.ndarray:
+def build_open_ndpa(gamma: float, epsilon: complex, omega_o: float) -> Matrix:
     """Drift of the open (pre-feedback) NDPA in doubled-up (a, b, a*, b*) form.
 
     On the (a, b) rows the drift is [[0, eps/2], [eps/2, 0]] acting on the
@@ -200,12 +203,11 @@ def build_open_ndpa(gamma: float, epsilon: complex, omega_o: float) -> np.ndarra
     only ever eliminates those increments algebraically (`close_loop`), it
     never integrates them.
     """
-    damp = -np.array([[gamma / 2.0, 0.0], [0.0, gamma / 2.0 + 1j * omega_o]])
-    squeeze = np.array([[0.0, epsilon / 2.0], [epsilon / 2.0, 0.0]])
-    return _doubled_up(damp, squeeze)
+    half, zero, s = complex(gamma / 2.0), complex(0.0), epsilon / 2.0
+    return _doubled_up((-half, -zero, -zero, -(gamma / 2.0 + 1j * omega_o)), (zero, s, s, zero))
 
 
-def close_loop(drift: np.ndarray, gamma: float, eps_ratio: float, phi: float) -> np.ndarray:
+def close_loop(drift: Matrix, gamma: float, eps_ratio: float, phi: float) -> Matrix:
     """Deterministic drift F after the beamsplitter feedback loop is closed.
 
     Substituting the beamsplitter relation into the output equation leaves
@@ -220,50 +222,78 @@ def close_loop(drift: np.ndarray, gamma: float, eps_ratio: float, phi: float) ->
     and alpha/2 remain, alpha = gamma eps_ratio e^{i phi}.
     """
     loop = gamma * eps_ratio * cmath.exp(1j * phi) / 2.0
-    correction = np.array([[gamma / 2.0, -loop.conjugate()], [loop, gamma / 2.0]])
-    return _doubled_up(drift[:2, :2] + correction, drift[:2, 2:])
+    half = complex(gamma / 2.0)
+    (d00, d01, s00, s01), (d10, d11, s10, s11) = drift[0], drift[1]
+    ab = (d00 + half, d01 + -loop.conjugate(), d10 + loop, d11 + half)
+    return _doubled_up(ab, (s00, s01, s10, s11))
 
 
-def _doubled_up(ab: np.ndarray, squeeze: np.ndarray) -> np.ndarray:
-    """The 4x4 [[ab, squeeze], [squeeze*, ab*]] in (a, b, a*, b*) order.
+def _doubled_up(ab: tuple, squeeze: tuple) -> Matrix:
+    """The 4x4 [[ab, squeeze], [squeeze*, ab*]] in (a, b, a*, b*) order, from the
+    2x2 blocks ab and squeeze given row by row as (x00, x01, x10, x11)."""
+    a00, a01, a10, a11 = ab
+    s00, s01, s10, s11 = squeeze
+    return (
+        (a00, a01, s00, s01),
+        (a10, a11, s10, s11),
+        (s00.conjugate(), s01.conjugate(), a00.conjugate(), a01.conjugate()),
+        (s10.conjugate(), s11.conjugate(), a10.conjugate(), a11.conjugate()),
+    )
 
-    Filled by quadrant into one preallocated array: `np.block` builds the
-    same values at about four times the cost.
-    """
-    out = np.empty((4, 4), dtype=complex)
-    out[:2, :2] = ab
-    out[:2, 2:] = squeeze
-    out[2:, :2] = squeeze.conj()
-    out[2:, 2:] = ab.conj()
-    return out
 
-
-def hamiltonian_from_drift(f: np.ndarray) -> np.ndarray:
+def hamiltonian_from_drift(f: Matrix) -> Matrix:
     """Doubled-up Hamiltonian matrix M = (i/2)(J F - F^dag J).
 
-    F is the 4x4 drift in (a, b, a*, b*) ordering.  M is exactly Hermitian
-    in floating point for any such F: J = diag(1, 1, -1, -1) only flips signs,
-    so entry (j, i) is the conjugate of entry (i, j), rounded the same way.
+    F is the 4x4 drift in (a, b, a*, b*) ordering.  J = diag(1, 1, -1, -1)
+    only flips signs, so (F^dag J)_ij is the conjugate of (J F)_ji, and
+    entry (i, j) of M is one difference of J F's entries (i, j) and (j, i)
+    times i/2.  Formed that way, entry (j, i) would be the conjugate of entry
+    (i, j) in value; M is formed on and above the diagonal and mirrored, so
+    it is exactly Hermitian for any F.
     """
-    return 0.5j * (J_PM @ f - f.conj().T @ J_PM)
+    f0, f1, f2, f3 = f
+    jf = (f0, f1, [-z for z in f2], [-z for z in f3])
+    m = [[0j] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(i, 4):
+            m[i][j] = 0.5j * (jf[i][j] - jf[j][i].conjugate())
+            m[j][i] = m[i][j].conjugate()
+    return tuple(map(tuple, m))
 
 
-def quadrature_hamiltonian(m: np.ndarray) -> np.ndarray:
+def quadrature_hamiltonian(m: Matrix) -> tuple:
     """Real quadrature energy matrix R = Phi^dag M Phi.
 
-    The imaginary residue is required to stay below EXACT_TOL relative to
-    the scale of M; anything larger means M is not a valid doubled-up
-    Hamiltonian (e.g. wrong ordering or a non-Hermitian block).
+    Phi's entries are 0, +-1 and +-i, so each entry of Phi^dag M, and then
+    of (Phi^dag M) Phi, is one sum or difference of two entries, formed
+    part by part: the value a complex matrix product gives, barring the
+    sign of a zero.  The imaginary residue is required to stay below EXACT_TOL
+    relative to the scale of M; anything larger means M is not a valid
+    doubled-up Hamiltonian (e.g. wrong ordering or a non-Hermitian block).
     """
-    r = PHI.conj().T @ m @ PHI
-    imag = maxabs(r.imag)
-    if imag > EXACT_TOL * max(1.0, maxabs(m)):
+    # P = Phi^dag M as (re, im) pairs: rows 0..3 of Phi^dag are (1, 0, 1, 0),
+    # (-i, 0, i, 0), (0, 1, 0, 1) and (0, -i, 0, i).
+    m0, m1, m2, m3 = m
+    p = (
+        [(x.real + y.real, x.imag + y.imag) for x, y in zip(m0, m2)],
+        [(x.imag - y.imag, y.real - x.real) for x, y in zip(m0, m2)],
+        [(x.real + y.real, x.imag + y.imag) for x, y in zip(m1, m3)],
+        [(x.imag - y.imag, y.real - x.real) for x, y in zip(m1, m3)],
+    )
+    # R = P Phi: columns 0..3 of Phi are (1, 0, 1, 0), (i, 0, -i, 0), (0, 1, 0, 1)
+    # and (0, i, 0, -i).
+    re, im = [], []
+    for (r0, i0), (r1, i1), (r2, i2), (r3, i3) in p:
+        re.append((r0 + r2, i2 - i0, r1 + r3, i3 - i1))
+        im += (i0 + i2, r0 - r2, i1 + i3, r1 - r3)
+    imag = maxabs_of(im)
+    # max(1, |M|) >= 1, so a residue within EXACT_TOL needs no scale
+    if imag > EXACT_TOL and imag > EXACT_TOL * max(1.0, maxabs_of([abs(z) for row in m for z in row])):
         raise StructureError(
             f"quadrature form has imaginary residue {imag:.3e}; input is not a "
             "valid doubled-up Hamiltonian"
         )
-    r = r.real
-    return (r + r.T) / 2.0
+    return tuple(tuple([(x + y) / 2.0 for x, y in zip(row, col)]) for row, col in zip(re, zip(*re)))
 
 
 def coupling_block(epsilon: complex, alpha: complex) -> np.ndarray:
@@ -321,9 +351,10 @@ def check_number(name: str, value, high: float = math.inf) -> float:
 
 def check_design_inputs(c_p, omega_o, gamma, eps_ratio, delta=None):
     """(plant, omega_o, gamma, eps_ratio, delta) as `design_ndpa` uses them, each
-    checked once, in that order; delta defaults to pi/2.  The rules hold in any
+    checked once, in that order; delta defaults to pi/2.  A `PlantSpec` is taken
+    as it is, since building it checked the selector.  The rules hold in any
     frequency unit, so the command line checks the values as given."""
-    plant = PlantSpec(c_p)
+    plant = c_p if isinstance(c_p, PlantSpec) else PlantSpec(c_p)
     numbers = {"omega_o": omega_o, "gamma": gamma, "eps_ratio": eps_ratio}
     positives = [check_number(name, value) for name, value in numbers.items()]
     delta = check_number("delta", math.pi / 2.0 if delta is None else delta, math.pi)
@@ -347,7 +378,10 @@ def design_ndpa(
     `theta_residual` tests the angle solve.  All inputs are taken in one
     consistent frequency unit.  An omitted delta is pi/2, which keeps the two
     phases equal when arg_c = 0.  The inputs pass `check_design_inputs`
-    before any stage runs, and theta is checked after the cross-check.
+    before any stage runs, and theta is checked after the cross-check; c_p
+    may be a `PlantSpec`, whose selector is then not checked again.  The
+    observer comes from the arithmetic of `synthesize_observer` without its
+    checks, which these inputs and `extract_beta` have already made.
     """
     plant, omega_o, gamma, eps_ratio, delta = check_design_inputs(
         c_p, omega_o, gamma, eps_ratio, delta
@@ -360,7 +394,8 @@ def design_ndpa(
             raise PipelineError(name, str(exc)) from exc
 
     theta = stage("solve_theta", solve_theta, eps_ratio)
-    arg_c = math.atan2(plant.c_p[1], plant.c_p[0])
+    p0, p1 = plant.c_p.tolist()
+    arg_c = math.atan2(p1, p0)
     psi, phi = stage("solve_phases", solve_phases, arg_c, delta)
     # alpha = gamma e^{i phi} sin(theta)/(1 - cos(theta)) without its
     # quotient, which equals eps_ratio on the design curve and loses the
@@ -370,7 +405,7 @@ def design_ndpa(
 
     r_c = stage("coupling_block", coupling_block, epsilon, alpha)
     beta = stage("extract_beta", extract_beta, r_c, plant)
-    observer = stage("synthesize_observer", synthesize_observer, plant, omega_o, beta)
+    observer = stage("synthesize_observer", _synthesize, plant, omega_o, *beta.tolist())
 
     drift = stage("build_open_ndpa", build_open_ndpa, gamma, epsilon, omega_o)
     f = stage("close_loop", close_loop, drift, gamma, eps_ratio, phi)
@@ -378,8 +413,10 @@ def design_ndpa(
     r_physical = stage("quadrature_hamiltonian", quadrature_hamiltonian, m)
 
     r_abstract = augmented_energy_matrix(observer)
-    cross_defect = maxabs(r_physical - r_abstract)
-    if cross_defect > DESIGN_TOL * maxabs(r_abstract):
+    cross_defect = maxabs_of(
+        [x - y for row, want in zip(r_physical, r_abstract) for x, y in zip(row, want)]
+    )
+    if cross_defect > DESIGN_TOL * maxabs_of([x for row in r_abstract for x in row]):
         raise ConsistencyError(
             f"physical route disagrees with abstract design "
             f"(max entry defect {cross_defect:.3e})"
@@ -414,7 +451,14 @@ def design_ndpa(
             "toolkit convention, not uniquely determined"
         )
 
-    ndpa = NdpaDesign(params=params, alpha=alpha, f=f, m=m, r=r_physical)
+    ndpa = _fresh(
+        NdpaDesign,
+        params=params,
+        alpha=alpha,
+        f=np.array(f, dtype=complex),
+        m=np.array(m, dtype=complex),
+        r=np.array(r_physical, dtype=float),
+    )
     report = DesignReport(
         arg_c=arg_c,
         delta=delta,

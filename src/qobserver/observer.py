@@ -13,6 +13,12 @@ augmented closed system leaves z_p(t) constant while the time average of
 z_o(t) converges to z_p.  The observer trades per-instant agreement for
 this Cesaro-mean agreement: z_o oscillates forever at angular frequency
 4 omega_o around the plant value.
+
+`synthesize_observer` checks its inputs and hands them to `_synthesize`,
+the one copy of the design arithmetic, which `ndpa.design_ndpa` calls
+directly on values it has checked.  `_synthesize` builds the
+`ObserverDesign` from the arrays it has just made, without the
+constructor's conversions and copies, which stay for bundles built by hand.
 """
 
 from __future__ import annotations
@@ -27,8 +33,8 @@ from .core import (
     DESIGN_TOL,
     LinearQuantumSystem,
     SymplecticSpace,
+    _fresh,
     _frozen_array,
-    maxabs,
     maxabs_of,
     to_number,
 )
@@ -57,9 +63,10 @@ class PlantSpec:
         c_p = to_number("cp", self.c_p, array=True).reshape(-1)
         if c_p.shape != (2,):
             raise InputError("cp", "expected two numbers", c_p.tolist())
-        if not np.isfinite(c_p).all():
-            raise InputError("cp", "entries must be finite", c_p.tolist())
-        if maxabs(c_p) == 0.0:
+        c0, c1 = c_p.tolist()
+        if not (math.isfinite(c0) and math.isfinite(c1)):
+            raise InputError("cp", "entries must be finite", [c0, c1])
+        if c0 == 0.0 and c1 == 0.0:
             raise InputError("cp", "plant output selector is zero")
         object.__setattr__(self, "c_p", _frozen_array(c_p))
 
@@ -117,7 +124,9 @@ def synthesize_observer(plant: PlantSpec, omega_o: float, beta) -> ObserverDesig
     DesignError when it underflows to subnormal from a normal omega_o
     (omega_o far below |beta|).  Other bundles, any point of the solution
     line or deliberately invalid ones for negative controls, can be built
-    through ObserverDesign directly.
+    through ObserverDesign directly.  The checks are made here; the
+    arithmetic is `_synthesize`, which `design_ndpa` calls on values it has
+    checked itself.
     """
     omega_o = to_number("omega_o", omega_o)
     beta = to_number("beta", beta, array=True).reshape(-1)
@@ -136,9 +145,17 @@ def synthesize_observer(plant: PlantSpec, omega_o: float, beta) -> ObserverDesig
         raise DesignError(
             "beta is zero: no output selector C_o can satisfy C_o beta^T = -2 omega_o"
         )
+    return _synthesize(plant, omega_o, b0, b1)
+
+
+def _synthesize(plant: PlantSpec, omega_o: float, b0: float, b1: float) -> ObserverDesign:
+    """`synthesize_observer` past its checks: omega_o a positive float, beta = (b0, b1)
+    finite floats, not both zero.  Raises only on C_o, and builds the design from
+    its new arrays without the constructor's conversions and copies."""
     # Scaled by 2^k ~ maxabs(beta), |beta|^2 cannot overflow, and in the
     # normal range C_o equals the unscaled formula to the last bit.  Past
     # the dot product the arithmetic is elementwise, on Python floats.
+    beta = np.array([b0, b1])
     k = math.frexp(max(abs(b0), abs(b1)))[1]
     unit = np.ldexp(beta, -k)
     q = -2.0 * omega_o / float(unit @ unit)
@@ -153,13 +170,14 @@ def synthesize_observer(plant: PlantSpec, omega_o: float, beta) -> ObserverDesig
         raise DesignError(f"C_o = -2 omega_o beta / |beta|^2 underflows to subnormal: {c_o}")
     r = 2.0 * omega_o
     p0, p1 = plant.c_p.tolist()
-    return ObserverDesign(
+    return _fresh(
+        ObserverDesign,
         c_p=plant.c_p,
         omega_o=omega_o,
         r_o=np.array([[r, 0.0], [0.0, r]]),
         r_c=np.array([[p0 * b0, p0 * b1], [p1 * b0, p1 * b1]]),
         beta=beta,
-        c_o=c_o,
+        c_o=np.array(c_o),
     )
 
 
@@ -243,13 +261,12 @@ def validate_observer(design: ObserverDesign) -> ObserverDiagnostics:
     )
 
 
-def augmented_energy_matrix(design: ObserverDesign) -> np.ndarray:
-    """Joint plant-observer energy matrix R = [[0, R_c], [R_c^T, R_o]]."""
-    r_aug = np.zeros((4, 4))
-    r_aug[:2, 2:] = design.r_c
-    r_aug[2:, :2] = design.r_c.T
-    r_aug[2:, 2:] = design.r_o
-    return r_aug
+def augmented_energy_matrix(design: ObserverDesign) -> tuple:
+    """Joint plant-observer energy matrix R = [[0, R_c], [R_c^T, R_o]], as rows of
+    Python floats."""
+    (c00, c01), (c10, c11) = design.r_c.tolist()
+    (o00, o01), (o10, o11) = design.r_o.tolist()
+    return ((0.0, 0.0, c00, c01), (0.0, 0.0, c10, c11), (c00, c10, o00, o01), (c01, c11, o10, o11))
 
 
 def augment(design: ObserverDesign) -> LinearQuantumSystem:

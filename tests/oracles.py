@@ -3,7 +3,9 @@
 Everything here deliberately avoids the code paths under test: propagators
 are integrated with fixed-step RK4 instead of the closed form, the
 feedback loop is eliminated with a numerical 2x2 inversion, in doubles or
-at 50 digits through mpmath, instead of the closed form on the ratio, time
+at 50 digits through mpmath, instead of the closed form on the ratio, the
+physical route's open model, loop closure, M and R are formed by numpy
+array operations and complex matrix products instead of entry by entry, time
 averages come from the exact rotation integral
 int_0^T exp(w J s) ds = (exp(w J T) - I) J^{-1} / w or from Van
 Loan's block exponential through scipy instead of the closed form, and JSON
@@ -23,6 +25,8 @@ import numpy as np
 from scipy.linalg import expm as scipy_expm
 
 from qobserver.cli import fmt_float
+from qobserver.core import EXACT_TOL
+from qobserver.errors import StructureError
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -181,6 +185,59 @@ def mp_close_loop(
         f_ab = np.array([[complex(f_ab[i, k]) for k in range(2)] for i in range(2)])
     squeeze = np.array([[0.0, epsilon / 2.0], [epsilon / 2.0, 0.0]])
     return np.block([[f_ab, squeeze], [squeeze.conj(), f_ab.conj()]])
+
+
+# The physical route as 4 x 4 numpy arrays and complex matrix products:
+# (a, b, a*, b*) = PHI @ (q_p, p_p, q_o, p_o), and the signature J_PM of the
+# doubled-up ordering (a, b | a*, b*).
+PHI = np.array(
+    [
+        [1.0, 1.0j, 0.0, 0.0],
+        [0.0, 0.0, 1.0, 1.0j],
+        [1.0, -1.0j, 0.0, 0.0],
+        [0.0, 0.0, 1.0, -1.0j],
+    ]
+)
+J_PM = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
+
+
+def _doubled_up(ab: np.ndarray, squeeze: np.ndarray) -> np.ndarray:
+    out = np.empty((4, 4), dtype=complex)
+    out[:2, :2] = ab
+    out[:2, 2:] = squeeze
+    out[2:, :2] = squeeze.conj()
+    out[2:, 2:] = ab.conj()
+    return out
+
+
+def numpy_open_ndpa(gamma: float, epsilon: complex, omega_o: float) -> np.ndarray:
+    """`ndpa.build_open_ndpa` from 2 x 2 arrays."""
+    damp = -np.array([[gamma / 2.0, 0.0], [0.0, gamma / 2.0 + 1j * omega_o]])
+    squeeze = np.array([[0.0, epsilon / 2.0], [epsilon / 2.0, 0.0]])
+    return _doubled_up(damp, squeeze)
+
+
+def numpy_close_loop(drift: np.ndarray, gamma: float, eps_ratio: float, phi: float) -> np.ndarray:
+    """`ndpa.close_loop` as one 2 x 2 array sum."""
+    loop = gamma * eps_ratio * cmath.exp(1j * phi) / 2.0
+    correction = np.array([[gamma / 2.0, -loop.conjugate()], [loop, gamma / 2.0]])
+    return _doubled_up(drift[:2, :2] + correction, drift[:2, 2:])
+
+
+def numpy_hamiltonian_from_drift(f: np.ndarray) -> np.ndarray:
+    """M = (i/2)(J F - F^dag J) through two complex matrix products."""
+    return 0.5j * (J_PM @ f - f.conj().T @ J_PM)
+
+
+def numpy_quadrature_hamiltonian(m: np.ndarray) -> np.ndarray:
+    """R = Phi^dag M Phi through two complex matrix products, with the same
+    imaginary-residue check as `ndpa.quadrature_hamiltonian`."""
+    r = PHI.conj().T @ m @ PHI
+    imag = float(np.max(np.abs(r.imag)))
+    if imag > EXACT_TOL * max(1.0, float(np.max(np.abs(m)))):
+        raise StructureError(f"quadrature form has imaginary residue {imag:.3e}")
+    r = r.real
+    return (r + r.T) / 2.0
 
 
 def emit_json_by_stdlib(obj) -> str:

@@ -434,12 +434,16 @@ class TestConfigFields:
             (["design", "--out", "{path}"], "", "--out: '{path}' is not a directory"),
             (["verify", "--out", "{path}/sub"], "", "--out: '{path}' is not a directory"),
             (["design", "--config", "{path}\0"], None, "{path}\0: cannot read (embedded null byte)\n"),
+            (["design", "--out", "{tmp}/" + "x" * 300], None,
+             "--out: cannot use '{tmp}/" + "x" * 300 + "' (File name too long)\n"),
+            (["design", "--config", "{path}"], '{"out": "x\\u0000y"}',
+             "config key 'out': cannot use 'x\\x00y' (embedded null byte)\n"),
         ],
         ids=[
             "unknown_format", "no_format", "design_without_json", "verify_without_json",
             "three_selector_entries", "no_horizons", "missing_file", "bad_json", "json_list",
             "directory", "not_utf8", "digit_limit", "deep_nesting", "out_file", "out_under_file",
-            "nul_in_path",
+            "nul_in_path", "out_name_too_long", "out_nul_in_file",
         ],
     )
     def test_config_error_names_its_source(self, tmp_path, capsys, argv, config_text, message):
@@ -447,7 +451,9 @@ class TestConfigFields:
         if config_text is not None:
             config.write_bytes(config_text if isinstance(config_text, bytes) else config_text.encode())
         argv = [arg.format(path=config, tmp=tmp_path) for arg in argv]
-        assert run_cli(argv + ([] if "--out" in argv else ["--out", str(out)])) == 2
+        # an --out flag would override the file's out key
+        out_given = "--out" in argv or '"out"' in str(config_text)
+        assert run_cli(argv + ([] if out_given else ["--out", str(out)])) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: " + message.format(path=config, tmp=tmp_path))
         assert len(err.splitlines()) == 1
@@ -688,7 +694,10 @@ class TestExitCodes:
         # no known input reaches the cross-check's refusal, so the physical
         # route is pushed off the abstract design by a relative 1e-6
         close_loop = ndpa.close_loop
-        monkeypatch.setattr(ndpa, "close_loop", lambda *args: close_loop(*args) * (1 + 1e-6))
+        monkeypatch.setattr(
+            ndpa, "close_loop",
+            lambda *args: tuple(tuple(z * (1 + 1e-6) for z in row) for row in close_loop(*args)),
+        )
         with pytest.raises(PipelineError) as info:
             design_ndpa([1.0, 0.0], 1.0, 1.0, 0.1)
         assert info.value.stage == "cross_check"

@@ -10,9 +10,11 @@ from qobserver import (
     FactorizationError,
     InputError,
     PlantSpec,
+    QObserverError,
     StructureError,
     ZeroCouplingError,
     design_ndpa,
+    synthesize_observer,
     verify_convergence,
     wrap_angle,
 )
@@ -27,7 +29,17 @@ from qobserver.ndpa import (
     solve_phases,
     solve_theta,
 )
-from oracles import close_loop_by_inversion, mp_close_loop
+from oracles import (
+    close_loop_by_inversion,
+    mp_close_loop,
+    numpy_close_loop,
+    numpy_hamiltonian_from_drift,
+    numpy_open_ndpa,
+    numpy_quadrature_hamiltonian,
+)
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
 
 J_PM = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
 
@@ -90,19 +102,19 @@ class TestSolvePhases:
 
 class TestOpenModel:
     def test_drift_blocks(self):
-        drift = build_open_ndpa(2.0, 0.3 - 0.1j, 1.5)
+        drift = np.array(build_open_ndpa(2.0, 0.3 - 0.1j, 1.5))
         np.testing.assert_allclose(np.diag(drift[:2, :2]), [-1.0, -1.0 - 1.5j])
         np.testing.assert_allclose(drift[:2, 2:], [[0.0, 0.15 - 0.05j], [0.15 - 0.05j, 0.0]])
         np.testing.assert_allclose(drift[2:, 2:], drift[:2, :2].conj())
 
     def test_zero_squeezing_decouples(self):
-        drift = build_open_ndpa(1.0, 0j, 1.0)
+        drift = np.array(build_open_ndpa(1.0, 0j, 1.0))
         assert np.max(np.abs(drift[:2, 2:])) == 0.0
 
 
 class TestCloseLoop:
     def test_reference_entries(self):
-        f = close_loop(build_open_ndpa(1.0, -0.1j, 1.0), 1.0, 0.1, -math.pi / 2.0)
+        f = np.array(close_loop(build_open_ndpa(1.0, -0.1j, 1.0), 1.0, 0.1, -math.pi / 2.0))
         assert f[0, 1] == pytest.approx(-0.05j, abs=1e-15)
         assert f[0, 0] == pytest.approx(0.0, abs=1e-15)
         assert f[1, 1] == pytest.approx(-1.0j, abs=1e-15)
@@ -162,13 +174,13 @@ class TestCloseLoop:
         gamma, phi = 3.0, 0.7
         alpha = gamma * ratio * cmath.exp(1j * phi)
         f = close_loop(build_open_ndpa(gamma, 0.5j, 2.0), gamma, ratio, phi)
-        assert (f[0, 0], f[1, 1], f[0, 1], f[1, 0]) == (0.0, -2.0j, -alpha.conjugate() / 2.0, alpha / 2.0)
+        assert (f[0][0], f[1][1], f[0][1], f[1][0]) == (0.0, -2.0j, -alpha.conjugate() / 2.0, alpha / 2.0)
 
 
 class TestHamiltonianFromDrift:
     def test_detuning_entry(self):
         f = close_loop(build_open_ndpa(1.0, -0.1j, 1.0), 1.0, 0.1, -math.pi / 2.0)
-        m = hamiltonian_from_drift(f)
+        m = np.array(hamiltonian_from_drift(f))
         assert m[1, 1] == pytest.approx(1.0, abs=1e-15)
         assert m[3, 3] == pytest.approx(1.0, abs=1e-15)
         assert np.max(np.abs(m - m.conj().T)) <= 1e-15
@@ -199,7 +211,7 @@ class TestHamiltonianFromDrift:
             if rng.random() < 1.0 / 7.0:
                 f[tuple(rng.integers(4, size=2))] = specials[rng.integers(len(specials))]
             with np.errstate(all="ignore"):
-                m = hamiltonian_from_drift(f)
+                m = np.array(hamiltonian_from_drift(f.tolist()))
             nonfinite += not np.isfinite(m).all()
             assert np.array_equal(m, m.conj().T, equal_nan=True)
         assert nonfinite > 0
@@ -229,6 +241,107 @@ class TestQuadratureHamiltonian:
         bad = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
         with pytest.raises(StructureError):
             quadrature_hamiltonian(bad)
+
+
+def log_uniform(low: float, high: float):
+    """10^e with e uniform in [low, high]."""
+    return st.floats(low, high).map(lambda e: 10.0**e)
+
+
+# gamma and omega_o over 1e+-300, subnormal, or near the top of the float range
+POSITIVE = st.one_of(
+    log_uniform(-300.0, 300.0),
+    st.floats(5e-324, 2.2250738585072014e-308, exclude_max=True),
+    st.floats(1e307, 1.7976931348623157e308),
+)
+PHASE = st.floats(-math.pi, math.pi)
+
+
+def same_bits(got, want) -> bool:
+    """Equal to the bit, float by float, a nan matching any nan."""
+    got = np.asarray(got).view(np.float64)
+    want = np.asarray(want).view(np.float64)
+    nan = np.isnan(got)
+    return np.array_equal(nan, np.isnan(want)) and np.array_equal(
+        got[~nan].view(np.uint64), want[~nan].view(np.uint64)
+    )
+
+
+def same_values(got, want) -> bool:
+    """Equal float by float, where +0 equals -0 and a nan matches a nan."""
+    got = np.asarray(got).view(np.float64)
+    return np.array_equal(got, np.asarray(want).view(np.float64), equal_nan=True)
+
+
+def matrix_or_refusal(stage, arg):
+    try:
+        return np.array(stage(arg))
+    except QObserverError as exc:
+        return type(exc)
+
+
+class TestRouteMatchesMatrixProducts:
+    """The physical route's stages against the numpy array operations and complex
+    matrix products they replace (`oracles.numpy_*`).
+
+    Phi and J hold only 0, +-1 and +-i, so every product on the route is exact
+    or one two-term sum, and the entries agree in value; F is formed by the
+    same operations and agrees to the bit.  A numpy product spreads a
+    non-finite entry of an operand over whole rows (0 * inf = nan), which the
+    entrywise stages do not, so M is compared where F is finite and R where M
+    is; design_ndpa refuses every input whose F is not finite at extract_beta.
+    """
+
+    @hypothesis.settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        gamma=POSITIVE, omega_o=POSITIVE, ratio=log_uniform(-12.0, 15.0), psi=PHASE, phi=PHASE
+    )
+    def test_stages_match_the_matrix_products(self, gamma, omega_o, ratio, psi, phi):
+        epsilon = gamma * ratio * cmath.exp(1j * psi)  # as design_ndpa forms it
+        with np.errstate(all="ignore"):
+            want_f = numpy_close_loop(numpy_open_ndpa(gamma, epsilon, omega_o), gamma, ratio, phi)
+            want_m = numpy_hamiltonian_from_drift(want_f)
+            want_r = matrix_or_refusal(numpy_quadrature_hamiltonian, want_m)
+        f = close_loop(build_open_ndpa(gamma, epsilon, omega_o), gamma, ratio, phi)
+        m = hamiltonian_from_drift(f)
+        r = matrix_or_refusal(quadrature_hamiltonian, m)
+        assert same_bits(f, want_f)
+        if isinstance(r, type) or isinstance(want_r, type):
+            assert r is want_r
+        if np.isfinite(want_f).all():
+            assert same_values(m, want_m)
+            if np.isfinite(want_m).all() and not isinstance(r, type):
+                assert same_values(r, want_r)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        c_p=st.lists(
+            st.tuples(st.sampled_from([1.0, -1.0]), log_uniform(-100.0, 100.0)).map(
+                lambda p: p[0] * p[1]
+            ),
+            min_size=2,
+            max_size=2,
+        ),
+        omega_o=log_uniform(-150.0, 150.0),
+        gamma=log_uniform(-150.0, 150.0),
+        ratio=log_uniform(-12.0, 15.0),
+        delta=st.floats(0.01, 3.13),
+    )
+    def test_design_builds_the_public_observer(self, c_p, omega_o, gamma, ratio, delta):
+        try:
+            result = design_ndpa(c_p, omega_o, gamma, ratio, delta)
+        except QObserverError:
+            return
+        got = result.observer
+        want = synthesize_observer(PlantSpec(c_p), omega_o, got.beta)
+        assert type(got.omega_o) is float and got.omega_o == want.omega_o
+        for name in ("c_p", "r_o", "r_c", "beta", "c_o"):
+            value = getattr(got, name)
+            assert value.dtype == getattr(want, name).dtype and not value.flags.writeable
+            assert same_bits(value, getattr(want, name)), name
+        for name, dtype in (("f", complex), ("m", complex), ("r", float)):
+            value = getattr(result.ndpa, name)
+            assert value.dtype == dtype and value.shape == (4, 4) and not value.flags.writeable
 
 
 class TestCouplingBlock:
