@@ -204,7 +204,8 @@ def build_open_ndpa(gamma: float, epsilon: complex, omega_o: float) -> Matrix:
     never integrates them.
     """
     half, zero, s = complex(gamma / 2.0), complex(0.0), epsilon / 2.0
-    return _doubled_up((-half, -zero, -zero, -(gamma / 2.0 + 1j * omega_o)), (zero, s, s, zero))
+    damp = (-half, -zero, -zero, -(gamma / 2.0 + 1j * omega_o))
+    return _doubled_up(damp, (zero, s, s, zero))
 
 
 def close_loop(drift: Matrix, gamma: float, eps_ratio: float, phi: float) -> Matrix:
@@ -223,8 +224,9 @@ def close_loop(drift: Matrix, gamma: float, eps_ratio: float, phi: float) -> Mat
     """
     loop = gamma * eps_ratio * cmath.exp(1j * phi) / 2.0
     half = complex(gamma / 2.0)
+    correction = (half, -loop.conjugate(), loop, half)
     (d00, d01, s00, s01), (d10, d11, s10, s11) = drift[0], drift[1]
-    ab = (d00 + half, d01 + -loop.conjugate(), d10 + loop, d11 + half)
+    ab = tuple(d + c for d, c in zip((d00, d01, d10, d11), correction))
     return _doubled_up(ab, (s00, s01, s10, s11))
 
 
