@@ -563,13 +563,14 @@ def _got(exc: InputError, given) -> str:
 
 def _stat_mode(path: Path, where: str) -> int:
     """`path`'s st_mode, 0 when nothing is there (or a file is where a directory should
-    be, or a link loops), as `Path.exists` reads it; ConfigError for a path the OS
-    cannot use, such as a name too long or one with a NUL byte."""
+    be); a link that leads nowhere reads as a link, which `run` cannot create a
+    directory over.  ConfigError for a path the OS cannot use, such as a name too
+    long or one with a NUL byte."""
     try:
         return os.stat(path).st_mode
     except OSError as exc:
         if exc.errno in (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP):
-            return 0
+            return stat.S_IFLNK if os.path.lexists(path) else 0
         reason = exc.strerror
     except ValueError as exc:
         reason = str(exc)

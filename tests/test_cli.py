@@ -301,6 +301,15 @@ class TestConfigFields:
         "format": (["json", "csv"], ("json", "csv")),
     }
 
+    @pytest.mark.parametrize("target", ["nowhere", "link"], ids=["dangling", "loop"])
+    def test_out_link_to_nothing_is_a_config_error(self, tmp_path, capsys, target):
+        # run could not create the directory over the link
+        link = tmp_path / "link"
+        link.symlink_to(tmp_path / target)
+        assert run_cli(["design", "--out", str(link)]) == 2
+        assert capsys.readouterr().err == f"config error: --out: {str(link)!r} is not a directory\n"
+        assert list(tmp_path.iterdir()) == [link]
+
     def test_plant_is_built_once_per_selector(self):
         # load_config checks cfg.plant and run designs from the same one; a
         # selector assigned later gets its own
