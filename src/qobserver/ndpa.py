@@ -70,12 +70,9 @@ from .observer import (
 EPS_RATIO_TRUSTED_MAX = 0.6
 
 # A 4 x 4 matrix of the physical route, as a tuple of rows of Python numbers.
-# The route's stages pass these to each other: the quadrature map Phi,
-# (a, b, a*, b*) = Phi (q_p, p_p, q_o, p_o) with rows (1, i, 0, 0),
-# (0, 0, 1, i), (1, -i, 0, 0) and (0, 0, 1, -i), and the signature
-# J = diag(1, 1, -1, -1) of the ordering (a, b | a*, b*) hold only 0, +-1
-# and +-i, so every product with them is a sign flip, a swap of real and
-# imaginary parts, or one two-term sum.
+# The quadrature map Phi, (a, b, a*, b*) = Phi (q_p, p_p, q_o, p_o), has rows
+# (1, i, 0, 0), (0, 0, 1, i), (1, -i, 0, 0) and (0, 0, 1, -i), and
+# J = diag(1, 1, -1, -1) is the signature of the ordering (a, b | a*, b*).
 Matrix = tuple[tuple[complex, ...], ...]
 
 
