@@ -33,7 +33,7 @@ from .core import to_number
 from .dynamics import check_horizons, coefficient_trajectory, default_horizons, verify_convergence
 from .errors import DimensionError, InputError, NonFiniteError, PipelineError, QObserverError
 from .ndpa import DesignResult, check_design_inputs, check_number, design_ndpa
-from .observer import PlantSpec, augment
+from .observer import augment
 
 # Command -> one-line description for `--help`.
 COMMANDS = {
@@ -70,15 +70,6 @@ class RunConfig:
     horizons: tuple[float, ...] | None = None
     out: Path = Path("qobserver-out")
     format: tuple[str, ...] = ("json",)
-
-    @property
-    def plant(self) -> PlantSpec:
-        """`cp` as a checked `PlantSpec`, built once for each `cp` object: `load_config`
-        checks it and `run` designs from the same one."""
-        built = self.__dict__.get("_plant")
-        if built is None or built[0] is not self.cp:
-            built = self.__dict__["_plant"] = (self.cp, PlantSpec(self.cp))
-        return built[1]
 
 
 # --------------------------------------------------------------------------
@@ -542,7 +533,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             setattr(cfg, key, parse(value, where))
             sources[key], given[key] = where, value
     try:
-        check_design_inputs(cfg.plant, cfg.omega_o, cfg.gamma, cfg.eps_ratio, cfg.delta)
+        check_design_inputs(cfg.cp, cfg.omega_o, cfg.gamma, cfg.eps_ratio, cfg.delta)
         if cfg.omega_ref is not None:
             check_number("omega_ref", cfg.omega_ref)
         if cfg.horizons is not None:
@@ -781,7 +772,7 @@ def run(cfg: RunConfig) -> int:
     if cfg.command == "reproduce-example":
         cfg = dataclasses.replace(REFERENCE_CONFIG, out=cfg.out, format=cfg.format)
     scale = _scale_factor(cfg)
-    result = design_ndpa(cfg.plant, cfg.omega_o / scale, cfg.gamma / scale, cfg.eps_ratio, cfg.delta)
+    result = design_ndpa(cfg.cp, cfg.omega_o / scale, cfg.gamma / scale, cfg.eps_ratio, cfg.delta)
     status = 0
 
     payload = design_payload(cfg, result, scale)

@@ -37,7 +37,7 @@ product on that route is exact or one two-term sum: its four stages pass
 to the value numpy's complex matrix products give.  F, M and R become
 arrays once, for the result.  The steps whose rounding depends on BLAS or
 LAPACK stay in numpy: the dot products of `extract_beta` and
-`observer._synthesize`, and the determinant of R_c.
+`synthesize_observer`, and the determinant of R_c.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ from .observer import (
     ObserverDesign,
     PlantSpec,
     _coupling_residual,
-    _synthesize,
     augmented_energy_matrix,
+    synthesize_observer,
 )
 
 # Trusted squeezing-to-damping ratio for the linearized NDPA model.
@@ -350,10 +350,9 @@ def check_number(name: str, value, high: float = math.inf) -> float:
 
 def check_design_inputs(c_p, omega_o, gamma, eps_ratio, delta=None):
     """(plant, omega_o, gamma, eps_ratio, delta) as `design_ndpa` uses them, each
-    checked once, in that order; delta defaults to pi/2.  A `PlantSpec` is taken
-    as it is, since building it checked the selector.  The rules hold in any
+    checked once, in that order; delta defaults to pi/2.  The rules hold in any
     frequency unit, so the command line checks the values as given."""
-    plant = c_p if isinstance(c_p, PlantSpec) else PlantSpec(c_p)
+    plant = PlantSpec(c_p)
     numbers = {"omega_o": omega_o, "gamma": gamma, "eps_ratio": eps_ratio}
     positives = [check_number(name, value) for name, value in numbers.items()]
     delta = check_number("delta", math.pi / 2.0 if delta is None else delta, math.pi)
@@ -377,10 +376,7 @@ def design_ndpa(
     `theta_residual` tests the angle solve.  All inputs are taken in one
     consistent frequency unit.  An omitted delta is pi/2, which keeps the two
     phases equal when arg_c = 0.  The inputs pass `check_design_inputs`
-    before any stage runs, and theta is checked after the cross-check; c_p
-    may be a `PlantSpec`, whose selector is then not checked again.  The
-    observer comes from the arithmetic of `synthesize_observer` without its
-    checks, which these inputs and `extract_beta` have already made.
+    before any stage runs, and theta is checked after the cross-check.
     """
     plant, omega_o, gamma, eps_ratio, delta = check_design_inputs(
         c_p, omega_o, gamma, eps_ratio, delta
@@ -404,7 +400,7 @@ def design_ndpa(
 
     r_c = stage("coupling_block", coupling_block, epsilon, alpha)
     beta = stage("extract_beta", extract_beta, r_c, plant)
-    observer = stage("synthesize_observer", _synthesize, plant, omega_o, *beta.tolist())
+    observer = stage("synthesize_observer", synthesize_observer, plant, omega_o, beta)
 
     drift = stage("build_open_ndpa", build_open_ndpa, gamma, epsilon, omega_o)
     f = stage("close_loop", close_loop, drift, gamma, eps_ratio, phi)

@@ -14,11 +14,9 @@ z_o(t) converges to z_p.  The observer trades per-instant agreement for
 this Cesaro-mean agreement: z_o oscillates forever at angular frequency
 4 omega_o around the plant value.
 
-`synthesize_observer` checks its inputs and hands them to `_synthesize`,
-the one copy of the design arithmetic, which `ndpa.design_ndpa` calls
-directly on values it has checked.  `_synthesize` builds the
-`ObserverDesign` from the arrays it has just made, without the
-constructor's conversions and copies, which stay for bundles built by hand.
+`synthesize_observer` checks its inputs, then builds the `ObserverDesign`
+from the arrays it has just made, without the constructor's conversions
+and copies, which stay for bundles built by hand.
 """
 
 from __future__ import annotations
@@ -124,9 +122,7 @@ def synthesize_observer(plant: PlantSpec, omega_o: float, beta) -> ObserverDesig
     DesignError when it underflows to subnormal from a normal omega_o
     (omega_o far below |beta|).  Other bundles, any point of the solution
     line or deliberately invalid ones for negative controls, can be built
-    through ObserverDesign directly.  The checks are made here; the
-    arithmetic is `_synthesize`, which `design_ndpa` calls on values it has
-    checked itself.
+    through ObserverDesign directly.
     """
     omega_o = to_number("omega_o", omega_o)
     beta = to_number("beta", beta, array=True).reshape(-1)
@@ -145,17 +141,10 @@ def synthesize_observer(plant: PlantSpec, omega_o: float, beta) -> ObserverDesig
         raise DesignError(
             "beta is zero: no output selector C_o can satisfy C_o beta^T = -2 omega_o"
         )
-    return _synthesize(plant, omega_o, b0, b1)
-
-
-def _synthesize(plant: PlantSpec, omega_o: float, b0: float, b1: float) -> ObserverDesign:
-    """`synthesize_observer` past its checks: omega_o a positive float, beta = (b0, b1)
-    finite floats, not both zero.  Raises only on C_o, and builds the design from
-    its new arrays without the constructor's conversions and copies."""
     # Scaled by 2^k ~ maxabs(beta), |beta|^2 cannot overflow, and in the
     # normal range C_o equals the unscaled formula to the last bit.  Past
     # the dot product the arithmetic is elementwise, on Python floats.
-    beta = np.array([b0, b1])
+    beta = np.array([b0, b1])  # the design's own, not the caller's array
     k = math.frexp(max(abs(b0), abs(b1)))[1]
     unit = np.ldexp(beta, -k)
     q = -2.0 * omega_o / float(unit @ unit)

@@ -310,15 +310,6 @@ class TestConfigFields:
         assert capsys.readouterr().err == f"config error: --out: {str(link)!r} is not a directory\n"
         assert list(tmp_path.iterdir()) == [link]
 
-    def test_plant_is_built_once_per_selector(self):
-        # load_config checks cfg.plant and run designs from the same one; a
-        # selector assigned later gets its own
-        cfg = cli.RunConfig(command="design", cp=(1.0, 0.0))
-        plant = cfg.plant
-        assert cfg.plant is plant
-        cfg.cp = (0.0, 1.0)
-        assert cfg.plant is not plant and cfg.plant.c_p.tolist() == [0.0, 1.0]
-
     def test_every_field_is_a_flag_and_a_config_key(self, tmp_path):
         assert list(self.VALID) == list(cli.FIELDS)
         parser = cli.build_parser()

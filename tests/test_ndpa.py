@@ -2,8 +2,10 @@ import cmath
 import math
 import warnings
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from qobserver import (
     DesignError,
@@ -21,7 +23,6 @@ from qobserver import (
 from qobserver import ndpa
 from qobserver.ndpa import (
     build_open_ndpa,
-    check_design_inputs,
     close_loop,
     coupling_block,
     extract_beta,
@@ -39,8 +40,6 @@ from oracles import (
     numpy_quadrature_hamiltonian,
 )
 
-hypothesis = pytest.importorskip("hypothesis")
-st = hypothesis.strategies
 
 J_PM = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
 
@@ -397,14 +396,6 @@ class TestExtractBeta:
 
 
 class TestDesignPipeline:
-    def test_plant_spec_is_taken_as_built(self):
-        plant = PlantSpec([0.6, -0.8])
-        assert check_design_inputs(plant, 1.0, 2.0, 0.3)[0] is plant
-        from_spec, from_list = design_ndpa(plant, 1.0, 2.0, 0.3), design_ndpa([0.6, -0.8], 1.0, 2.0, 0.3)
-        assert from_spec.observer.c_p is plant.c_p
-        assert same_bits(from_spec.ndpa.r, from_list.ndpa.r)
-        assert same_bits(from_spec.observer.c_o, from_list.observer.c_o)
-
     def test_reference_example_si(self):
         result = design_ndpa([1.0, 0.0], 1e8, 1e8, 0.1)
         p = result.ndpa.params

@@ -60,6 +60,13 @@ class TestSynthesize:
         np.testing.assert_allclose(design.c_o, [0.0, 0.5], rtol=1e-13)
         np.testing.assert_allclose(design.r_c, [[0.0, 0.0], [0.0, -4.0]], atol=0.0)
 
+    def test_design_keeps_its_own_beta(self):
+        # the design's arrays are made read-only; the caller's beta is not one of them
+        beta = np.array([0.2, 0.0])
+        design = synthesize_observer(PlantSpec([1.0, 0.0]), 1.0, beta)
+        beta[0] = 5.0
+        assert design.beta.tolist() == [0.2, 0.0] and not design.beta.flags.writeable
+
     def test_zero_beta_rejected(self):
         with pytest.raises(DesignError, match="beta is zero"):
             synthesize_observer(PlantSpec([1.0, 0.0]), 1.0, [0.0, 0.0])
