@@ -117,16 +117,6 @@ KERNEL_MIN = 1e-296
 # largest float to KERNEL_MIN's, less one for a log10 that rounds down.
 _POWER_MIN, _POWER_MAX = -297, 308
 
-# Offsets of the glyph sections in `_format_tables().glyphs`.  A glyph is
-# 4 bytes of text; nul bytes are padding, dropped after the block is joined.
-_DIGITS = 0  # 10000: "dddd"
-_LEADING = 10000  # 10000: leading zeros as nul, at least one digit kept
-_TRAILING = 20000  # 10000: trailing zeros as nul, 0 all nul
-_POINT = 30000  # 1000: "." and 3 digits
-_POINT_TRAILING = 31000  # 1000: the same with trailing zeros as nul, 0 all nul
-_SIGN_HIGH = 32000  # 2 x 1000: sign, then 3 digits with leading zeros as nul
-_EXPONENT = 34000  # 2 x 100: "e", exponent sign, 2 digits
-_COMMA, _NEWLINE = 34200, 34201
 # Per fixed-notation exponent -4..6, 0 also for a scientific cell: the
 # divisor that leaves the integer part of a 12-digit significand, and the
 # scale that left-aligns the rest into 15 fractional digits.
@@ -136,14 +126,18 @@ _FIXED_SCALE = 10.0 ** np.arange(11)
 
 class _Tables(NamedTuple):
     glyphs: np.ndarray
+    offsets: dict
     power: np.ndarray
 
 
 @functools.cache
 def _format_tables() -> _Tables:
-    """Glyphs and powers of ten of `fmt_table`, on first use.
+    """Glyphs, their section offsets and powers of ten of `fmt_table`, on first use.
 
-    power holds 10**k correctly rounded, for k in _POWER_MIN.._POWER_MAX.
+    A glyph is 4 bytes of text; nul bytes are padding, dropped after the
+    block is joined.  offsets maps each section's name to the index of its
+    first glyph.  power holds 10**k correctly rounded, for k in
+    _POWER_MIN.._POWER_MAX.
     """
     n = np.arange(10000)
     digits = 48 + np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1)
@@ -155,21 +149,32 @@ def _format_tables() -> _Tables:
     def col(value, rows):
         return np.full((rows, 1), value)
 
-    sections = [
-        digits, leading, trailing,
-        np.hstack([col(ord("."), 1000), digits[:1000, 1:]]),
-        np.hstack([np.where(n[:1000, None] > 0, ord("."), 0), trailing[:1000, 1:]]),
-        *(np.hstack([col(sign, 1000), np.where(leading_zero, 0, digits)[:1000, 1:]])
-          for sign in (0, ord("-"))),
-        *(np.hstack([col(ord("e"), 100), col(ord(c), 100), digits[:100, 2:]]) for c in "+-"),
-        np.array([[ord(","), 0, 0, 0], [ord("\n"), 0, 0, 0]]),
-    ]
-    glyphs = np.vstack(sections).astype(np.uint8).view(np.uint32).ravel()
+    sections = {
+        "digits": digits,  # "dddd"
+        "leading": leading,  # leading zeros as nul, at least one digit kept
+        "trailing": trailing,  # trailing zeros as nul, 0 all nul
+        "point": np.hstack([col(ord("."), 1000), digits[:1000, 1:]]),  # "." and 3 digits
+        # the same with trailing zeros as nul, 0 all nul
+        "point_trailing": np.hstack([np.where(n[:1000, None] > 0, ord("."), 0), trailing[:1000, 1:]]),
+        # 2 x 1000: no sign or "-", then 3 digits with leading zeros as nul
+        "sign_high": np.vstack([
+            np.hstack([col(sign, 1000), np.where(leading_zero, 0, digits)[:1000, 1:]])
+            for sign in (0, ord("-"))
+        ]),
+        # 2 x 100: "e", exponent sign "+" or "-", 2 digits
+        "exponent": np.vstack([
+            np.hstack([col(ord("e"), 100), col(ord(c), 100), digits[:100, 2:]]) for c in "+-"
+        ]),
+        "comma": np.array([[ord(","), 0, 0, 0]]),
+        "newline": np.array([[ord("\n"), 0, 0, 0]]),
+    }
+    offsets = dict(zip(sections, itertools.accumulate(map(len, sections.values()), initial=0)))
+    glyphs = np.vstack(list(sections.values())).astype(np.uint8).view(np.uint32).ravel()
 
     # A quotient of ints, and an int converted to float, is correctly rounded.
     exponents = range(_POWER_MIN, _POWER_MAX + 1)
     power = np.array([float(10**k) if k >= 0 else 1 / 10**-k for k in exponents])
-    return _Tables(glyphs, power)
+    return _Tables(glyphs, offsets, power)
 
 
 def fmt_table(table: np.ndarray) -> Iterator[bytes]:
@@ -207,13 +212,14 @@ def _fmt_block(block: np.ndarray) -> bytes:
     # 0 and exponent 0, and `fmt_float` then overwrites its cells.
     digits[~exact | undecided] = 0.0
     exp10[undecided] = 0
+    tables = _format_tables()
     glyph = np.empty((values.size, 7), dtype=np.intp)
     scientific = exact & ~_fixed_notation(magnitude)
-    for j, column in enumerate(_glyphs(digits, exp10, values < 0, scientific)):
+    for j, column in enumerate(_glyphs(digits, exp10, values < 0, scientific, tables.offsets)):
         glyph[:, j] = column
-    glyph[:, 6] = _COMMA
-    glyph.reshape(*block.shape, 7)[:, -1, 6] = _NEWLINE
-    text = _format_tables().glyphs[glyph]
+    glyph[:, 6] = tables.offsets["comma"]
+    glyph.reshape(*block.shape, 7)[:, -1, 6] = tables.offsets["newline"]
+    text = tables.glyphs[glyph]
 
     cells = np.flatnonzero(undecided | ~exact & (magnitude > 0))
     if cells.size:
@@ -253,8 +259,10 @@ def _divmod(n: np.ndarray, d) -> tuple[np.ndarray, np.ndarray]:
     return quotient, n - quotient * d
 
 
-def _glyphs(digits, exp10, negative, scientific) -> list:
+def _glyphs(digits, exp10, negative, scientific, at: dict) -> list:
     """Glyph columns of a cell: sign, 7 integer and 15 fraction digits.
+
+    `at` holds the offsets of the glyph sections, by name.
 
     A %.12g cell drops its leading and trailing zeros.  A %.11e cell is its
     significand at exponent 0, one integer digit and 11 decimals with every
@@ -268,13 +276,14 @@ def _glyphs(digits, exp10, negative, scientific) -> list:
     point, rest = _divmod(fraction, 1e12)
     first, rest8 = _divmod(rest, 1e8)
     second, third = _divmod(rest8, 1e4)
+    digit, trailing = at["digits"], at["trailing"]
     return [
-        _SIGN_HIGH + 1000 * negative + high,
-        np.where(high > 0, _DIGITS, _LEADING) + low,
-        np.where((rest > 0) | scientific, _POINT, _POINT_TRAILING) + point,
-        np.where((rest8 > 0) | scientific, _DIGITS, _TRAILING) + first,
-        np.where((third > 0) | scientific, _DIGITS, _TRAILING) + second,
-        np.where(scientific, _EXPONENT + 100 * (exp10 < 0) + np.abs(exp10), _TRAILING + third),
+        at["sign_high"] + 1000 * negative + high,
+        np.where(high > 0, digit, at["leading"]) + low,
+        np.where((rest > 0) | scientific, at["point"], at["point_trailing"]) + point,
+        np.where((rest8 > 0) | scientific, digit, trailing) + first,
+        np.where((third > 0) | scientific, digit, trailing) + second,
+        np.where(scientific, at["exponent"] + 100 * (exp10 < 0) + np.abs(exp10), trailing + third),
     ]
 
 

@@ -92,20 +92,21 @@ class TestFloatFormat:
         # the first and last glyph of each section, in the order _format_tables
         # stacks them: a section that grows or shrinks fails at the next name
         sections = [
-            ("_DIGITS", b"0000", b"9999"),
-            ("_LEADING", b"\0\0\0" b"0", b"9999"),
-            ("_TRAILING", b"\0" * 4, b"9999"),
-            ("_POINT", b".000", b".999"),
-            ("_POINT_TRAILING", b"\0" * 4, b".999"),
-            ("_SIGN_HIGH", b"\0" * 4, b"-999"),
-            ("_EXPONENT", b"e+00", b"e-99"),
-            ("_COMMA", b",\0\0\0", b",\0\0\0"),
-            ("_NEWLINE", b"\n\0\0\0", b"\n\0\0\0"),
+            ("digits", b"0000", b"9999"),
+            ("leading", b"\0\0\0" b"0", b"9999"),
+            ("trailing", b"\0" * 4, b"9999"),
+            ("point", b".000", b".999"),
+            ("point_trailing", b"\0" * 4, b".999"),
+            ("sign_high", b"\0" * 4, b"-999"),
+            ("exponent", b"e+00", b"e-99"),
+            ("comma", b",\0\0\0", b",\0\0\0"),
+            ("newline", b"\n\0\0\0", b"\n\0\0\0"),
         ]
-        glyphs = cli._format_tables().glyphs
-        ends = [getattr(cli, name) for name, _, _ in sections[1:]] + [glyphs.size]
+        glyphs, offsets = cli._format_tables().glyphs, cli._format_tables().offsets
+        assert list(offsets) == [name for name, _, _ in sections]
+        ends = [offsets[name] for name, _, _ in sections[1:]] + [glyphs.size]
         for (name, first, last), end in zip(sections, ends):
-            assert glyphs[getattr(cli, name)].tobytes() == first, name
+            assert glyphs[offsets[name]].tobytes() == first, name
             assert glyphs[end - 1].tobytes() == last, name
 
     def test_import_builds_no_format_table(self, tmp_path):
