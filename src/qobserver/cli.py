@@ -76,15 +76,6 @@ class RunConfig:
 # Deterministic JSON emission
 # --------------------------------------------------------------------------
 
-def _fixed_notation(magnitude):
-    """True where a nonzero |x| prints as %.12g: in [1e-4, 1e6).
-
-    Works elementwise on an array, for `fmt_table`; `fmt_float` spells the
-    same rule as one chained comparison.
-    """
-    return (magnitude >= 1e-4) & (magnitude < 1e6)
-
-
 def fmt_float(x: float) -> str:
     """12 significant digits; lowercase scientific outside [1e-4, 1e6)."""
     x = float(x)
@@ -110,12 +101,9 @@ TABLE_BLOCK_ROWS = 512
 # The kernel's product is off by less than 2**-52 * 10**12, about 2.2e-4,
 # so every cell it rounds itself lies on the side of the tie that it reads.
 TIE_TOLERANCE = 2.0**-11
-# The smallest magnitude the kernel rounds; below it 10**(11 - exponent)
-# overflows, and the nonzero cells go to `fmt_float`.
-KERNEL_MIN = 1e-296
-# Exponents k of the powers 10**k: 11 minus the decimal exponents from the
-# largest float to KERNEL_MIN's, less one for a log10 that rounds down.
-_POWER_MIN, _POWER_MAX = -297, 308
+# Exponents k of the powers 10**k: 11 minus the two-digit decimal exponents
+# of the cells the kernel spells, one more each way for a log10 that rounds.
+_POWER_MIN, _POWER_MAX = 11 - 100, 11 + 100
 
 # Per fixed-notation exponent -4..6, 0 also for a scientific cell: the
 # divisor that leaves the integer part of a 12-digit significand, and the
@@ -184,11 +172,11 @@ def fmt_table(table: np.ndarray) -> Iterator[bytes]:
     checked to be finite before this returns, so a caller can open its file
     after the call.  Each block of TABLE_BLOCK_ROWS rows is one `bytes` with
     one row per line, each line ending in b"\n", ready to be written to a
-    binary file.  The cells the kernel leaves undecided, those within
-    TIE_TOLERANCE of a rounding tie, next to a power of ten where log10
-    rounds up or with an exponent of three digits, and the nonzero
-    magnitudes below KERNEL_MIN, are spelled by `fmt_float` itself, in one
-    `_fallback_text` call per block.
+    binary file.  The kernel spells the cells whose exponent has two
+    digits.  The nonzero cells outside that range, and those the kernel
+    leaves undecided, within TIE_TOLERANCE of a rounding tie or next to a
+    power of ten where log10 rounds up, are spelled by `fmt_float` itself,
+    in one `_fallback_text` call per block.
     """
     table = np.asarray(table, dtype=float)
     if table.ndim != 2 or table.shape[1] == 0:
@@ -204,9 +192,10 @@ def _fmt_block(block: np.ndarray) -> bytes:
     """Finite rows as ASCII lines: 7 glyphs per cell, padding dropped at the end."""
     values = block.ravel()
     magnitude = np.abs(values)
-    exact = magnitude >= KERNEL_MIN
+    # %.11e spells an exponent of three digits, which has no glyph; a carry
+    # or a log10 that rounds can still reach one.
+    exact = (magnitude >= 1e-99) & (magnitude < 1e100)
     digits, exp10, undecided = _decimal12(np.where(exact, magnitude, 1.0))
-    # %.11e spells an exponent of three digits, which has no glyph.
     undecided |= np.abs(exp10) > 99
     # Zeros and the cells left to `fmt_float` are laid out with significand
     # 0 and exponent 0, and `fmt_float` then overwrites its cells.
@@ -214,7 +203,8 @@ def _fmt_block(block: np.ndarray) -> bytes:
     exp10[undecided] = 0
     tables = _format_tables()
     glyph = np.empty((values.size, 7), dtype=np.intp)
-    scientific = exact & ~_fixed_notation(magnitude)
+    # %.12g spells a nonzero |x| in [1e-4, 1e6) in fixed notation.
+    scientific = exact & ((magnitude < 1e-4) | (magnitude >= 1e6))
     for j, column in enumerate(_glyphs(digits, exp10, values < 0, scientific, tables.offsets)):
         glyph[:, j] = column
     glyph[:, 6] = tables.offsets["comma"]
@@ -233,7 +223,7 @@ def _fallback_text(values: np.ndarray) -> np.ndarray:
 
 
 def _decimal12(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Significands, exponents and undecided cells of magnitudes >= KERNEL_MIN.
+    """Significands, exponents and undecided cells of magnitudes in [1e-99, 1e100).
 
     Each magnitude rounds half-to-even to significand * 10**(exponent - 11)
     with 10**11 <= significand < 10**12, unless it is undecided: within

@@ -141,19 +141,19 @@ def test_every_input_ends_in_a_documented_outcome(argv):
 
 
 # Zero, subnormals, both edges of the fixed range [1e-4, 1e6) and values that
-# round up across them, the formatter's KERNEL_MIN and the float below it
-# (which goes to `fmt_float`), 1e290 and the float above it (ordinary cells),
-# near-ties, three-digit exponents and the largest float, each with either
-# sign.  The 12th digit of -0.9596118698535, a workload's --cp, is 8.8e-7 of
-# a unit from a tie; 100000.0078125 and 123456789013.5 are ties, rounded to
-# even down and up.  Both sides of the kernel's two-digit exponents: 1e-99
+# round up across them, 1e-296 and the float below it (where 10**(11 -
+# exponent) leaves the float range), near-ties, three-digit exponents and
+# the largest float, each with either sign.  The 12th digit of
+# -0.9596118698535, a workload's --cp, is 8.8e-7 of a unit from a tie;
+# 100000.0078125 and 123456789013.5 are ties, rounded to even down and up.
+# Both sides of the kernel's two-digit exponents: 1e-99
 # and the float below it, -1.5e-100, 1e100 and 9.999999999995e99, which
 # rounds up to it.
 EDGE_CELLS = (
     0.0, 5e-324, 4.9e-320, 1e-310, 2.2250738585072014e-308, 1e-300, 3.5e-150,
     np.nextafter(1e-4, 0.0), 1e-4, 9.99999999999996e-05, 9.999999999995e-05,
     99999.99999995, 999999.9999999, 999999.9999995, np.nextafter(1e6, 0.0), 1e6,
-    cli.KERNEL_MIN, np.nextafter(cli.KERNEL_MIN, 0.0), 1e290, np.nextafter(1e290, np.inf),
+    1e-296, np.nextafter(1e-296, 0.0), 1e290, np.nextafter(1e290, np.inf),
     -0.9596118698535, 100000.0078125, 123456789013.5, 1.5e100, 1e300, 1.7976931348623157e308,
     1e100, 9.999999999995e99, 1e-99, np.nextafter(1e-99, 0.0), -1.5e-100,
 )
