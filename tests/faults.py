@@ -58,8 +58,10 @@ def measure(root: Path, workload: str) -> tuple[float, float]:
             argv = [*next(stream).argv, "--out", str(out)]
             for stale in out.iterdir():
                 stale.unlink()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                before, start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                start = time.perf_counter()
                 qobserver.cli.main(argv)
                 elapsed = time.perf_counter() - start
                 after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
