@@ -143,7 +143,9 @@ def _format_tables() -> _Tables:
         "trailing": trailing,  # trailing zeros as nul, 0 all nul
         "point": np.hstack([col(ord("."), 1000), digits[:1000, 1:]]),  # "." and 3 digits
         # the same with trailing zeros as nul, 0 all nul
-        "point_trailing": np.hstack([np.where(n[:1000, None] > 0, ord("."), 0), trailing[:1000, 1:]]),
+        "point_trailing": np.hstack([
+            np.where(n[:1000, None] > 0, ord("."), 0), trailing[:1000, 1:]
+        ]),
         # 2 x 1000: no sign or "-", then 3 digits with leading zeros as nul
         "sign_high": np.vstack([
             np.hstack([col(sign, 1000), np.where(leading_zero, 0, digits)[:1000, 1:]])
@@ -286,19 +288,15 @@ def emit_json(obj) -> str:
     `NonFiniteError`; any other type raises `TypeError` naming it, whichever
     comes first in the document.
 
-    One `_flatten` pass splits the payload into its shape and its leaves, a
-    float64 array taking one shape token and all its entries at once.  The
-    shape's `%s` layout is built once and cached (`_layout`, at most
-    LAYOUT_CACHE_SIZE shapes), and one `%` fill puts each leaf's text into
-    its slot.
+    One `_flatten` pass splits the payload into its shape and the text of
+    its leaves, a float64 array taking one shape token and all its entries
+    at once.  The shape's `%s` layout is built once and cached (`_layout`,
+    at most LAYOUT_CACHE_SIZE shapes), and one `%` fill puts each leaf's
+    text into its slot.
     """
-    shape, leaves = [], []
-    try:
-        _flatten(obj, shape, leaves)
-    except TypeError:
-        _texts(leaves)  # a nan or inf before the node named is the first fault
-        raise
-    return _layout(tuple(shape)) % tuple(_texts(leaves))
+    shape, texts = [], []
+    _flatten(obj, shape, texts)
+    return _layout(tuple(shape)) % tuple(texts)
 
 
 # Shape tokens of `_flatten`, besides a key (a str), a float64 array's shape
@@ -309,56 +307,46 @@ _DICT, _LIST, _END = 0, 1, 2
 LAYOUT_CACHE_SIZE = 64
 
 
-def _flatten(node, shape: list, leaves: list) -> None:
-    """Append node's shape tokens to `shape` and its leaves to `leaves`, in document order.
-
-    A leaf is a float, to be spelled by `fmt_float`, or the finished text
-    of any other scalar.
-    """
-    kind = type(node)  # exact types first; the isinstance chain takes the rest
-    if kind is float:
+def _flatten(node, shape: list, texts: list) -> None:
+    """Append node's shape tokens to `shape` and its leaves' text to `texts`, in document order."""
+    if isinstance(node, float):  # the common leaf first; np.float64 is a float
         shape.append(None)
-        leaves.append(node)
-    elif kind is dict or isinstance(node, dict):
+        texts.append(fmt_float(node))
+    elif isinstance(node, dict):
         shape.append(_DICT)
         for key, value in node.items():
             shape.append(str(key))
-            _flatten(value, shape, leaves)
+            _flatten(value, shape, texts)
         shape.append(_END)
-    elif kind is list or kind is tuple or isinstance(node, (list, tuple)):
+    elif isinstance(node, (list, tuple)):
         shape.append(_LIST)
         for value in node:
-            _flatten(value, shape, leaves)
+            _flatten(value, shape, texts)
         shape.append(_END)
     elif isinstance(node, np.ndarray):
         # a subclass may ravel to more than one dimension, as np.matrix does
-        if kind is np.ndarray and node.dtype == np.float64:
+        if type(node) is np.ndarray and node.dtype == np.float64:
             shape.append(node.shape)
-            leaves.extend(node.ravel().tolist())
+            texts.extend(map(fmt_float, node.ravel().tolist()))
         else:
-            _flatten(node.tolist(), shape, leaves)
+            _flatten(node.tolist(), shape, texts)
     elif node is None or isinstance(node, (bool, np.bool_)):
         shape.append(None)
-        leaves.append("null" if node is None else "true" if node else "false")
+        texts.append("null" if node is None else "true" if node else "false")
     elif isinstance(node, str):
         shape.append(None)
-        leaves.append(_quote(node))
+        texts.append(_quote(node))
     elif isinstance(node, (int, np.integer)):
         shape.append(None)
-        leaves.append(str(int(node)))
-    elif isinstance(node, (float, np.floating)):
+        texts.append(str(int(node)))
+    elif isinstance(node, np.floating):
         shape.append(None)
-        leaves.append(float(node))
+        texts.append(fmt_float(node))
     else:
         if not isinstance(node, (complex, np.complexfloating)):
             raise TypeError(f"cannot serialize {type(node)!r}")
         shape.extend((_DICT, "re", None, "im", None, _END))
-        leaves.extend((float(node.real), float(node.imag)))
-
-
-def _texts(leaves: list) -> list:
-    """The text of each leaf: floats through `fmt_float`, the rest as they are."""
-    return [fmt_float(x) if type(x) is float else x for x in leaves]
+        texts.extend((fmt_float(node.real), fmt_float(node.imag)))
 
 
 @functools.lru_cache(maxsize=LAYOUT_CACHE_SIZE)

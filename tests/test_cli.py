@@ -165,8 +165,8 @@ class TestFloatFormat:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     @pytest.mark.parametrize("place", ["scalar", "array entry"])
     def test_emit_json_raises_the_first_fault_in_document_order(self, bad, place):
-        # floats are spelled after the flatten pass, so the order is
-        # pinned for both a lone float and an array entry
+        # the order is pinned for both a lone float and an array entry,
+        # which the flatten pass spells in different places
         value = bad if place == "scalar" else np.array([1.0, bad])
         with pytest.raises(NonFiniteError, match=f"non-finite value {bad!r} in report"):
             cli.emit_json({"a": [value], "b": {"c": object()}})
