@@ -15,6 +15,7 @@ from qobserver import (
     ccr_defect,
     SymplecticSpace,
     generator_from_hamiltonian,
+    maxabs,
     propagator,
     realizability_defect,
 )
@@ -37,6 +38,11 @@ def example_augmented():
     r[2:, :2] = r_c.T
     r[2:, 2:] = 2.0 * np.eye(2)
     return generator_from_hamiltonian(QuadraticHamiltonian(r, space))
+
+
+def test_maxabs_of_an_empty_array_is_zero():
+    assert maxabs(np.zeros(0)) == 0.0
+    assert type(maxabs(np.zeros(0))) is float
 
 
 class TestSymplecticSpace:

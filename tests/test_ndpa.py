@@ -409,6 +409,18 @@ class TestDesignPipeline:
         assert result.ndpa.alpha == pytest.approx(-1e7j, abs=1e-12 * 1e7)
         assert not result.report.warnings
 
+    def test_hand_built_design_holds_read_only_arrays(self):
+        # the pipeline builds its NdpaDesign without the constructor's conversions
+        design = design_ndpa([1.0, 0.0], 1.0, 1.0, 0.1).ndpa
+        built = ndpa.NdpaDesign(
+            design.params, design.alpha, design.f.tolist(), design.m.tolist(), design.r.tolist()
+        )
+        for name, dtype in (("f", np.complex128), ("m", np.complex128), ("r", np.float64)):
+            value = getattr(built, name)
+            assert value.dtype == dtype, name
+            assert not value.flags.writeable, name
+            np.testing.assert_array_equal(value, getattr(design, name))
+
     def test_momentum_quadrature(self):
         result = design_ndpa([0.0, 1.0], 1.0, 1.0, 0.1)
         assert result.report.arg_c == pytest.approx(math.pi / 2.0)

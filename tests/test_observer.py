@@ -158,6 +158,17 @@ class TestValidate:
             assert diag.coupling_defect == pytest.approx(5e-7 * maxabs(scaled.r_c), rel=1e-6)
             assert diag.failures == ("coupling block R_c differs from C_p^T beta",)
 
+    def test_infinite_r_o_is_not_positive_definite(self):
+        design = example_design_nondim()
+        bad = dataclasses.replace(design, r_o=np.array([[math.inf, 0.0], [0.0, 2.0]]))
+        diag = validate_observer(bad)
+        assert math.isnan(diag.r_o_min_eigenvalue)
+        assert diag.normalized_constraint_defect == math.inf
+        assert diag.failures == (
+            "observer energy matrix R_o is not positive definite",
+            "output constraint C_o R_o^{-1} beta^T = -1 violated",
+        )
+
     def test_zero_beta_flagged(self):
         design = example_design_nondim()
         bad = dataclasses.replace(design, beta=np.zeros(2))
