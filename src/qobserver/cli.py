@@ -94,7 +94,11 @@ def fmt_float(x: float) -> str:
 # x86-64 host (48 KB L1d and 2 MB L2 per core), the 2001 x 13 tables of 10
 # `simulate` requests took, as the mean of each table's min of 30 runs,
 # 3.8 ms at 512 rows, 3.5 at 1024, 4.4 at 256, 5.5 at 128 and 5.0 in one
-# block; whole `simulate` requests were fastest at 512.
+# block; whole `simulate` requests were fastest at 512.  These timings hold
+# while the allocator hands a block's temporaries memory the process already
+# holds, no minor page fault per block (`tests/faults.py` reads the faults
+# per request).  Where the heap's history makes them come from fresh pages,
+# a 512-row block took about 950-1070 us instead of about 700 us.
 TABLE_BLOCK_ROWS = 512
 # Cells whose fraction beyond the 12th digit is this close to 1/2 go to
 # `fmt_float`.
