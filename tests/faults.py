@@ -14,12 +14,13 @@ counted; as `perfbench/run.py` does, the old outputs are unlinked before
 each request and the printed text is captured.
 
 A request that takes no page fault works in memory the process already
-holds.  `simulate`'s CSV formatter is about a third slower per block when
-its temporaries come from fresh pages instead, so this reads a change in
-the process's heap state that paired benchmark runs show only as a shift
-in `simulate-csv`'s p50.  Exits 1 when a workload reads more than LIMIT
-faults per request, 0 otherwise.  `python3 tests/faults.py ROOT WORKLOAD`
-measures one workload in the calling process.  Not part of tier-1.
+holds.  `simulate`'s CSV formatter takes about 1 ms per 512-row block
+instead of about 0.7 ms when its temporaries come from fresh pages, so
+this reads a change in the process's heap state that paired benchmark
+runs show only as a shift in `simulate-csv`'s p50.  Exits 1 when a
+workload reads more than LIMIT faults per request, 0 otherwise.
+`python3 tests/faults.py ROOT WORKLOAD` measures one workload in the
+calling process.  Not part of tier-1.
 """
 
 from __future__ import annotations
