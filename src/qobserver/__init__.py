@@ -1,5 +1,9 @@
 """Design and verification toolkit for direct-coupled coherent quantum
-observers of closed linear quantum systems."""
+observers of closed linear quantum systems.
+
+The package loads without numpy.  The names of `dynamics`, which runs on
+numpy, resolve on first use through the module `__getattr__` (PEP 562).
+"""
 
 __version__ = "0.1.0"
 
@@ -10,15 +14,6 @@ from .core import (
     generator_from_hamiltonian,
     maxabs,
     realizability_defect,
-)
-from .dynamics import (
-    CheckResult,
-    ConvergenceReport,
-    Trajectory,
-    ccr_defect,
-    coefficient_trajectory,
-    propagator,
-    verify_convergence,
 )
 from .errors import (
     ConsistencyError,
@@ -48,6 +43,27 @@ from .observer import (
     synthesize_observer,
     validate_observer,
 )
+
+# Package-level names of `dynamics`, imported with it on first use.
+_DYNAMICS = (
+    "CheckResult",
+    "ConvergenceReport",
+    "Trajectory",
+    "ccr_defect",
+    "coefficient_trajectory",
+    "propagator",
+    "verify_convergence",
+)
+
+
+def __getattr__(name: str):
+    if name in _DYNAMICS:
+        from . import dynamics
+
+        value = globals()[name] = getattr(dynamics, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

@@ -7,6 +7,10 @@ numbers.  Horizon values are always nondimensional (units of one over the
 reference frequency).  Reports are emitted as JSON with fixed field order
 and a fixed 12-significant-digit float format so identical configs produce
 byte-identical files; trajectories are emitted as plot-ready CSV.
+
+`design` and `reproduce-example` run on Python floats and never load numpy:
+this module and the modules it imports load without it.  `verify` and
+`simulate` import numpy, and `dynamics`, when their request starts.
 """
 
 from __future__ import annotations
@@ -24,16 +28,13 @@ import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Iterator, NamedTuple
-
-import numpy as np
+from typing import Iterator, NamedTuple, Sequence
 
 from . import __version__
 from .core import to_number
-from .dynamics import check_horizons, coefficient_trajectory, default_horizons, verify_convergence
 from .errors import DimensionError, InputError, NonFiniteError, PipelineError, QObserverError
-from .ndpa import DesignResult, check_design_inputs, check_number, design_ndpa
-from .observer import augment
+from .ndpa import Design, check_design_inputs, check_number, solve_design
+from .observer import augment, coupling_rows
 
 # Command -> one-line description for `--help`.
 COMMANDS = {
@@ -70,6 +71,9 @@ class RunConfig:
     horizons: tuple[float, ...] | None = None
     out: Path = Path("qobserver-out")
     format: tuple[str, ...] = ("json",)
+    # (plant, omega_o, gamma, eps_ratio, delta) as `check_design_inputs`
+    # returned them to `load_config`; `run` designs from these
+    inputs: tuple | None = None
 
 
 # --------------------------------------------------------------------------
@@ -109,17 +113,13 @@ TIE_TOLERANCE = 2.0**-11
 # of the cells the kernel spells, one more each way for a log10 that rounds.
 _POWER_MIN, _POWER_MAX = 11 - 100, 11 + 100
 
-# Per fixed-notation exponent -4..6, 0 also for a scientific cell: the
-# divisor that leaves the integer part of a 12-digit significand, and the
-# scale that left-aligns the rest into 15 fractional digits.
-_FIXED_DIVISOR = 10.0 ** np.array([12, 12, 12, 12, 11, 10, 9, 8, 7, 6, 5])
-_FIXED_SCALE = 10.0 ** np.arange(11)
-
 
 class _Tables(NamedTuple):
     glyphs: np.ndarray
     offsets: dict
     power: np.ndarray
+    divisor: np.ndarray
+    scale: np.ndarray
 
 
 @functools.cache
@@ -129,8 +129,13 @@ def _format_tables() -> _Tables:
     A glyph is 4 bytes of text; nul bytes are padding, dropped after the
     block is joined.  offsets maps each section's name to the index of its
     first glyph.  power holds 10**k correctly rounded, for k in
-    _POWER_MIN.._POWER_MAX.
+    _POWER_MIN.._POWER_MAX.  divisor and scale hold, per fixed-notation
+    exponent -4..6 (0 also for a scientific cell), the divisor that leaves
+    the integer part of a 12-digit significand and the scale that
+    left-aligns the rest into 15 fractional digits.
     """
+    import numpy as np
+
     n = np.arange(10000)
     digits = 48 + np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1)
     zero = digits == 48
@@ -168,7 +173,8 @@ def _format_tables() -> _Tables:
     # A quotient of ints, and an int converted to float, is correctly rounded.
     exponents = range(_POWER_MIN, _POWER_MAX + 1)
     power = np.array([float(10**k) if k >= 0 else 1 / 10**-k for k in exponents])
-    return _Tables(glyphs, offsets, power)
+    divisor = 10.0 ** np.array([12, 12, 12, 12, 11, 10, 9, 8, 7, 6, 5])
+    return _Tables(glyphs, offsets, power, divisor, 10.0 ** np.arange(11))
 
 
 def fmt_table(table: np.ndarray) -> Iterator[bytes]:
@@ -184,6 +190,8 @@ def fmt_table(table: np.ndarray) -> Iterator[bytes]:
     power of ten where log10 rounds up, are spelled by `fmt_float` itself,
     in one `_fallback_text` call per block.
     """
+    import numpy as np
+
     table = np.asarray(table, dtype=float)
     if table.ndim != 2 or table.shape[1] == 0:
         raise DimensionError(f"expected a 2-d table with columns, got shape {table.shape}")
@@ -196,6 +204,8 @@ def fmt_table(table: np.ndarray) -> Iterator[bytes]:
 
 def _fmt_block(block: np.ndarray) -> bytes:
     """Finite rows as ASCII lines: 7 glyphs per cell, padding dropped at the end."""
+    import numpy as np
+
     values = block.ravel()
     magnitude = np.abs(values)
     # %.11e spells an exponent of three digits, which has no glyph; a carry
@@ -211,7 +221,7 @@ def _fmt_block(block: np.ndarray) -> bytes:
     glyph = np.empty((values.size, 7), dtype=np.intp)
     # %.12g spells a nonzero |x| in [1e-4, 1e6) in fixed notation.
     scientific = exact & ((magnitude < 1e-4) | (magnitude >= 1e6))
-    for j, column in enumerate(_glyphs(digits, exp10, values < 0, scientific, tables.offsets)):
+    for j, column in enumerate(_glyphs(digits, exp10, values < 0, scientific, tables)):
         glyph[:, j] = column
     glyph[:, 6] = tables.offsets["comma"]
     glyph.reshape(*block.shape, 7)[:, -1, 6] = tables.offsets["newline"]
@@ -225,6 +235,8 @@ def _fmt_block(block: np.ndarray) -> bytes:
 
 def _fallback_text(values: np.ndarray) -> np.ndarray:
     """`fmt_float` text of nonzero cells, nul-padded to 24 bytes."""
+    import numpy as np
+
     return np.array([fmt_float(x) for x in values.tolist()], dtype="S24")
 
 
@@ -237,6 +249,8 @@ def _decimal12(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     that rounded across an integer.  The significand is a float holding an
     integer, read from one product with a correctly rounded power of ten.
     """
+    import numpy as np
+
     exp10 = np.floor(np.log10(magnitude)).astype(np.int64)
     product = magnitude * _format_tables().power[11 - exp10 - _POWER_MIN]
     whole = np.floor(product)
@@ -251,27 +265,30 @@ def _decimal12(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 def _divmod(n: np.ndarray, d) -> tuple[np.ndarray, np.ndarray]:
     """Quotient and remainder of integers below 2**53 held as floats, exact."""
+    import numpy as np
+
     quotient = np.floor(n / d)
     return quotient, n - quotient * d
 
 
-def _glyphs(digits, exp10, negative, scientific, at: dict) -> list:
+def _glyphs(digits, exp10, negative, scientific, tables: _Tables) -> list:
     """Glyph columns of a cell: sign, 7 integer and 15 fraction digits.
-
-    `at` holds the offsets of the glyph sections, by name.
 
     A %.12g cell drops its leading and trailing zeros.  A %.11e cell is its
     significand at exponent 0, one integer digit and 11 decimals with every
     zero kept, and its exponent takes the place of the last 4 decimals,
     which are 0 there.
     """
+    import numpy as np
+
     shift = np.where(scientific, 0, exp10) + 4
-    whole, fraction = _divmod(digits, _FIXED_DIVISOR[shift])
-    fraction *= _FIXED_SCALE[shift]
+    whole, fraction = _divmod(digits, tables.divisor[shift])
+    fraction *= tables.scale[shift]
     high, low = _divmod(whole, 1e4)
     point, rest = _divmod(fraction, 1e12)
     first, rest8 = _divmod(rest, 1e8)
     second, third = _divmod(rest8, 1e4)
+    at = tables.offsets
     digit, trailing = at["digits"], at["trailing"]
     return [
         at["sign_high"] + 1000 * negative + high,
@@ -287,24 +304,32 @@ def emit_json(obj) -> str:
     """Serialize nested data: two-space indent, one item per line, `{}`/`[]` if empty.
 
     Keys are `str(k)`; keys and strings get the ASCII escapes of `json.dumps`.
-    Floats are written by `fmt_float`, a numpy array as its nested lists and
-    a complex number as {"re": ..., "im": ...}.  A nan or inf at any depth raises
-    `NonFiniteError`; any other type raises `TypeError` naming it, whichever
-    comes first in the document.
+    Floats are written by `fmt_float`, a numpy array or a `Grid` as its
+    nested lists and a complex number as {"re": ..., "im": ...}.  A nan or inf
+    at any depth raises `NonFiniteError`; any other type raises `TypeError`
+    naming it, whichever comes first in the document.
 
     One `_flatten` pass splits the payload into its shape and the text of
-    its leaves, a float64 array taking one shape token and all its entries
-    at once.  The shape's `%s` layout is built once and cached (`_layout`,
-    at most LAYOUT_CACHE_SIZE shapes), and one `%` fill puts each leaf's
-    text into its slot.
+    its leaves, a `Grid` or a float64 array taking one shape token and all
+    its entries at once.  The shape's `%s` layout is built once and cached
+    (`_layout`, at most LAYOUT_CACHE_SIZE shapes), and one `%` fill puts
+    each leaf's text into its slot.
     """
     shape, texts = [], []
     _flatten(obj, shape, texts)
     return _layout(tuple(shape)) % tuple(texts)
 
 
-# Shape tokens of `_flatten`, besides a key (a str), a float64 array's shape
-# (a tuple) and a leaf's slot (None).
+class Grid(NamedTuple):
+    """A vector or matrix of Python floats in a payload: its shape and its entries in
+    row order.  `emit_json` writes it as the nested lists of an array of that shape."""
+
+    shape: tuple[int, ...]
+    values: Sequence[float]
+
+
+# Shape tokens of `_flatten`, besides a key (a str), the shape of a Grid or a
+# float64 array (a tuple) and a leaf's slot (None).
 _DICT, _LIST, _END = 0, 1, 2
 # Distinct payload shapes whose layouts are kept; 300 requests of a
 # benchmark workload meet two to six.
@@ -322,35 +347,53 @@ def _flatten(node, shape: list, texts: list) -> None:
             shape.append(str(key))
             _flatten(value, shape, texts)
         shape.append(_END)
+    elif type(node) is Grid:
+        shape.append(node.shape)
+        texts.extend(map(fmt_float, node.values))
     elif isinstance(node, (list, tuple)):
         shape.append(_LIST)
         for value in node:
             _flatten(value, shape, texts)
         shape.append(_END)
-    elif isinstance(node, np.ndarray):
+    elif node is None or isinstance(node, bool):
+        shape.append(None)
+        texts.append("null" if node is None else "true" if node else "false")
+    elif isinstance(node, str):
+        shape.append(None)
+        texts.append(_quote(node))
+    elif isinstance(node, int):
+        shape.append(None)
+        texts.append(str(int(node)))
+    elif isinstance(node, complex):  # np.complex128 is a complex
+        shape.extend((_DICT, "re", None, "im", None, _END))
+        texts.extend((fmt_float(node.real), fmt_float(node.imag)))
+    else:
+        _flatten_numpy(node, shape, texts)
+
+
+def _flatten_numpy(node, shape: list, texts: list) -> None:
+    """`_flatten` of a numpy array or scalar that no Python type covers; TypeError for
+    any other value.  Such a value exists only once numpy is loaded."""
+    np = sys.modules.get("numpy")
+    if np is None:
+        raise TypeError(f"cannot serialize {type(node)!r}")
+    if isinstance(node, np.ndarray):
         # a subclass may ravel to more than one dimension, as np.matrix does
         if type(node) is np.ndarray and node.dtype == np.float64:
             shape.append(node.shape)
             texts.extend(map(fmt_float, node.ravel().tolist()))
         else:
             _flatten(node.tolist(), shape, texts)
-    elif node is None or isinstance(node, (bool, np.bool_)):
-        shape.append(None)
-        texts.append("null" if node is None else "true" if node else "false")
-    elif isinstance(node, str):
-        shape.append(None)
-        texts.append(_quote(node))
-    elif isinstance(node, (int, np.integer)):
-        shape.append(None)
-        texts.append(str(int(node)))
+    elif isinstance(node, (np.bool_, np.integer)):
+        _flatten(node.item(), shape, texts)
     elif isinstance(node, np.floating):
         shape.append(None)
         texts.append(fmt_float(node))
-    else:
-        if not isinstance(node, (complex, np.complexfloating)):
-            raise TypeError(f"cannot serialize {type(node)!r}")
+    elif isinstance(node, np.complexfloating):
         shape.extend((_DICT, "re", None, "im", None, _END))
         texts.extend((fmt_float(node.real), fmt_float(node.imag)))
+    else:
+        raise TypeError(f"cannot serialize {type(node)!r}")
 
 
 @functools.lru_cache(maxsize=LAYOUT_CACHE_SIZE)
@@ -505,7 +548,9 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     Every value is converted first, in FIELDS order; then the library checks
     the physics inputs as given, before any rescaling; then `_validate_config`
     applies the rules only the command line has.  An error names where the
-    value came from: the flag or the config key.
+    value came from: the flag or the config key.  `reproduce-example` takes
+    the reference design's values.  The checked physics inputs are kept in
+    `inputs`, so that `run` designs from them without checking them again.
     """
     if args.command == "reproduce-example":
         for key in ("config", *FIELDS):
@@ -523,11 +568,16 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         if value is not None:
             setattr(cfg, key, parse(value, where))
             sources[key], given[key] = where, value
+    if args.command == "reproduce-example":
+        cfg = dataclasses.replace(REFERENCE_CONFIG, out=cfg.out, format=cfg.format)
     try:
-        check_design_inputs(cfg.cp, cfg.omega_o, cfg.gamma, cfg.eps_ratio, cfg.delta)
+        cfg.inputs = check_design_inputs(cfg.cp, cfg.omega_o, cfg.gamma, cfg.eps_ratio, cfg.delta)
         if cfg.omega_ref is not None:
             check_number("omega_ref", cfg.omega_ref)
         if cfg.horizons is not None:
+            # `dynamics` and numpy load here for a `design` only if it is given horizons
+            from .dynamics import check_horizons
+
             check_horizons(cfg.horizons, minimum=2 if cfg.command == "verify" else 1)
     except InputError as exc:
         raise ConfigError(f"{sources[exc.name]}: {exc.rule}{_got(exc, given[exc.name])}") from None
@@ -571,7 +621,7 @@ def _validate_config(cfg: RunConfig, sources: dict[str, str]) -> None:
             break
     if not stat.S_ISDIR(mode):
         raise ConfigError(f"{where}: {str(nearest)!r} is not a directory")
-    # design_ndpa gets omega_o / scale and gamma / scale: finite, nonzero, normal if given so
+    # the design gets omega_o / scale and gamma / scale: finite, nonzero, normal if given so
     scale, scale_key = _scale_factor(cfg), "omega_ref" if cfg.omega_ref is not None else "omega_o"
     for key in ("omega_o", "gamma") if scale != 1.0 else ():
         ratio = getattr(cfg, key) / scale
@@ -603,9 +653,15 @@ def _units_payload(cfg: RunConfig, scale: float) -> dict:
     }
 
 
-def design_payload(cfg: RunConfig, result: DesignResult, scale: float) -> dict:
-    ndpa, obs, rep = result.ndpa, result.observer, result.report
-    p = ndpa.params
+def design_payload(cfg: RunConfig, design: Design, scale: float) -> dict:
+    """The `design.json` document of a design on Python floats; its vectors and
+    matrices are Grids."""
+    p, rep = design.params, design.report
+    r_c = [x for row in coupling_rows(design.c_p, design.beta) for x in row]
+    r = 2.0 * p.omega_o
+    r_o = (r, 0.0, 0.0, r)
+    f = [z for row in design.f for z in row]
+    m = [z for row in design.m for z in row]
     return {
         "command": cfg.command,
         "toolkit_version": __version__,
@@ -628,24 +684,24 @@ def design_payload(cfg: RunConfig, result: DesignResult, scale: float) -> dict:
             "gamma": p.gamma,
             "omega_o": p.omega_o,
             "epsilon": p.epsilon,
-            "alpha": ndpa.alpha,
-            "beta": obs.beta,
-            "c_o": obs.c_o,
-            "r_c": obs.r_c,
-            "r_o": obs.r_o,
-            "r": ndpa.r,
-            "f": {"re": ndpa.f.real, "im": ndpa.f.imag},
-            "m": {"re": ndpa.m.real, "im": ndpa.m.imag},
+            "alpha": design.alpha,
+            "beta": Grid((2,), design.beta),
+            "c_o": Grid((2,), design.c_o),
+            "r_c": Grid((2, 2), r_c),
+            "r_o": Grid((2, 2), r_o),
+            "r": Grid((4, 4), [x for row in design.r for x in row]),
+            "f": {"re": Grid((4, 4), [z.real for z in f]), "im": Grid((4, 4), [z.imag for z in f])},
+            "m": {"re": Grid((4, 4), [z.real for z in m]), "im": Grid((4, 4), [z.imag for z in m])},
         },
         "dimensional": {
             "gamma": p.gamma * scale,
             "omega_o": p.omega_o * scale,
             "epsilon": p.epsilon * scale,
-            "alpha": ndpa.alpha * scale,
-            "beta": obs.beta * scale,
-            "c_o": obs.c_o,
-            "r_c": obs.r_c * scale,
-            "r_o": obs.r_o * scale,
+            "alpha": design.alpha * scale,
+            "beta": Grid((2,), [b * scale for b in design.beta]),
+            "c_o": Grid((2,), design.c_o),
+            "r_c": Grid((2, 2), [x * scale for x in r_c]),
+            "r_o": Grid((2, 2), [x * scale for x in r_o]),
         },
         "checks": {
             "linearization_trusted": p.linearization_trusted,
@@ -666,7 +722,8 @@ def _fields(obj) -> dict:
     return {field.name: getattr(obj, field.name) for field in dataclasses.fields(obj)}
 
 
-def verify_payload(cfg: RunConfig, result: DesignResult, report, scale: float) -> dict:
+def verify_payload(cfg: RunConfig, result, report, scale: float) -> dict:
+    """The `report.json` document of a `DesignResult` and its ConvergenceReport."""
     return {
         "command": "verify",
         "toolkit_version": __version__,
@@ -692,6 +749,10 @@ def write_trajectory_csv(path: Path, sys_aug, t_max: float) -> None:
     form's weights are evaluated once per table; the ASCII blocks of
     `fmt_table` go to the file as they are.
     """
+    import numpy as np
+
+    from .dynamics import coefficient_trajectory
+
     grid = np.linspace(0.0, t_max, SIMULATE_POINTS)
     traj = coefficient_trajectory(sys_aug, sys_aug.c, grid)
     header = ["t"] + [
@@ -750,7 +811,10 @@ def _golden_value(payload: dict, name: str) -> float:
     value = payload["dimensional"][field]
     if isinstance(value, complex):
         return value.real if part == "re" else value.imag
-    return float(value[tuple(int(digit) for digit in part)])
+    index = 0
+    for digit, size in zip(part, value.shape):
+        index = index * size + int(digit)
+    return value.values[index]
 
 
 # --------------------------------------------------------------------------
@@ -758,36 +822,49 @@ def _golden_value(payload: dict, name: str) -> float:
 # --------------------------------------------------------------------------
 
 def run(cfg: RunConfig) -> int:
-    """Execute one command; returns the process exit status."""
+    """Execute one command of a config as `load_config` returns it; returns the
+    process exit status."""
     cfg.out.mkdir(parents=True, exist_ok=True)
-    if cfg.command == "reproduce-example":
-        cfg = dataclasses.replace(REFERENCE_CONFIG, out=cfg.out, format=cfg.format)
     scale = _scale_factor(cfg)
-    result = design_ndpa(cfg.cp, cfg.omega_o / scale, cfg.gamma / scale, cfg.eps_ratio, cfg.delta)
+    plant, omega_o, gamma, eps_ratio, delta = cfg.inputs
+    design = solve_design(plant, omega_o / scale, gamma / scale, eps_ratio, delta)
     status = 0
 
-    payload = design_payload(cfg, result, scale)
+    payload = design_payload(cfg, design, scale)
     if "json" in cfg.format:
         (cfg.out / "design.json").write_bytes(emit_json(payload).encode("ascii"))
 
-    if cfg.command == "verify":
-        report = verify_convergence(result.observer, horizons=cfg.horizons)
-        report_json = emit_json(verify_payload(cfg, result, report, scale))
-        (cfg.out / "report.json").write_bytes(report_json.encode("ascii"))
-        print(
-            f"verify: passed={report.passed} fitted_rate={report.fitted_rate:.4f} "
-            f"frequency={report.oscillation_frequency_estimate:.6g}"
-        )
-    elif cfg.command == "simulate":
-        if "csv" in cfg.format:
+    if cfg.command in ("verify", "simulate"):
+        _run_numerics(cfg, design, scale)
+    elif cfg.command == "reproduce-example":
+        status = _check_golden(payload)
+    for message in design.report.warnings:
+        print(f"warning: {message}", file=sys.stderr)
+    return status
+
+
+def _run_numerics(cfg: RunConfig, design: Design, scale: float) -> None:
+    """The part of `verify` and `simulate` past the design, on numpy arrays."""
+    import numpy as np
+
+    from .dynamics import default_horizons, verify_convergence
+
+    result = design.result()
+    # The one place numpy floating-point warnings are silenced: overflow
+    # yields inf or nan, which the finite checks turn into a typed error.
+    with np.errstate(all="ignore"):
+        if cfg.command == "verify":
+            report = verify_convergence(result.observer, horizons=cfg.horizons)
+            report_json = emit_json(verify_payload(cfg, result, report, scale))
+            (cfg.out / "report.json").write_bytes(report_json.encode("ascii"))
+            print(
+                f"verify: passed={report.passed} fitted_rate={report.fitted_rate:.4f} "
+                f"frequency={report.oscillation_frequency_estimate:.6g}"
+            )
+        elif "csv" in cfg.format:
             sys_aug = augment(result.observer)
             ladder = cfg.horizons or default_horizons(result.observer.omega_o)
             write_trajectory_csv(cfg.out / "trajectory.csv", sys_aug, max(ladder))
-    elif cfg.command == "reproduce-example":
-        status = _check_golden(payload)
-    for message in result.report.warnings:
-        print(f"warning: {message}", file=sys.stderr)
-    return status
 
 
 def _check_golden(payload: dict) -> int:
@@ -847,10 +924,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        # The one place numpy floating-point warnings are silenced: overflow
-        # yields inf or nan, which the finite checks turn into a typed error.
-        with np.errstate(all="ignore"):
-            return run(cfg)
+        return run(cfg)
     except PipelineError as exc:
         print(f"pipeline failure: {exc}", file=sys.stderr)
         return 1

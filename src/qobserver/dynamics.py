@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import EXACT_TOL, LinearQuantumSystem, maxabs, maxabs_of, to_number
+from .core import EXACT_TOL, LinearQuantumSystem, maxabs, maxabs_of, to_array, to_number
 from .errors import DimensionError, InputError, NonFiniteError, StructureError
 from .observer import ObserverDesign, augment, normalized_constraint_defect
 
@@ -89,7 +89,7 @@ def default_horizons(omega_o: float) -> tuple[float, ...]:
 def check_horizons(horizons, minimum: int = 1) -> np.ndarray:
     """`horizons` as a 1-d float array: positive, finite, strictly increasing times, at
     least `minimum` (0, 1 or verify's 2) of them, else InputError; the one ladder check."""
-    t = to_number("horizons", horizons, array=True).reshape(-1)
+    t = to_array("horizons", horizons).reshape(-1)
     if not ((t > 0.0) & (t < math.inf)).all():
         raise InputError("horizons", "all horizons must be positive and finite")
     if (t[1:] <= t[:-1]).any():
@@ -233,11 +233,11 @@ def coefficient_trajectory(sys: LinearQuantumSystem, c_row, t_grid) -> Trajector
     non-finite entry.  The grid is a horizon ladder, which may start at
     t = 0, or InputError (`check_horizons`).
     """
-    c_row = to_number("c_row", c_row, array=True)
+    c_row = to_array("c_row", c_row)
     c_rows = _output_rows(sys, c_row)
     if not np.isfinite(c_rows).all():
         raise InputError("c_row", "entries must be finite", c_row.tolist())
-    t = to_number("horizons", t_grid, array=True).reshape(-1)
+    t = to_array("horizons", t_grid).reshape(-1)
     start = 1 if t[:1].tolist() == [0.0] else 0
     check_horizons(t[start:], minimum=1 - start)
     rows, averages = _rows_and_averages(_observer_blocks(sys.a), c_rows, t)

@@ -34,21 +34,26 @@ from the coupling block.
 cross-check the abstract one.  Phi and J hold only 0, +-1 and +-i, so every
 product on that route is exact or one two-term sum: its four stages pass
 4 x 4 tuples of Python numbers to each other and form each entry directly,
-to the value numpy's complex matrix products give.  F, M and R become
-arrays once, for the result.  The steps whose rounding depends on BLAS or
-LAPACK stay in numpy: the dot products of `extract_beta` and
-`synthesize_observer`, and the determinant of R_c.
+to the value numpy's complex matrix products give.
+
+`solve_design` is the one design computation, on Python floats: the
+products whose rounding reaches a report, the 2-entry dots of
+`extract_beta` and `observer.observer_selector` and the determinant of
+R_c, are formed to the bit as numpy forms them with OpenBLAS (`core.dot2`,
+`det_r_c`), so the module needs no numpy.  `design_ndpa` returns its
+`Design` as a `DesignResult` of arrays, built once at that boundary; the
+command line reports the floats as they are.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
-import numpy as np
-
-from .core import DESIGN_TOL, EXACT_TOL, _fresh, _frozen_array, maxabs, maxabs_of, to_number
+from .core import DESIGN_TOL, EXACT_TOL, _fresh, _frozen_array, dot2, maxabs_of, to_number
 from .errors import (
     ConsistencyError,
     DesignError,
@@ -63,7 +68,9 @@ from .observer import (
     PlantSpec,
     _coupling_residual,
     augmented_energy_matrix,
-    synthesize_observer,
+    coupling_rows,
+    observer_design,
+    observer_selector,
 )
 
 # Trusted squeezing-to-damping ratio for the linearized NDPA model.
@@ -295,46 +302,76 @@ def quadrature_hamiltonian(m: Matrix) -> tuple:
     return tuple(tuple([(x + y) / 2.0 for x, y in zip(row, col)]) for row, col in zip(re, zip(*re)))
 
 
-def coupling_block(epsilon: complex, alpha: complex) -> np.ndarray:
-    """Plant-observer coupling block of R in terms of eps and alpha.
+def coupling_block(epsilon: complex, alpha: complex) -> tuple:
+    """Plant-observer coupling block of R in terms of eps and alpha, as rows of
+    Python floats.
 
     det R_c = |alpha|^2 - |eps|^2, so the block is rank one exactly on the
     magnitude design curve |alpha| = |eps|.
     """
-    return np.array(
-        [
-            [-epsilon.imag - alpha.imag, epsilon.real + alpha.real],
-            [epsilon.real - alpha.real, epsilon.imag - alpha.imag],
-        ]
+    return (
+        (-epsilon.imag - alpha.imag, epsilon.real + alpha.real),
+        (epsilon.real - alpha.real, epsilon.imag - alpha.imag),
     )
 
 
-def extract_beta(r_c: np.ndarray, plant: PlantSpec) -> np.ndarray:
-    """Factor the 2x2 R_c = C_p^T beta and return beta.
+def extract_beta(r_c: tuple, plant: PlantSpec) -> tuple:
+    """Factor the 2x2 R_c = C_p^T beta: (beta, residual, scale), on Python floats.
 
-    beta is the least-squares factor (C_p R_c) / |C_p|^2; the factorization
-    must reproduce R_c to DESIGN_TOL relative to its size, otherwise the
-    design equations were not satisfied.  Past the two products the checks
-    run on Python floats.
+    beta is the least-squares factor (C_p R_c) / |C_p|^2, its products each a
+    `dot2`; residual = maxabs(R_c - C_p^T beta) and scale = maxabs(R_c).  The
+    factorization must reproduce R_c to DESIGN_TOL relative to its size,
+    otherwise the design equations were not satisfied.
     """
     c_p = plant.c_p
-    scale = maxabs_of(r_c.ravel().tolist())
+    (c00, c01), (c10, c11) = r_c
+    scale = maxabs_of((c00, c01, c10, c11))
     if scale == 0.0:
         raise ZeroCouplingError("coupling block is zero: observer is decoupled")
-    norm_sq = c_p @ c_p
+    norm_sq = dot2(c_p, c_p)
     if norm_sq == 0.0:
-        raise DesignError(f"plant output selector {c_p.tolist()} underflows: |C_p|^2 = 0")
-    beta = (c_p @ r_c) / norm_sq
-    b0, b1 = beta.tolist()
-    if not (math.isfinite(b0) and math.isfinite(b1)):
-        raise DesignError(f"factor beta = {[b0, b1]} is not finite")
+        raise DesignError(f"plant output selector {list(c_p)} underflows: |C_p|^2 = 0")
+    beta = (dot2(c_p, (c00, c10)) / norm_sq, dot2(c_p, (c01, c11)) / norm_sq)
+    if not (math.isfinite(beta[0]) and math.isfinite(beta[1])):
+        raise DesignError(f"factor beta = {list(beta)} is not finite")
     residual = _coupling_residual(r_c, c_p, beta)
     if residual > DESIGN_TOL * scale:
         raise FactorizationError(
             f"coupling block is not rank one along the plant selector "
             f"(residual {residual:.3e} vs {DESIGN_TOL:.1e} * {scale:.3e})"
         )
-    return beta
+    return beta, residual, scale
+
+
+def det_r_c(r_c: tuple, scale: float) -> float:
+    """det(R_c / scale) of a finite block, to the bit as numpy's `linalg.det` gives it
+    with OpenBLAS.
+
+    That is one LU step with partial pivoting, as LAPACK's getrf takes it,
+    then sign * exp(log|u00| + log|u11|): l = c (1/a) and u11 = d - l b
+    after the rows are swapped where |c| > |a|.  A pivot below the smallest
+    normal number is not divided by, and swaps the second column only, as
+    OpenBLAS's getf2 does; a zero pivot or u11 gives 0.
+    """
+    (a, b), (c, d) = ((x / scale for x in row) for row in r_c)
+    swap = abs(c) > abs(a)
+    pivot = c if swap else a
+    if pivot == 0.0:
+        return 0.0
+    if abs(pivot) >= sys.float_info.min:
+        if swap:
+            a, b, c, d = c, d, a, b
+        l = c * (1.0 / a)
+    else:
+        if swap:
+            b, d = d, b
+        l = c
+    u = d - l * b
+    if u == 0.0:
+        return 0.0
+    sign = (-1.0 if swap else 1.0) * (-1.0 if a < 0.0 else 1.0) * (-1.0 if u < 0.0 else 1.0)
+    log_a = math.log(abs(a)) if a else -math.inf
+    return sign * math.exp(log_a + math.log(abs(u)))
 
 
 def check_number(name: str, value, high: float = math.inf) -> float:
@@ -349,7 +386,7 @@ def check_number(name: str, value, high: float = math.inf) -> float:
 
 
 def check_design_inputs(c_p, omega_o, gamma, eps_ratio, delta=None):
-    """(plant, omega_o, gamma, eps_ratio, delta) as `design_ndpa` uses them, each
+    """(plant, omega_o, gamma, eps_ratio, delta) as `solve_design` takes them, each
     checked once, in that order; delta defaults to pi/2.  The rules hold in any
     frequency unit, so the command line checks the values as given."""
     plant = PlantSpec(c_p)
@@ -357,6 +394,40 @@ def check_design_inputs(c_p, omega_o, gamma, eps_ratio, delta=None):
     positives = [check_number(name, value) for name, value in numbers.items()]
     delta = check_number("delta", math.pi / 2.0 if delta is None else delta, math.pi)
     return (plant, *positives, delta)
+
+
+class Design(NamedTuple):
+    """One design on Python floats, as `solve_design` forms it.
+
+    f and m are the physical route's 4 x 4 tuples of complex numbers and r
+    its real R; c_p, beta and c_o are pairs.  `result` gives the same design
+    as the `DesignResult` of arrays that `design_ndpa` returns.
+    """
+
+    params: NdpaParams
+    alpha: complex
+    f: Matrix
+    m: Matrix
+    r: tuple
+    c_p: tuple
+    beta: tuple
+    c_o: tuple
+    report: DesignReport
+
+    def result(self) -> DesignResult:
+        """The design as numpy arrays: the one place `DesignResult` is built."""
+        import numpy as np
+
+        ndpa = _fresh(
+            NdpaDesign,
+            params=self.params,
+            alpha=self.alpha,
+            f=np.array(self.f, dtype=complex),
+            m=np.array(self.m, dtype=complex),
+            r=np.array(self.r, dtype=float),
+        )
+        observer = observer_design(self.c_p, self.params.omega_o, self.beta, self.c_o)
+        return DesignResult(ndpa=ndpa, observer=observer, report=self.report)
 
 
 def design_ndpa(
@@ -378,9 +449,14 @@ def design_ndpa(
     phases equal when arg_c = 0.  The inputs pass `check_design_inputs`
     before any stage runs, and theta is checked after the cross-check.
     """
-    plant, omega_o, gamma, eps_ratio, delta = check_design_inputs(
-        c_p, omega_o, gamma, eps_ratio, delta
-    )
+    return solve_design(*check_design_inputs(c_p, omega_o, gamma, eps_ratio, delta)).result()
+
+
+def solve_design(
+    plant: PlantSpec, omega_o: float, gamma: float, eps_ratio: float, delta: float
+) -> Design:
+    """`design_ndpa`'s pipeline on inputs as `check_design_inputs` returns them, on
+    Python floats.  A stage that fails raises PipelineError naming it."""
 
     def stage(name, fn, *args):
         try:
@@ -389,7 +465,7 @@ def design_ndpa(
             raise PipelineError(name, str(exc)) from exc
 
     theta = stage("solve_theta", solve_theta, eps_ratio)
-    p0, p1 = plant.c_p.tolist()
+    p0, p1 = plant.c_p
     arg_c = math.atan2(p1, p0)
     psi, phi = stage("solve_phases", solve_phases, arg_c, delta)
     # alpha = gamma e^{i phi} sin(theta)/(1 - cos(theta)) without its
@@ -399,15 +475,16 @@ def design_ndpa(
     alpha = gamma * eps_ratio * cmath.exp(1j * phi)
 
     r_c = stage("coupling_block", coupling_block, epsilon, alpha)
-    beta = stage("extract_beta", extract_beta, r_c, plant)
-    observer = stage("synthesize_observer", synthesize_observer, plant, omega_o, beta)
+    beta, residual, scale = stage("extract_beta", extract_beta, r_c, plant)
+    c_o = stage("synthesize_observer", observer_selector, omega_o, beta)
 
     drift = stage("build_open_ndpa", build_open_ndpa, gamma, epsilon, omega_o)
     f = stage("close_loop", close_loop, drift, gamma, eps_ratio, phi)
     m = stage("hamiltonian_from_drift", hamiltonian_from_drift, f)
     r_physical = stage("quadrature_hamiltonian", quadrature_hamiltonian, m)
 
-    r_abstract = augmented_energy_matrix(observer)
+    r_o = 2.0 * omega_o
+    r_abstract = augmented_energy_matrix(coupling_rows(plant.c_p, beta), ((r_o, 0.0), (0.0, r_o)))
     cross_defect = maxabs_of(
         [x - y for row, want in zip(r_physical, r_abstract) for x, y in zip(row, want)]
     )
@@ -446,24 +523,16 @@ def design_ndpa(
             "toolkit convention, not uniquely determined"
         )
 
-    ndpa = _fresh(
-        NdpaDesign,
-        params=params,
-        alpha=alpha,
-        f=np.array(f, dtype=complex),
-        m=np.array(m, dtype=complex),
-        r=np.array(r_physical, dtype=float),
-    )
     report = DesignReport(
         arg_c=arg_c,
         delta=delta,
         theta_residual=theta_residual,
         phase_residual=phase_residual,
         arg_identity_residual=arg_identity_residual,
-        det_r_c=float(np.linalg.det(r_c / maxabs(r_c))),
+        det_r_c=det_r_c(r_c, scale),
         alpha_magnitude_defect=abs(abs(alpha) - abs(epsilon)),
-        factorization_residual=_coupling_residual(r_c, plant.c_p, beta),
+        factorization_residual=residual,
         cross_check_defect=cross_defect,
         warnings=tuple(notes),
     )
-    return DesignResult(ndpa=ndpa, observer=observer, report=report)
+    return Design(params, alpha, f, m, r_physical, plant.c_p, beta, tuple(c_o), report)

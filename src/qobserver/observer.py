@@ -14,18 +14,19 @@ z_o(t) converges to z_p.  The observer trades per-instant agreement for
 this Cesaro-mean agreement: z_o oscillates forever at angular frequency
 4 omega_o around the plant value.
 
-`synthesize_observer` checks its inputs, then builds the `ObserverDesign`
-from the arrays it has just made, without the constructor's conversions
-and copies, which stay for bundles built by hand.
+`synthesize_observer` converts its inputs, and `observer_selector` checks
+them and forms C_o on Python floats, the route `ndpa.solve_design` takes.
+`observer_design` builds the `ObserverDesign` arrays from those floats
+without the constructor's conversions and copies, which stay for bundles
+built by hand.  numpy is imported only where arrays are built or solved.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .core import (
     DESIGN_TOL,
@@ -33,13 +34,19 @@ from .core import (
     SymplecticSpace,
     _fresh,
     _frozen_array,
+    dot2,
     maxabs_of,
+    to_array,
     to_number,
+    to_numbers,
 )
 from .errors import DesignError, DimensionError, InputError, NonFiniteError
 
-# The plant-observer phase space that every augmented system shares.
-_PLANT_OBSERVER = SymplecticSpace(2)
+
+@functools.cache
+def _plant_observer() -> SymplecticSpace:
+    """The plant-observer phase space that every augmented system shares."""
+    return SymplecticSpace(2)
 
 
 def _ldexp(x: float, k: int) -> float:
@@ -52,21 +59,21 @@ def _ldexp(x: float, k: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class PlantSpec:
-    """Output selector C_p of the static plant (its generator is fixed at 0); the
-    selector's one check: two entries, finite, not both zero."""
+    """Output selector C_p of the static plant (its generator is fixed at 0), as a pair
+    of Python floats; the selector's one check: two entries, finite, not both zero."""
 
-    c_p: np.ndarray
+    c_p: tuple[float, float]
 
     def __post_init__(self):
-        c_p = to_number("cp", self.c_p, array=True).reshape(-1)
-        if c_p.shape != (2,):
-            raise InputError("cp", "expected two numbers", c_p.tolist())
-        c0, c1 = c_p.tolist()
+        c_p = to_numbers("cp", self.c_p)
+        if len(c_p) != 2:
+            raise InputError("cp", "expected two numbers", c_p)
+        c0, c1 = c_p
         if not (math.isfinite(c0) and math.isfinite(c1)):
             raise InputError("cp", "entries must be finite", [c0, c1])
         if c0 == 0.0 and c1 == 0.0:
             raise InputError("cp", "plant output selector is zero")
-        object.__setattr__(self, "c_p", _frozen_array(c_p))
+        object.__setattr__(self, "c_p", (c0, c1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,12 +95,12 @@ class ObserverDesign:
     def __post_init__(self):
         object.__setattr__(self, "omega_o", to_number("omega_o", self.omega_o))
         for name in ("c_p", "beta", "c_o"):
-            value = to_number(name, getattr(self, name), array=True).reshape(-1)
+            value = to_array(name, getattr(self, name)).reshape(-1)
             object.__setattr__(self, name, _frozen_array(value))
             if getattr(self, name).shape != (2,):
                 raise DimensionError(f"{name} must have 2 entries")
         for name in ("r_o", "r_c"):
-            value = to_number(name, getattr(self, name), array=True)
+            value = to_array(name, getattr(self, name))
             object.__setattr__(self, name, _frozen_array(value))
             if getattr(self, name).shape != (2, 2):
                 raise DimensionError(f"{name} must be 2x2")
@@ -116,21 +123,29 @@ def synthesize_observer(plant: PlantSpec, omega_o: float, beta) -> ObserverDesig
     """Observer matrices for a given coupling row beta.
 
     Uses R_o = 2 omega_o I, R_c = C_p^T beta and the minimum-norm solution
-    of C_o beta^T = -2 omega_o, C_o = -2 omega_o beta / |beta|^2.
-    InputError for a non-finite omega_o or beta entry, before any arithmetic;
-    NonFiniteError when C_o overflows (omega_o far above |beta|),
-    DesignError when it underflows to subnormal from a normal omega_o
-    (omega_o far below |beta|).  Other bundles, any point of the solution
-    line or deliberately invalid ones for negative controls, can be built
-    through ObserverDesign directly.
+    of C_o beta^T = -2 omega_o, C_o = -2 omega_o beta / |beta|^2, which
+    `observer_selector` forms and checks.  Other bundles, any point of the
+    solution line or deliberately invalid ones for negative controls, can be
+    built through ObserverDesign directly.
     """
     omega_o = to_number("omega_o", omega_o)
-    beta = to_number("beta", beta, array=True).reshape(-1)
-    if beta.shape != (2,):
-        raise DimensionError(f"beta must have 2 entries, got {beta.shape}")
+    beta = to_numbers("beta", beta)
+    if len(beta) != 2:
+        raise DimensionError(f"beta must have 2 entries, got {(len(beta),)}")
+    return observer_design(plant.c_p, omega_o, beta, observer_selector(omega_o, beta))
+
+
+def observer_selector(omega_o: float, beta) -> list[float]:
+    """C_o = -2 omega_o beta / |beta|^2 on Python floats, for a float omega_o and pair beta.
+
+    InputError for a non-finite omega_o or beta entry, before any arithmetic;
+    DesignError for omega_o <= 0 or beta = 0; NonFiniteError when C_o
+    overflows (omega_o far above |beta|), DesignError when it underflows to
+    subnormal from a normal omega_o (omega_o far below |beta|).
+    """
+    b0, b1 = beta
     if not math.isfinite(omega_o):
         raise InputError("omega_o", "value must be finite", omega_o)
-    b0, b1 = beta.tolist()
     if not (math.isfinite(b0) and math.isfinite(b1)):
         raise InputError("beta", "entries must be finite", [b0, b1])
     if omega_o <= 0.0:
@@ -142,13 +157,11 @@ def synthesize_observer(plant: PlantSpec, omega_o: float, beta) -> ObserverDesig
             "beta is zero: no output selector C_o can satisfy C_o beta^T = -2 omega_o"
         )
     # Scaled by 2^k ~ maxabs(beta), |beta|^2 cannot overflow, and in the
-    # normal range C_o equals the unscaled formula to the last bit.  Past
-    # the dot product the arithmetic is elementwise, on Python floats.
-    beta = np.array([b0, b1])  # the design's own, not the caller's array
+    # normal range C_o equals the unscaled formula to the last bit.
     k = math.frexp(max(abs(b0), abs(b1)))[1]
-    unit = np.ldexp(beta, -k)
-    q = -2.0 * omega_o / float(unit @ unit)
-    c_o = [_ldexp(q * u, -k) for u in unit.tolist()]
+    unit = (math.ldexp(b0, -k), math.ldexp(b1, -k))
+    q = -2.0 * omega_o / dot2(unit, unit)
+    c_o = [_ldexp(q * u, -k) for u in unit]
     if not all(map(math.isfinite, c_o)):
         raise NonFiniteError(f"C_o = -2 omega_o beta / |beta|^2 overflows: {c_o}")
     # C_o underflows when omega_o is far below |beta|: a subnormal C_o has
@@ -157,24 +170,38 @@ def synthesize_observer(plant: PlantSpec, omega_o: float, beta) -> ObserverDesig
     # accepts as given, keeps the C_o as small as itself.
     if maxabs_of(c_o) < sys.float_info.min <= omega_o:
         raise DesignError(f"C_o = -2 omega_o beta / |beta|^2 underflows to subnormal: {c_o}")
+    return c_o
+
+
+def coupling_rows(c_p, beta) -> tuple:
+    """R_c = C_p^T beta as rows of Python floats."""
+    (p0, p1), (b0, b1) = c_p, beta
+    return ((p0 * b0, p0 * b1), (p1 * b0, p1 * b1))
+
+
+def observer_design(c_p, omega_o: float, beta, c_o) -> ObserverDesign:
+    """The `ObserverDesign` of the floats of one design (selector, detuning, coupling row
+    and output selector as pairs), built without the constructor's conversions."""
+    import numpy as np
+
     r = 2.0 * omega_o
-    p0, p1 = plant.c_p.tolist()
     return _fresh(
         ObserverDesign,
-        c_p=plant.c_p,
+        c_p=np.array(c_p, dtype=float),
         omega_o=omega_o,
         r_o=np.array([[r, 0.0], [0.0, r]]),
-        r_c=np.array([[p0 * b0, p0 * b1], [p1 * b0, p1 * b1]]),
-        beta=beta,
-        c_o=np.array(c_o),
+        r_c=np.array(coupling_rows(c_p, beta)),
+        beta=np.array(beta, dtype=float),
+        c_o=np.array(c_o, dtype=float),
     )
 
 
-def _coupling_residual(r_c: np.ndarray, c_p: np.ndarray, beta: np.ndarray) -> float:
-    """maxabs(R_c - C_p^T beta) from the four products C_p,i beta_j, on Python floats."""
-    (c00, c01), (c10, c11) = r_c.tolist()
-    p0, p1 = c_p.tolist()
-    b0, b1 = beta.tolist()
+def _coupling_residual(r_c, c_p, beta) -> float:
+    """maxabs(R_c - C_p^T beta) from the four products C_p,i beta_j, for rows and pairs
+    of Python floats."""
+    (c00, c01), (c10, c11) = r_c
+    p0, p1 = c_p
+    b0, b1 = beta
     return maxabs_of((c00 - p0 * b0, c01 - p0 * b1, c10 - p1 * b0, c11 - p1 * b1))
 
 
@@ -200,6 +227,8 @@ def normalized_constraint_defect(design: ObserverDesign) -> float:
     R_o^{-1} beta^T is solved by numpy, since its rounding reaches the
     verify report; the tests that rule it out are read as Python floats.
     """
+    import numpy as np
+
     (o00, _), (o10, o11) = design.r_o.tolist()
     b0, b1 = design.beta.tolist()
     if (b0 == 0.0 and b1 == 0.0) or not _least_eigenvalue(o00, o10, o11) > 0.0:
@@ -227,7 +256,7 @@ def validate_observer(design: ObserverDesign) -> ObserverDiagnostics:
     if not min_eig > 0.0:
         failures.append("observer energy matrix R_o is not positive definite")
 
-    coupling_defect = _coupling_residual(design.r_c, design.c_p, design.beta)
+    coupling_defect = _coupling_residual(design.r_c.tolist(), design.c_p.tolist(), (b0, b1))
     if coupling_defect > DESIGN_TOL * maxabs_of(design.r_c.ravel().tolist()):
         failures.append("coupling block R_c differs from C_p^T beta")
 
@@ -250,11 +279,11 @@ def validate_observer(design: ObserverDesign) -> ObserverDiagnostics:
     )
 
 
-def augmented_energy_matrix(design: ObserverDesign) -> tuple:
+def augmented_energy_matrix(r_c, r_o) -> tuple:
     """Joint plant-observer energy matrix R = [[0, R_c], [R_c^T, R_o]], as rows of
-    Python floats."""
-    (c00, c01), (c10, c11) = design.r_c.tolist()
-    (o00, o01), (o10, o11) = design.r_o.tolist()
+    Python floats, from the rows of R_c and R_o."""
+    (c00, c01), (c10, c11) = r_c
+    (o00, o01), (o10, o11) = r_o
     return ((0.0, 0.0, c00, c01), (0.0, 0.0, c10, c11), (c00, c10, o00, o01), (c01, c11, o10, o11))
 
 
@@ -289,4 +318,4 @@ def augment(design: ObserverDesign) -> LinearQuantumSystem:
     p0, p1 = design.c_p.tolist()
     q0, q1 = design.c_o.tolist()
     c = [[p0, p1, 0.0, 0.0], [0.0, 0.0, q0, q1]]
-    return LinearQuantumSystem(a, c, _PLANT_OBSERVER)
+    return LinearQuantumSystem(a, c, _plant_observer())

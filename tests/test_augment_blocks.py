@@ -66,7 +66,8 @@ def hamiltonian_route(design):
     rows = np.zeros((2, 4))
     rows[0, :2], rows[1, 2:] = design.c_p, design.c_o
     with np.errstate(all="ignore"):
-        ham = QuadraticHamiltonian(augmented_energy_matrix(design), SymplecticSpace(2))
+        r = augmented_energy_matrix(design.r_c.tolist(), design.r_o.tolist())
+        ham = QuadraticHamiltonian(r, SymplecticSpace(2))
         return generator_from_hamiltonian(ham).with_outputs(rows)
 
 

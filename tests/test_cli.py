@@ -119,6 +119,30 @@ class TestFloatFormat:
         )
         assert proc.stdout == "0\n"
 
+    def test_design_and_reproduce_example_never_load_numpy(self, tmp_path):
+        # the design runs on Python floats; only verify and simulate import numpy
+        code = (
+            "import sys, qobserver.cli as c\n"
+            "loaded = ['numpy' in sys.modules]\n"
+            "for argv in (['design', '--cp=0.6,-0.8', '--units', 'rad/s', '--omega-o', '2e8',\n"
+            "              '--delta', '1', '--out', 'a'], ['reproduce-example', '--out', 'b']):\n"
+            "    loaded.append((c.main(argv), 'numpy' in sys.modules))\n"
+            "try:\n"
+            "    c.emit_json({'a': {1}})\n"
+            "except TypeError as exc:\n"
+            "    loaded.append((str(exc), 'numpy' in sys.modules))\n"
+            "c.main(['verify', '--out', 'c'])\n"
+            "print(loaded, 'numpy' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert proc.stdout.splitlines()[-1] == (
+            "[False, (0, False), (0, False), (\"cannot serialize <class 'set'>\", False)] True"
+        )
+
     @pytest.mark.parametrize("shape", [(3,), (3, 0), (2, 2, 2)])
     def test_table_rejects_other_shapes(self, shape):
         with pytest.raises(ValueError, match="expected a 2-d table with columns"):
@@ -178,6 +202,20 @@ class TestFloatFormat:
         for tree in ({"a": 1.0}, {"a": "x"}, {"a": [1.0]}, {"a": np.zeros(1)}, {"a": None},
                      {"a": "%s"}, {"a": 1.0}, {"a": True}, {"a": np.zeros(())}, {"a": 7}):
             assert cli.emit_json(tree) == emit_json_by_stdlib(tree)
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 2), (4, 4), (0,), ()])
+    def test_emit_json_lays_out_a_grid_as_its_array(self, shape):
+        array = np.arange(1.0, 1.0 + np.prod(shape, dtype=int)).reshape(shape) * -1.5e-7
+        grid = cli.Grid(shape, tuple(array.ravel().tolist()))
+        assert cli.emit_json({"g": grid, "n": [grid]}) == cli.emit_json({"g": array, "n": [array]})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_emit_json_raises_the_first_fault_in_a_grid_in_document_order(self, bad):
+        grid = cli.Grid((2, 2), (1.0, 2.0, bad, 3.0))
+        with pytest.raises(NonFiniteError, match=f"non-finite value {bad!r} in report"):
+            cli.emit_json({"a": [grid], "b": {"c": object()}})
+        with pytest.raises(TypeError, match=re.escape(f"cannot serialize {object!r}")):
+            cli.emit_json({"a": [object()], "b": {"c": grid}})
 
     def test_emit_json_lays_out_an_array_subclass_by_its_lists(self):
         with warnings.catch_warnings():
@@ -695,7 +733,7 @@ class TestExitCodes:
         def boom(*args, **kwargs):
             raise PipelineError("extract_beta", "forced failure")
 
-        monkeypatch.setattr(cli, "design_ndpa", boom)
+        monkeypatch.setattr(cli, "solve_design", boom)
         code = run_cli(["design", "--out", str(tmp_path)])
         assert code == 1
         assert "extract_beta" in capsys.readouterr().err
