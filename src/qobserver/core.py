@@ -15,9 +15,10 @@ by a reference frequency before touching this module.  The propagator
 exp(A t) and the commutation drift are in `dynamics`, read from the closed
 form there.
 
-The scalar helpers (`to_number`, `dot2`, `maxabs_of`) run on Python floats
-and load without numpy; the array types and `to_array` import it when they
-are first used, so a `design` run never loads it.
+The scalar helpers (`to_number`, `dot2`, `maxabs_of`, and `fmt_float`, the
+number format of every report) run on Python floats and load without
+numpy; the array types and `to_array` import it when they are first used,
+so a `design` run never loads it.
 """
 
 from __future__ import annotations
@@ -75,6 +76,20 @@ def dot2(a, b) -> float:
         return numerator / (d1 * d2 * d0)
     except OverflowError:
         return math.inf if numerator > 0 else -math.inf
+
+
+def fmt_float(x: float) -> str:
+    """x as the reports spell it: 12 significant digits, lowercase scientific outside
+    [1e-4, 1e6); NonFiniteError for a nan or inf."""
+    x = float(x)
+    # The common case first: a nan fails the comparison, and so does an inf.
+    if 1e-4 <= abs(x) < 1e6:
+        return f"{x:.12g}"
+    if x == 0.0:
+        return "0"
+    if not math.isfinite(x):
+        raise NonFiniteError(f"non-finite value {x!r} in report")
+    return f"{x:.11e}"
 
 
 def _holds_boolean(value) -> bool:

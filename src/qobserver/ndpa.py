@@ -68,7 +68,7 @@ from .observer import (
     PlantSpec,
     _coupling_residual,
     augmented_energy_matrix,
-    coupling_rows,
+    energy_blocks,
     observer_design,
     observer_selector,
 )
@@ -315,15 +315,15 @@ def coupling_block(epsilon: complex, alpha: complex) -> tuple:
     )
 
 
-def extract_beta(r_c: tuple, plant: PlantSpec) -> tuple:
+def extract_beta(r_c: tuple, c_p: tuple) -> tuple:
     """Factor the 2x2 R_c = C_p^T beta: (beta, residual, scale), on Python floats.
 
-    beta is the least-squares factor (C_p R_c) / |C_p|^2, its products each a
-    `dot2`; residual = maxabs(R_c - C_p^T beta) and scale = maxabs(R_c).  The
-    factorization must reproduce R_c to DESIGN_TOL relative to its size,
-    otherwise the design equations were not satisfied.
+    c_p is a selector as `PlantSpec` checks it.  beta is the least-squares
+    factor (C_p R_c) / |C_p|^2, its products each a `dot2`; residual =
+    maxabs(R_c - C_p^T beta) and scale = maxabs(R_c).  The factorization must
+    reproduce R_c to DESIGN_TOL relative to its size, otherwise the design
+    equations were not satisfied.
     """
-    c_p = plant.c_p
     (c00, c01), (c10, c11) = r_c
     scale = maxabs_of((c00, c01, c10, c11))
     if scale == 0.0:
@@ -386,22 +386,24 @@ def check_number(name: str, value, high: float = math.inf) -> float:
 
 
 def check_design_inputs(c_p, omega_o, gamma, eps_ratio, delta=None):
-    """(plant, omega_o, gamma, eps_ratio, delta) as `solve_design` takes them, each
-    checked once, in that order; delta defaults to pi/2.  The rules hold in any
-    frequency unit, so the command line checks the values as given."""
-    plant = PlantSpec(c_p)
+    """(c_p, omega_o, gamma, eps_ratio, delta) as `solve_design` takes them, each
+    checked once, in that order: c_p as a pair of floats by `PlantSpec`'s rule, the
+    numbers as floats; delta defaults to pi/2.  The rules hold in any frequency unit,
+    so the command line checks the values as given."""
+    c_p = PlantSpec(c_p).c_p
     numbers = {"omega_o": omega_o, "gamma": gamma, "eps_ratio": eps_ratio}
     positives = [check_number(name, value) for name, value in numbers.items()]
     delta = check_number("delta", math.pi / 2.0 if delta is None else delta, math.pi)
-    return (plant, *positives, delta)
+    return (c_p, *positives, delta)
 
 
 class Design(NamedTuple):
     """One design on Python floats, as `solve_design` forms it.
 
     f and m are the physical route's 4 x 4 tuples of complex numbers and r
-    its real R; c_p, beta and c_o are pairs.  `result` gives the same design
-    as the `DesignResult` of arrays that `design_ndpa` returns.
+    its real R; c_p, beta and c_o are pairs, and r_o and r_c the observer's
+    blocks as `observer.energy_blocks` gives them.  `result` gives the same
+    design as the `DesignResult` of arrays that `design_ndpa` returns.
     """
 
     params: NdpaParams
@@ -412,6 +414,8 @@ class Design(NamedTuple):
     c_p: tuple
     beta: tuple
     c_o: tuple
+    r_o: tuple
+    r_c: tuple
     report: DesignReport
 
     def result(self) -> DesignResult:
@@ -426,7 +430,9 @@ class Design(NamedTuple):
             m=np.array(self.m, dtype=complex),
             r=np.array(self.r, dtype=float),
         )
-        observer = observer_design(self.c_p, self.params.omega_o, self.beta, self.c_o)
+        observer = observer_design(
+            self.c_p, self.params.omega_o, self.r_o, self.r_c, self.beta, self.c_o
+        )
         return DesignResult(ndpa=ndpa, observer=observer, report=self.report)
 
 
@@ -453,7 +459,7 @@ def design_ndpa(
 
 
 def solve_design(
-    plant: PlantSpec, omega_o: float, gamma: float, eps_ratio: float, delta: float
+    c_p: tuple, omega_o: float, gamma: float, eps_ratio: float, delta: float
 ) -> Design:
     """`design_ndpa`'s pipeline on inputs as `check_design_inputs` returns them, on
     Python floats.  A stage that fails raises PipelineError naming it."""
@@ -465,8 +471,7 @@ def solve_design(
             raise PipelineError(name, str(exc)) from exc
 
     theta = stage("solve_theta", solve_theta, eps_ratio)
-    p0, p1 = plant.c_p
-    arg_c = math.atan2(p1, p0)
+    arg_c = math.atan2(c_p[1], c_p[0])
     psi, phi = stage("solve_phases", solve_phases, arg_c, delta)
     # alpha = gamma e^{i phi} sin(theta)/(1 - cos(theta)) without its
     # quotient, which equals eps_ratio on the design curve and loses the
@@ -474,8 +479,8 @@ def solve_design(
     epsilon = gamma * eps_ratio * cmath.exp(1j * psi)
     alpha = gamma * eps_ratio * cmath.exp(1j * phi)
 
-    r_c = stage("coupling_block", coupling_block, epsilon, alpha)
-    beta, residual, scale = stage("extract_beta", extract_beta, r_c, plant)
+    block = stage("coupling_block", coupling_block, epsilon, alpha)
+    beta, residual, scale = stage("extract_beta", extract_beta, block, c_p)
     c_o = stage("synthesize_observer", observer_selector, omega_o, beta)
 
     drift = stage("build_open_ndpa", build_open_ndpa, gamma, epsilon, omega_o)
@@ -483,8 +488,8 @@ def solve_design(
     m = stage("hamiltonian_from_drift", hamiltonian_from_drift, f)
     r_physical = stage("quadrature_hamiltonian", quadrature_hamiltonian, m)
 
-    r_o = 2.0 * omega_o
-    r_abstract = augmented_energy_matrix(coupling_rows(plant.c_p, beta), ((r_o, 0.0), (0.0, r_o)))
+    r_o, r_c = energy_blocks(c_p, omega_o, beta)
+    r_abstract = augmented_energy_matrix(r_c, r_o)
     cross_defect = maxabs_of(
         [x - y for row, want in zip(r_physical, r_abstract) for x, y in zip(row, want)]
     )
@@ -529,10 +534,10 @@ def solve_design(
         theta_residual=theta_residual,
         phase_residual=phase_residual,
         arg_identity_residual=arg_identity_residual,
-        det_r_c=det_r_c(r_c, scale),
+        det_r_c=det_r_c(block, scale),
         alpha_magnitude_defect=abs(abs(alpha) - abs(epsilon)),
         factorization_residual=residual,
         cross_check_defect=cross_defect,
         warnings=tuple(notes),
     )
-    return Design(params, alpha, f, m, r_physical, plant.c_p, beta, tuple(c_o), report)
+    return Design(params, alpha, f, m, r_physical, c_p, beta, tuple(c_o), r_o, r_c, report)

@@ -15,10 +15,10 @@ this Cesaro-mean agreement: z_o oscillates forever at angular frequency
 4 omega_o around the plant value.
 
 `synthesize_observer` converts its inputs, and `observer_selector` checks
-them and forms C_o on Python floats, the route `ndpa.solve_design` takes.
-`observer_design` builds the `ObserverDesign` arrays from those floats
-without the constructor's conversions and copies, which stay for bundles
-built by hand.  numpy is imported only where arrays are built or solved.
+them and forms C_o and `energy_blocks` forms R_o and R_c on Python floats,
+the route `ndpa.solve_design` takes.  `observer_design` builds the
+`ObserverDesign` arrays from those floats without the constructor's
+conversions and copies, which stay for bundles built by hand.  numpy is imported only where arrays are built or solved.
 """
 
 from __future__ import annotations
@@ -132,7 +132,8 @@ def synthesize_observer(plant: PlantSpec, omega_o: float, beta) -> ObserverDesig
     beta = to_numbers("beta", beta)
     if len(beta) != 2:
         raise DimensionError(f"beta must have 2 entries, got {(len(beta),)}")
-    return observer_design(plant.c_p, omega_o, beta, observer_selector(omega_o, beta))
+    c_o = observer_selector(omega_o, beta)
+    return observer_design(plant.c_p, omega_o, *energy_blocks(plant.c_p, omega_o, beta), beta, c_o)
 
 
 def observer_selector(omega_o: float, beta) -> list[float]:
@@ -173,24 +174,26 @@ def observer_selector(omega_o: float, beta) -> list[float]:
     return c_o
 
 
-def coupling_rows(c_p, beta) -> tuple:
-    """R_c = C_p^T beta as rows of Python floats."""
+def energy_blocks(c_p, omega_o: float, beta) -> tuple:
+    """(R_o, R_c) = (2 omega_o I, C_p^T beta), the observer's energy blocks, as rows of
+    Python floats."""
     (p0, p1), (b0, b1) = c_p, beta
-    return ((p0 * b0, p0 * b1), (p1 * b0, p1 * b1))
+    r = 2.0 * omega_o
+    return ((r, 0.0), (0.0, r)), ((p0 * b0, p0 * b1), (p1 * b0, p1 * b1))
 
 
-def observer_design(c_p, omega_o: float, beta, c_o) -> ObserverDesign:
-    """The `ObserverDesign` of the floats of one design (selector, detuning, coupling row
-    and output selector as pairs), built without the constructor's conversions."""
+def observer_design(c_p, omega_o: float, r_o, r_c, beta, c_o) -> ObserverDesign:
+    """The `ObserverDesign` of the floats of one design: selector, coupling row and
+    output selector as pairs, the blocks as `energy_blocks` gives them.  Built without
+    the constructor's conversions."""
     import numpy as np
 
-    r = 2.0 * omega_o
     return _fresh(
         ObserverDesign,
         c_p=np.array(c_p, dtype=float),
         omega_o=omega_o,
-        r_o=np.array([[r, 0.0], [0.0, r]]),
-        r_c=np.array(coupling_rows(c_p, beta)),
+        r_o=np.array(r_o, dtype=float),
+        r_c=np.array(r_c, dtype=float),
         beta=np.array(beta, dtype=float),
         c_o=np.array(c_o, dtype=float),
     )

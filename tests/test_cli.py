@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from qobserver import (
-    PlantSpec, _kernels, augment, cli, design_ndpa, dynamics, ndpa, synthesize_observer,
-    verify_convergence,
+    PlantSpec, _kernels, augment, cli, csvformat, design_ndpa, dynamics, ndpa,
+    synthesize_observer, verify_convergence,
 )
 from qobserver.dynamics import CheckResult, ConvergenceReport, default_horizons
 from qobserver.errors import NonFiniteError, PipelineError
@@ -60,11 +60,11 @@ class TestFloatFormat:
 
     def test_table_blocks_join_to_the_cell_by_cell_text(self):
         rng = np.random.default_rng(7)
-        rows = 2 * cli.TABLE_BLOCK_ROWS + 3
+        rows = 2 * csvformat.TABLE_BLOCK_ROWS + 3
         for width in (13, 40):
             table = rng.normal(size=(rows, width)) * 10.0 ** rng.integers(-9, 9, size=(rows, width))
             table[::5, 3] = 0.0
-            blocks = list(cli.fmt_table(table))
+            blocks = list(csvformat.fmt_table(table))
             assert len(blocks) == 3
             assert all(block.endswith(b"\n") for block in blocks)
             assert b"".join(blocks) == "".join(
@@ -73,18 +73,18 @@ class TestFloatFormat:
 
     def test_tie_column_takes_one_percent_per_block(self, monkeypatch):
         # 100000.0078125 * 10**6 ends in .5 exactly: a tie, rounded to even
-        sizes, fallback = [], cli._fallback_text
-        monkeypatch.setattr(cli, "_fallback_text", lambda v: sizes.append(v.size) or fallback(v))
+        sizes, fallback = [], csvformat._fallback_text
+        monkeypatch.setattr(csvformat, "_fallback_text", lambda v: sizes.append(v.size) or fallback(v))
         table = np.full((2001, 1), -100000.0078125)
-        blocks = list(cli.fmt_table(table))
+        blocks = list(csvformat.fmt_table(table))
         assert b"".join(blocks) == b"-100000.007812\n" * 2001
         assert sizes == [block.count(b"\n") for block in blocks]
 
     def test_three_digit_exponent_column_takes_fmt_float(self, monkeypatch):
         # the kernel's exponent glyphs have two digits; %.11e of 1e-150 has three
-        sizes, fallback = [], cli._fallback_text
-        monkeypatch.setattr(cli, "_fallback_text", lambda v: sizes.append(v.size) or fallback(v))
-        blocks = list(cli.fmt_table(np.full((2001, 1), 1e-150)))
+        sizes, fallback = [], csvformat._fallback_text
+        monkeypatch.setattr(csvformat, "_fallback_text", lambda v: sizes.append(v.size) or fallback(v))
+        blocks = list(csvformat.fmt_table(np.full((2001, 1), 1e-150)))
         assert b"".join(blocks) == (cli.fmt_float(1e-150) + "\n").encode("ascii") * 2001
         assert sizes == [block.count(b"\n") for block in blocks]
 
@@ -102,7 +102,7 @@ class TestFloatFormat:
             ("comma", b",\0\0\0", b",\0\0\0"),
             ("newline", b"\n\0\0\0", b"\n\0\0\0"),
         ]
-        glyphs, offsets = cli._format_tables().glyphs, cli._format_tables().offsets
+        glyphs, offsets = csvformat._format_tables().glyphs, csvformat._format_tables().offsets
         assert list(offsets) == [name for name, _, _ in sections]
         ends = [offsets[name] for name, _, _ in sections[1:]] + [glyphs.size]
         for (name, first, last), end in zip(sections, ends):
@@ -111,7 +111,10 @@ class TestFloatFormat:
 
     def test_import_builds_no_format_table(self, tmp_path):
         # the tables take milliseconds to build; only a run that writes a CSV pays
-        code = "import qobserver.cli as c; print(c._format_tables.cache_info().currsize)"
+        code = (
+            "import qobserver.cli, qobserver.csvformat as f; "
+            "print(f._format_tables.cache_info().currsize)"
+        )
         env = {**os.environ, "PYTHONPATH": str(SRC)}
         proc = subprocess.run(
             [sys.executable, "-c", code],
@@ -146,14 +149,14 @@ class TestFloatFormat:
     @pytest.mark.parametrize("shape", [(3,), (3, 0), (2, 2, 2)])
     def test_table_rejects_other_shapes(self, shape):
         with pytest.raises(ValueError, match="expected a 2-d table with columns"):
-            cli.fmt_table(np.zeros(shape))
+            csvformat.fmt_table(np.zeros(shape))
 
     def test_table_rejects_nonfinite(self):
         for bad in (float("nan"), float("inf"), -float("inf")):
             table = np.zeros((3, 13))
             table[2, 5] = bad
             with pytest.raises(NonFiniteError, match=f"non-finite value {bad!r} in report"):
-                cli.fmt_table(table)
+                csvformat.fmt_table(table)
 
     def test_emit_json_round_trips(self):
         doc = {"a": [1, 2.5, None, True], "b": {"c": "x", "d": 1e-7}}
@@ -636,8 +639,8 @@ class TestSimulateCommand:
     def test_cells_exact_at_long_horizons(self, tmp_path, monkeypatch, t_max, cp):
         # the table before formatting: z_o and its average against the rotation
         # integral; z_p against the drift bound that README states
-        tables, fmt_table = [], cli.fmt_table
-        monkeypatch.setattr(cli, "fmt_table", lambda t: tables.append(t) or fmt_table(t))
+        tables, fmt_table = [], csvformat.fmt_table
+        monkeypatch.setattr(csvformat, "fmt_table", lambda t: tables.append(t) or fmt_table(t))
         assert run_cli(["simulate", "--cp", cp, "--horizons", t_max, "--out", str(tmp_path)]) == 0
         (table,) = tables
         observer = design_ndpa([float(c) for c in cp.split(",")], 1.0, 1.0, 0.1).observer

@@ -19,7 +19,7 @@ import pytest
 
 from deadline import deadline
 from oracles import emit_json_by_stdlib
-from qobserver import cli
+from qobserver import cli, csvformat
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -189,7 +189,7 @@ def tables(draw):
 @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @hypothesis.given(tables())
 def test_table_format_matches_fmt_float_cell_by_cell(rows):
-    text = b"".join(cli.fmt_table(np.array(rows))).decode("ascii")
+    text = b"".join(csvformat.fmt_table(np.array(rows))).decode("ascii")
     assert text.endswith("\n")
     assert [line.split(",") for line in text[:-1].split("\n")] == [
         [cli.fmt_float(x) for x in row] for row in rows

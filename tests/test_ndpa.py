@@ -373,27 +373,27 @@ class TestCouplingBlock:
 
 class TestExtractBeta:
     def test_reference(self):
-        beta, residual, scale = extract_beta(((2e7, 0.0), (0.0, 0.0)), PlantSpec([1.0, 0.0]))
+        beta, residual, scale = extract_beta(((2e7, 0.0), (0.0, 0.0)), (1.0, 0.0))
         np.testing.assert_allclose(beta, [2e7, 0.0], atol=0.0)
         assert (residual, scale) == (0.0, 2e7)
 
     def test_zero_block_rejected(self):
         with pytest.raises(ZeroCouplingError):
-            extract_beta(((0.0, 0.0), (0.0, 0.0)), PlantSpec([1.0, 0.0]))
+            extract_beta(((0.0, 0.0), (0.0, 0.0)), (1.0, 0.0))
 
     def test_round_trip(self):
-        plant = PlantSpec([0.6, 0.8])
-        r_c = np.outer(plant.c_p, [3.0, -4.0]).tolist()
-        np.testing.assert_allclose(extract_beta(r_c, plant)[0], [3.0, -4.0], rtol=1e-12)
+        c_p = (0.6, 0.8)
+        r_c = np.outer(c_p, [3.0, -4.0]).tolist()
+        np.testing.assert_allclose(extract_beta(r_c, c_p)[0], [3.0, -4.0], rtol=1e-12)
 
     def test_full_rank_rejected(self):
         with pytest.raises(FactorizationError):
-            extract_beta(((1.0, 0.0), (0.0, 1.0)), PlantSpec([1.0, 0.0]))
+            extract_beta(((1.0, 0.0), (0.0, 1.0)), (1.0, 0.0))
 
     def test_underflowing_selector_rejected(self):
         # |C_p|^2 = 1e-400 rounds to 0, which would make beta infinite
         with pytest.raises(DesignError, match="underflows"):
-            extract_beta(np.outer([1e-200, 0.0], [0.2, 0.0]).tolist(), PlantSpec([1e-200, 0.0]))
+            extract_beta(np.outer([1e-200, 0.0], [0.2, 0.0]).tolist(), (1e-200, 0.0))
 
 
 class TestDesignPipeline:
