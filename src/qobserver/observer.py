@@ -18,7 +18,8 @@ this Cesaro-mean agreement: z_o oscillates forever at angular frequency
 them and forms C_o and `energy_blocks` forms R_o and R_c on Python floats,
 the route `ndpa.solve_design` takes.  `observer_design` builds the
 `ObserverDesign` arrays from those floats without the constructor's
-conversions and copies, which stay for bundles built by hand.  numpy is imported only where arrays are built or solved.
+conversions and copies, which stay for bundles built by hand.  numpy is
+imported only where arrays are built or solved.
 """
 
 from __future__ import annotations
