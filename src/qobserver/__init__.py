@@ -7,14 +7,7 @@ numpy, resolve on first use through the module `__getattr__` (PEP 562).
 
 __version__ = "0.1.0"
 
-from .core import (
-    LinearQuantumSystem,
-    QuadraticHamiltonian,
-    SymplecticSpace,
-    generator_from_hamiltonian,
-    maxabs,
-    realizability_defect,
-)
+from .core import LinearQuantumSystem, SymplecticSpace, maxabs
 from .errors import (
     ConsistencyError,
     DesignError,
@@ -85,7 +78,6 @@ __all__ = [
     "PipelineError",
     "PlantSpec",
     "QObserverError",
-    "QuadraticHamiltonian",
     "StructureError",
     "SymplecticSpace",
     "Trajectory",
@@ -94,10 +86,8 @@ __all__ = [
     "ccr_defect",
     "coefficient_trajectory",
     "design_ndpa",
-    "generator_from_hamiltonian",
     "maxabs",
     "propagator",
-    "realizability_defect",
     "synthesize_observer",
     "validate_observer",
     "verify_convergence",

@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from . import __version__
-from .core import fmt_float, to_number
+from .core import check_horizons, fmt_float, to_number
 from .errors import InputError, PipelineError, QObserverError
 from .ndpa import Design, check_design_inputs, check_number, solve_design
 from .observer import augment
@@ -356,9 +356,6 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         if cfg.omega_ref is not None:
             check_number("omega_ref", cfg.omega_ref)
         if cfg.horizons is not None:
-            # `dynamics` and numpy load here for a `design` only if it is given horizons
-            from .dynamics import check_horizons
-
             check_horizons(cfg.horizons, minimum=2 if cfg.command == "verify" else 1)
     except InputError as exc:
         raise ConfigError(f"{sources[exc.name]}: {exc.rule}{_got(exc, given[exc.name])}") from None
@@ -502,23 +499,24 @@ def _fields(obj) -> dict:
     return {field.name: getattr(obj, field.name) for field in dataclasses.fields(obj)}
 
 
-def verify_payload(cfg: RunConfig, result, report, scale: float) -> dict:
-    """The `report.json` document of a `DesignResult` and its ConvergenceReport."""
+def verify_payload(cfg: RunConfig, design: Design, report, scale: float) -> dict:
+    """The `report.json` document of a design on Python floats and its
+    ConvergenceReport; beta and C_o are Grids."""
     return {
         "command": "verify",
         "toolkit_version": __version__,
         "units": _units_payload(cfg, scale),
         "design": {
-            "beta": result.observer.beta,
-            "c_o": result.observer.c_o,
-            "omega_o": result.observer.omega_o,
+            "beta": Grid((2,), design.beta),
+            "c_o": Grid((2,), design.c_o),
+            "omega_o": design.params.omega_o,
         },
         "convergence": {
             **_fields(report),
             "checks": [_fields(check) for check in report.checks],
             "rate_note": RATE_NOTE,
         },
-        "warnings": list(result.report.warnings),
+        "warnings": list(design.report.warnings),
     }
 
 
@@ -624,26 +622,27 @@ def run(cfg: RunConfig) -> int:
 
 
 def _run_numerics(cfg: RunConfig, design: Design, scale: float) -> None:
-    """The part of `verify` and `simulate` past the design, on numpy arrays."""
+    """The part of `verify` and `simulate` past the design, on the observer's numpy
+    arrays: the only part of the design either reads."""
     import numpy as np
 
     from .dynamics import default_horizons, verify_convergence
 
-    result = design.result()
+    observer = design.observer()
     # The one place numpy floating-point warnings are silenced: overflow
     # yields inf or nan, which the finite checks turn into a typed error.
     with np.errstate(all="ignore"):
         if cfg.command == "verify":
-            report = verify_convergence(result.observer, horizons=cfg.horizons)
-            report_json = emit_json(verify_payload(cfg, result, report, scale))
+            report = verify_convergence(observer, horizons=cfg.horizons)
+            report_json = emit_json(verify_payload(cfg, design, report, scale))
             (cfg.out / "report.json").write_bytes(report_json.encode("ascii"))
             print(
                 f"verify: passed={report.passed} fitted_rate={report.fitted_rate:.4f} "
                 f"frequency={report.oscillation_frequency_estimate:.6g}"
             )
         elif "csv" in cfg.format:
-            sys_aug = augment(result.observer)
-            ladder = cfg.horizons or default_horizons(result.observer.omega_o)
+            sys_aug = augment(observer)
+            ladder = cfg.horizons or default_horizons(observer.omega_o)
             write_trajectory_csv(cfg.out / "trajectory.csv", sys_aug, max(ladder))
 
 

@@ -6,7 +6,8 @@ commutation convention is [q, p] = 2i, encoded by the block-diagonal
 antisymmetric matrix Theta = diag(J, ..., J) with J = [[0, 1], [-1, 0]].
 A generator is physically realizable (preserves the commutation relations
 for all time) exactly when A = 2 Theta R for a real symmetric R, i.e. when
-the dynamics derive from a quadratic Hamiltonian H = (1/2) x^T R x.
+the dynamics derive from a quadratic Hamiltonian H = (1/2) x^T R x.  The
+library forms one such A, the observer's, in `observer.augment`.
 
 All matrix defect measures use the max-abs entry norm so tolerances stay
 dimension independent.  Values here are either dimensionless or expressed
@@ -15,15 +16,16 @@ by a reference frequency before touching this module.  The propagator
 exp(A t) and the commutation drift are in `dynamics`, read from the closed
 form there.
 
-The scalar helpers (`to_number`, `dot2`, `maxabs_of`, and `fmt_float`, the
-number format of every report) run on Python floats and load without
-numpy; the array types and `to_array` import it when they are first used,
-so a `design` run never loads it.
+The scalar helpers (`to_number`, `dot2`, `maxabs_of`, `check_horizons`, and
+`fmt_float`, the number format of every report) run on Python floats and
+load without numpy; the array types and `to_array` import it when they are
+first used, so a `design` run never loads it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .errors import DimensionError, InputError, NonFiniteError
@@ -97,6 +99,8 @@ def _holds_boolean(value) -> bool:
 
     A numpy array or scalar is known by its dtype, so numpy need not be loaded.
     """
+    if type(value) is float:  # the common entry, without the lookups below
+        return False
     if isinstance(value, (list, tuple)):
         return any(map(_holds_boolean, value))
     if isinstance(value, bool):
@@ -143,22 +147,44 @@ def to_numbers(name: str, value) -> list:
     return to_array(name, value).ravel().tolist()
 
 
-def to_array(name: str, value):
+def to_array(name: str, value, frozen: bool = False):
     """`value` as a float array, by `to_number`'s rule for each entry: an int past float
-    range, alone or as an entry, reads as +-inf."""
+    range, alone or as an entry, reads as +-inf.  With `frozen`, a read-only array of
+    its own: one conversion that is also the one copy, never the caller's array."""
     import numpy as np
 
     if _holds_boolean(value):
         raise InputError(name, "expected a number", value)
     try:
         try:
-            return np.asarray(value, dtype=float)
+            arr = (np.array if frozen else np.asarray)(value, dtype=float)
         except OverflowError:  # only an int past float range, or an array holding one
             if np.iterable(value):
-                return np.array([to_array(name, v) for v in value])
-            return np.asarray(math.inf if value > 0 else -math.inf)
+                arr = np.array([to_array(name, v) for v in value])
+            else:
+                arr = np.asarray(math.inf if value > 0 else -math.inf)
     except (TypeError, ValueError):
         raise InputError(name, "expected a number", value) from None
+    if frozen:
+        arr.setflags(write=False)
+    return arr
+
+
+def check_horizons(horizons, minimum: int = 1) -> list:
+    """`horizons` as a list of floats: positive, finite, strictly increasing times, at
+    least `minimum` (0, 1 or verify's 2) of them, else InputError; the one ladder check."""
+    t = to_numbers("horizons", horizons)
+    # Every comparison with a nan is false, so a strictly increasing t holds
+    # none, and its ends bound it: a long grid is scanned once.
+    increasing = all(map(operator.lt, t, t[1:]))
+    if not all(0.0 < x < math.inf for x in (t[:1] + t[-1:] if increasing else t)):
+        raise InputError("horizons", "all horizons must be positive and finite")
+    if not increasing:
+        raise InputError("horizons", "horizons must be strictly increasing")
+    if len(t) < minimum:
+        rule = "verify needs at least two horizons" if t else "empty list"
+        raise InputError("horizons", rule)
+    return t
 
 
 def _frozen_array(x, dtype=float):
@@ -167,19 +193,6 @@ def _frozen_array(x, dtype=float):
     arr = np.array(x, dtype=dtype)
     arr.setflags(write=False)
     return arr
-
-
-def _fresh(cls, **fields):
-    """An instance of the frozen dataclass `cls` with every field as given, without
-    `__post_init__`, its conversions and its copies.  For values a pipeline has just
-    computed from checked inputs: each array must be new, of the dtype and shape the
-    constructor would give, and is made read-only here."""
-    for value in fields.values():
-        if hasattr(value, "setflags"):
-            value.setflags(write=False)
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,34 +221,6 @@ class SymplecticSpace:
 
 
 @dataclass(frozen=True, eq=False)
-class QuadraticHamiltonian:
-    """Energy matrix R of H = (1/2) x^T R x.
-
-    R is symmetrized on construction.  The max-abs asymmetry of the input is
-    kept, silently, in `asymmetry`: a value above EXACT_TOL usually means
-    corrupted input, and callers that care check it.
-    """
-
-    r: np.ndarray
-    space: SymplecticSpace
-    asymmetry: float = field(init=False)
-
-    def __post_init__(self):
-        import numpy as np
-
-        r = np.array(self.r, dtype=float)
-        n = self.space.n
-        if r.shape != (n, n):
-            raise DimensionError(
-                f"energy matrix shape {r.shape} does not match {n}x{n} phase space"
-            )
-        if not np.isfinite(r).all():
-            raise NonFiniteError("energy matrix has non-finite entries")
-        object.__setattr__(self, "r", _frozen_array((r + r.T) / 2.0))
-        object.__setattr__(self, "asymmetry", maxabs(r - r.T))
-
-
-@dataclass(frozen=True, eq=False)
 class LinearQuantumSystem:
     """State-space form x' = A x with optional output rows z = C x."""
 
@@ -261,32 +246,3 @@ class LinearQuantumSystem:
             raise NonFiniteError("system matrices have non-finite entries")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "c", c)
-
-    def with_outputs(self, c) -> "LinearQuantumSystem":
-        """Same dynamics with the given output rows attached."""
-        import numpy as np
-
-        return LinearQuantumSystem(self.a, np.atleast_2d(np.asarray(c, dtype=float)), self.space)
-
-
-def generator_from_hamiltonian(h: QuadraticHamiltonian) -> LinearQuantumSystem:
-    """Generator A = 2 Theta R of the Heisenberg equations of H = x^T R x / 2.
-
-    Such a system is physically realizable by construction.  Output rows
-    start empty; attach them with `with_outputs`.
-    """
-    import numpy as np
-
-    a = 2.0 * (h.space.theta @ h.r)
-    c = np.zeros((0, h.space.n))
-    return LinearQuantumSystem(a, c, h.space)
-
-
-def realizability_defect(sys: LinearQuantumSystem) -> float:
-    """Max-abs norm of A Theta + Theta A^T.
-
-    Zero exactly when A = 2 Theta R for some symmetric R, i.e. when the
-    dynamics preserve the commutation relations.
-    """
-    theta = sys.space.theta
-    return maxabs(sys.a @ theta + theta @ sys.a.T)

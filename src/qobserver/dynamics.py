@@ -27,7 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import EXACT_TOL, LinearQuantumSystem, maxabs, maxabs_of, to_array, to_number
+from .core import (
+    EXACT_TOL, LinearQuantumSystem, check_horizons, maxabs, maxabs_of, to_array, to_number,
+)
 from .errors import DimensionError, InputError, NonFiniteError, StructureError
 from .observer import ObserverDesign, augment, normalized_constraint_defect
 
@@ -84,20 +86,6 @@ def default_horizons(omega_o: float) -> tuple[float, ...]:
             f"default horizon ladder {{5..80}}/omega_o is not finite for omega_o = {omega_o!r}"
         )
     return horizons
-
-
-def check_horizons(horizons, minimum: int = 1) -> np.ndarray:
-    """`horizons` as a 1-d float array: positive, finite, strictly increasing times, at
-    least `minimum` (0, 1 or verify's 2) of them, else InputError; the one ladder check."""
-    t = to_array("horizons", horizons).reshape(-1)
-    if not ((t > 0.0) & (t < math.inf)).all():
-        raise InputError("horizons", "all horizons must be positive and finite")
-    if (t[1:] <= t[:-1]).any():
-        raise InputError("horizons", "horizons must be strictly increasing")
-    if t.size < minimum:
-        rule = "verify needs at least two horizons" if t.size else "empty list"
-        raise InputError("horizons", rule)
-    return t
 
 
 def _observer_blocks(a: np.ndarray):
@@ -281,7 +269,7 @@ def verify_convergence(design: ObserverDesign, horizons=None) -> ConvergenceRepo
     ladder = default_horizons(design.omega_o) if horizons is None else horizons
     # A generator is read once; a lone number is a ladder of one.
     ladder = tuple(ladder) if np.iterable(ladder) else ladder
-    horizons = tuple(check_horizons(ladder, minimum=2).tolist())
+    horizons = tuple(check_horizons(ladder, minimum=2))
     grid = np.array((0.0, *horizons))
 
     sys = augment(design)

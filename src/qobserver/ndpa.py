@@ -41,8 +41,9 @@ products whose rounding reaches a report, the 2-entry dots of
 `extract_beta` and `observer.observer_selector` and the determinant of
 R_c, are formed to the bit as numpy forms them with OpenBLAS (`core.dot2`,
 `det_r_c`), so the module needs no numpy.  `design_ndpa` returns its
-`Design` as a `DesignResult` of arrays, built once at that boundary; the
-command line reports the floats as they are.
+`Design` as a `DesignResult` of arrays, built once at that boundary by the
+`NdpaDesign` and `ObserverDesign` constructors; the command line reports the
+floats as they are, and `verify` and `simulate` build only the observer.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import DESIGN_TOL, EXACT_TOL, _fresh, _frozen_array, dot2, maxabs_of, to_number
+from .core import DESIGN_TOL, EXACT_TOL, _frozen_array, dot2, maxabs_of, to_number
 from .errors import (
     ConsistencyError,
     DesignError,
@@ -69,7 +70,6 @@ from .observer import (
     _coupling_residual,
     augmented_energy_matrix,
     energy_blocks,
-    observer_design,
     observer_selector,
 )
 
@@ -402,8 +402,7 @@ class Design(NamedTuple):
 
     f and m are the physical route's 4 x 4 tuples of complex numbers and r
     its real R; c_p, beta and c_o are pairs, and r_o and r_c the observer's
-    blocks as `observer.energy_blocks` gives them.  `result` gives the same
-    design as the `DesignResult` of arrays that `design_ndpa` returns.
+    blocks as `observer.energy_blocks` gives them.
     """
 
     params: NdpaParams
@@ -418,22 +417,10 @@ class Design(NamedTuple):
     r_c: tuple
     report: DesignReport
 
-    def result(self) -> DesignResult:
-        """The design as numpy arrays: the one place `DesignResult` is built."""
-        import numpy as np
-
-        ndpa = _fresh(
-            NdpaDesign,
-            params=self.params,
-            alpha=self.alpha,
-            f=np.array(self.f, dtype=complex),
-            m=np.array(self.m, dtype=complex),
-            r=np.array(self.r, dtype=float),
-        )
-        observer = observer_design(
-            self.c_p, self.params.omega_o, self.r_o, self.r_c, self.beta, self.c_o
-        )
-        return DesignResult(ndpa=ndpa, observer=observer, report=self.report)
+    def observer(self) -> ObserverDesign:
+        """The design's observer as the arrays of an `ObserverDesign`."""
+        omega_o = self.params.omega_o
+        return ObserverDesign(self.c_p, omega_o, self.r_o, self.r_c, self.beta, self.c_o)
 
 
 def design_ndpa(
@@ -455,7 +442,9 @@ def design_ndpa(
     phases equal when arg_c = 0.  The inputs pass `check_design_inputs`
     before any stage runs, and theta is checked after the cross-check.
     """
-    return solve_design(*check_design_inputs(c_p, omega_o, gamma, eps_ratio, delta)).result()
+    design = solve_design(*check_design_inputs(c_p, omega_o, gamma, eps_ratio, delta))
+    ndpa = NdpaDesign(design.params, design.alpha, design.f, design.m, design.r)
+    return DesignResult(ndpa=ndpa, observer=design.observer(), report=design.report)
 
 
 def solve_design(

@@ -16,10 +16,10 @@ this Cesaro-mean agreement: z_o oscillates forever at angular frequency
 
 `synthesize_observer` converts its inputs, and `observer_selector` checks
 them and forms C_o and `energy_blocks` forms R_o and R_c on Python floats,
-the route `ndpa.solve_design` takes.  `observer_design` builds the
-`ObserverDesign` arrays from those floats without the constructor's
-conversions and copies, which stay for bundles built by hand.  numpy is
-imported only where arrays are built or solved.
+the route `ndpa.solve_design` takes.  An `ObserverDesign` is built only by
+its constructor, from those floats or from a caller's values alike: one
+conversion per field, which is also its one copy.  numpy is imported only
+where arrays are built or solved.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ from .core import (
     DESIGN_TOL,
     LinearQuantumSystem,
     SymplecticSpace,
-    _fresh,
-    _frozen_array,
     dot2,
     maxabs_of,
     to_array,
@@ -96,15 +94,15 @@ class ObserverDesign:
     def __post_init__(self):
         object.__setattr__(self, "omega_o", to_number("omega_o", self.omega_o))
         for name in ("c_p", "beta", "c_o"):
-            value = to_array(name, getattr(self, name)).reshape(-1)
-            object.__setattr__(self, name, _frozen_array(value))
-            if getattr(self, name).shape != (2,):
+            value = to_array(name, getattr(self, name), frozen=True).reshape(-1)
+            if value.shape != (2,):
                 raise DimensionError(f"{name} must have 2 entries")
+            object.__setattr__(self, name, value)
         for name in ("r_o", "r_c"):
-            value = to_array(name, getattr(self, name))
-            object.__setattr__(self, name, _frozen_array(value))
-            if getattr(self, name).shape != (2, 2):
+            value = to_array(name, getattr(self, name), frozen=True)
+            if value.shape != (2, 2):
                 raise DimensionError(f"{name} must be 2x2")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -134,7 +132,7 @@ def synthesize_observer(plant: PlantSpec, omega_o: float, beta) -> ObserverDesig
     if len(beta) != 2:
         raise DimensionError(f"beta must have 2 entries, got {(len(beta),)}")
     c_o = observer_selector(omega_o, beta)
-    return observer_design(plant.c_p, omega_o, *energy_blocks(plant.c_p, omega_o, beta), beta, c_o)
+    return ObserverDesign(plant.c_p, omega_o, *energy_blocks(plant.c_p, omega_o, beta), beta, c_o)
 
 
 def observer_selector(omega_o: float, beta) -> list[float]:
@@ -181,23 +179,6 @@ def energy_blocks(c_p, omega_o: float, beta) -> tuple:
     (p0, p1), (b0, b1) = c_p, beta
     r = 2.0 * omega_o
     return ((r, 0.0), (0.0, r)), ((p0 * b0, p0 * b1), (p1 * b0, p1 * b1))
-
-
-def observer_design(c_p, omega_o: float, r_o, r_c, beta, c_o) -> ObserverDesign:
-    """The `ObserverDesign` of the floats of one design: selector, coupling row and
-    output selector as pairs, the blocks as `energy_blocks` gives them.  Built without
-    the constructor's conversions."""
-    import numpy as np
-
-    return _fresh(
-        ObserverDesign,
-        c_p=np.array(c_p, dtype=float),
-        omega_o=omega_o,
-        r_o=np.array(r_o, dtype=float),
-        r_c=np.array(r_c, dtype=float),
-        beta=np.array(beta, dtype=float),
-        c_o=np.array(c_o, dtype=float),
-    )
 
 
 def _coupling_residual(r_c, c_p, beta) -> float:
@@ -302,10 +283,10 @@ def augment(design: ObserverDesign) -> LinearQuantumSystem:
 
     A is assembled from its three blocks 2J R_c, 2J R_c^T and 2J sym(R_o),
     sym(X) = (X + X^T)/2, as Python floats.  J only moves and negates
-    entries, so A equals 2 (Theta @ sym(R)) through a `QuadraticHamiltonian`
-    to the bit: the product there gives +0 for every zero entry, and so does
-    the `+ 0.0` here.  As there, NonFiniteError for a non-finite R_c or R_o
-    entry as given, and for an A or an output row that overflows.
+    entries, so A equals the numpy product 2 (Theta @ sym(R)) to the bit:
+    the product gives +0 for every zero entry, and so does the `+ 0.0`
+    here.  NonFiniteError for a non-finite R_c or R_o entry as given, and
+    for an A or an output row that overflows.
     """
     (c00, c01), (c10, c11) = design.r_c.tolist()
     (o00, o01), (o10, o11) = design.r_o.tolist()

@@ -5,10 +5,11 @@ are integrated with fixed-step RK4 instead of the closed form, the
 feedback loop is eliminated with a numerical 2x2 inversion, in doubles or
 at 50 digits through mpmath, instead of the closed form on the ratio, the
 physical route's open model, loop closure, M and R are formed by numpy
-array operations and complex matrix products instead of entry by entry, time
-averages come from the exact rotation integral
-int_0^T exp(w J s) ds = (exp(w J T) - I) J^{-1} / w or from Van
-Loan's block exponential through scipy instead of the closed form, and JSON
+array operations and complex matrix products instead of entry by entry, the
+observer's generator A = 2 Theta sym(R) is one numpy matrix product instead
+of `augment`'s assembly from blocks, time averages come from the exact
+rotation integral int_0^T exp(w J s) ds = (exp(w J T) - I) J^{-1} / w or from
+Van Loan's block exponential through scipy instead of the closed form, and JSON
 reports are laid out by `json.dumps` instead of the one-pass emitter (their
 floats still take `fmt_float`, the one float rule).
 """
@@ -25,8 +26,8 @@ import numpy as np
 from scipy.linalg import expm as scipy_expm
 
 from qobserver.cli import fmt_float
-from qobserver.core import EXACT_TOL
-from qobserver.errors import StructureError
+from qobserver.core import EXACT_TOL, LinearQuantumSystem, SymplecticSpace, maxabs
+from qobserver.errors import NonFiniteError, StructureError
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -238,6 +239,25 @@ def numpy_quadrature_hamiltonian(m: np.ndarray) -> np.ndarray:
         raise StructureError(f"quadrature form has imaginary residue {imag:.3e}")
     r = r.real
     return (r + r.T) / 2.0
+
+
+def hamiltonian_system(r, c=None) -> LinearQuantumSystem:
+    """The system of H = x^T R x / 2 with output rows `c` (none by default): the
+    generator A = 2 Theta sym(R), sym(R) = (R + R^T)/2, by numpy products, the
+    reference route to `augment`'s A.  NonFiniteError for a non-finite R, and,
+    from the `LinearQuantumSystem` constructor, for an A or a row that is not."""
+    r = np.array(r, dtype=float)
+    space = SymplecticSpace(r.shape[0] // 2)
+    if not np.isfinite(r).all():
+        raise NonFiniteError("energy matrix has non-finite entries")
+    c = np.zeros((0, space.n)) if c is None else np.atleast_2d(np.asarray(c, dtype=float))
+    return LinearQuantumSystem(2.0 * (space.theta @ ((r + r.T) / 2.0)), c, space)
+
+
+def realizability_defect(sys: LinearQuantumSystem) -> float:
+    """max|A Theta + Theta A^T|, zero exactly when A = 2 Theta R for a symmetric R."""
+    theta = sys.space.theta
+    return maxabs(sys.a @ theta + theta @ sys.a.T)
 
 
 def emit_json_by_stdlib(obj) -> str:

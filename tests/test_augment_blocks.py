@@ -1,20 +1,15 @@
 """`augment` assembles A = 2 diag(J, J) R block by block on Python floats; it
-must give the generator of the `QuadraticHamiltonian` route to the bit, and
-refuse the same designs with the same text, without a numpy warning."""
+must give the generator of the Hamiltonian route (`oracles.hamiltonian_system`,
+A = 2 Theta sym(R) by numpy products) to the bit, and refuse the same designs
+with the same text, without a numpy warning."""
 
 import math
 
 import numpy as np
 import pytest
 
-from qobserver import (
-    NonFiniteError,
-    ObserverDesign,
-    QuadraticHamiltonian,
-    SymplecticSpace,
-    augment,
-    generator_from_hamiltonian,
-)
+from oracles import hamiltonian_system
+from qobserver import NonFiniteError, ObserverDesign, augment
 from qobserver.observer import augmented_energy_matrix
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -61,14 +56,13 @@ ROW = st.one_of(pair(MODERATE), pair(FINITE), pair(st.one_of(MODERATE, NONFINITE
 
 
 def hamiltonian_route(design):
-    """The generator through QuadraticHamiltonian and generator_from_hamiltonian,
-    with the output rows [C_p, 0, 0] and [0, 0, C_o] attached."""
+    """The generator through `oracles.hamiltonian_system`, with the output rows
+    [C_p, 0, 0] and [0, 0, C_o]."""
     rows = np.zeros((2, 4))
     rows[0, :2], rows[1, 2:] = design.c_p, design.c_o
     with np.errstate(all="ignore"):
         r = augmented_energy_matrix(design.r_c.tolist(), design.r_o.tolist())
-        ham = QuadraticHamiltonian(r, SymplecticSpace(2))
-        return generator_from_hamiltonian(ham).with_outputs(rows)
+        return hamiltonian_system(r, rows)
 
 
 def outcome(route, design):

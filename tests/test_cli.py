@@ -128,7 +128,8 @@ class TestFloatFormat:
             "import sys, qobserver.cli as c\n"
             "loaded = ['numpy' in sys.modules]\n"
             "for argv in (['design', '--cp=0.6,-0.8', '--units', 'rad/s', '--omega-o', '2e8',\n"
-            "              '--delta', '1', '--out', 'a'], ['reproduce-example', '--out', 'b']):\n"
+            "              '--delta', '1', '--out', 'a'], ['reproduce-example', '--out', 'b'],\n"
+            "             ['design', '--horizons', '5,10', '--out', 'd']):\n"
             "    loaded.append((c.main(argv), 'numpy' in sys.modules))\n"
             "try:\n"
             "    c.emit_json({'a': {1}})\n"
@@ -143,7 +144,8 @@ class TestFloatFormat:
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120, check=True,
         )
         assert proc.stdout.splitlines()[-1] == (
-            "[False, (0, False), (0, False), (\"cannot serialize <class 'set'>\", False)] True"
+            "[False, (0, False), (0, False), (0, False), "
+            "(\"cannot serialize <class 'set'>\", False)] True"
         )
 
     @pytest.mark.parametrize("shape", [(3,), (3, 0), (2, 2, 2)])
@@ -588,11 +590,11 @@ class TestVerifyCommand:
     def test_indefinite_observer_report_is_refused(self):
         # A library-built R_o that is not positive definite has no closed-form
         # limit, so its report carries inf, which the emitter refuses typed.
-        result = design_ndpa([1.0, 0.0], 1.0, 1.0, 0.1)
-        indefinite = dataclasses.replace(result.observer, r_o=np.diag([2.0, -2.0]))
+        design = ndpa.solve_design(*ndpa.check_design_inputs([1.0, 0.0], 1.0, 1.0, 0.1))
+        indefinite = dataclasses.replace(design.observer(), r_o=np.diag([2.0, -2.0]))
         report = verify_convergence(indefinite)
         assert report.averaged_limit_defect == math.inf
-        payload = cli.verify_payload(cli.RunConfig(command="verify"), result, report, 1.0)
+        payload = cli.verify_payload(cli.RunConfig(command="verify"), design, report, 1.0)
         with pytest.raises(NonFiniteError, match="non-finite value inf in report"):
             cli.emit_json(payload)
 

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -10,34 +9,25 @@ from qobserver import (
     DimensionError,
     LinearQuantumSystem,
     NonFiniteError,
-    QuadraticHamiltonian,
     StructureError,
     ccr_defect,
     SymplecticSpace,
-    generator_from_hamiltonian,
     maxabs,
     propagator,
-    realizability_defect,
 )
-from oracles import rk4_expm, rotation
+from oracles import hamiltonian_system, realizability_defect, rk4_expm, rotation
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
-def one_mode_system(r):
-    space = SymplecticSpace(1)
-    return generator_from_hamiltonian(QuadraticHamiltonian(np.asarray(r, float), space))
-
-
 def example_augmented():
     """Two-mode system of the reference design, nondimensionalized."""
-    space = SymplecticSpace(2)
     r_c = np.outer([1.0, 0.0], [0.2, 0.0])
     r = np.zeros((4, 4))
     r[:2, 2:] = r_c
     r[2:, :2] = r_c.T
     r[2:, 2:] = 2.0 * np.eye(2)
-    return generator_from_hamiltonian(QuadraticHamiltonian(r, space))
+    return hamiltonian_system(r)
 
 
 def test_maxabs_of_an_empty_array_is_zero():
@@ -83,34 +73,14 @@ class TestSymplecticSpace:
             space.theta[0, 0] = 5.0
 
 
-class TestQuadraticHamiltonian:
-    def test_symmetrized_and_asymmetry_recorded(self):
-        space = SymplecticSpace(1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            h = QuadraticHamiltonian(np.array([[1.0, 0.5], [0.2, 1.0]]), space)
-        assert np.array_equal(h.r, h.r.T)
-        assert h.asymmetry == pytest.approx(0.3)
-
-    def test_clean_input_no_warning(self):
-        space = SymplecticSpace(1)
-        h = QuadraticHamiltonian(2.0 * np.eye(2), space)
-        assert h.asymmetry == 0.0
-
-    def test_dimension_mismatch(self):
-        space = SymplecticSpace(2)
-        with pytest.raises(DimensionError):
-            QuadraticHamiltonian(np.eye(2), space)
-
-
 class TestGenerator:
     def test_one_mode_harmonic(self):
         # R = 2 I gives A = 2 Theta R = 4 J
-        sys = one_mode_system(2.0 * np.eye(2))
+        sys = hamiltonian_system(2.0 * np.eye(2))
         assert np.array_equal(sys.a, 4.0 * J)
 
     def test_static_plant(self):
-        sys = one_mode_system(np.zeros((2, 2)))
+        sys = hamiltonian_system(np.zeros((2, 2)))
         assert np.array_equal(sys.a, np.zeros((2, 2)))
 
     def test_two_mode_blocks(self):
@@ -128,8 +98,7 @@ class TestRealizability:
         rng = np.random.default_rng(7)
         for _ in range(10):
             r = rng.normal(size=(4, 4))
-            space = SymplecticSpace(2)
-            sys = generator_from_hamiltonian(QuadraticHamiltonian((r + r.T) / 2, space))
+            sys = hamiltonian_system((r + r.T) / 2)
             assert realizability_defect(sys) <= 1e-15 * max(1.0, np.max(np.abs(sys.a)))
 
     def test_pure_decay_defect_two(self):
@@ -175,13 +144,13 @@ class TestPropagator:
         rng = np.random.default_rng(11)
         for _ in range(5):
             r = rng.normal(size=(2, 2))
-            sys = one_mode_system((r + r.T) / 2)
+            sys = hamiltonian_system((r + r.T) / 2)
             for t in (0.3, 2.1):
                 np.testing.assert_allclose(
                     propagator(sys, t), scipy_expm(sys.a * t), atol=1e-11, rtol=1e-11
                 )
             r = rng.normal(size=(4, 4))
-            sys = generator_from_hamiltonian(QuadraticHamiltonian((r + r.T) / 2, SymplecticSpace(2)))
+            sys = hamiltonian_system((r + r.T) / 2)
             with pytest.raises(StructureError):
                 propagator(sys, 0.3)
 
@@ -243,9 +212,9 @@ class TestCcrDefect:
         rng = np.random.default_rng(13)
         for _ in range(3):
             s = rng.normal(size=(2, 2))
-            systems.append(one_mode_system(s @ s.T / 2))
+            systems.append(hamiltonian_system(s @ s.T / 2))
             s = rng.normal(size=(4, 4))
-            general = generator_from_hamiltonian(QuadraticHamiltonian(s @ s.T / 2, SymplecticSpace(2)))
+            general = hamiltonian_system(s @ s.T / 2)
             with pytest.raises(StructureError):
                 ccr_defect(general, 1.0)
         for sys in systems:

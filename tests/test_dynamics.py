@@ -6,23 +6,21 @@ import pytest
 
 from qobserver import (
     DimensionError,
+    LinearQuantumSystem,
     NonFiniteError,
     PlantSpec,
-    QuadraticHamiltonian,
     StructureError,
-    SymplecticSpace,
     augment,
     ccr_defect,
     coefficient_trajectory,
     design_ndpa,
-    generator_from_hamiltonian,
     propagator,
     synthesize_observer,
     verify_convergence,
 )
 from qobserver import _kernels, dynamics
 from qobserver.core import maxabs
-from oracles import averaged_error_row, rotation_observer_row, van_loan_rows
+from oracles import averaged_error_row, hamiltonian_system, rotation_observer_row, van_loan_rows
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +75,7 @@ class TestCoefficientTrajectory:
         sys = augment(full_rank_design(example[0]))
         with pytest.raises(StructureError, match="rank-one R_c"):
             coefficient_trajectory(sys, sys.c[1], np.linspace(0.0, 40.0, 2001))
-        one_mode = generator_from_hamiltonian(QuadraticHamiltonian(np.eye(2), SymplecticSpace(1)))
+        one_mode = hamiltonian_system(np.eye(2))
         with pytest.raises(StructureError, match="not 4 x 4"):
             coefficient_trajectory(one_mode, [1.0, 0.0], [0.0, 1.0])
 
@@ -431,7 +429,7 @@ class TestSimulateMeans:
         # exciting the measured quadrature drives the conjugate one linearly:
         # p_p(t) = |beta|^2/(2 omega_o) * z_p(0) * ... = 0.04 t - 0.01 sin(4t)
         _, sys = example
-        sys_pp = sys.with_outputs([[0.0, 1.0, 0.0, 0.0]])
+        sys_pp = LinearQuantumSystem(sys.a, [[0.0, 1.0, 0.0, 0.0]], sys.space)
         grid = np.linspace(0.0, 40.0, 2001)
         z = means(sys_pp, np.array([1.0, 0.0, 0.0, 0.0]), grid)
         expected = 0.04 * grid - 0.01 * np.sin(4.0 * grid)

@@ -10,11 +10,11 @@ from scipy.linalg import expm as scipy_expm
 
 from deadline import deadline
 from qobserver import (
-    InputError, LinearQuantumSystem, NonFiniteError, PlantSpec, QuadraticHamiltonian,
-    StructureError, SymplecticSpace, augment, core, generator_from_hamiltonian, propagator,
-    synthesize_observer,
+    InputError, LinearQuantumSystem, NonFiniteError, PlantSpec, StructureError, SymplecticSpace,
+    augment, core, propagator, synthesize_observer,
 )
 from qobserver import _kernels
+from oracles import hamiltonian_system
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -172,7 +172,7 @@ class TestExpm:
         rng = np.random.default_rng(11)
         for n in (2, 3):
             r = rng.normal(size=(2 * n, 2 * n))
-            sys = generator_from_hamiltonian(QuadraticHamiltonian(r + r.T, SymplecticSpace(n)))
+            sys = hamiltonian_system(r + r.T)
             with pytest.raises(StructureError):
                 propagator(sys, 0.5)
 

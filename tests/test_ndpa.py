@@ -411,7 +411,8 @@ class TestDesignPipeline:
         assert not result.report.warnings
 
     def test_hand_built_design_holds_read_only_arrays(self):
-        # the pipeline builds its NdpaDesign without the constructor's conversions
+        # the pipeline builds its NdpaDesign through the constructor, as a caller
+        # does from lists: each field one complex or float array, read-only
         design = design_ndpa([1.0, 0.0], 1.0, 1.0, 0.1).ndpa
         built = ndpa.NdpaDesign(
             design.params, design.alpha, design.f.tolist(), design.m.tolist(), design.r.tolist()

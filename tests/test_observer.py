@@ -10,16 +10,17 @@ from qobserver import (
     DimensionError,
     InputError,
     NonFiniteError,
+    ObserverDesign,
     PipelineError,
     PlantSpec,
     design_ndpa,
     augment,
     maxabs,
-    realizability_defect,
     synthesize_observer,
     validate_observer,
     verify_convergence,
 )
+from oracles import realizability_defect
 from qobserver.observer import normalized_constraint_defect
 
 
@@ -123,6 +124,27 @@ class TestSynthesize:
             np.testing.assert_array_equal(
                 design.c_o, (-2.0 * omega / float(beta @ beta)) * beta
             )
+
+
+class TestObserverDesign:
+    def test_constructor_copies_the_callers_arrays(self):
+        # one conversion per field is also its one copy: the caller's writable
+        # float64 arrays are neither held nor frozen
+        given = {
+            "c_p": np.array([1.0, 0.0]),
+            "r_o": 2.0 * np.eye(2),
+            "r_c": np.array([[0.2, 0.0], [0.0, 0.0]]),
+            "beta": np.array([0.2, 0.0]),
+            "c_o": np.array([-10.0, 0.0]),
+        }
+        design = ObserverDesign(omega_o=1.0, **given)
+        kept = {name: value.copy() for name, value in given.items()}
+        for name, value in given.items():
+            assert value.flags.writeable, name
+            value[...] = 7.0
+            built = getattr(design, name)
+            assert not built.flags.writeable, name
+            np.testing.assert_array_equal(built, kept[name])
 
 
 class TestValidate:

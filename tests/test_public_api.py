@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import qobserver
-from qobserver import core, dynamics, errors, ndpa
+from qobserver import core, dynamics, errors, ndpa, observer
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -45,13 +45,20 @@ def test_every_public_name_resolves_once():
 @pytest.mark.parametrize("name", [
     "TolerancePolicy", "make_symplectic_space", "running_average",
     "dominant_frequency", "simulate_means", "time_average_error", "alpha_parameter",
-    "OpenNdpaModel", "SingularBeamsplitterError",
+    "OpenNdpaModel", "SingularBeamsplitterError", "QuadraticHamiltonian",
+    "generator_from_hamiltonian", "realizability_defect", "observer_design",
 ])
 def test_removed_names_are_gone(name):
     assert name not in qobserver.__all__
     assert not hasattr(qobserver, name)
-    for module in (core, dynamics, errors, ndpa):
+    for module in (core, dynamics, errors, ndpa, observer):
         assert not hasattr(module, name)
+
+
+def test_designs_have_one_construction_path():
+    # the Hamiltonian route's output rows and the constructor-skipping path are gone
+    assert not hasattr(qobserver.LinearQuantumSystem, "with_outputs")
+    assert not hasattr(core, "_fresh")
 
 
 @pytest.mark.parametrize("name", [
@@ -66,10 +73,6 @@ def test_design_stages_are_reached_only_through_design_ndpa(name):
 
 ONE_MODE = qobserver.SymplecticSpace(1)
 GUARDS = {
-    "hamiltonian_nonfinite": (
-        lambda: qobserver.QuadraticHamiltonian([[1.0, math.nan], [math.nan, 1.0]], ONE_MODE),
-        qobserver.NonFiniteError, "energy matrix has non-finite entries",
-    ),
     "system_generator_shape": (
         lambda: qobserver.LinearQuantumSystem(np.zeros((4, 4)), np.zeros((0, 2)), ONE_MODE),
         qobserver.DimensionError, "generator shape (4, 4) does not match 2x2",
