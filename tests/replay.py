@@ -17,7 +17,11 @@ differ.  The set:
 - `reproduce-example` with each `--format`;
 - the typed-error argvs of the exit-code tests in `tests/test_cli.py`, the
   edge squeezing ratios of the domain test and argvs whose inputs fail
-  more than one check, which pin the check that refuses first.
+  more than one check, which pin the check that refuses first;
+- command lines that only argparse reads: help, an abbreviation, a
+  separate negative value, a flag before the command, a repeated flag and
+  parser errors.  argparse wraps its text to the terminal, so every argv
+  runs with COLUMNS=80.
 
 As `perfbench/run.py` does, the old outputs are unlinked before each
 request.  The output directory is spelled `<out>` in the captured text.
@@ -28,9 +32,11 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 HERE = Path(__file__).resolve().parent
 SEED = 301
@@ -86,6 +92,23 @@ TYPED_ERRORS = (
     ["design", "--gamma", "1e-310", "--omega-o", "1e-310"],
     ["design", "--gamma", "1e308", "--eps-ratio", "0.9"],
 )
+PARSER_FORMS = (
+    ["design", "--eps", "0.3"],
+    ["design", "--gamma", "-1"],
+    ["--cp=1,0", "design"],
+    ["design", "--gamma", "2", "--gamma", "3"],
+    ["design", "--bogus", "1"],
+    ["design", "-h"],
+    ["verify", "--horizons=5,10"],
+    ["design", "--cp=-0.6,0.8", "--omega-o=", "2"],
+    ["design", "--", "--gamma", "2"],
+    ["simulate", "--format"],
+    ["bogus"],
+    # forms the plain pass reads too: an empty value, a value holding "="
+    ["design", "--omega-o="],
+    ["design", "--units=rad/s=x"],
+    ["design", "--cp=--"],
+)
 
 
 def argvs() -> list[list[str]]:
@@ -98,7 +121,7 @@ def argvs() -> list[list[str]]:
         replay += [list(next(stream).argv) for _ in range(count)]
     replay += [list(argv) for argv in README]
     replay += [["reproduce-example", "--format", *fmt] for fmt in REPRODUCE_FORMATS]
-    return replay + [list(argv) for argv in TYPED_ERRORS]
+    return replay + [list(argv) for argv in (*TYPED_ERRORS, *PARSER_FORMS)]
 
 
 def digest(main, argv: list[str], out: Path) -> str:
@@ -117,7 +140,8 @@ def digest(main, argv: list[str], out: Path) -> str:
 
 def replay_lines(main, out: Path, replay: list[list[str]]) -> list[str]:
     """`<digest> <argv>` for every argv of `replay`, then `total <digest of those lines>`."""
-    lines = [f"{digest(main, argv, out)} {' '.join(argv)}" for argv in replay]
+    with mock.patch.dict(os.environ, COLUMNS="80"):
+        lines = [f"{digest(main, argv, out)} {' '.join(argv)}" for argv in replay]
     total = hashlib.sha256("".join(line + "\n" for line in lines).encode())
     return [*lines, f"total {total.hexdigest()}"]
 
