@@ -11,12 +11,12 @@ byte-identical files; trajectories are emitted as plot-ready CSV.
 `design` and `reproduce-example` run on Python floats and never load numpy:
 this module and the modules it imports load without it.  `verify` and
 `simulate` import numpy, and `dynamics`, when their request starts; the CSV
-text of `simulate` comes from `csvformat`.
+text of `simulate` comes from `csvformat`.  A well-formed command line is
+read without argparse, which only `build_parser` imports.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import errno
 import functools
@@ -29,13 +29,17 @@ import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import __version__
 from .core import check_horizons, fmt_float, to_number
 from .errors import InputError, PipelineError, QObserverError
 from .ndpa import Design, check_design_inputs, check_number, solve_design
 from .observer import augment
+
+if TYPE_CHECKING:
+    import argparse
 
 # Command -> one-line description for `--help`.
 COMMANDS = {
@@ -320,7 +324,7 @@ def _read_config_file(path) -> dict:
     return data
 
 
-def load_config(args: argparse.Namespace) -> RunConfig:
+def load_config(args: argparse.Namespace | SimpleNamespace) -> RunConfig:
     """Merge config file and flag overrides into a validated RunConfig.
 
     Every value is converted first, in FIELDS order; then the library checks
@@ -666,16 +670,23 @@ def _check_golden(payload: dict) -> int:
 # Argument parsing
 # --------------------------------------------------------------------------
 
+# Long option -> namespace key: the options `build_parser` adds, but --help.
+OPTION_KEYS = {_flag(key): key for key in ("config", *FIELDS)}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The process's one parser for every command, shared by every caller.
 
-    Built on the first call and returned on every later one, so `main` pays
-    for its thirteen arguments once per process.  `parse_args` leaves it
-    unchanged, and it looks up `sys.stdout` and `sys.stderr` only when it
-    prints.  Callers must not mutate it.  `load_config` applies the
-    per-command rules.
+    Built on the first call and returned on every later one.  `main` calls
+    it only for a command line that `_plain_args` does not read, so a
+    process that sees only well-formed ones never builds it or imports
+    argparse.  `parse_args` leaves it unchanged, and it looks up
+    `sys.stdout` and `sys.stderr` only when it prints.  Callers must not
+    mutate it.  `load_config` applies the per-command rules.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="qobserver",
         description="Design and verify direct-coupled coherent quantum observers.",
@@ -691,12 +702,57 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _plain_args(argv) -> SimpleNamespace | None:
+    """The namespace `build_parser().parse_args(argv)` returns, read in one pass, for
+    an argv whose parse is fixed; None for any other.
+
+    That argv is a list or tuple of str: a command, then only `--name=value`
+    tokens and `--name value` pairs whose value does not start with "-",
+    each `--name` one of OPTION_KEYS exactly, as argparse reads them.  A
+    repeated option keeps its last value.  The `=` form's value may be
+    anything but "--", which argparse reads as an empty list.  Every key is
+    present, None where its option is not given.
+    """
+    if type(argv) not in (list, tuple) or not argv:
+        return None
+    command, *tokens = argv
+    if type(command) is not str or command not in COMMANDS:
+        return None
+    values = dict.fromkeys(OPTION_KEYS.values())
+    tokens = iter(tokens)
+    for token in tokens:
+        if type(token) is not str:
+            return None
+        flag, eq, value = token.partition("=")
+        key = OPTION_KEYS.get(flag)
+        if key is None:
+            return None
+        if not eq:
+            value = next(tokens, None)
+            if type(value) is not str or value.startswith("-"):
+                return None
+        elif value == "--":
+            return None
+        values[key] = value
+    return SimpleNamespace(command=command, **values)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
+    """Run one command line (default `sys.argv[1:]`); returns the exit status.
+
+    `_plain_args` reads a well-formed argv.  Any other, such as a help
+    request, an abbreviated option, a separate value that starts with "-"
+    or a parser error, goes to `build_parser().parse_args` as it is, which
+    prints and exits as argparse does.  Both give the same namespace for
+    every argv the plain pass reads, so the outcome does not depend on the
+    path.
+    """
+    args = _plain_args(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code) if exc.code else 0
     try:
         cfg = load_config(args)
     except ConfigError as exc:

@@ -1,15 +1,21 @@
+import contextlib
 import dataclasses
+import io
+import itertools
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from qobserver import (
     PlantSpec, _kernels, augment, cli, csvformat, design_ndpa, dynamics, ndpa,
@@ -21,6 +27,7 @@ from oracles import averaged_error_row, emit_json_by_stdlib, rotation_observer_r
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+PERFBENCH = SRC.parent / "perfbench"
 
 
 def run_cli(args):
@@ -147,6 +154,24 @@ class TestFloatFormat:
             "[False, (0, False), (0, False), (0, False), "
             "(\"cannot serialize <class 'set'>\", False)] True"
         )
+
+    def test_well_formed_command_lines_never_import_argparse(self, tmp_path):
+        # only a command line that the plain pass does not read builds the parser
+        code = (
+            "import sys, qobserver.cli as c\n"
+            "loaded = ['argparse' in sys.modules]\n"
+            "for argv in (['design', '--cp=0.6,-0.8', '--units', 'rad/s', '--omega-o', '2e8',\n"
+            "              '--delta=1', '--out', 'a'], ['reproduce-example', '--out', 'b'],\n"
+            "             ['design', '--gamma', '-1', '--out', 'c']):\n"
+            "    loaded.append((c.main(argv), 'argparse' in sys.modules))\n"
+            "print(loaded)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert proc.stdout.splitlines()[-1] == "[False, (0, False), (0, False), (2, True)]"
 
     @pytest.mark.parametrize("shape", [(3,), (3, 0), (2, 2, 2)])
     def test_table_rejects_other_shapes(self, shape):
@@ -946,3 +971,108 @@ class TestSharedParser:
         assert forward[1][1].startswith("usage: qobserver")
         assert forward[3][2].startswith("warning: squeezing ratio 5")
         assert list(forward[3][3]) == ["design.json"]
+
+
+# Argvs that the plain pass reads and argvs that only argparse reads: exact,
+# abbreviated and unknown options, values that start with "-", hold "=" or are
+# empty, a command in any position or none, and tokens that are not str.
+EXACT = st.sampled_from(list(cli.OPTION_KEYS))
+OPTION = EXACT | st.sampled_from([
+    "--eps", "--omega", "--o", "--c", "--form", "--help", "-h", "--bogus", "--omega_o", "--", "-",
+])
+VALUE = st.sampled_from(
+    ["1", "0.5,1", "", "a=b", "=", "-1", "-0.5,1", "--", "-", "design", "--gamma", "-h", "1 2"]
+) | st.text(alphabet="-=1a ,", max_size=4)
+COMMAND = st.sampled_from([*cli.COMMANDS, "bogus"])
+
+
+def pieces(option):
+    """`option value`, `option=value`, or one token of any kind."""
+    return st.one_of(
+        st.tuples(option, VALUE).map(list),
+        st.tuples(option, VALUE).map(lambda pair: ["=".join(pair)]),
+        st.one_of(OPTION, VALUE, COMMAND).map(lambda token: [token]),
+        st.sampled_from([None, 1, 2.5, b"design", ("x",)]).map(lambda token: [token]),
+    )
+
+
+def joined(*parts):
+    return st.tuples(*parts).map(lambda lists: [t for part in lists for p in part for t in p])
+
+
+ARGV = st.one_of(
+    # mostly well formed: a command, then exact options
+    joined(COMMAND.map(lambda c: [[c]]), st.lists(st.one_of(
+        st.tuples(EXACT, VALUE).map(list), st.tuples(EXACT, VALUE).map(lambda p: ["=".join(p)]),
+    ), max_size=6)),
+    joined(st.lists(pieces(OPTION), max_size=1), st.lists(COMMAND.map(lambda c: [c]), max_size=1),
+           st.lists(pieces(OPTION), max_size=5)),
+)
+
+
+def parsed_by_argparse(argv):
+    """`vars` of argparse's namespace for `argv`, or None where it exits or raises."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(cli.build_parser().parse_args(argv))
+    except (SystemExit, Exception):
+        return None
+
+
+class TestPlainArgs:
+    """`cli._plain_args` gives argparse's namespace wherever it reads an argv."""
+
+    @hypothesis.settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(argv=ARGV)
+    def test_plain_pass_reads_as_argparse(self, argv):
+        plain = cli._plain_args(argv)
+        parsed = parsed_by_argparse(argv)
+        hypothesis.event("plain" if plain is not None else "argparse")
+        if parsed is None:
+            assert plain is None
+        elif plain is not None:
+            assert vars(plain) == parsed
+
+    def test_plain_pass_reads_every_form_it_names(self):
+        argv = ["verify", "--cp=-0.6,0.8", "--gamma", "2", "--gamma=3", "--out=a=b", "--units", ""]
+        plain = cli._plain_args(argv)
+        assert vars(plain) == parsed_by_argparse(argv)
+        assert (plain.cp, plain.gamma, plain.out, plain.units, plain.delta) == (
+            "-0.6,0.8", "3", "a=b", "", None
+        )
+        assert cli._plain_args(tuple(argv)) is not None
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--cp=1,0", "design"], ["design", "--eps", "0.3"], ["design", "--gamma", "-1"],
+        ["design", "--gamma"], ["design", "--"], ["design", "-h"], ["design", "--help"],
+        ["design", "--cp=--"], ["design", "2"], ["design", "--gamma", 2.0], "design",
+    ])
+    def test_other_forms_go_to_argparse(self, argv):
+        assert cli._plain_args(argv) is None
+
+    def test_plain_pass_flags_are_the_parsers(self):
+        parser = cli.build_parser()
+        options = {flag for flag in parser._option_string_actions if flag.startswith("--")}
+        assert set(cli.OPTION_KEYS) == options - {"--help"}
+        for flag, key in cli.OPTION_KEYS.items():
+            assert parser._option_string_actions[flag].dest == key
+
+    def test_benchmark_requests_take_the_plain_pass(self, monkeypatch):
+        # all but the separate negative value of the edge case `gamma_negative`
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import workloads
+
+        rng = random.Random(7)
+        requests = [
+            workloads.edge_request(rng, case)[:2]
+            for case in (*workloads.EDGE_CASES, *workloads.KNOWN_DEFECT_CASES)
+        ]
+        for name in workloads.WORKLOADS:
+            stream = workloads.requests(name, 7)
+            requests += [(request.kind, request.argv) for request in itertools.islice(stream, 200)]
+        for kind, argv in requests:
+            argv = [*argv, "--out", "out"]
+            plain = cli._plain_args(argv)
+            assert (plain is None) == (kind == "gamma_negative"), argv
+            if plain is not None:
+                assert vars(plain) == parsed_by_argparse(argv)

@@ -19,7 +19,8 @@ from qobserver import (
     verify_convergence,
 )
 from qobserver import _kernels, dynamics
-from qobserver.core import maxabs
+from qobserver.core import check_horizons, maxabs
+from qobserver.errors import InputError
 from oracles import averaged_error_row, hamiltonian_system, rotation_observer_row, van_loan_rows
 
 
@@ -85,6 +86,41 @@ class TestCoefficientTrajectory:
             coefficient_trajectory(sys, sys.c[0], [])
         with pytest.raises(ValueError):
             coefficient_trajectory(sys, sys.c[0], [0.0, 1.0, 0.5])
+
+    @pytest.mark.parametrize("grid", [
+        [], [0.0], [-0.0, 1.0], [5.0], [0.0, 1.0, 2.0], [1e-320, 2e-320],
+        [math.nan], [0.0, math.nan], [0.0, 1.0, math.nan], [math.nan, 1.0], [1.0, math.nan, 2.0],
+        [0.0, math.inf], [0.0, 1.0, math.inf], [-math.inf, 1.0], [math.inf], [0.0, -math.inf],
+        [0.0, 0.0], [0.0, 0.0, 1.0], [-1.0, 1.0], [0.0, -1.0], [1.0, 1.0], [0.0, 1.0, 1.0, 2.0],
+        [0.0, 2.0, 1.0], [3.0, 2.0, math.nan], [0.0, 1.0, -0.0],
+        np.linspace(0.0, 40.0, 2001), np.linspace(0.0, 5e-324, 2001),
+        np.linspace(0.0, 3e-321, 2001), np.linspace(0.0, 9e-321, 2001),
+        np.linspace(1e-321, 2e-321, 2001), np.linspace(1e-320, 2e-320, 5),
+    ])
+    def test_grid_check_refuses_as_check_horizons(self, example, grid):
+        """A grid's check ends as `check_horizons` ends on it, past a leading t = 0: the
+        same InputError and message, or none."""
+        _, sys = example
+
+        def outcome(call):
+            try:
+                call()
+            except InputError as exc:
+                return type(exc), str(exc)
+            return None
+
+        t = np.asarray(grid, dtype=float)
+        start = 1 if t[:1].tolist() == [0.0] else 0
+        want = outcome(lambda: check_horizons(t[start:], minimum=1 - start))
+        assert outcome(lambda: coefficient_trajectory(sys, sys.c[1], grid)) == want
+
+    def test_coincident_grid_points_refused(self, example):
+        # `simulate`'s linspace grid holds equal neighbours where t_max is subnormal
+        _, sys = example
+        grid = np.linspace(0.0, 3e-321, 2001)
+        assert (grid[1:] == grid[:-1]).any()
+        with pytest.raises(InputError, match="all horizons must be positive and finite"):
+            coefficient_trajectory(sys, sys.c[1], grid)
 
     def test_row_dimension_checked(self, example):
         _, sys = example
