@@ -986,36 +986,34 @@ VALUE = st.sampled_from(
 COMMAND = st.sampled_from([*cli.COMMANDS, "bogus"])
 
 
-def pieces(option):
-    """`option value`, `option=value`, or one token of any kind."""
-    return st.one_of(
-        st.tuples(option, VALUE).map(list),
-        st.tuples(option, VALUE).map(lambda pair: ["=".join(pair)]),
-        st.one_of(OPTION, VALUE, COMMAND).map(lambda token: [token]),
-        st.sampled_from([None, 1, 2.5, b"design", ("x",)]).map(lambda token: [token]),
-    )
+def with_value(option):
+    """`option value` or `option=value`, as a list of tokens."""
+    pair = st.tuples(option, VALUE)
+    return pair.map(list) | pair.map(lambda p: ["=".join(p)])
 
 
-def joined(*parts):
-    return st.tuples(*parts).map(lambda lists: [t for part in lists for p in part for t in p])
+def flat(pieces):
+    return [token for piece in pieces for token in piece]
 
 
+PIECE = with_value(OPTION) | st.one_of(
+    OPTION, VALUE, COMMAND, st.sampled_from([None, 1, 2.5, b"design", ("x",)])
+).map(lambda token: [token])
 ARGV = st.one_of(
-    # mostly well formed: a command, then exact options
-    joined(COMMAND.map(lambda c: [[c]]), st.lists(st.one_of(
-        st.tuples(EXACT, VALUE).map(list), st.tuples(EXACT, VALUE).map(lambda p: ["=".join(p)]),
-    ), max_size=6)),
-    joined(st.lists(pieces(OPTION), max_size=1), st.lists(COMMAND.map(lambda c: [c]), max_size=1),
-           st.lists(pieces(OPTION), max_size=5)),
+    # mostly well formed: a command, then exact options with their values
+    st.tuples(COMMAND, st.lists(with_value(EXACT), max_size=6)).map(lambda p: [p[0], *flat(p[1])]),
+    st.tuples(st.lists(PIECE, max_size=1), st.lists(COMMAND, max_size=1), st.lists(PIECE, max_size=5))
+    .map(lambda p: flat(p[0]) + p[1] + flat(p[2])),
 )
 
 
 def parsed_by_argparse(argv):
-    """`vars` of argparse's namespace for `argv`, or None where it exits or raises."""
+    """`vars` of argparse's namespace for `argv`, or None where it exits, or raises
+    TypeError on a token that is not str."""
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             return vars(cli.build_parser().parse_args(argv))
-    except (SystemExit, Exception):
+    except (SystemExit, TypeError):
         return None
 
 
