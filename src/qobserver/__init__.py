@@ -21,9 +21,8 @@ from .errors import (
     ZeroCouplingError,
 )
 from .ndpa import (
+    Design,
     DesignReport,
-    DesignResult,
-    NdpaDesign,
     NdpaParams,
     design_ndpa,
     wrap_angle,
@@ -63,14 +62,13 @@ __all__ = [
     "CheckResult",
     "ConsistencyError",
     "ConvergenceReport",
+    "Design",
     "DesignError",
     "DesignReport",
-    "DesignResult",
     "DimensionError",
     "FactorizationError",
     "InputError",
     "LinearQuantumSystem",
-    "NdpaDesign",
     "NdpaParams",
     "NonFiniteError",
     "ObserverDesign",

@@ -85,15 +85,16 @@ class RunConfig:
 def emit_json(obj) -> str:
     """Serialize nested data: two-space indent, one item per line, `{}`/`[]` if empty.
 
-    Keys are `str(k)`; keys and strings get the ASCII escapes of `json.dumps`.
-    Floats are written by `fmt_float`, a numpy array or a `Grid` as its
-    nested lists and a complex number as {"re": ..., "im": ...}.  A nan or inf
-    at any depth raises `NonFiniteError`; any other type raises `TypeError`
+    A report holds Python values and `Grid`s.  Keys are `str(k)`; keys and
+    strings get the ASCII escapes of `json.dumps`.  Floats (np.float64 too)
+    are written by `fmt_float`, a `Grid` as its nested lists and a complex
+    as {"re": ..., "im": ...}.  A nan or inf at any depth raises
+    `NonFiniteError`, and any other type, a numpy array too, a `TypeError`
     naming it, whichever comes first in the document.
 
     One `_flatten` pass splits the payload into its shape and the text of
-    its leaves, a `Grid` or a float64 array taking one shape token and all
-    its entries at once.  The shape's `%s` layout is built once and cached
+    its leaves, a `Grid` taking one shape token and all its entries at once.
+    The shape's `%s` layout is built once and cached
     (`_layout`, at most LAYOUT_CACHE_SIZE shapes), and one `%` fill puts
     each leaf's text into its slot.
     """
@@ -110,8 +111,8 @@ class Grid(NamedTuple):
     values: Sequence[float]
 
 
-# Shape tokens of `_flatten`, besides a key (a str), the shape of a Grid or a
-# float64 array (a tuple) and a leaf's slot (None).
+# Shape tokens of `_flatten`, besides a key (a str), the shape of a Grid (a
+# tuple) and a leaf's slot (None).
 _DICT, _LIST, _END = 0, 1, 2
 # Distinct payload shapes whose layouts are kept; 300 requests of a
 # benchmark workload meet two to six.
@@ -147,31 +148,6 @@ def _flatten(node, shape: list, texts: list) -> None:
         shape.append(None)
         texts.append(str(int(node)))
     elif isinstance(node, complex):  # np.complex128 is a complex
-        shape.extend((_DICT, "re", None, "im", None, _END))
-        texts.extend((fmt_float(node.real), fmt_float(node.imag)))
-    else:
-        _flatten_numpy(node, shape, texts)
-
-
-def _flatten_numpy(node, shape: list, texts: list) -> None:
-    """`_flatten` of a numpy array or scalar that no Python type covers; TypeError for
-    any other value.  Such a value exists only once numpy is loaded."""
-    np = sys.modules.get("numpy")
-    if np is None:
-        raise TypeError(f"cannot serialize {type(node)!r}")
-    if isinstance(node, np.ndarray):
-        # a subclass may ravel to more than one dimension, as np.matrix does
-        if type(node) is np.ndarray and node.dtype == np.float64:
-            shape.append(node.shape)
-            texts.extend(map(fmt_float, node.ravel().tolist()))
-        else:
-            _flatten(node.tolist(), shape, texts)
-    elif isinstance(node, (np.bool_, np.integer)):
-        _flatten(node.item(), shape, texts)
-    elif isinstance(node, np.floating):
-        shape.append(None)
-        texts.append(fmt_float(node))
-    elif isinstance(node, np.complexfloating):
         shape.extend((_DICT, "re", None, "im", None, _END))
         texts.extend((fmt_float(node.real), fmt_float(node.imag)))
     else:

@@ -19,7 +19,8 @@ form there.
 The scalar helpers (`to_number`, `dot2`, `maxabs_of`, `check_horizons`, and
 `fmt_float`, the number format of every report) run on Python floats and
 load without numpy; the array types and `to_array` import it when they are
-first used, so a `design` run never loads it.
+first used, so a `design` run never loads it.  A system matrix that numpy
+cannot read as floats goes to `to_array`, the one conversion rule.
 """
 
 from __future__ import annotations
@@ -187,10 +188,14 @@ def check_horizons(horizons, minimum: int = 1) -> list:
     return t
 
 
-def _frozen_array(x, dtype=float):
+def _frozen_array(name: str, value):
+    """`value` as a read-only float array of its own, by `to_array`'s rule where numpy's fails."""
     import numpy as np
 
-    arr = np.array(x, dtype=dtype)
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return to_array(name, value, frozen=True)
     arr.setflags(write=False)
     return arr
 
@@ -213,7 +218,7 @@ class SymplecticSpace:
         theta = np.zeros((n, n))
         for k in range(self.modes):
             theta[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = ((0.0, 1.0), (-1.0, 0.0))
-        object.__setattr__(self, "theta", _frozen_array(theta))
+        object.__setattr__(self, "theta", _frozen_array("theta", theta))
 
     @property
     def n(self) -> int:
@@ -231,8 +236,8 @@ class LinearQuantumSystem:
     def __post_init__(self):
         import numpy as np
 
-        a = _frozen_array(self.a)
-        c = _frozen_array(self.c)
+        a = _frozen_array("a", self.a)
+        c = _frozen_array("c", self.c)
         n = self.space.n
         if a.shape != (n, n):
             raise DimensionError(

@@ -40,10 +40,10 @@ to the value numpy's complex matrix products give.
 products whose rounding reaches a report, the 2-entry dots of
 `extract_beta` and `observer.observer_selector` and the determinant of
 R_c, are formed to the bit as numpy forms them with OpenBLAS (`core.dot2`,
-`det_r_c`), so the module needs no numpy.  `design_ndpa` returns its
-`Design` as a `DesignResult` of arrays, built once at that boundary by the
-`NdpaDesign` and `ObserverDesign` constructors; the command line reports the
-floats as they are, and `verify` and `simulate` build only the observer.
+`det_r_c`), so the module needs no numpy.  `design_ndpa` returns that
+`Design`, the library's one design type: the command line reports its
+floats as they are, and `Design.observer()` builds the arrays of an
+`ObserverDesign` for `verify`, `simulate` and library callers.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import DESIGN_TOL, EXACT_TOL, _frozen_array, dot2, maxabs_of, to_number
+from .core import DESIGN_TOL, EXACT_TOL, dot2, maxabs_of, to_number
 from .errors import (
     ConsistencyError,
     DesignError,
@@ -120,23 +120,6 @@ class NdpaParams:
         return 0.0 < self.eps_ratio < EPS_RATIO_TRUSTED_MAX
 
 
-@dataclass(frozen=True, eq=False)
-class NdpaDesign:
-    """Physical parameters plus the physical route's artifacts (beta and C_o
-    are on `DesignResult.observer`)."""
-
-    params: NdpaParams
-    alpha: complex
-    f: np.ndarray
-    m: np.ndarray
-    r: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "f", _frozen_array(self.f, dtype=complex))
-        object.__setattr__(self, "m", _frozen_array(self.m, dtype=complex))
-        object.__setattr__(self, "r", _frozen_array(self.r))
-
-
 @dataclass(frozen=True)
 class DesignReport:
     """Residuals and flags collected while running the design pipeline.
@@ -155,13 +138,6 @@ class DesignReport:
     factorization_residual: float
     cross_check_defect: float
     warnings: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class DesignResult:
-    ndpa: NdpaDesign
-    observer: ObserverDesign
-    report: DesignReport
 
 
 # The stages of `design_ndpa`, which is their only caller: each takes values
@@ -418,7 +394,8 @@ class Design(NamedTuple):
     report: DesignReport
 
     def observer(self) -> ObserverDesign:
-        """The design's observer as the arrays of an `ObserverDesign`."""
+        """The design's observer as the arrays of an `ObserverDesign`, built anew on
+        each call."""
         omega_o = self.params.omega_o
         return ObserverDesign(self.c_p, omega_o, self.r_o, self.r_c, self.beta, self.c_o)
 
@@ -429,7 +406,7 @@ def design_ndpa(
     gamma: float,
     eps_ratio: float,
     delta: float | None = None,
-) -> DesignResult:
+) -> Design:
     """Full design pipeline from plant selector to hardware parameters.
 
     Solves the two design equations, forms eps and alpha, reads off beta and
@@ -442,9 +419,7 @@ def design_ndpa(
     phases equal when arg_c = 0.  The inputs pass `check_design_inputs`
     before any stage runs, and theta is checked after the cross-check.
     """
-    design = solve_design(*check_design_inputs(c_p, omega_o, gamma, eps_ratio, delta))
-    ndpa = NdpaDesign(design.params, design.alpha, design.f, design.m, design.r)
-    return DesignResult(ndpa=ndpa, observer=design.observer(), report=design.report)
+    return solve_design(*check_design_inputs(c_p, omega_o, gamma, eps_ratio, delta))
 
 
 def solve_design(

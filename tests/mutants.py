@@ -3,9 +3,11 @@
 
     python3 tests/mutants.py ROOT
 
-finds every guard `if <cond>: raise ...` in `ROOT/src/qobserver` whose body
-is the one `raise`, and makes one mutant per guard: a copy of the checkout
-in a temporary directory with that condition replaced by `False`.  Each
+finds every guard in `ROOT/src/qobserver`: an `if <cond>:` whose body is one
+`raise ...`, or one bare `return` or `return None`, the refusal of a
+function that answers None for an input it does not take.  It makes one
+mutant per guard: a copy of the checkout in a temporary directory with that
+condition replaced by `False`.  Each
 mutant runs the tier-1 suite with `-x` and with acceptance criterion 4, a
 known failure, deselected, so that only a new failure counts.  A mutant is
 killed when a test fails or the run times out, and survives when every
@@ -41,14 +43,24 @@ class Mutant(NamedTuple):
     source: bytes  # the mutated file
 
 
+def is_guard(node: ast.AST) -> bool:
+    """True for an `if` whose body is one `raise`, or one `return` of nothing or None."""
+    if not (isinstance(node, ast.If) and len(node.body) == 1):
+        return False
+    body = node.body[0]
+    if isinstance(body, ast.Return):
+        return body.value is None or (isinstance(body.value, ast.Constant) and body.value.value is None)
+    return isinstance(body, ast.Raise)
+
+
 def guard_mutants(root: Path) -> list[Mutant]:
-    """One mutant per one-statement `if ...: raise` guard, in file and line order."""
+    """One mutant per guard, in file and line order."""
     mutants = []
     for path in sorted((root / "src" / "qobserver").glob("*.py")):
         source = path.read_bytes()
         lines = source.splitlines(keepends=True)
         for node in ast.walk(ast.parse(source)):
-            if not (isinstance(node, ast.If) and len(node.body) == 1 and isinstance(node.body[0], ast.Raise)):
+            if not is_guard(node):
                 continue
             # ast offsets count UTF-8 bytes; the condition is spliced out whole
             test = node.test
@@ -101,7 +113,7 @@ def main(argv: list[str]) -> int:
     for mutant in survivors:
         print(f"survived: {mutant.path}:{mutant.line}: if {mutant.guard}")
     killed = len(mutants) - len(survivors)
-    print(f"score: {killed}/{len(mutants)} guard-deletion mutants killed")
+    print(f"score: {killed}/{len(mutants)} guard-deletion mutants killed (raise and return-None guards)")
     return 1 if survivors else 0
 
 

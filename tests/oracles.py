@@ -25,7 +25,7 @@ import uuid
 import numpy as np
 from scipy.linalg import expm as scipy_expm
 
-from qobserver.cli import fmt_float
+from qobserver.cli import Grid, fmt_float
 from qobserver.core import EXACT_TOL, LinearQuantumSystem, SymplecticSpace, maxabs
 from qobserver.errors import NonFiniteError, StructureError
 
@@ -263,29 +263,26 @@ def realizability_defect(sys: LinearQuantumSystem) -> float:
 def emit_json_by_stdlib(obj) -> str:
     """`cli.emit_json` text by `json.dumps(..., indent=2)` with the floats spliced in.
 
-    Numpy arrays become lists, numpy scalars Python ones, complex values
-    {"re": ..., "im": ...} and keys `str(k)`.  Every float is swapped for a
-    unique placeholder string, the tree is dumped by the standard library,
-    and each quoted placeholder is then replaced by `fmt_float` of its float.
+    A `Grid` becomes the nested lists of numpy's reshape of its values,
+    complex values {"re": ..., "im": ...} and keys `str(k)`.  Every float is
+    swapped for a unique placeholder string, the tree is dumped by the
+    standard library, and each quoted placeholder is then replaced by
+    `fmt_float` of its float.
     """
     token = uuid.uuid4().hex
     floats = []
 
     def plain(node):
-        if isinstance(node, np.ndarray):
-            return plain(node.tolist())
+        if type(node) is Grid:
+            return plain(np.reshape(node.values, node.shape).tolist())
         if isinstance(node, dict):
             return {str(k): plain(v) for k, v in node.items()}
         if isinstance(node, (list, tuple)):
             return [plain(v) for v in node]
-        if isinstance(node, (bool, np.bool_)):
-            return bool(node)
-        if isinstance(node, (int, np.integer)):
-            return int(node)
-        if isinstance(node, (float, np.floating)):
+        if isinstance(node, float):
             floats.append(float(node))
             return f"{token}-{len(floats) - 1}"
-        if isinstance(node, (complex, np.complexfloating)):
+        if isinstance(node, complex):
             return {"re": plain(node.real), "im": plain(node.imag)}
         return node
 

@@ -64,13 +64,13 @@ def test_criterion_1_example_reproduction(tmp_path, capsys):
     elapsed = time.perf_counter() - start
 
     result = design_ndpa([1.0, 0.0], 1.0, 1.0, 0.1)
-    theta_deg = math.degrees(result.ndpa.params.theta)
-    psi = math.atan2(result.ndpa.params.epsilon.imag, result.ndpa.params.epsilon.real)
-    phi = result.ndpa.params.phi
-    eps_si = result.ndpa.params.epsilon * 1e8
-    r_c_si = np.outer([1.0, 0.0], result.observer.beta) * 1e8
-    beta_si = result.observer.beta * 1e8
-    c_o = result.observer.c_o
+    theta_deg = math.degrees(result.params.theta)
+    psi = math.atan2(result.params.epsilon.imag, result.params.epsilon.real)
+    phi = result.params.phi
+    eps_si = result.params.epsilon * 1e8
+    r_c_si = np.outer([1.0, 0.0], result.beta) * 1e8
+    beta_si = np.asarray(result.beta) * 1e8
+    c_o = np.asarray(result.c_o)
 
     checks = {
         "exit_code": code == 0,
@@ -103,11 +103,11 @@ def test_criterion_2_pipeline_consistency(capsys):
         c_p, omega, gamma, ratio, delta = random_pipeline_draw(rng)
         result = design_ndpa(c_p, omega, gamma, ratio, delta)
         r_abstract = np.zeros((4, 4))
-        r_c = np.outer(c_p, result.observer.beta)
+        r_c = np.outer(c_p, result.beta)
         r_abstract[:2, 2:] = r_c
         r_abstract[2:, :2] = r_c.T
         r_abstract[2:, 2:] = 2.0 * omega * np.eye(2)
-        cross = float(np.max(np.abs(result.ndpa.r - r_abstract)))
+        cross = float(np.max(np.abs(np.asarray(result.r) - r_abstract)))
         worst_cross = max(worst_cross, cross)
         # det_r_c is the determinant of R_c scaled by its max-abs entry, so
         # its bound is a plain roundoff bound, not one in units of R_c^2.
@@ -200,7 +200,7 @@ def test_criterion_5_ccr_preservation(capsys):
         delta = float(rng.choice([math.pi / 4, math.pi / 2, 3 * math.pi / 4]))
         r_max = min(0.6, 1.0 / (2.0 * gamma * math.sin(delta)))
         ratio = float(rng.uniform(0.01, r_max))
-        designs.append(design_ndpa(c_p, 1.0, gamma, ratio, delta).observer)
+        designs.append(design_ndpa(c_p, 1.0, gamma, ratio, delta).observer())
     grid = np.linspace(0.0, 80.0, 50)
     worst = 0.0
     for design in designs:

@@ -359,7 +359,7 @@ class TestStackedRows:
                 [math.cos(angle), math.sin(angle)], omega, float(rng.uniform(0.5, 2.0)),
                 0.6 * (1.0 - float(rng.random())), delta,
             )
-            sys = augment(result.observer)
+            sys = augment(result.observer())
             c_rows = np.vstack([sys.c, rng.normal(size=4)])
             grid = np.linspace(0.0, 80.0 / omega * 4.0 ** rng.random(), 2001)
             self.assert_stack_matches_rows(sys, c_rows, grid)
@@ -560,7 +560,7 @@ class TestDominantFrequency:
                 [math.cos(arg_c), math.sin(arg_c)], omega,
                 float(10 ** rng.uniform(-1, 1)) * omega, float(rng.uniform(0.01, 0.6)),
             )
-            freq = verify_convergence(result.observer).oscillation_frequency_estimate
+            freq = verify_convergence(result.observer()).oscillation_frequency_estimate
             assert freq == pytest.approx(4.0 * omega, rel=1e-12)
 
     @pytest.mark.parametrize("scale", [1e-150, 1e-300, 1e150])

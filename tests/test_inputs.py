@@ -70,8 +70,8 @@ def test_finite_inputs_end_in_a_result_or_a_typed_error(
         return
     with np.errstate(all="ignore"):
         try:
-            verify_convergence(result.observer, horizons)
-            sys = augment(result.observer)
+            verify_convergence(result.observer(), horizons)
+            sys = augment(result.observer())
             coefficient_trajectory(sys, sys.c, grid)
         except QObserverError:
             pass
@@ -79,7 +79,7 @@ def test_finite_inputs_end_in_a_result_or_a_typed_error(
 
 BIG = 10**400
 INPUTS = {"c_p": [1.0, 0.0], "omega_o": 1.0, "gamma": 1.0, "eps_ratio": 0.1}
-OBSERVER = design_ndpa(**INPUTS).observer
+OBSERVER = design_ndpa(**INPUTS).observer()
 AUGMENTED = augment(OBSERVER)
 PLANT = PlantSpec([1.0, 0.0])
 

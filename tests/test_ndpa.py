@@ -77,8 +77,8 @@ class TestSolveTheta:
 class TestSolvePhases:
     def test_position_quadrature_default(self):
         result = design_ndpa([1.0, 0.0], 1.0, 1.0, 0.1)
-        assert cmath.phase(result.ndpa.params.epsilon) == -math.pi / 2.0
-        assert result.ndpa.params.phi == -math.pi / 2.0
+        assert cmath.phase(result.params.epsilon) == -math.pi / 2.0
+        assert result.params.phi == -math.pi / 2.0
         assert result.report.delta == math.pi / 2.0
 
     def test_momentum_quadrature(self):
@@ -332,16 +332,17 @@ class TestRouteMatchesMatrixProducts:
             result = design_ndpa(c_p, omega_o, gamma, ratio, delta)
         except QObserverError:
             return
-        got = result.observer
+        got = result.observer()
         want = synthesize_observer(PlantSpec(c_p), omega_o, got.beta)
         assert type(got.omega_o) is float and got.omega_o == want.omega_o
         for name in ("c_p", "r_o", "r_c", "beta", "c_o"):
             value = getattr(got, name)
             assert value.dtype == getattr(want, name).dtype and not value.flags.writeable
             assert same_bits(value, getattr(want, name)), name
-        for name, dtype in (("f", complex), ("m", complex), ("r", float)):
-            value = getattr(result.ndpa, name)
-            assert value.dtype == dtype and value.shape == (4, 4) and not value.flags.writeable
+        for name, kind in (("f", complex), ("m", complex), ("r", float)):
+            rows = getattr(result, name)
+            assert type(rows) is tuple and len(rows) == 4, name
+            assert all(type(row) is tuple and list(map(type, row)) == [kind] * 4 for row in rows), name
 
 
 class TestCouplingBlock:
@@ -399,29 +400,27 @@ class TestExtractBeta:
 class TestDesignPipeline:
     def test_reference_example_si(self):
         result = design_ndpa([1.0, 0.0], 1e8, 1e8, 0.1)
-        p = result.ndpa.params
+        p = result.params
         assert math.degrees(p.theta) == pytest.approx(168.58, abs=0.01)
         assert math.atan2(p.epsilon.imag, p.epsilon.real) == -math.pi / 2.0
         assert p.phi == -math.pi / 2.0
         assert p.epsilon.real == pytest.approx(0.0, abs=1e-12 * 1e7)
         assert p.epsilon.imag == pytest.approx(-1e7, rel=1e-12)
-        np.testing.assert_allclose(result.observer.beta, [2e7, 0.0], atol=1e-9 * 2e7)
-        np.testing.assert_allclose(result.observer.c_o, [-10.0, 0.0], atol=1e-9 * 10.0)
-        assert result.ndpa.alpha == pytest.approx(-1e7j, abs=1e-12 * 1e7)
+        np.testing.assert_allclose(result.beta, [2e7, 0.0], atol=1e-9 * 2e7)
+        np.testing.assert_allclose(result.c_o, [-10.0, 0.0], atol=1e-9 * 10.0)
+        assert result.alpha == pytest.approx(-1e7j, abs=1e-12 * 1e7)
         assert not result.report.warnings
 
-    def test_hand_built_design_holds_read_only_arrays(self):
-        # the pipeline builds its NdpaDesign through the constructor, as a caller
-        # does from lists: each field one complex or float array, read-only
-        design = design_ndpa([1.0, 0.0], 1.0, 1.0, 0.1).ndpa
-        built = ndpa.NdpaDesign(
-            design.params, design.alpha, design.f.tolist(), design.m.tolist(), design.r.tolist()
-        )
-        for name, dtype in (("f", np.complex128), ("m", np.complex128), ("r", np.float64)):
-            value = getattr(built, name)
-            assert value.dtype == dtype, name
-            assert not value.flags.writeable, name
-            np.testing.assert_array_equal(value, getattr(design, name))
+    @pytest.mark.parametrize("inputs", [
+        ([1.0, 0.0], 1.0, 1.0, 0.1),
+        ([0.3, -0.8], 2.0, 1.5, 0.3, 2.0),  # a non-default delta
+        ([1, 0], 1e8, 1e8, 0.7),  # an untrusted ratio, integer entries
+        ((0.6, -0.8), 1.0, 3.0, 1e-9, math.pi / 4.0),
+    ])
+    def test_design_ndpa_returns_the_solved_design(self, inputs):
+        result = design_ndpa(*inputs)
+        assert type(result) is ndpa.Design
+        assert result == ndpa.solve_design(*ndpa.check_design_inputs(*inputs))
 
     def test_momentum_quadrature(self):
         result = design_ndpa([0.0, 1.0], 1.0, 1.0, 0.1)
@@ -432,7 +431,7 @@ class TestDesignPipeline:
         result = design_ndpa([1.0, 0.0], 1.0, 1.0, 0.7)
         assert len(result.report.warnings) == 1
         assert "above trusted range" in result.report.warnings[0]
-        assert not result.ndpa.params.linearization_trusted
+        assert not result.params.linearization_trusted
         assert result.report.cross_check_defect <= 1e-9
 
     def test_alpha_magnitude_matches_epsilon(self):
@@ -444,12 +443,12 @@ class TestDesignPipeline:
         # theta is near pi, where sin(theta)/(1 - cos(theta)) loses the ratio;
         # alpha = gamma * ratio * e^{i phi} keeps R_c rank one
         result = design_ndpa([0.6, -0.8], 1.0, 3.0, ratio, 2.0)
-        alpha = result.ndpa.alpha
-        assert cmath.phase(alpha) == pytest.approx(result.ndpa.params.phi, abs=1e-15)
+        alpha = result.alpha
+        assert cmath.phase(alpha) == pytest.approx(result.params.phi, abs=1e-15)
         assert abs(alpha) == pytest.approx(3.0 * ratio, rel=1e-15)
         assert abs(result.report.det_r_c) <= 1e-15
         assert result.report.cross_check_defect <= 1e-15
-        assert verify_convergence(result.observer).passed
+        assert verify_convergence(result.observer()).passed
 
     @pytest.mark.parametrize("k", [*range(15), 100, 200])
     def test_large_ratios_design_and_verify(self, k):
@@ -459,7 +458,7 @@ class TestDesignPipeline:
         result = design_ndpa([1.0, 0.0], 1.0, 1.0, ratio)
         assert result.report.cross_check_defect <= 1e-15 * ratio
         assert result.report.theta_residual <= 1e-15 * ratio
-        assert verify_convergence(result.observer).passed
+        assert verify_convergence(result.observer()).passed
 
     def test_ratio_whose_angle_rounds_to_pi_names_the_ratio(self):
         with pytest.raises(DesignError, match=r"at squeezing ratio 1e-17; .* rounds to pi"):
@@ -467,10 +466,10 @@ class TestDesignPipeline:
 
     def test_r_block_form(self):
         result = design_ndpa([0.3, -0.8], 2.0, 1.5, 0.3)
-        r = result.ndpa.r
+        r = np.asarray(result.r)
         np.testing.assert_allclose(r[:2, :2], np.zeros((2, 2)), atol=1e-12)
         np.testing.assert_allclose(r[2:, 2:], 2.0 * 2.0 * np.eye(2), atol=1e-12)
-        np.testing.assert_allclose(r[:2, 2:], np.outer([0.3, -0.8], result.observer.beta), atol=1e-12)
+        np.testing.assert_allclose(r[:2, 2:], np.outer([0.3, -0.8], result.beta), atol=1e-12)
 
     @pytest.mark.parametrize("delta", [math.pi / 4.0, math.pi / 2.0, 3.0 * math.pi / 4.0])
     def test_cross_check_random_draws(self, delta):
@@ -482,7 +481,7 @@ class TestDesignPipeline:
             gamma = float(10 ** rng.uniform(-1, 1))
             ratio = float(rng.uniform(0.01, 0.6))
             result = design_ndpa(c_p, omega, gamma, ratio, delta)
-            scale = max(1.0, float(np.max(np.abs(result.ndpa.r))))
+            scale = max(1.0, float(np.max(np.abs(result.r))))
             assert result.report.cross_check_defect <= 1e-9 * scale
             assert result.report.arg_identity_residual <= 1e-9
 

@@ -29,8 +29,8 @@ def test_readme_library_example_prints_what_its_comments_claim():
         exec(compile(readme_library_example(), str(README), "exec"), namespace)
     result, report = namespace["result"], namespace["report"]
     assert printed.getvalue().startswith("168.578")
-    np.testing.assert_allclose(result.observer.beta, [0.2, 0.0], rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(result.observer.c_o, [-10.0, 0.0], rtol=1e-12, atol=1e-10)
+    np.testing.assert_allclose(result.beta, [0.2, 0.0], rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(result.c_o, [-10.0, 0.0], rtol=1e-12, atol=1e-10)
     assert report.passed is True
     assert report.fitted_rate == pytest.approx(1.19, abs=0.005)
 
@@ -47,6 +47,7 @@ def test_every_public_name_resolves_once():
     "dominant_frequency", "simulate_means", "time_average_error", "alpha_parameter",
     "OpenNdpaModel", "SingularBeamsplitterError", "QuadraticHamiltonian",
     "generator_from_hamiltonian", "realizability_defect", "observer_design",
+    "NdpaDesign", "DesignResult",
 ])
 def test_removed_names_are_gone(name):
     assert name not in qobserver.__all__
@@ -85,6 +86,22 @@ GUARDS = {
         lambda: qobserver.LinearQuantumSystem(np.zeros((2, 2)), [[math.inf, 0.0]], ONE_MODE),
         qobserver.NonFiniteError, "system matrices have non-finite entries",
     ),
+    "system_generator_past_float": (
+        lambda: qobserver.LinearQuantumSystem([[10**400, 0], [0, 0]], np.zeros((0, 2)), ONE_MODE),
+        qobserver.NonFiniteError, "system matrices have non-finite entries",
+    ),
+    "system_outputs_past_float": (
+        lambda: qobserver.LinearQuantumSystem(np.zeros((2, 2)), [[0, -10**400]], ONE_MODE),
+        qobserver.NonFiniteError, "system matrices have non-finite entries",
+    ),
+    "system_generator_text": (
+        lambda: qobserver.LinearQuantumSystem([["x", 0], [0, 0]], np.zeros((0, 2)), ONE_MODE),
+        qobserver.InputError, "a: expected a number, got [['x', 0], [0, 0]]",
+    ),
+    "system_outputs_text": (
+        lambda: qobserver.LinearQuantumSystem(np.zeros((2, 2)), [["x", 0]], ONE_MODE),
+        qobserver.InputError, "c: expected a number, got [['x', 0]]",
+    ),
     "plant_nonfinite": (
         lambda: qobserver.PlantSpec([math.nan, 1.0]),
         qobserver.InputError, "cp: entries must be finite, got [nan, 1.0]",
@@ -108,12 +125,12 @@ GUARDS = {
     ),
     "verify_one_horizon": (
         lambda: qobserver.verify_convergence(
-            qobserver.design_ndpa([1.0, 0.0], 1.0, 1.0, 0.1).observer, horizons=[5.0]),
+            qobserver.design_ndpa([1.0, 0.0], 1.0, 1.0, 0.1).observer(), horizons=[5.0]),
         qobserver.InputError, "horizons: verify needs at least two horizons",
     ),
     "trajectory_negative_time": (
         lambda: qobserver.coefficient_trajectory(
-            qobserver.augment(qobserver.design_ndpa([1.0, 0.0], 1.0, 1.0, 0.1).observer),
+            qobserver.augment(qobserver.design_ndpa([1.0, 0.0], 1.0, 1.0, 0.1).observer()),
             [1.0, 0.0, 0.0, 0.0], [-3.0, 0.0]),
         qobserver.InputError, "horizons: all horizons must be positive and finite",
     ),
@@ -135,12 +152,12 @@ GUARDS = {
     ),
     "verify_text_horizon": (
         lambda: qobserver.verify_convergence(
-            qobserver.design_ndpa([1.0, 0.0], 1.0, 1.0, 0.1).observer, horizons=["a", 2]),
+            qobserver.design_ndpa([1.0, 0.0], 1.0, 1.0, 0.1).observer(), horizons=["a", 2]),
         qobserver.InputError, "horizons: expected a number, got ('a', 2)",
     ),
     "trajectory_text_time": (
         lambda: qobserver.coefficient_trajectory(
-            qobserver.augment(qobserver.design_ndpa([1.0, 0.0], 1.0, 1.0, 0.1).observer),
+            qobserver.augment(qobserver.design_ndpa([1.0, 0.0], 1.0, 1.0, 0.1).observer()),
             [1.0, 0.0, 0.0, 0.0], [0.0, "a"]),
         qobserver.InputError, "horizons: expected a number, got [0.0, 'a']",
     ),
@@ -155,12 +172,12 @@ GUARDS = {
     ),
     "verify_number_ladder": (
         lambda: qobserver.verify_convergence(
-            qobserver.design_ndpa([1.0, 0.0], 1.0, 1.0, 0.1).observer, horizons=5),
+            qobserver.design_ndpa([1.0, 0.0], 1.0, 1.0, 0.1).observer(), horizons=5),
         qobserver.InputError, "horizons: verify needs at least two horizons",
     ),
     "trajectory_text_row": (
         lambda: qobserver.coefficient_trajectory(
-            qobserver.augment(qobserver.design_ndpa([1.0, 0.0], 1.0, 1.0, 0.1).observer),
+            qobserver.augment(qobserver.design_ndpa([1.0, 0.0], 1.0, 1.0, 0.1).observer()),
             "abc", [0.0, 1.0]),
         qobserver.InputError, "c_row: expected a number, got 'abc'",
     ),
@@ -200,6 +217,8 @@ def test_models_carry_only_the_fields_that_are_read():
 
     assert fields(qobserver.SymplecticSpace) == ("modes", "theta")
     assert fields(qobserver.LinearQuantumSystem) == ("a", "c", "space")
-    assert fields(qobserver.NdpaDesign) == ("params", "alpha", "f", "m", "r")
+    assert qobserver.Design._fields == (
+        "params", "alpha", "f", "m", "r", "c_p", "beta", "c_o", "r_o", "r_c", "report"
+    )
     assert fields(qobserver.Trajectory) == ("times", "coefficient_rows", "running_average")
     assert "tol" not in fields(qobserver.ObserverDiagnostics)
