@@ -1,8 +1,9 @@
 """Design and verification toolkit for direct-coupled coherent quantum
 observers of closed linear quantum systems.
 
-The package loads without numpy.  The names of `dynamics`, which runs on
-numpy, resolve on first use through the module `__getattr__` (PEP 562).
+The package loads without numpy.  The names of `dynamics`, which only
+`simulate` and the array routes need, resolve on first use through the
+module `__getattr__` (PEP 562).
 """
 
 __version__ = "0.1.0"

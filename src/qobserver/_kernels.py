@@ -1,6 +1,7 @@
 """The one numeric kernel: the weights of the closed form in `dynamics`, in
 plain numpy.  Every row, running average and propagator of the library is a
 small matrix product with these weights; there is no matrix exponential.
+`dynamics._weights_at` reads the same weights at one point on Python floats.
 """
 
 from __future__ import annotations
@@ -9,9 +10,10 @@ import math
 
 import numpy as np
 
-# Row k holds (-1)^k / (2k + m)!, the Taylor coefficients in x^2 of f_m,
-# m = 0..4.  Ten terms reach roundoff for x^2 <= 1, where the recurrence cancels.
-SERIES = np.array([[(-1) ** k / math.factorial(2 * k + m) for m in range(5)] for k in range(10)])
+from .dynamics import SERIES as _SERIES
+
+# `dynamics.SERIES`, the closed form's Taylor coefficients, as an array
+SERIES = np.array(_SERIES)
 
 
 def weights(det: float, y: np.ndarray):

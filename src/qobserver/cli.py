@@ -8,11 +8,12 @@ reference frequency).  Reports are emitted as JSON with fixed field order
 and a fixed 12-significant-digit float format so identical configs produce
 byte-identical files; trajectories are emitted as plot-ready CSV.
 
-`design` and `reproduce-example` run on Python floats and never load numpy:
-this module and the modules it imports load without it.  `verify` and
-`simulate` import numpy, and `dynamics`, when their request starts; the CSV
-text of `simulate` comes from `csvformat`.  A well-formed command line is
-read without argparse, which only `build_parser` imports.
+`design`, `verify` and `reproduce-example` run on Python floats and never
+load numpy: this module and the modules it imports load without it, and
+`verify` imports `dynamics`, which does too, when its request starts.  Only
+`simulate` imports numpy, for its trajectory; its CSV text comes from
+`csvformat`.  A well-formed command line is read without argparse, which
+only `build_parser` imports.
 """
 
 from __future__ import annotations
@@ -602,28 +603,31 @@ def run(cfg: RunConfig) -> int:
 
 
 def _run_numerics(cfg: RunConfig, design: Design, scale: float) -> None:
-    """The part of `verify` and `simulate` past the design, on the observer's numpy
-    arrays: the only part of the design either reads."""
-    import numpy as np
+    """The part of `verify` and `simulate` past the design.  `verify` reads the design's
+    Python floats and the ladder that `load_config` checked; `simulate` builds the
+    observer's numpy arrays, the only part of a command line that loads numpy."""
+    from .dynamics import convergence_report, default_horizons
 
-    from .dynamics import default_horizons, verify_convergence
+    omega_o = design.params.omega_o
+    if cfg.command == "verify":
+        report = convergence_report(
+            design.c_p, omega_o, design.r_o, design.r_c, design.beta, design.c_o,
+            cfg.horizons or default_horizons(omega_o),
+        )
+        report_json = emit_json(verify_payload(cfg, design, report, scale))
+        (cfg.out / "report.json").write_bytes(report_json.encode("ascii"))
+        print(
+            f"verify: passed={report.passed} fitted_rate={report.fitted_rate:.4f} "
+            f"frequency={report.oscillation_frequency_estimate:.6g}"
+        )
+    elif "csv" in cfg.format:
+        import numpy as np
 
-    observer = design.observer()
-    # The one place numpy floating-point warnings are silenced: overflow
-    # yields inf or nan, which the finite checks turn into a typed error.
-    with np.errstate(all="ignore"):
-        if cfg.command == "verify":
-            report = verify_convergence(observer, horizons=cfg.horizons)
-            report_json = emit_json(verify_payload(cfg, design, report, scale))
-            (cfg.out / "report.json").write_bytes(report_json.encode("ascii"))
-            print(
-                f"verify: passed={report.passed} fitted_rate={report.fitted_rate:.4f} "
-                f"frequency={report.oscillation_frequency_estimate:.6g}"
-            )
-        elif "csv" in cfg.format:
-            sys_aug = augment(observer)
-            ladder = cfg.horizons or default_horizons(observer.omega_o)
-            write_trajectory_csv(cfg.out / "trajectory.csv", sys_aug, max(ladder))
+        ladder = cfg.horizons or default_horizons(omega_o)
+        # The one place numpy floating-point warnings are silenced: overflow
+        # yields inf or nan, which the finite checks turn into a typed error.
+        with np.errstate(all="ignore"):
+            write_trajectory_csv(cfg.out / "trajectory.csv", augment(design.observer()), max(ladder))
 
 
 def _check_golden(payload: dict) -> int:

@@ -16,11 +16,12 @@ by a reference frequency before touching this module.  The propagator
 exp(A t) and the commutation drift are in `dynamics`, read from the closed
 form there.
 
-The scalar helpers (`to_number`, `dot2`, `maxabs_of`, `check_horizons`, and
-`fmt_float`, the number format of every report) run on Python floats and
-load without numpy; the array types and `to_array` import it when they are
-first used, so a `design` run never loads it.  A system matrix that numpy
-cannot read as floats goes to `to_array`, the one conversion rule.
+The scalar helpers (`to_number`, `fma`, `dot2`, `maxabs_of`,
+`check_horizons`, and `fmt_float`, the number format of every report) run
+on Python floats and load without numpy; the array types and `to_array`
+import it when they are first used, so a `design` or `verify` run never
+loads it.  A system matrix that numpy cannot read as floats goes to
+`to_array`, the one conversion rule.
 """
 
 from __future__ import annotations
@@ -53,32 +54,49 @@ def maxabs_of(values) -> float:
     return max(map(abs, values), default=0.0)
 
 
-def dot2(a, b) -> float:
-    """a0 b0 + a1 b1 of two pairs of floats, to the bit as numpy's float64 dot gives it.
+def fma(a: float, b: float, c: float) -> float:
+    """a b + c with one rounding, as C's `fma` gives it; Python 3.11 has no `math.fma`.
 
-    That is fma(a1, b1, a0 b0) + 0.0: a0 b0 rounded, then a1 b1 added to it
-    with one rounding, and a zero read as +0.0.  Python 3.11 has no
-    `math.fma`, so the sum of finite nonzero terms is formed exactly from
-    integer ratios, and `int / int` rounds it once; where it overflows it
-    reads as +-inf, as `observer._ldexp` does.  An infinite or nan term, or
-    a zero one, takes the plain IEEE route, which rounds as the fused one
-    there.
+    Where no step can overflow or underflow, a b is split exactly into
+    p + e (Dekker's product on Veltkamp's halves) and `math.fsum` rounds
+    p + e + c once.  Elsewhere, with finite nonzero factors and a finite c,
+    the exact sum is formed from integer ratios and `int / int` rounds it;
+    where it overflows it reads as +-inf, as `observer._ldexp` does.  A zero
+    factor makes the product exact and a zero c leaves one rounding, so both
+    take the plain IEEE route, as does an infinite or nan factor.  A
+    non-finite c with finite factors is the result.
     """
-    (a0, a1), (b0, b1) = a, b
-    p = a0 * b0
-    if not (math.isfinite(a1) and math.isfinite(b1)):
-        return a1 * b1 + p
-    if not math.isfinite(p):
-        return p
-    if p == 0.0 or a1 == 0.0 or b1 == 0.0:
-        return a1 * b1 + p + 0.0
-    (n1, d1), (n2, d2) = a1.as_integer_ratio(), b1.as_integer_ratio()
-    n0, d0 = p.as_integer_ratio()
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return a * b + c
+    if not math.isfinite(c):
+        return c
+    if a == 0.0 or b == 0.0:
+        return a * b + c
+    if c == 0.0:
+        return a * b
+    p = a * b
+    if 1e-280 < abs(p) < 1e290 and abs(a) < 1e290 and abs(b) < 1e290 and abs(c) < 1e300:
+        x = 134217729.0 * a  # 2^27 + 1
+        ah = x - (x - a)
+        al = a - ah
+        x = 134217729.0 * b
+        bh = x - (x - b)
+        bl = b - bh
+        return math.fsum((p, ((ah * bh - p) + ah * bl + al * bh) + al * bl, c))
+    (n1, d1), (n2, d2), (n0, d0) = a.as_integer_ratio(), b.as_integer_ratio(), c.as_integer_ratio()
     numerator = n1 * n2 * d0 + n0 * d1 * d2
     try:
         return numerator / (d1 * d2 * d0)
     except OverflowError:
         return math.inf if numerator > 0 else -math.inf
+
+
+def dot2(a, b) -> float:
+    """a0 b0 + a1 b1 of two pairs of floats, to the bit as numpy's float64 dot gives it:
+    fma(a1, b1, a0 b0) + 0.0, a0 b0 rounded, then a1 b1 added to it with one rounding,
+    and a zero read as +0.0."""
+    (a0, a1), (b0, b1) = a, b
+    return fma(a1, b1, a0 * b0) + 0.0
 
 
 def fmt_float(x: float) -> str:
@@ -189,15 +207,39 @@ def check_horizons(horizons, minimum: int = 1) -> list:
 
 
 def _frozen_array(name: str, value):
-    """`value` as a read-only float array of its own, by `to_array`'s rule where numpy's fails."""
+    """`value` as a read-only float array of its own, by `to_array`'s rule where numpy's
+    fails: InputError for a boolean or text entry, DimensionError for rows of unequal
+    lengths."""
     import numpy as np
 
+    if _holds_boolean(value):
+        raise InputError(name, "expected a number", value)
     try:
         arr = np.array(value, dtype=float)
     except (TypeError, ValueError, OverflowError):
+        lengths = _unequal_rows(value)
+        if lengths:
+            raise DimensionError(f"{name}: rows of lengths {lengths} do not form a matrix") from None
         return to_array(name, value, frozen=True)
     arr.setflags(write=False)
     return arr
+
+
+def _unequal_rows(value):
+    """The row lengths at the first depth where nested lists, tuples or arrays differ
+    (None for an entry that is none of them), or None where all rows match."""
+    level = [value]
+    while level:
+        lengths = [
+            len(v) if isinstance(v, (list, tuple)) or getattr(v, "ndim", 0) else None
+            for v in level
+        ]
+        if len(set(lengths)) > 1:
+            return lengths
+        if lengths[0] is None:
+            return None
+        level = [x for v in level for x in v]
+    return None
 
 
 @dataclass(frozen=True, eq=False)

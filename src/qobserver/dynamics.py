@@ -17,6 +17,12 @@ the generator `augment` builds from a rank-one R_c, and for any 2 x 2 one in
 `propagator`; `_observer_blocks` raises StructureError for any other.  The decay
 rate is a property of the R_o = 2 omega_o I construction; the underlying
 guarantee is only that the average tends to zero.
+
+`verify` needs the observer row's average only at a few horizons, so
+`convergence_report` reads the closed form there on Python floats, with
+each figure rounded as numpy rounds the vectorized form (`_chain`,
+`_weights_at`, `_mean`).  numpy is imported only where arrays are built,
+as in `core`, so a `verify` run never loads it.
 """
 
 from __future__ import annotations
@@ -24,14 +30,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import _kernels
 from .core import (
-    EXACT_TOL, LinearQuantumSystem, check_horizons, maxabs, maxabs_of, to_array, to_number,
+    EXACT_TOL, LinearQuantumSystem, check_horizons, dot2, fma, maxabs, maxabs_of, to_array,
+    to_number,
 )
 from .errors import DimensionError, InputError, NonFiniteError, StructureError
-from .observer import ObserverDesign, augment, normalized_constraint_defect
+from .observer import ObserverDesign, augment, augmented_generator, limit_defect
+
+# Row k holds (-1)^k / (2k + m)!, the Taylor coefficients in x^2 of f_m,
+# m = 0..4.  Ten terms reach roundoff for x^2 <= 1, where the recurrence cancels.
+SERIES = tuple(tuple((-1) ** k / math.factorial(2 * k + m) for m in range(5)) for k in range(10))
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,21 +96,28 @@ def default_horizons(omega_o: float) -> tuple[float, ...]:
     return horizons
 
 
-def _observer_blocks(a: np.ndarray):
-    """(P, D, Om, s = max|Om| or 1, det(Om / s)) of A = [[0, P], [D, Om]].
+def _observer_blocks(a):
+    """(P, D, Om, s = max|Om| or 1, det(Om / s)) of A = [[0, P], [D, Om]], the blocks
+    as 2 x 2 rows of Python floats; `a` is an array or rows of floats.
 
     StructureError unless A has the structure `augment` builds from a
     rank-one R_c: 4 x 4, a zero plant block, a traceless Om and D P = 0, the
     last two to 1e-14 of max|Om| and of max|D| max|P|.  Then
     A^4 = -det(Om) A^2.
     """
-    if a.shape != (4, 4) or a[:2, :2].any():
+    rows = a if isinstance(a, list) else a.tolist()
+    if len(rows) != 4 or any(len(row) != 4 for row in rows) or any(rows[0][:2] + rows[1][:2]):
         raise StructureError("generator is not 4 x 4 with a zero plant block [[0, P], [D, Om]]")
-    p, d, om = a[:2, 2:], a[2:, :2], a[2:, 2:]
-    (o00, o01), (o10, o11) = om.tolist()
+    r0, r1, r2, r3 = rows
+    p, d = ((r0[2], r0[3]), (r1[2], r1[3])), ((r2[0], r2[1]), (r3[0], r3[1]))
+    (o00, o01), (o10, o11) = om = ((r2[2], r2[3]), (r3[2], r3[3]))
     s = maxabs_of((o00, o01, o10, o11)) or 1.0
-    d_scale, p_scale = maxabs(d), maxabs(p)
-    dp_zero = not (d_scale and p_scale) or maxabs((d / d_scale) @ (p / p_scale)) <= 1e-14
+    d_scale, p_scale = maxabs_of(d[0] + d[1]), maxabs_of(p[0] + p[1])
+    # (D / max|D|) @ (P / max|P|), each entry as numpy's 2 x 2 product rounds it
+    dp_zero = not (d_scale and p_scale) or maxabs_of([
+        dot2((x / d_scale, y / d_scale), (p[0][j] / p_scale, p[1][j] / p_scale))
+        for x, y in d for j in (0, 1)
+    ]) <= 1e-14
     if abs(o00 + o11) > 1e-14 * s or not dp_zero:
         raise StructureError(
             "generator [[0, P], [D, Om]] has no closed form: it needs a traceless Om and "
@@ -123,7 +138,12 @@ def _closed_form(blocks: tuple, c_rows: np.ndarray, t: np.ndarray):
     time scale, so s = 1 / max(1, t) keeps every y^m at most 1: with y = t,
     a term whose chain row is 0 would read 0 * inf beyond t = 1e102.
     """
-    p, d, om, s, det = blocks
+    import numpy as np
+
+    from . import _kernels
+
+    p, d, om = np.array(blocks[:3])
+    s, det = blocks[3:]
     if not om.any():
         s = 1.0 / t.max(initial=1.0)
     om = om / s
@@ -167,6 +187,10 @@ def propagator(sys: LinearQuantumSystem, t) -> np.ndarray:
     InputError for a t that is not a finite number, StructureError for any
     other generator, NonFiniteError when A t or the result overflows.
     """
+    import numpy as np
+
+    from . import _kernels
+
     t = to_number("t", t)
     if not math.isfinite(t):
         raise InputError("t", "propagation time must be finite", t)
@@ -221,6 +245,8 @@ def coefficient_trajectory(sys: LinearQuantumSystem, c_row, t_grid) -> Trajector
     non-finite entry.  The grid is a horizon ladder, which may start at
     t = 0, or InputError (`check_horizons`).
     """
+    import numpy as np
+
     c_row = to_array("c_row", c_row)
     c_rows = _output_rows(sys, c_row)
     if not np.isfinite(c_rows).all():
@@ -245,12 +271,133 @@ def coefficient_trajectory(sys: LinearQuantumSystem, c_row, t_grid) -> Trajector
     return Trajectory(times=t, coefficient_rows=rows, running_average=averages)
 
 
-def _fit_decay_rate(horizons: np.ndarray, errors: np.ndarray) -> float:
-    """Least-squares exponent p of errors ~ T^(-p), from the centred slope in log-log."""
-    x = np.log(horizons)
-    x -= x.mean()
-    y = np.log(np.maximum(errors, 1e-300))
-    return float(-(x @ (y - y.mean())) / (x @ x))
+def _chain(x, y) -> float:
+    """x_0 y_0 + x_1 y_1 + ..., as numpy's float64 products of a few terms round it:
+    x_0 y_0 rounded, then each next product added to it with one rounding (`fma`)."""
+    acc = x[0] * y[0]
+    for a, b in zip(x[1:], y[1:]):
+        acc = fma(a, b, acc)
+    return acc
+
+
+def _mean(values) -> float:
+    """`np.mean` of a list of floats, to the bit: numpy's pairwise sum over the count."""
+    return _pairwise_sum(values) / len(values)
+
+
+def _pairwise_sum(a) -> float:
+    """The sum as `np.add.reduce` rounds it: in order below 8 terms, in 8 interleaved
+    partial sums up to 128, and as the sum of two halves (cut at a multiple of 8) beyond."""
+    n = len(a)
+    if n < 8:
+        total = 0.0
+        for v in a:
+            total += v
+        return total
+    if n <= 128:
+        r = a[:8]
+        for i in range(8, n - n % 8, 8):
+            r = [u + v for u, v in zip(r, a[i : i + 8])]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for v in a[n - n % 8 :]:
+            total += v
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
+
+
+def _fit_decay_rate(horizons, errors) -> float:
+    """Least-squares exponent p of errors ~ T^(-p), from the centred slope in log-log.
+
+    On Python floats, rounded as numpy's `-(x @ y) / (x @ x)` of the centred
+    logs, with means by `_mean` and products by `_chain`; nan where the
+    centred log-horizons are all zero, as numpy's 0 / 0 reads.  Two
+    differences remain: the logs are `math.log`'s, which numpy's `log`
+    differs from in the last bit on a few arguments in 10^4, and numpy's
+    BLAS sums a dot product of 16 or more terms in blocks.
+    """
+    x = [math.log(t) for t in horizons]
+    centre = _mean(x)
+    x = [v - centre for v in x]
+    y = [math.log(max(e, 1e-300)) for e in errors]
+    centre = _mean(y)
+    norm = _chain(x, x)
+    return -_chain(x, [v - centre for v in y]) / norm if norm else math.nan
+
+
+def _power(y: float, m: int) -> float:
+    """y^m for y >= 0, inf where it overflows, as numpy's `power` reads it."""
+    try:
+        return y**m
+    except OverflowError:
+        return math.inf
+
+
+def _weights_at(det: float, root: float, y: float) -> tuple:
+    """`_kernels.weights`' averages at one y >= 0, on Python floats: y^m f_(m+1)(x) for
+    m = 0..3 at x = root y, root = sqrt|det|.
+
+    Past the series (x > 1) each weight is rounded as numpy rounds it:
+    `math.cos` and `math.sin` are numpy's to the bit, and an infinite or nan
+    x reads nan as numpy's does.  `math.cosh` and `math.sinh` (det < 0)
+    differ from numpy's in the last bit on about 1% of arguments, and read
+    inf where they overflow.  In the series, the powers are Python's, which
+    numpy's `power` differs from in the last bit, and the sums are fused as
+    numpy's product rounds them (`_chain`).
+    """
+    x = root * y
+    if x <= 1.0:
+        z = math.copysign(1.0, det) * (x * x)
+        powers = [z**k for k in range(len(SERIES))]
+        return tuple(
+            _power(y, m) * _chain(powers, [row[m + 1] for row in SERIES]) for m in range(4)
+        )
+    if not x < math.inf:
+        return (math.nan,) * 4
+    if det > 0.0:
+        f0, f1 = math.cos(x), math.sin(x) / x
+    else:
+        try:
+            f0, f1 = math.cosh(x), math.sinh(x) / x
+        except OverflowError:
+            f0 = f1 = math.inf
+    q2, q3 = (1.0 - f0) / det, (1.0 - f1) / det  # y^2 f_2, y^2 f_3
+    return f1, q2 / y, q3, y * ((0.5 - q2 / y / y) / det)
+
+
+def _average_errors(c_p, c_o, blocks: tuple, horizons) -> tuple:
+    """max|C_p,aug - (1/T) int_0^T C_o,aug exp(As) ds| at each horizon T, on Python floats.
+
+    The observer row [0, C_o] has the chain (0, C_o, b, 0, 0) of
+    `_closed_form`, b = C_o Om/s, so its average is the weights times the
+    rows [0, C_o], [C_o D/s, b] and [b D/s, 0].  Each entry is summed over
+    the four weights as numpy's product of the weights and those rows
+    rounds it (`_chain`), and each product of C_o or b as `dot2`.
+    """
+    (p0, p1), v = c_p, c_o
+    _, d, om, s, det = blocks
+    if not any(om[0] + om[1]):  # no time scale: as `_closed_form`
+        s = 1.0 / max(1.0, horizons[-1])
+    b = tuple(dot2(v, (om[0][j] / s, om[1][j] / s)) for j in (0, 1))
+    d_columns = ((d[0][0], d[1][0]), (d[0][1], d[1][1]))
+    r1 = [dot2(v, column) / s for column in d_columns]
+    r2 = [dot2(b, column) / s for column in d_columns]
+    columns = (
+        (0.0, r1[0], r2[0], 0.0), (0.0, r1[1], r2[1], 0.0),
+        (v[0], b[0], 0.0, 0.0), (v[1], b[1], 0.0, 0.0),
+    )
+    root = math.sqrt(abs(det))
+    errors = []
+    for t in horizons:
+        w = _weights_at(det, root, s * t)
+        if math.isfinite(sum(w)):  # then each zero term adds a zero: two-term sums
+            w0, w1, w2, _ = w
+            a0, a1 = (dot2((w1, w2), (r1[j], r2[j])) for j in (0, 1))
+            a2, a3 = (dot2((w0, w1), (v[j], b[j])) for j in (0, 1))
+        else:
+            a0, a1, a2, a3 = (_chain(w, column) for column in columns)
+        errors.append(maxabs_of((p0 - a0, p1 - a1, a2, a3)))
+    return tuple(errors)
 
 
 def verify_convergence(design: ObserverDesign, horizons=None) -> ConvergenceReport:
@@ -263,8 +410,7 @@ def verify_convergence(design: ObserverDesign, horizons=None) -> ConvergenceRepo
     b. the time-average error decays over the horizon ladder: strictly
        decreasing with fitted rate >= 0.9, and the closed-form limit
        -C_o R_o^{-1} beta^T = 1 holds to EXACT_TOL.  The errors are read
-       from the running average of the observer row on the grid
-       (0, *horizons);
+       from the running average of the observer row at each horizon;
     c. the observer row oscillates within 1% of 4 omega_o, at
        w = sqrt(det Om) read from Om (0.0 when det Om <= 0).
 
@@ -273,29 +419,51 @@ def verify_convergence(design: ObserverDesign, horizons=None) -> ConvergenceRepo
     InputError (`check_horizons`), and a design whose augmented generator
     lacks the observer's structure (a full-rank R_c) raises StructureError,
     before any error is computed; otherwise this always returns a report,
-    and failed checks are named in `failures` rather than raised.
+    and failed checks are named in `failures` rather than raised.  The
+    arrays are read as Python floats, and `convergence_report` does the rest.
     """
     ladder = default_horizons(design.omega_o) if horizons is None else horizons
     # A generator is read once; a lone number is a ladder of one.
-    ladder = tuple(ladder) if np.iterable(ladder) else ladder
+    try:
+        iter(ladder)
+    except TypeError:
+        pass
+    else:
+        ladder = tuple(ladder)
     horizons = tuple(check_horizons(ladder, minimum=2))
-    grid = np.array((0.0, *horizons))
+    return convergence_report(
+        design.c_p.tolist(), design.omega_o, design.r_o.tolist(), design.r_c.tolist(),
+        design.beta.tolist(), design.c_o.tolist(), horizons,
+    )
 
-    sys = augment(design)
-    c_p_aug, c_o_aug = sys.c[0], sys.c[1]
-    blocks = _observer_blocks(sys.a)
 
-    row_defect = maxabs(c_p_aug @ sys.a)
-    _, averages = _rows_and_averages(blocks, c_o_aug[None], grid)
-    errors = tuple(float(e) for e in np.abs(c_p_aug - averages[0, 1:]).max(axis=1))
+def convergence_report(c_p, omega_o, r_o, r_c, beta, c_o, horizons) -> ConvergenceReport:
+    """`verify_convergence`'s report of a design given as Python floats: the pairs
+    c_p, beta and c_o, omega_o, and the rows of R_o and R_c.
+
+    `horizons` is a ladder that `check_horizons` accepts, or the default one,
+    and is not checked again.  NonFiniteError where `augment` raises it, and
+    StructureError where `_observer_blocks` does.
+    """
+    a = augmented_generator(r_c, r_o)
+    (p0, p1), (q0, q1) = c_p, c_o
+    if not all(map(math.isfinite, (p0, p1, q0, q1, *a[0], *a[1], *a[2], *a[3]))):
+        raise NonFiniteError("system matrices have non-finite entries")
+    blocks = _observer_blocks(a)
+    p, _, _, s, det = blocks
+
+    # C_p,aug @ A: its only nonzero entries meet P, each rounded as numpy's
+    # product with the zero tail of C_p,aug rounds it
+    row_defect = maxabs_of([dot2((p1, p0), (p[1][j], p[0][j])) for j in (0, 1)])
+    errors = _average_errors(c_p, c_o, blocks, horizons)
     ratios = tuple(b / a if a > 0.0 else math.inf for a, b in zip(errors, errors[1:]))
-    rate = _fit_decay_rate(np.asarray(horizons), np.asarray(errors))
+    rate = _fit_decay_rate(horizons, errors)
 
     # |-C_o R_o^{-1} beta^T - 1|, inf when beta = 0 or R_o is not definite
-    limit_defect = normalized_constraint_defect(design)
+    limit = limit_defect(r_o, beta, c_o)
 
-    expected = 4.0 * design.omega_o
-    freq = blocks[3] * math.sqrt(max(blocks[4], 0.0))  # w = s sqrt(det(Om / s))
+    expected = 4.0 * omega_o
+    freq = s * math.sqrt(max(det, 0.0))  # w = s sqrt(det(Om / s))
     freq_rel = abs(freq - expected) / expected
 
     decreasing = all(b < a for a, b in zip(errors, errors[1:]))
@@ -309,12 +477,12 @@ def verify_convergence(design: ObserverDesign, horizons=None) -> ConvergenceRepo
         ),
         CheckResult(
             name="time-average error decays",
-            passed=decreasing and rate >= 0.9 and limit_defect <= EXACT_TOL,
+            passed=decreasing and rate >= 0.9 and limit <= EXACT_TOL,
             value=rate,
             threshold=0.9,
             detail=(
                 f"strictly decreasing={decreasing}, "
-                f"closed-form limit defect={limit_defect:.3e}"
+                f"closed-form limit defect={limit:.3e}"
             ),
         ),
         CheckResult(
@@ -327,14 +495,14 @@ def verify_convergence(design: ObserverDesign, horizons=None) -> ConvergenceRepo
     )
     failures = tuple(c.name for c in checks if not c.passed)
     return ConvergenceReport(
-        horizons=horizons,
+        horizons=tuple(horizons),
         errors=errors,
         ratios=ratios,
         fitted_rate=rate,
         oscillation_frequency_estimate=freq,
         expected_frequency=expected,
         output_row_defect=row_defect,
-        averaged_limit_defect=limit_defect,
+        averaged_limit_defect=limit,
         checks=checks,
         passed=not failures,
         failures=failures,

@@ -19,7 +19,7 @@ them and forms C_o and `energy_blocks` forms R_o and R_c on Python floats,
 the route `ndpa.solve_design` takes.  An `ObserverDesign` is built only by
 its constructor, from those floats or from a caller's values alike: one
 conversion per field, which is also its one copy.  numpy is imported only
-where arrays are built or solved.
+where arrays are built.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .core import (
     LinearQuantumSystem,
     SymplecticSpace,
     dot2,
+    fma,
     maxabs_of,
     to_array,
     to_number,
@@ -207,18 +208,48 @@ def _least_eigenvalue(a: float, b: float, d: float) -> float:
 
 
 def normalized_constraint_defect(design: ObserverDesign) -> float:
-    """|C_o R_o^{-1} beta^T + 1|, inf when beta = 0 or R_o is not positive definite.
+    """|C_o R_o^{-1} beta^T + 1| of the design's arrays, by `limit_defect`."""
+    return limit_defect(design.r_o.tolist(), design.beta.tolist(), design.c_o.tolist())
 
-    R_o^{-1} beta^T is solved by numpy, since its rounding reaches the
-    verify report; the tests that rule it out are read as Python floats.
+
+def limit_defect(r_o, beta, c_o) -> float:
+    """|C_o R_o^{-1} beta^T + 1| of R_o's rows and the pairs beta and C_o, on Python
+    floats; inf when beta = 0 or R_o is not positive definite.
+
+    Its rounding reaches the verify report, so R_o^{-1} beta^T is rounded as
+    `np.linalg.solve` rounds it (`_solve2`), and C_o times it as `dot2`.  An
+    R_o whose second pivot rounds to zero, where numpy raises, is singular in
+    floats, and so not definite either.
     """
-    import numpy as np
-
-    (o00, _), (o10, o11) = design.r_o.tolist()
-    b0, b1 = design.beta.tolist()
+    (o00, _), (o10, o11) = r_o
+    b0, b1 = beta
     if (b0 == 0.0 and b1 == 0.0) or not _least_eigenvalue(o00, o10, o11) > 0.0:
         return math.inf
-    return abs(float(design.c_o @ np.linalg.solve(design.r_o, design.beta)) + 1.0)
+    x = _solve2(r_o, beta)
+    return math.inf if x is None else abs(dot2(c_o, x) + 1.0)
+
+
+def _solve2(a, b):
+    """x with a x = b, for 2 x 2 rows a and a pair b, rounded as numpy's LAPACK (OpenBLAS
+    `dgesv`) rounds it, or None where a pivot is zero and numpy raises.
+
+    LU with the larger first-column entry as pivot (the first on a tie) and
+    its multiplier formed by the pivot's reciprocal, or divided by a
+    subnormal one; then the substitutions, each step but the second pivot's
+    fused.
+    """
+    (a00, a01), (a10, a11) = a
+    b0, b1 = b
+    if abs(a10) > abs(a00):
+        a00, a01, a10, a11, b0, b1 = a10, a11, a00, a01, b1, b0
+    if a00 == 0.0:
+        return None
+    m = a10 * (1.0 / a00) if abs(a00) >= sys.float_info.min else a10 / a00
+    u11 = a11 - m * a01
+    if u11 == 0.0:
+        return None
+    x1 = fma(-b0, m, b1) / u11
+    return fma(-x1, a01, b0) / a00, x1
 
 
 def validate_observer(design: ObserverDesign) -> ObserverDiagnostics:
@@ -229,7 +260,7 @@ def validate_observer(design: ObserverDesign) -> ObserverDiagnostics:
     definite.  Both defects are held to DESIGN_TOL: the coupling defect
     relative to the size of R_c and the output constraint in its scale-free
     form |C_o R_o^{-1} beta^T + 1|, so the verdict does not depend on the
-    frequency unit, as `normalized_constraint_defect` reads it.  The 2 x 2
+    frequency unit, as `limit_defect` reads it.  The 2 x 2
     blocks are read as Python floats.
     """
     failures: list[str] = []
@@ -249,7 +280,7 @@ def validate_observer(design: ObserverDesign) -> ObserverDiagnostics:
     constraint_defect = abs(c0 * b0 + c1 * b1 + 2.0 * design.omega_o)
     if beta_is_zero:
         failures.append("no coupling: beta is zero, observer never sees the plant")
-    normalized = normalized_constraint_defect(design)
+    normalized = limit_defect(design.r_o.tolist(), (b0, b1), (c0, c1))
     if normalized > DESIGN_TOL:
         failures.append("output constraint C_o R_o^{-1} beta^T = -1 violated")
 
@@ -272,35 +303,45 @@ def augmented_energy_matrix(r_c, r_o) -> tuple:
     return ((0.0, 0.0, c00, c01), (0.0, 0.0, c10, c11), (c00, c10, o00, o01), (c01, c11, o10, o11))
 
 
-def augment(design: ObserverDesign) -> LinearQuantumSystem:
-    """Closed two-mode plant-observer system.
-
-    The joint energy matrix is R = [[0, R_c], [R_c^T, R_o]] and the
-    generator A = 2 diag(J, J) R.  Output row 0 is the plant selector
-    [C_p, 0, 0] and row 1 the observer selector [0, 0, C_o].  The design is
-    assembled as given; run `validate_observer` first if you need the
-    convergence guarantees.
+def augmented_generator(r_c, r_o) -> list:
+    """A = 2 diag(J, J) R of the closed plant-observer system, as rows of Python floats,
+    from the rows of R_c and R_o; NonFiniteError for a non-finite entry of either.
 
     A is assembled from its three blocks 2J R_c, 2J R_c^T and 2J sym(R_o),
-    sym(X) = (X + X^T)/2, as Python floats.  J only moves and negates
-    entries, so A equals the numpy product 2 (Theta @ sym(R)) to the bit:
-    the product gives +0 for every zero entry, and so does the `+ 0.0`
-    here.  NonFiniteError for a non-finite R_c or R_o entry as given, and
-    for an A or an output row that overflows.
+    sym(X) = (X + X^T)/2.  J only moves and negates entries, so A equals the
+    numpy product 2 (Theta @ sym(R)) to the bit: the product gives +0 for
+    every zero entry, and so does the `+ 0.0` here.
     """
-    (c00, c01), (c10, c11) = design.r_c.tolist()
-    (o00, o01), (o10, o11) = design.r_o.tolist()
+    (c00, c01), (c10, c11) = r_c
+    (o00, o01), (o10, o11) = r_o
     if not all(map(math.isfinite, (c00, c01, c10, c11, o00, o01, o10, o11))):
         raise NonFiniteError("energy matrix has non-finite entries")
     # (x + x)/2 = x where the sum is finite, and 2x overflows where it does.
     s01 = (o01 + o10) / 2.0
-    a = [
+    return [
         [0.0, 0.0, 2.0 * c10 + 0.0, 2.0 * c11 + 0.0],
         [0.0, 0.0, -2.0 * c00 + 0.0, -2.0 * c01 + 0.0],
         [2.0 * c01 + 0.0, 2.0 * c11 + 0.0, 2.0 * s01 + 0.0, 2.0 * o11 + 0.0],
         [-2.0 * c00 + 0.0, -2.0 * c10 + 0.0, -2.0 * o00 + 0.0, -2.0 * s01 + 0.0],
     ]
+
+
+def augment(design: ObserverDesign) -> LinearQuantumSystem:
+    """Closed two-mode plant-observer system.
+
+    The joint energy matrix is R = [[0, R_c], [R_c^T, R_o]] and the
+    generator A = 2 diag(J, J) R (`augmented_generator`).  Output row 0 is
+    the plant selector [C_p, 0, 0] and row 1 the observer selector
+    [0, 0, C_o].  The design is assembled as given; run `validate_observer`
+    first if you need the convergence guarantees.  NonFiniteError for a
+    non-finite R_c or R_o entry as given, and for an A or an output row that
+    overflows.  A and the rows go to the system as arrays, whose dtype tells
+    it that no entry is a boolean.
+    """
+    import numpy as np
+
+    a = augmented_generator(design.r_c.tolist(), design.r_o.tolist())
     p0, p1 = design.c_p.tolist()
     q0, q1 = design.c_o.tolist()
     c = [[p0, p1, 0.0, 0.0], [0.0, 0.0, q0, q1]]
-    return LinearQuantumSystem(a, c, _plant_observer())
+    return LinearQuantumSystem(np.array(a), np.array(c), _plant_observer())

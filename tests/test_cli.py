@@ -129,20 +129,21 @@ class TestFloatFormat:
         )
         assert proc.stdout == "0\n"
 
-    def test_design_and_reproduce_example_never_load_numpy(self, tmp_path):
-        # the design runs on Python floats; only verify and simulate import numpy
+    def test_design_verify_and_reproduce_example_never_load_numpy(self, tmp_path):
+        # the design and verify run on Python floats; only simulate imports numpy
         code = (
             "import sys, qobserver.cli as c\n"
             "loaded = ['numpy' in sys.modules]\n"
             "for argv in (['design', '--cp=0.6,-0.8', '--units', 'rad/s', '--omega-o', '2e8',\n"
             "              '--delta', '1', '--out', 'a'], ['reproduce-example', '--out', 'b'],\n"
-            "             ['design', '--horizons', '5,10', '--out', 'd']):\n"
+            "             ['design', '--horizons', '5,10', '--out', 'd'], ['verify', '--out', 'c'],\n"
+            "             ['verify', '--cp=0.6,-0.8', '--horizons', '5,10,20,40,80,160',\n"
+            "              '--out', 'e'], ['verify', '--horizons', '5,5.5', '--out', 'f']):\n"
             "    loaded.append((c.main(argv), 'numpy' in sys.modules))\n"
             "try:\n"
             "    c.emit_json({'a': {1}})\n"
             "except TypeError as exc:\n"
             "    loaded.append((str(exc), 'numpy' in sys.modules))\n"
-            "c.main(['verify', '--out', 'c'])\n"
             "print(loaded, 'numpy' in sys.modules)\n"
         )
         env = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -150,9 +151,14 @@ class TestFloatFormat:
             [sys.executable, "-c", code],
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120, check=True,
         )
-        assert proc.stdout.splitlines()[-1] == (
-            "[False, (0, False), (0, False), (0, False), "
-            "(\"cannot serialize <class 'set'>\", False)] True"
+        lines = proc.stdout.splitlines()
+        # the last verdict fails: the error at 5.5 is above the one at 5
+        assert [line.split()[1] for line in lines if line.startswith("verify:")] == [
+            "passed=True", "passed=True", "passed=False"
+        ]
+        assert lines[-1] == (
+            "[False, (0, False), (0, False), (0, False), (0, False), (0, False), (0, False), "
+            "(\"cannot serialize <class 'set'>\", False)] False"
         )
 
     def test_well_formed_command_lines_never_import_argparse(self, tmp_path):

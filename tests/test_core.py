@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.linalg import expm as scipy_expm
 from deadline import deadline
 from qobserver import (
     DimensionError,
+    InputError,
     LinearQuantumSystem,
     NonFiniteError,
     StructureError,
@@ -91,6 +93,36 @@ class TestGenerator:
         assert np.array_equal(sys.a[2:, :2], 2.0 * J @ r_c.T)
         assert np.array_equal(sys.a[2:, 2:], 4.0 * J)
         assert np.array_equal(sys.a[:2, :2], np.zeros((2, 2)))
+
+
+class TestSystemMatrices:
+    """`LinearQuantumSystem` refuses what is not a matrix of numbers, as every input does."""
+
+    @pytest.mark.parametrize("a, c, message", [
+        ([[1, 2], [3]], np.zeros((0, 2)), "a: rows of lengths [2, 1] do not form a matrix"),
+        ([[1, 2], 3], np.zeros((0, 2)), "a: rows of lengths [2, None] do not form a matrix"),
+        (np.zeros((2, 2)), [[1, 2], [3.0]], "c: rows of lengths [2, 1] do not form a matrix"),
+        ([[1, 2], ["x"]], np.zeros((0, 2)), "a: rows of lengths [2, 1] do not form a matrix"),
+        ([(1, 2), [3, np.zeros(2)]], np.zeros((0, 2)), "a: rows of lengths [None, None, None, 2]"),
+    ])
+    def test_ragged_rows_are_a_dimension_error(self, a, c, message):
+        with pytest.raises(DimensionError, match=re.escape(message)):
+            LinearQuantumSystem(a, c, SymplecticSpace(1))
+
+    @pytest.mark.parametrize("a, c, name", [
+        ([[True, 0], [0, 0]], np.zeros((0, 2)), "a"),
+        ([[0.0, 1.0], [-1.0, False]], np.zeros((0, 2)), "a"),
+        (np.eye(2, dtype=bool), np.zeros((0, 2)), "a"),
+        (np.zeros((2, 2)), [[1.0, np.bool_(True)]], "c"),
+        (np.zeros((2, 2)), np.array([[1.0, True]], dtype=object), "c"),
+    ])
+    def test_boolean_entries_are_not_numbers(self, a, c, name):
+        with pytest.raises(InputError, match=f"^{name}: expected a number, got "):
+            LinearQuantumSystem(a, c, SymplecticSpace(1))
+
+    def test_numbers_of_any_form_are_read(self):
+        sys = LinearQuantumSystem([[0, 1], [-1.0, np.float32(0)]], [(1, 0)], SymplecticSpace(1))
+        assert sys.a.tolist() == [[0.0, 1.0], [-1.0, 0.0]] and sys.c.tolist() == [[1.0, 0.0]]
 
 
 class TestRealizability:

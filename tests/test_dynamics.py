@@ -226,6 +226,17 @@ class TestVerifyConvergence:
         with pytest.raises(NonFiniteError, match="default horizon ladder"):
             verify_convergence(dataclasses.replace(design, omega_o=1e-310))
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"c_o": [math.nan, 0.0]}, "system matrices have non-finite entries"),
+        ({"c_p": [0.0, -math.inf]}, "system matrices have non-finite entries"),
+        ({"r_c": [[1e308, 0.0], [0.0, 0.0]]}, "system matrices have non-finite entries"),  # 2 R_c
+        ({"r_o": [[math.nan, 0.0], [0.0, 2.0]]}, "energy matrix has non-finite entries"),
+    ])
+    def test_non_finite_system_is_typed(self, example, changes, message):
+        design, _ = example
+        with pytest.raises(NonFiniteError, match=message):
+            verify_convergence(dataclasses.replace(design, **changes))
+
     def test_runs_no_trajectory(self, example, monkeypatch):
         def boom(*args, **kwargs):
             raise AssertionError("verify_convergence simulated a trajectory")
