@@ -100,7 +100,7 @@ def fused(a, b, c) -> float:
 EDGES = st.sampled_from([1e-280, 1e290, 1e300, 2.0**-1022, 2.0**-969, 1.7976931348623157e308])
 
 
-@hypothesis.settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @hypothesis.given(a=ENTRY, b=ENTRY, c=ENTRY, edge=EDGES, near=st.integers(-3, 3),
                   kind=st.sampled_from(["free", "cancel", "edge"]))
 def test_fma_rounds_once(a, b, c, edge, near, kind):
@@ -182,7 +182,7 @@ def numpy_figures(design, horizons):
     return errors.tolist(), maxabs(sys.c[0] @ sys.a), limit, (rate, x, y), blocks
 
 
-@hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @hypothesis.given(request=verify_requests())
 def test_verify_figures_match_the_vectorized_closed_form(request):
     cp, omega, gamma, ratio, horizons = request
