@@ -139,6 +139,14 @@ def test_solve2_matches_numpy_solve(a, b):
         assert bits(got) == bits(want)
 
 
+def test_mean_is_numpys_pairwise_mean():
+    # sequential below 8 terms, 8 partial sums up to 128, halves beyond
+    rng = np.random.default_rng(3)
+    for n in range(1, 300):
+        values = (rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0, n)).tolist()
+        assert bits([dynamics._mean(values)]) == bits([np.mean(values)])
+
+
 def unit_ulps(got: float, want: float) -> float:
     return abs(got - want) / math.ulp(want) if got != want else 0.0
 
